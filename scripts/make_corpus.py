@@ -2,7 +2,7 @@
 
 import pathlib
 
-from mbhomology.cli import canonical_json, morse_to_doc, presentation_to_doc
+from mbhomology.schema import canonical_json, morse_to_doc, presentation_to_doc
 from mbhomology.flowdata import CritModel, FlowPresentation, ModuliComponentModel
 from mbhomology.morse import MorseData
 from mbhomology.simplicial import SimplicialComplexData, SimplicialMap

@@ -36,8 +36,8 @@ from .multicomplex import (
     InvalidMulticomplex,
     validate_multicomplex,
     totalize,
-    homology_table,
 )
+from .pipeline import homology_table
 from .flowdata import (
     CritModel,
     ModuliComponentModel,

@@ -92,7 +92,7 @@ class HomologyGroup:
         elif self.betti > 1:
             parts.append(f"Z^{self.betti}")
         parts.extend(f"Z/{d}" for d in self.torsion)
-        return " + ".join(parts) if parts else "0"
+        return " ⊕ ".join(parts) if parts else "0"
 
 
 @dataclass

@@ -1,247 +1,39 @@
-"""Command-line interface and on-disk formats.
+"""Command-line interface.
 
-Flow presentations and Morse data travel as JSON documents with a
-versioned "schema" field; the same schema is used for the shipped example
-files and for user input.  Exit codes are a stable contract: 0 for
-success/match, 1 for a semantic failure (invalid multicomplex, mismatch,
+Documents are read through `schema`; every homology table comes from
+`pipeline`.  Exit codes are a stable contract: 0 for success/match, 1 for a
+semantic failure (invalid multicomplex, inconsistent flow data, mismatch,
 non-isomorphic comparison), 2 for unreadable or malformed input.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .chain import HomologyGroup, homology_at
-from .exactalg import IntMatrix
-from .flowdata import (
-    FlowDataError,
-    FlowPresentation,
-    CritModel,
-    InconsistentFlowData,
-    ModuliComponentModel,
-    build_multicomplex,
-    morse_to_flow,
+from .chain import HomologyGroup
+from .flowdata import InconsistentFlowData, build_multicomplex, morse_to_flow
+from .morse import InvalidMorseData, morse_complex, verify_morse_mb
+from .multicomplex import InvalidMulticomplex, validate_multicomplex
+from .pipeline import compare_tables, expected_mismatches, homology_table
+from .schema import (  # presentation_from_doc: kept importable from here
+    SchemaError,
+    canonical_json,
+    expected_from_doc,
+    load_document,
+    morse_from_doc,
+    presentation_from_doc,
+    presentation_from_file,
 )
-from .morse import InvalidMorseData, MorseData, morse_complex, verify_morse_mb
-from .multicomplex import totalize, validate_multicomplex
-from .simplicial import CoveringError, SimplicialComplexData, SimplicialMap
-
-SCHEMA_VERSION = 1
+from .simplicial import CoveringError
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
 EXIT_INPUT = 2
 
 
-class SchemaError(ValueError):
-    """Input document violates the file schema."""
-
-
-# ---------------------------------------------------------------------------
-# JSON schema
-
-
-def canonical_json(doc):
-    """Fixed formatting so files and reports are diffable byte for byte."""
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-
-
-def _require(doc, key, kind, where):
-    if key not in doc:
-        raise SchemaError(f"{where}: missing key '{key}'")
-    value = doc[key]
-    if kind is not None and not isinstance(value, kind):
-        raise SchemaError(f"{where}: key '{key}' has type "
-                          f"{type(value).__name__}")
-    return value
-
-
-def complex_from_data(data, where):
-    vertices = _require(data, "vertices", int, where)
-    simplices = _require(data, "simplices", list, where)
-    try:
-        return SimplicialComplexData.from_simplices(
-            [tuple(s) for s in simplices], vertex_count=vertices)
-    except (TypeError, ValueError) as err:
-        raise SchemaError(f"{where}: {err}") from err
-
-
-def complex_to_data(k):
-    return {
-        "vertices": k.vertex_count,
-        "simplices": [list(s) for s in k.all_simplices()],
-    }
-
-
-def presentation_from_doc(doc, where="presentation"):
-    dim = _require(doc, "dim", int, where)
-    crit = []
-    models = {}
-    for t, entry in enumerate(_require(doc, "critical", list, where)):
-        spot = f"{where}.critical[{t}]"
-        index = _require(entry, "index", int, spot)
-        kind = _require(entry, "kind", str, spot)
-        if kind == "points":
-            names = tuple(_require(entry, "names", list, spot))
-            model = CritModel(index=index, dimension=0, names=names)
-        elif kind == "simplicial":
-            cx = complex_from_data(_require(entry, "complex", dict, spot),
-                                   spot)
-            model = CritModel(index=index, dimension=cx.top_dim, complex=cx)
-        else:
-            raise SchemaError(f"{spot}: unknown kind '{kind}'")
-        crit.append(model)
-        models[index] = model
-    moduli = []
-    for t, entry in enumerate(doc.get("moduli", [])):
-        spot = f"{where}.moduli[{t}]"
-        src = _require(entry, "from", int, spot)
-        tgt = _require(entry, "to", int, spot)
-        domain = complex_from_data(_require(entry, "domain", dict, spot), spot)
-        sign = _require(entry, "sign", int, spot)
-        if src not in models or tgt not in models:
-            raise SchemaError(f"{spot}: endpoints {src}->{tgt} not among "
-                              "the critical indices")
-        try:
-            ev_minus = SimplicialMap(domain, models[src].model_complex(),
-                                     _require(entry, "ev_minus", list, spot))
-            ev_plus = SimplicialMap(domain, models[tgt].model_complex(),
-                                    _require(entry, "ev_plus", list, spot))
-        except ValueError as err:
-            raise SchemaError(f"{spot}: {err}") from err
-        moduli.append(ModuliComponentModel(
-            from_index=src, to_index=tgt, domain=domain,
-            ev_minus=ev_minus, ev_plus=ev_plus, sign=sign))
-    return FlowPresentation(dim=dim, crit=tuple(crit), moduli=tuple(moduli),
-                            column_cap=doc.get("column_cap"))
-
-
-def presentation_to_doc(fp, meta=None):
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "kind": "flow",
-        "dim": fp.dim,
-        "critical": [],
-        "moduli": [],
-    }
-    for model in sorted(fp.crit, key=lambda m: m.index):
-        if model.is_points:
-            doc["critical"].append({
-                "index": model.index,
-                "kind": "points",
-                "names": list(model.names),
-            })
-        else:
-            doc["critical"].append({
-                "index": model.index,
-                "kind": "simplicial",
-                "complex": complex_to_data(model.complex),
-            })
-    for comp in fp.moduli:
-        doc["moduli"].append({
-            "from": comp.from_index,
-            "to": comp.to_index,
-            "domain": complex_to_data(comp.domain),
-            "ev_minus": list(comp.ev_minus.vertex_image),
-            "ev_plus": list(comp.ev_plus.vertex_image),
-            "sign": comp.sign,
-        })
-    if fp.column_cap is not None:
-        doc["column_cap"] = fp.column_cap
-    if meta:
-        doc.update(meta)
-    return doc
-
-
-def morse_from_doc(doc, where="morse data"):
-    crit = {}
-    for key, names in _require(doc, "critical", dict, where).items():
-        try:
-            index = int(key)
-        except ValueError as err:
-            raise SchemaError(f"{where}: critical index '{key}'") from err
-        crit[index] = tuple(names)
-    counts = {}
-    for t, item in enumerate(doc.get("counts", [])):
-        if not (isinstance(item, list) and len(item) == 3):
-            raise SchemaError(f"{where}.counts[{t}]: expected [from, to, n]")
-        q, p, n = item
-        counts[(q, p)] = counts.get((q, p), 0) + int(n)
-    md = MorseData(crit_by_index=crit, counts=counts)
-    problems = md.validate()
-    if problems:
-        raise SchemaError(f"{where}: " + "; ".join(problems))
-    return md
-
-
-def morse_to_doc(md, meta=None):
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "kind": "morse",
-        "critical": {str(k): list(v) for k, v in md.crit_by_index.items()},
-        "counts": [[q, p, n] for (q, p), n in sorted(md.counts.items())],
-    }
-    if meta:
-        doc.update(meta)
-    return doc
-
-
-def expected_from_doc(doc, where="document"):
-    """Optional expected homology: {degree: (betti, torsion tuple)}."""
-    if "expected" not in doc:
-        return None
-    out = {}
-    for t, entry in enumerate(doc["expected"]):
-        spot = f"{where}.expected[{t}]"
-        degree = _require(entry, "degree", int, spot)
-        betti = _require(entry, "betti", int, spot)
-        torsion = tuple(int(x) for x in entry.get("torsion", []))
-        out[degree] = (betti, torsion)
-    return out
-
-
-def load_document(path):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as err:
-        raise SchemaError(f"{path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise SchemaError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: top level must be an object")
-    schema = doc.get("schema")
-    if schema != SCHEMA_VERSION:
-        raise SchemaError(f"{path}: unsupported schema {schema!r}")
-    return doc
-
-
-def presentation_from_file(path):
-    """(FlowPresentation, document); Morse documents are converted."""
-    doc = load_document(path)
-    kind = doc.get("kind", "flow")
-    if kind == "morse":
-        md = morse_from_doc(doc, where=path)
-        return morse_to_flow(md, cap=doc.get("column_cap")), doc
-    if kind != "flow":
-        raise SchemaError(f"{path}: unknown kind '{kind}'")
-    return presentation_from_doc(doc, where=path), doc
-
-
 # ---------------------------------------------------------------------------
 # reports
-
-
-def format_group(group):
-    parts = []
-    if group.betti == 1:
-        parts.append("Z")
-    elif group.betti > 1:
-        parts.append(f"Z^{group.betti}")
-    parts.extend(f"Z/{d}" for d in group.torsion)
-    return " ⊕ ".join(parts) if parts else "0"
 
 
 def group_to_data(degree, group, ambient_dim):
@@ -292,21 +84,32 @@ def _emit(out, json_doc, text, as_json):
         out.write(text + "\n")
 
 
+def _input_failure(exc, path, err):
+    """Report an error raised while loading or building `path` and return
+    the exit code: a failed covering check is inconsistent flow data,
+    anything else is bad input."""
+    if isinstance(exc, CoveringError):
+        err.write(f"inconsistent flow data: {path}: {exc}\n")
+        return EXIT_SEMANTIC
+    where = "" if isinstance(exc, SchemaError) else f"{path}: "
+    err.write(f"input error: {where}{exc}\n")
+    return EXIT_INPUT
+
+
+def _invalid(report, err, as_json, heading=""):
+    data = validation_to_data(report)
+    _emit(err, data, heading + render_validation_text(data), as_json)
+    return EXIT_SEMANTIC
+
+
 def cmd_validate(path, as_json=False, out=None, err=None):
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
         fp, _ = presentation_from_file(path)
         mc = build_multicomplex(fp, check=False)
-    except SchemaError as exc:
-        err.write(f"input error: {exc}\n")
-        return EXIT_INPUT
-    except FlowDataError as exc:
-        err.write(f"input error: {path}: {exc}\n")
-        return EXIT_INPUT
-    except (InvalidMorseData, CoveringError) as exc:
-        err.write(f"inconsistent flow data: {path}: {exc}\n")
-        return EXIT_SEMANTIC
+    except ValueError as exc:
+        return _input_failure(exc, path, err)
     report = validate_multicomplex(mc)
     data = validation_to_data(report)
     _emit(out, data, render_validation_text(data), as_json)
@@ -331,37 +134,22 @@ def cmd_homology(path, degrees=None, as_json=False, out=None, err=None):
         expected = expected_from_doc(doc, where=path)
         degree_range = parse_degree_range(degrees, fp.dim)
         mc = build_multicomplex(fp, check=False)
-    except SchemaError as exc:
-        err.write(f"input error: {exc}\n")
-        return EXIT_INPUT
-    except (FlowDataError, ValueError) as exc:
-        err.write(f"input error: {path}: {exc}\n")
-        return EXIT_INPUT
-    report = validate_multicomplex(mc)
-    if not report.ok:
-        data = validation_to_data(report)
-        _emit(err, data, render_validation_text(data), as_json)
-        return EXIT_SEMANTIC
-    view = totalize(mc)
-    groups = {k: homology_at(view.complex, k) for k in degree_range}
+    except ValueError as exc:
+        return _input_failure(exc, path, err)
+    try:
+        groups = dict(zip(degree_range, homology_table(mc, degree_range)))
+    except InvalidMulticomplex as exc:
+        return _invalid(exc.report, err, as_json)
     data = {
         "valid": True,
-        "homology": [group_to_data(k, groups[k], mc.ambient_dim)
-                     for k in degree_range],
+        "homology": [group_to_data(k, group, mc.ambient_dim)
+                     for k, group in groups.items()],
     }
-    text = ", ".join(f"HB_{entry['degree']}={format_group_data(entry)}"
-                     for entry in data["homology"])
+    text = ", ".join(f"HB_{k}={group}" for k, group in groups.items())
     code = EXIT_OK
     if expected is not None:
-        mismatches = []
-        for k, (betti, torsion) in sorted(expected.items()):
-            if k not in groups:
-                continue
-            got = groups[k]
-            if (got.betti, got.torsion) != (betti, torsion):
-                mismatches.append(
-                    f"degree {k}: computed {format_group(got)}, expected "
-                    f"betti {betti}, torsion {list(torsion)}")
+        mismatches = expected_mismatches(
+            groups, {k: HomologyGroup(*want) for k, want in expected.items()})
         data["expected_match"] = not mismatches
         data["mismatches"] = mismatches
         if mismatches:
@@ -380,9 +168,8 @@ def cmd_morse(path, as_json=False, out=None, err=None):
         if doc.get("kind") != "morse":
             raise SchemaError(f"{path}: expected a morse document")
         md = morse_from_doc(doc, where=path)
-    except SchemaError as exc:
-        err.write(f"input error: {exc}\n")
-        return EXIT_INPUT
+    except ValueError as exc:
+        return _input_failure(exc, path, err)
     try:
         cm = morse_complex(md)
     except InvalidMorseData as exc:
@@ -407,11 +194,9 @@ def cmd_morse(path, as_json=False, out=None, err=None):
     }
     lines = [
         "CM homology: " + ", ".join(
-            f"HM_{k}={format_group(outcome.morse_homology[k])}"
-            for k in range(dim + 1)),
+            f"HM_{k}={outcome.morse_homology[k]}" for k in range(dim + 1)),
         "HB homology: " + ", ".join(
-            f"HB_{k}={format_group(outcome.mb_homology[k])}"
-            for k in range(dim + 1)),
+            f"HB_{k}={outcome.mb_homology[k]}" for k in range(dim + 1)),
         f"chain map: {'exact' if outcome.chain_map_exact else 'BROKEN'}; "
         f"quasi-isomorphism: {'yes' if outcome.is_quasi_iso else 'NO'}",
     ]
@@ -423,54 +208,34 @@ def cmd_compare(path_a, path_b, as_json=False, out=None, err=None):
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     tables = []
-    dims = []
     for path in (path_a, path_b):
         try:
             fp, _ = presentation_from_file(path)
             mc = build_multicomplex(fp, check=False)
-        except SchemaError as exc:
-            err.write(f"input error: {exc}\n")
-            return EXIT_INPUT
-        except (FlowDataError, ValueError) as exc:
-            err.write(f"input error: {path}: {exc}\n")
-            return EXIT_INPUT
-        report = validate_multicomplex(mc)
-        if not report.ok:
-            data = validation_to_data(report)
-            _emit(err, data, f"{path}:\n" + render_validation_text(data),
-                  as_json)
-            return EXIT_SEMANTIC
-        view = totalize(mc)
-        dims.append(mc.ambient_dim)
-        tables.append(view)
-    top = min(dims)
-    comparisons = []
-    all_iso = True
-    for k in range(0, top + 1):
-        a = homology_at(tables[0].complex, k)
-        b = homology_at(tables[1].complex, k)
-        iso = a.iso(b)
-        all_iso = all_iso and iso
-        comparisons.append({
+        except ValueError as exc:
+            return _input_failure(exc, path, err)
+        try:
+            tables.append(homology_table(mc, range(0, mc.ambient_dim + 1)))
+        except InvalidMulticomplex as exc:
+            return _invalid(exc.report, err, as_json, f"{path}:\n")
+    comparisons = compare_tables(*tables)
+    all_iso = all(iso for *_, iso in comparisons)
+    data = {
+        "comparisons": [{
             "degree": k,
             "left": {"betti": a.betti, "torsion": list(a.torsion)},
             "right": {"betti": b.betti, "torsion": list(b.torsion)},
             "isomorphic": iso,
-        })
-    data = {"comparisons": comparisons, "isomorphic": all_iso}
-    lines = [f"degree {c['degree']}: "
-             f"{format_group_data(c['left'])} vs "
-             f"{format_group_data(c['right'])}: "
-             f"{'isomorphic' if c['isomorphic'] else 'DIFFERENT'}"
-             for c in comparisons]
+        } for k, a, b, iso in comparisons],
+        "isomorphic": all_iso,
+    }
+    lines = [f"degree {k}: {a} vs {b}: "
+             f"{'isomorphic' if iso else 'DIFFERENT'}"
+             for k, a, b, iso in comparisons]
     lines.append("comparison: " +
                  ("isomorphic" if all_iso else "NOT isomorphic"))
     _emit(out, data, "\n".join(lines), as_json)
     return EXIT_OK if all_iso else EXIT_SEMANTIC
-
-
-def format_group_data(data):
-    return format_group(HomologyGroup(data["betti"], tuple(data["torsion"])))
 
 
 def main(argv=None):

@@ -130,6 +130,11 @@ def phi_embed(mc, k, c0):
     produced by the recursion, solved exactly over the integers.
     """
     _check_morse_shaped(mc)
+    return _lift(mc, k, c0)
+
+
+def _lift(mc, k, c0):
+    """phi_embed without the shape check, for callers that made it."""
     c0 = tuple(int(x) for x in c0)
     if len(c0) != mc.rank(0, k):
         raise ValueError(f"vector of length {len(c0)} in a rank "
@@ -165,13 +170,14 @@ def phi_chain_map(md, mc, view=None):
             raise ValueError(
                 f"row {k} labels {mc.labels(0, k)} do not match critical "
                 f"points {cm.label(k)}")
+    _check_morse_shaped(mc)
     components = {}
     for k in cm.degrees():
         n = cm.rank(k)
         cols = []
         for t in range(n):
             c0 = [1 if s == t else 0 for s in range(n)]
-            parts = phi_embed(mc, k, c0)
+            parts = _lift(mc, k, c0)
             full = [0] * view.complex.rank(k)
             for i, vec in parts.items():
                 off = view.block_offsets[(i, k - i)]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chain import ChainComplex, homology_at
+from .chain import ChainComplex
 from .exactalg import IntMatrix
 
 
@@ -144,19 +144,6 @@ class TotalComplexView:
     complex: ChainComplex
     block_offsets: dict
 
-    def inject(self, p, i, vector):
-        """Embed a row vector into the full total-degree coordinate block."""
-        k = p + i
-        full = [0] * self.complex.rank(k)
-        off = self.block_offsets[(p, i)]
-        for t, x in enumerate(vector):
-            full[off + t] = x
-        return tuple(full)
-
-    def project(self, p, i, vector):
-        off = self.block_offsets[(p, i)]
-        return tuple(vector[off + t] for t in range(self.mc.rank(p, i)))
-
 
 def _blocks_of_degree(mc, k):
     out = []
@@ -192,10 +179,9 @@ def totalize(mc):
         for sj, (p, i) in enumerate(src_blocks):
             for j in range(0, min(i, mc.ambient_dim) + 1):
                 tgt = (p + j - 1, i - j)
-                if tgt in tgt_pos:
-                    mat = mc.map(j, p, i)
-                    if not mat.is_zero():
-                        grid[tgt_pos[tgt]][sj] = mat
+                mat = mc.maps.get((j, p, i))
+                if tgt in tgt_pos and mat is not None and not mat.is_zero():
+                    grid[tgt_pos[tgt]][sj] = mat
         boundaries[k] = IntMatrix.from_blocks(
             grid,
             row_sizes=[mc.rank(p, i) for (p, i) in tgt_blocks],
@@ -203,17 +189,3 @@ def totalize(mc):
         )
     cx = ChainComplex(ranks=ranks, boundaries=boundaries, labels=labels)
     return TotalComplexView(mc=mc, complex=cx, block_offsets=offsets)
-
-
-def homology_table(mc):
-    """Homology of the totalization in degrees 0 .. column_cap - 1.
-
-    Degrees above the ambient dimension are truncation-sensitive: they are
-    reported, but only degrees <= ambient_dim are stable under raising the
-    column cap.
-    """
-    report = validate_multicomplex(mc)
-    if not report.ok:
-        raise InvalidMulticomplex(report)
-    view = totalize(mc)
-    return [homology_at(view.complex, k) for k in range(0, mc.column_cap)]

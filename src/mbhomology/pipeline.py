@@ -1,0 +1,48 @@
+"""One path from a multicomplex to its homology table.
+
+The command line and the corpus both go through here: the multicomplex is
+validated once, totalized, and its homology computed degree by degree; the
+table is then checked against expected values or against a second table.
+"""
+
+from __future__ import annotations
+
+from .chain import homology_at
+from .multicomplex import InvalidMulticomplex, totalize, validate_multicomplex
+
+
+def homology_table(mc, degrees=None):
+    """Homology of the totalization in `degrees` (default 0 .. column_cap - 1),
+    one group per degree in order.
+
+    Raises InvalidMulticomplex, carrying the validator's report, before any
+    homology is computed.  Degrees above the ambient dimension are
+    truncation-sensitive: they are reported, but only degrees <= ambient_dim
+    are stable under raising the column cap.
+    """
+    report = validate_multicomplex(mc)
+    if not report.ok:
+        raise InvalidMulticomplex(report)
+    view = totalize(mc)
+    if degrees is None:
+        degrees = range(0, mc.column_cap)
+    return [homology_at(view.complex, k) for k in degrees]
+
+
+def expected_mismatches(groups, expected):
+    """One line per degree where a computed group differs from the expected
+    one.  Both are dicts keyed by degree; expected degrees that were not
+    computed are skipped."""
+    lines = []
+    for k, want in sorted(expected.items()):
+        got = groups.get(k)
+        if got is not None and not got.iso(want):
+            lines.append(f"degree {k}: computed {got}, expected betti "
+                         f"{want.betti}, torsion {list(want.torsion)}")
+    return lines
+
+
+def compare_tables(left, right):
+    """(degree, left group, right group, isomorphic) for every degree both
+    tables cover; tables start at degree 0."""
+    return [(k, a, b, a.iso(b)) for k, (a, b) in enumerate(zip(left, right))]

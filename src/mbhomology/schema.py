@@ -1,0 +1,213 @@
+"""On-disk JSON documents: flow presentations, Morse data and expected
+homology.
+
+Every document carries a versioned "schema" field; the same schema is used
+for the shipped example files and for user input.  Readers raise
+SchemaError, a ValueError, naming the file or JSON path at fault.
+"""
+
+from __future__ import annotations
+
+import json
+
+from .flowdata import (
+    CritModel,
+    FlowPresentation,
+    ModuliComponentModel,
+    morse_to_flow,
+)
+from .morse import MorseData
+from .simplicial import SimplicialComplexData, SimplicialMap
+
+SCHEMA_VERSION = 1
+
+
+class SchemaError(ValueError):
+    """Input document violates the file schema."""
+
+
+def canonical_json(doc):
+    """Fixed formatting so files and reports are diffable byte for byte."""
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def _require(doc, key, kind, where):
+    if key not in doc:
+        raise SchemaError(f"{where}: missing key '{key}'")
+    value = doc[key]
+    if kind is not None and not isinstance(value, kind):
+        raise SchemaError(f"{where}: key '{key}' has type "
+                          f"{type(value).__name__}")
+    return value
+
+
+def complex_from_data(data, where):
+    vertices = _require(data, "vertices", int, where)
+    simplices = _require(data, "simplices", list, where)
+    try:
+        return SimplicialComplexData.from_simplices(
+            [tuple(s) for s in simplices], vertex_count=vertices)
+    except (TypeError, ValueError) as err:
+        raise SchemaError(f"{where}: {err}") from err
+
+
+def complex_to_data(k):
+    return {
+        "vertices": k.vertex_count,
+        "simplices": [list(s) for s in k.all_simplices()],
+    }
+
+
+def presentation_from_doc(doc, where="presentation"):
+    dim = _require(doc, "dim", int, where)
+    crit = []
+    models = {}
+    for t, entry in enumerate(_require(doc, "critical", list, where)):
+        spot = f"{where}.critical[{t}]"
+        index = _require(entry, "index", int, spot)
+        kind = _require(entry, "kind", str, spot)
+        if kind == "points":
+            names = tuple(_require(entry, "names", list, spot))
+            model = CritModel(index=index, dimension=0, names=names)
+        elif kind == "simplicial":
+            cx = complex_from_data(_require(entry, "complex", dict, spot),
+                                   spot)
+            model = CritModel(index=index, dimension=cx.top_dim, complex=cx)
+        else:
+            raise SchemaError(f"{spot}: unknown kind '{kind}'")
+        crit.append(model)
+        models[index] = model
+    moduli = []
+    for t, entry in enumerate(doc.get("moduli", [])):
+        spot = f"{where}.moduli[{t}]"
+        src = _require(entry, "from", int, spot)
+        tgt = _require(entry, "to", int, spot)
+        domain = complex_from_data(_require(entry, "domain", dict, spot), spot)
+        sign = _require(entry, "sign", int, spot)
+        if src not in models or tgt not in models:
+            raise SchemaError(f"{spot}: endpoints {src}->{tgt} not among "
+                              "the critical indices")
+        try:
+            ev_minus = SimplicialMap(domain, models[src].model_complex(),
+                                     _require(entry, "ev_minus", list, spot))
+            ev_plus = SimplicialMap(domain, models[tgt].model_complex(),
+                                    _require(entry, "ev_plus", list, spot))
+        except ValueError as err:
+            raise SchemaError(f"{spot}: {err}") from err
+        moduli.append(ModuliComponentModel(
+            from_index=src, to_index=tgt, domain=domain,
+            ev_minus=ev_minus, ev_plus=ev_plus, sign=sign))
+    return FlowPresentation(dim=dim, crit=tuple(crit), moduli=tuple(moduli),
+                            column_cap=doc.get("column_cap"))
+
+
+def presentation_to_doc(fp, meta=None):
+    doc = {
+        "schema": SCHEMA_VERSION,
+        "kind": "flow",
+        "dim": fp.dim,
+        "critical": [],
+        "moduli": [],
+    }
+    for model in sorted(fp.crit, key=lambda m: m.index):
+        if model.is_points:
+            doc["critical"].append({
+                "index": model.index,
+                "kind": "points",
+                "names": list(model.names),
+            })
+        else:
+            doc["critical"].append({
+                "index": model.index,
+                "kind": "simplicial",
+                "complex": complex_to_data(model.complex),
+            })
+    for comp in fp.moduli:
+        doc["moduli"].append({
+            "from": comp.from_index,
+            "to": comp.to_index,
+            "domain": complex_to_data(comp.domain),
+            "ev_minus": list(comp.ev_minus.vertex_image),
+            "ev_plus": list(comp.ev_plus.vertex_image),
+            "sign": comp.sign,
+        })
+    if fp.column_cap is not None:
+        doc["column_cap"] = fp.column_cap
+    if meta:
+        doc.update(meta)
+    return doc
+
+
+def morse_from_doc(doc, where="morse data"):
+    crit = {}
+    for key, names in _require(doc, "critical", dict, where).items():
+        try:
+            index = int(key)
+        except ValueError as err:
+            raise SchemaError(f"{where}: critical index '{key}'") from err
+        crit[index] = tuple(names)
+    counts = {}
+    for t, item in enumerate(doc.get("counts", [])):
+        if not (isinstance(item, list) and len(item) == 3):
+            raise SchemaError(f"{where}.counts[{t}]: expected [from, to, n]")
+        q, p, n = item
+        counts[(q, p)] = counts.get((q, p), 0) + int(n)
+    md = MorseData(crit_by_index=crit, counts=counts)
+    problems = md.validate()
+    if problems:
+        raise SchemaError(f"{where}: " + "; ".join(problems))
+    return md
+
+
+def morse_to_doc(md, meta=None):
+    doc = {
+        "schema": SCHEMA_VERSION,
+        "kind": "morse",
+        "critical": {str(k): list(v) for k, v in md.crit_by_index.items()},
+        "counts": [[q, p, n] for (q, p), n in sorted(md.counts.items())],
+    }
+    if meta:
+        doc.update(meta)
+    return doc
+
+
+def expected_from_doc(doc, where="document"):
+    """Optional expected homology: {degree: (betti, torsion tuple)}."""
+    if "expected" not in doc:
+        return None
+    out = {}
+    for t, entry in enumerate(doc["expected"]):
+        spot = f"{where}.expected[{t}]"
+        degree = _require(entry, "degree", int, spot)
+        betti = _require(entry, "betti", int, spot)
+        torsion = tuple(int(x) for x in entry.get("torsion", []))
+        out[degree] = (betti, torsion)
+    return out
+
+
+def load_document(path):
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except OSError as err:
+        raise SchemaError(f"{path}: {err}") from err
+    except json.JSONDecodeError as err:
+        raise SchemaError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: top level must be an object")
+    schema = doc.get("schema")
+    if schema != SCHEMA_VERSION:
+        raise SchemaError(f"{path}: unsupported schema {schema!r}")
+    return doc
+
+
+def presentation_from_file(path):
+    """(FlowPresentation, document); Morse documents are converted."""
+    doc = load_document(path)
+    kind = doc.get("kind", "flow")
+    if kind == "morse":
+        md = morse_from_doc(doc, where=path)
+        return morse_to_flow(md, cap=doc.get("column_cap")), doc
+    if kind != "flow":
+        raise SchemaError(f"{path}: unknown kind '{kind}'")
+    return presentation_from_doc(doc, where=path), doc

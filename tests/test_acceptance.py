@@ -13,7 +13,8 @@ from mbhomology.corpus import independence_suite, load_entries, load_entry, run_
 from mbhomology.exactalg import IntMatrix, kernel_basis, rank, snf, solve_integer
 from mbhomology.flowdata import FlowPresentation, build_multicomplex, morse_to_flow
 from mbhomology.morse import MorseData, verify_morse_mb
-from mbhomology.multicomplex import homology_table, totalize, validate_multicomplex
+from mbhomology.multicomplex import totalize, validate_multicomplex
+from mbhomology.pipeline import homology_table
 from mbhomology.simplicial import (
     SimplicialComplexData,
     SimplicialMap,

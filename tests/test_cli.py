@@ -2,12 +2,9 @@ import json
 
 import pytest
 
-from mbhomology.cli import (
-    EXIT_INPUT,
-    EXIT_OK,
-    EXIT_SEMANTIC,
+from mbhomology.cli import EXIT_INPUT, EXIT_OK, EXIT_SEMANTIC, main
+from mbhomology.schema import (
     canonical_json,
-    main,
     morse_from_doc,
     morse_to_doc,
     presentation_from_doc,
@@ -184,3 +181,91 @@ class TestRoundTrip:
         md = morse_from_doc(doc)
         meta = {k: v for k, v in doc.items() if k not in self.SEMANTIC_KEYS}
         assert canonical_json(morse_to_doc(md, meta)) == raw
+
+
+def ambient_dim(doc):
+    if doc["kind"] == "morse":
+        return max(int(k) for k in doc["critical"])
+    return doc["dim"]
+
+
+class TestHomologyBytes:
+    """`homology --json` output, rebuilt from each file's expected list."""
+
+    @pytest.mark.parametrize("all_expected", [False, True])
+    @pytest.mark.parametrize("name", sorted(
+        p.name[:-len(".json")] for p in data_dir().iterdir()
+        if p.name.endswith(".json")))
+    def test_corpus_file(self, name, all_expected, capsys):
+        doc = load_corpus_doc(name)
+        dim = ambient_dim(doc)
+        top = max(e["degree"] for e in doc["expected"]) if all_expected \
+            else dim
+        entries = []
+        for e in sorted(doc["expected"], key=lambda e: e["degree"]):
+            if e["degree"] <= top:
+                entry = {"degree": e["degree"], "betti": e["betti"],
+                         "torsion": e.get("torsion", [])}
+                if e["degree"] > dim:
+                    entry["truncation_sensitive"] = True
+                entries.append(entry)
+        assert [e["degree"] for e in entries] == list(range(top + 1))
+        want = json.dumps({"valid": True, "homology": entries,
+                           "expected_match": True, "mismatches": []},
+                          sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        argv = ["homology", corpus_path(name), "--json"]
+        if all_expected:
+            argv += ["--degrees", f"0..{top}"]
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == want
+        assert captured.err == ""
+
+
+def branching_domain_doc():
+    """A moduli domain with three edges on one vertex: no fundamental
+    cycle exists."""
+    doc = load_corpus_doc("s2-z2")
+    doc["moduli"][0].update({
+        "domain": {"vertices": 4, "simplices": [[0, 1], [0, 2], [0, 3]]},
+        "ev_minus": [0, 0, 0, 0],
+        "ev_plus": [0, 1, 2, 1],
+    })
+    return doc
+
+
+def non_covering_doc():
+    """A circle source whose ev_minus collapses an edge."""
+    circle = {"vertices": 3, "simplices": [[0, 1], [0, 2], [1, 2]]}
+    return {
+        "schema": 1,
+        "kind": "flow",
+        "dim": 1,
+        "critical": [
+            {"index": 0, "kind": "points", "names": ["a"]},
+            {"index": 1, "kind": "simplicial", "complex": circle},
+        ],
+        "moduli": [{"from": 1, "to": 0, "domain": circle,
+                    "ev_minus": [0, 1, 1], "ev_plus": [0, 0, 0],
+                    "sign": 1}],
+    }
+
+
+class TestErrorExitCodes:
+    """Every command maps a load or build error to the same exit code."""
+
+    @pytest.mark.parametrize("command", ["validate", "homology", "compare"])
+    @pytest.mark.parametrize("make_doc, code, prefix", [
+        (branching_domain_doc, EXIT_INPUT, "input error: "),
+        (non_covering_doc, EXIT_SEMANTIC, "inconsistent flow data: "),
+    ])
+    def test_same_code_for_every_command(self, tmp_path, capsys, command,
+                                         make_doc, code, prefix):
+        path = write_doc(tmp_path, make_doc())
+        argv = [command, path]
+        if command == "compare":
+            argv = [command, corpus_path("s2-z2"), path]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{prefix}{path}: ")

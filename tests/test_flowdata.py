@@ -14,7 +14,7 @@ from mbhomology.flowdata import (
     morse_to_flow,
 )
 from mbhomology.morse import MorseData
-from mbhomology.multicomplex import homology_table
+from mbhomology.pipeline import homology_table
 from mbhomology.simplicial import (
     CoveringError,
     SimplicialComplexData,

@@ -13,10 +13,10 @@ from mbhomology.flowdata import (
 from mbhomology.multicomplex import (
     InvalidMulticomplex,
     MBSMulticomplex,
-    homology_table,
     totalize,
     validate_multicomplex,
 )
+from mbhomology.pipeline import homology_table
 from mbhomology.simplicial import (
     SimplicialComplexData,
     SimplicialMap,

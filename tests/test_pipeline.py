@@ -1,0 +1,100 @@
+import sys
+
+import pytest
+
+import mbhomology.multicomplex as multicomplex
+from mbhomology.chain import HomologyGroup
+from mbhomology.cli import EXIT_OK, main
+from mbhomology.corpus import (
+    data_dir,
+    independence_suite,
+    load_entries,
+    load_entry,
+    run_entry,
+)
+from mbhomology.multicomplex import InvalidMulticomplex
+from mbhomology.pipeline import (
+    compare_tables,
+    expected_mismatches,
+    homology_table,
+)
+
+Z = HomologyGroup(1, ())
+ZERO = HomologyGroup(0, ())
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Counts validate_multicomplex calls, wherever a module calls it."""
+    original = multicomplex.validate_multicomplex
+    calls = []
+
+    def counting(mc):
+        calls.append(mc)
+        return original(mc)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mbhomology") and \
+                getattr(module, "validate_multicomplex", None) is original:
+            monkeypatch.setattr(module, "validate_multicomplex", counting)
+    return calls
+
+
+class TestValidatedOnce:
+    def test_run_entry(self, validations):
+        assert run_entry(load_entry("t2-deformed")).ok
+        assert len(validations) == 1
+
+    def test_independence_suite(self, validations):
+        entries = load_entries()
+        assert independence_suite(entries).ok
+        assert len(validations) == len(entries)
+
+    @pytest.mark.parametrize("argv, presentations", [
+        (["validate", "s2-z2"], 1),
+        (["homology", "s2-z2"], 1),
+        (["compare", "s2-z2", "s2-round"], 2),
+        (["morse", "t2-morse-4pt"], 1),
+    ])
+    def test_cli(self, validations, capsys, argv, presentations):
+        paths = [str(data_dir() / f"{name}.json") for name in argv[1:]]
+        assert main(argv[:1] + paths) == EXIT_OK
+        assert len(validations) == presentations
+
+
+class TestHomologyTable:
+    def test_default_degrees_run_to_the_column_cap(self):
+        mc = load_entry("s2-z2").build()
+        table = homology_table(mc)
+        assert len(table) == mc.column_cap
+        assert [g.iso(w) for g, w in zip(table, [Z, ZERO, Z])] == [True] * 3
+
+    def test_degrees_argument(self):
+        mc = load_entry("t2-height").build()
+        table = homology_table(mc, range(1, 3))
+        assert [(g.betti, g.torsion) for g in table] == [(2, ()), (1, ())]
+
+    def test_invalid_raises_with_report(self):
+        mc = load_entry("t2-deformed").build()
+        key = next(k for k in mc.maps if k[0] == 2)
+        mc.maps[key] = mc.maps[key].scaled(-1)
+        with pytest.raises(InvalidMulticomplex) as info:
+            homology_table(mc)
+        assert not info.value.report.ok
+
+
+class TestHelpers:
+    def test_mismatch_message(self):
+        lines = expected_mismatches({0: Z, 1: Z},
+                                    {0: Z, 1: HomologyGroup(0, (2,))})
+        assert lines == ["degree 1: computed Z, expected betti 0, torsion [2]"]
+
+    def test_uncomputed_degrees_are_skipped(self):
+        assert expected_mismatches({0: Z}, {5: Z}) == []
+
+    def test_compare_covers_common_degrees(self):
+        rows = compare_tables([Z, ZERO, Z], [Z, Z])
+        assert [(k, iso) for k, _, _, iso in rows] == [(0, True), (1, False)]
+
+    def test_group_text(self):
+        assert str(HomologyGroup(2, (2, 4))) == "Z^2 ⊕ Z/2 ⊕ Z/4"
