@@ -1,8 +1,10 @@
 """Chain complexes of finitely generated free Z-modules.
 
 A complex stores its ranks and boundary matrices by degree; degrees outside
-the stored range have rank zero.  Homology is computed exactly: kernels and
-image lattices via Smith normal form, torsion as invariant factors.
+the stored range have rank zero.  Homology is computed exactly: a group from
+the ranks and invariant factors of the two adjacent boundaries, and
+generators, where a map needs them, from kernel and image lattices via Smith
+normal form.
 """
 
 from __future__ import annotations
@@ -75,11 +77,8 @@ class HomologyGroup:
 
     betti: int
     torsion: tuple
-    generators: tuple = None
 
     def iso(self, other):
-        """Isomorphism compares (betti, torsion) only; generators are
-        basis-dependent."""
         return self.betti == other.betti and self.torsion == other.torsion
 
     def is_trivial(self):
@@ -101,8 +100,9 @@ class HomologyPresentation:
 
     kernel holds a saturated basis K of ker(d_k); u is the row transform of
     the Smith form of the image of d_{k+1} written in K-coordinates.  The
-    quotient generators are the u^-1 columns listed in gen_indices, with
-    orders[i] = 0 for free generators and the invariant factor otherwise.
+    quotient generators are K times the u^-1 columns listed in gen_indices,
+    with orders[i] = 0 for free generators and the invariant factor
+    otherwise.
     """
 
     kernel: IntMatrix
@@ -129,19 +129,9 @@ class HomologyPresentation:
         return tuple(coords)
 
     def generator_vectors(self):
-        return tuple(self.u_inv.col(i) for i in self.gen_indices)
-
-
-def _unimodular_inverse(u):
-    dec = snf(u)
-    cols = []
-    for i in range(u.rows):
-        e = [0] * u.rows
-        e[i] = 1
-        x = dec.solve(e)
-        cols.append(x)
-    return IntMatrix(u.rows, u.rows, [[cols[j][i] for j in range(u.rows)]
-                                      for i in range(u.rows)])
+        """Generators as cycles in the degree-k chain basis."""
+        return tuple(self.kernel.times_vector(self.u_inv.col(i))
+                     for i in self.gen_indices)
 
 
 def homology_presentation(c, k):
@@ -163,29 +153,32 @@ def homology_presentation(c, k):
     d = dec.invariant_factors
     orders = tuple(d[i] if i < len(d) else 0 for i in range(z))
     gen_indices = tuple(i for i in range(z) if orders[i] != 1)
-    u_inv = _unimodular_inverse(dec.u)
     return HomologyPresentation(
         kernel=kern,
         kernel_dec=kern_dec,
         u=dec.u,
-        u_inv=u_inv,
+        u_inv=dec.u_inv,
         orders=orders,
         gen_indices=gen_indices,
     )
 
 
 def homology_at(c, k):
-    """Homology of a valid complex at degree k, with generator vectors.
+    """Homology of a complex at degree k.
 
-    Generators are expressed in the degree-k chain basis and are canonical
-    given the deterministic Smith form.
+    betti = rank C_k - rank d_k - rank d_{k+1}; the torsion is the invariant
+    factors above 1 of d_{k+1}, since C_k / ker d_k is free.  Raises
+    ValueError when d_k o d_{k+1} != 0.  Generators come from
+    homology_presentation.
     """
-    pres = homology_presentation(c, k)
-    betti = sum(1 for i in pres.gen_indices if pres.orders[i] == 0)
-    torsion = tuple(pres.orders[i] for i in pres.gen_indices if pres.orders[i] > 1)
-    gens = tuple(tuple(pres.kernel.times_vector(col))
-                 for col in pres.generator_vectors())
-    return HomologyGroup(betti=betti, torsion=torsion, generators=gens)
+    lower, upper = c.boundary(k), c.boundary(k + 1)
+    if not (lower @ upper).is_zero():
+        raise ValueError(f"boundary image at degree {k + 1} escapes the "
+                         f"kernel at degree {k}; complex is invalid")
+    lower_rank = len(snf(lower).invariant_factors)
+    factors = snf(upper).invariant_factors
+    return HomologyGroup(betti=c.rank(k) - lower_rank - len(factors),
+                         torsion=tuple(d for d in factors if d > 1))
 
 
 @dataclass
@@ -227,7 +220,7 @@ def validate_chain_map(f):
 
 
 def induced_map_on_homology(f, k):
-    """Matrix of H_k(f) in the generator bases chosen by homology_at."""
+    """Matrix of H_k(f) in the generator bases of homology_presentation."""
     problems = validate_chain_map(f)
     if problems:
         raise ValueError("not a chain map: " + "; ".join(problems))
@@ -235,9 +228,7 @@ def induced_map_on_homology(f, k):
     tgt = homology_presentation(f.target, k)
     cols = []
     for gen in src.generator_vectors():
-        vec = src.kernel.times_vector(gen)
-        image = f.component(k).times_vector(vec)
-        cols.append(tgt.class_of(image))
+        cols.append(tgt.class_of(f.component(k).times_vector(gen)))
     n_rows = len(tgt.gen_indices)
     return IntMatrix(n_rows, len(cols),
                      [[cols[j][i] for j in range(len(cols))]

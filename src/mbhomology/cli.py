@@ -19,6 +19,7 @@ from .pipeline import compare_tables, expected_mismatches, homology_table
 from .schema import (  # presentation_from_doc: kept importable from here
     SchemaError,
     canonical_json,
+    column_cap_from_doc,
     expected_from_doc,
     load_document,
     morse_from_doc,
@@ -168,6 +169,7 @@ def cmd_morse(path, as_json=False, out=None, err=None):
         if doc.get("kind") != "morse":
             raise SchemaError(f"{path}: expected a morse document")
         md = morse_from_doc(doc, where=path)
+        cap = column_cap_from_doc(doc, path)
     except ValueError as exc:
         return _input_failure(exc, path, err)
     try:
@@ -176,7 +178,7 @@ def cmd_morse(path, as_json=False, out=None, err=None):
         err.write(f"invalid Morse-Smale data: {exc}\n")
         return EXIT_SEMANTIC
     try:
-        mc = build_multicomplex(morse_to_flow(md, cap=doc.get("column_cap")))
+        mc = build_multicomplex(morse_to_flow(md, cap=cap))
     except InconsistentFlowData as exc:
         err.write(f"invalid Morse-Smale data: {exc}\n")
         return EXIT_SEMANTIC
@@ -275,10 +277,12 @@ def main(argv=None):
                             as_json=args.json)
     if args.command == "morse":
         return cmd_morse(args.path, as_json=args.json)
-    if args.command == "compare":
-        return cmd_compare(args.path_a, args.path_b, as_json=args.json)
-    parser.error(f"unknown command {args.command}")
+    return cmd_compare(args.path_a, args.path_b, as_json=args.json)
 
 
 def console_main():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

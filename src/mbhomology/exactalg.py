@@ -98,20 +98,20 @@ class IntMatrix:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        cols = [other.col(j) for j in range(other.cols)]
-        return IntMatrix(self.rows, other.cols,
-                         [[sum(a * b for a, b in zip(row, col)) for col in cols]
-                          for row in self.data])
+        out = []
+        for row in self.data:
+            acc = [0] * other.cols
+            for a, orow in zip(row, other.data):
+                if a:  # skip zeros: boundary matrices are sparse
+                    acc = [x + a * b for x, b in zip(acc, orow)]
+            out.append(acc)
+        return IntMatrix(self.rows, other.cols, out)
 
     def times_vector(self, v):
         v = tuple(v)
         if len(v) != self.cols:
             raise ValueError(f"vector of length {len(v)} against {self.shape}")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
-
-    def transpose(self):
-        return IntMatrix(self.cols, self.rows,
-                         [self.col(j) for j in range(self.cols)])
 
     def submatrix_cols(self, col_indices):
         idx = list(col_indices)
@@ -147,12 +147,14 @@ class IntMatrix:
 @dataclass(frozen=True)
 class SmithDecomposition:
     """U @ A @ V == S with U, V unimodular and S a nonnegative diagonal
-    whose entries form a divisibility chain d_1 | d_2 | ... """
+    whose entries form a divisibility chain d_1 | d_2 | ...; u_inv is the
+    inverse of U."""
 
     u: IntMatrix
     s: IntMatrix
     v: IntMatrix
     invariant_factors: tuple
+    u_inv: IntMatrix
 
     def solve(self, b):
         """One integer solution x of A @ x == b, or None if there is none."""
@@ -173,9 +175,6 @@ class SmithDecomposition:
                 return None
         return self.v.times_vector(y)
 
-    def in_image(self, b):
-        return self.solve(b) is not None
-
 
 def snf(a):
     """Smith normal form of an integer matrix.
@@ -194,11 +193,13 @@ def snf(a):
     s = [list(row) for row in a.data]
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    u_inv_cols = [row[:] for row in u]  # row op on U = inverse col op here
 
     def swap_rows(i, j):
         if i != j:
             s[i], s[j] = s[j], s[i]
             u[i], u[j] = u[j], u[i]
+            u_inv_cols[i], u_inv_cols[j] = u_inv_cols[j], u_inv_cols[i]
 
     def swap_cols(i, j):
         if i != j:
@@ -215,6 +216,9 @@ def snf(a):
             srow, drow = u[src], u[dst]
             for k in range(m):
                 drow[k] += c * srow[k]
+            scol, dcol = u_inv_cols[src], u_inv_cols[dst]
+            for k in range(m):
+                scol[k] -= c * dcol[k]
 
     def add_col(src, dst, c):
         if c:
@@ -246,6 +250,7 @@ def snf(a):
             if s[t][t] < 0:
                 s[t] = [-x for x in s[t]]
                 u[t] = [-x for x in u[t]]
+                u_inv_cols[t] = [-x for x in u_inv_cols[t]]
             pivot = s[t][t]
             dirty = False
             for i in range(t + 1, m):
@@ -284,6 +289,7 @@ def snf(a):
         s=IntMatrix(m, n, s),
         v=IntMatrix(n, n, v),
         invariant_factors=factors,
+        u_inv=IntMatrix(m, m, zip(*u_inv_cols)),
     )
 
 

@@ -31,14 +31,33 @@ def canonical_json(doc):
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
+def _typed(value, kind, what):
+    """`value` if it is a `kind`; no field of the schema is a bool, so a
+    bool never passes for an int."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise SchemaError(f"{what} has type {type(value).__name__}")
+    return value
+
+
 def _require(doc, key, kind, where):
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where}: expected an object, got "
+                          f"{type(doc).__name__}")
     if key not in doc:
         raise SchemaError(f"{where}: missing key '{key}'")
-    value = doc[key]
-    if kind is not None and not isinstance(value, kind):
-        raise SchemaError(f"{where}: key '{key}' has type "
-                          f"{type(value).__name__}")
-    return value
+    return _typed(doc[key], kind, f"{where}: key '{key}'")
+
+
+def _optional(doc, key, kind, where, default):
+    if key not in doc:
+        return default
+    return _require(doc, key, kind, where)
+
+
+def column_cap_from_doc(doc, where="document"):
+    """The optional column cap: an int, or None (absent or null) for the
+    default."""
+    return _optional(doc, "column_cap", (int, type(None)), where, None)
 
 
 def complex_from_data(data, where):
@@ -78,7 +97,7 @@ def presentation_from_doc(doc, where="presentation"):
         crit.append(model)
         models[index] = model
     moduli = []
-    for t, entry in enumerate(doc.get("moduli", [])):
+    for t, entry in enumerate(_optional(doc, "moduli", list, where, [])):
         spot = f"{where}.moduli[{t}]"
         src = _require(entry, "from", int, spot)
         tgt = _require(entry, "to", int, spot)
@@ -98,7 +117,7 @@ def presentation_from_doc(doc, where="presentation"):
             from_index=src, to_index=tgt, domain=domain,
             ev_minus=ev_minus, ev_plus=ev_plus, sign=sign))
     return FlowPresentation(dim=dim, crit=tuple(crit), moduli=tuple(moduli),
-                            column_cap=doc.get("column_cap"))
+                            column_cap=column_cap_from_doc(doc, where))
 
 
 def presentation_to_doc(fp, meta=None):
@@ -145,9 +164,10 @@ def morse_from_doc(doc, where="morse data"):
             index = int(key)
         except ValueError as err:
             raise SchemaError(f"{where}: critical index '{key}'") from err
-        crit[index] = tuple(names)
+        crit[index] = tuple(_typed(names, list,
+                                   f"{where}.critical: key '{key}'"))
     counts = {}
-    for t, item in enumerate(doc.get("counts", [])):
+    for t, item in enumerate(_optional(doc, "counts", list, where, [])):
         if not (isinstance(item, list) and len(item) == 3):
             raise SchemaError(f"{where}.counts[{t}]: expected [from, to, n]")
         q, p, n = item
@@ -176,11 +196,12 @@ def expected_from_doc(doc, where="document"):
     if "expected" not in doc:
         return None
     out = {}
-    for t, entry in enumerate(doc["expected"]):
+    for t, entry in enumerate(_require(doc, "expected", list, where)):
         spot = f"{where}.expected[{t}]"
         degree = _require(entry, "degree", int, spot)
         betti = _require(entry, "betti", int, spot)
-        torsion = tuple(int(x) for x in entry.get("torsion", []))
+        torsion = tuple(int(x)
+                        for x in _optional(entry, "torsion", list, spot, []))
         out[degree] = (betti, torsion)
     return out
 
@@ -207,7 +228,7 @@ def presentation_from_file(path):
     kind = doc.get("kind", "flow")
     if kind == "morse":
         md = morse_from_doc(doc, where=path)
-        return morse_to_flow(md, cap=doc.get("column_cap")), doc
+        return morse_to_flow(md, cap=column_cap_from_doc(doc, path)), doc
     if kind != "flow":
         raise SchemaError(f"{path}: unknown kind '{kind}'")
     return presentation_from_doc(doc, where=path), doc

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mbhomology import chain
 from mbhomology.chain import (
     ChainComplex,
     ChainMap,
@@ -14,7 +15,7 @@ from mbhomology.chain import (
     validate_chain_map,
     validate_complex,
 )
-from mbhomology.exactalg import IntMatrix, solve_integer
+from mbhomology.exactalg import IntMatrix, SmithDecomposition, snf, solve_integer
 
 from support import brute_homology, random_complex
 
@@ -80,12 +81,13 @@ class TestHomology:
     def test_generators_are_cycles_with_unit_classes(self):
         c = circle_complex()
         pres = homology_presentation(c, 1)
-        h = homology_at(c, 1)
-        for i, gen in enumerate(h.generators):
+        gens = pres.generator_vectors()
+        assert len(gens) == homology_at(c, 1).betti
+        for i, gen in enumerate(gens):
             assert c.boundary(1).times_vector(gen) == (0, 0)
             coords = pres.class_of(gen)
             assert coords == tuple(1 if j == i else 0
-                                   for j in range(len(h.generators)))
+                                   for j in range(len(gens)))
 
     def test_brute_force_randomized(self):
         for seed in range(100):
@@ -97,6 +99,48 @@ class TestHomology:
                 h = homology_at(c, k)
                 betti, torsion = brute_homology(c, k)
                 assert (h.betti, h.torsion) == (betti, torsion), (seed, k)
+
+    def test_rejects_nonzero_square(self):
+        c = ChainComplex(ranks={0: 1, 1: 1, 2: 1},
+                         boundaries={1: IntMatrix.from_rows([[1]]),
+                                     2: IntMatrix.from_rows([[1]])})
+        with pytest.raises(ValueError, match="complex is invalid"):
+            homology_at(c, 1)
+        with pytest.raises(ValueError, match="complex is invalid"):
+            homology_presentation(c, 1)
+
+    def test_groups_take_two_smith_forms(self, monkeypatch):
+        shapes = []
+
+        def counted_snf(a):
+            shapes.append(a.shape)
+            return snf(a)
+
+        def no_solve(self, b):
+            raise AssertionError("homology_at solved a system")
+
+        monkeypatch.setattr(chain, "snf", counted_snf)
+        monkeypatch.setattr(chain, "kernel_basis", None)
+        monkeypatch.setattr(SmithDecomposition, "solve", no_solve)
+        c = random_complex(random.Random(3), max_total_rank=20)
+        for k in c.degrees():
+            shapes.clear()
+            homology_at(c, k)
+            assert shapes == [c.boundary(k).shape, c.boundary(k + 1).shape]
+
+    def test_matches_presentation_randomized(self):
+        # the groups path against the generator path; every other seed
+        # draws a larger complex, so more torsion pieces get mixed
+        for seed in range(500):
+            rng = random.Random(9000 + seed)
+            c = random_complex(rng, max_total_rank=12 if seed % 2 else 30)
+            lo, hi = c.degree_range
+            for k in range(lo, hi + 1):
+                pres = homology_presentation(c, k)
+                orders = [pres.orders[i] for i in pres.gen_indices]
+                h = homology_at(c, k)
+                assert h.betti == orders.count(0), (seed, k)
+                assert h.torsion == tuple(d for d in orders if d), (seed, k)
 
     def test_basis_permutation_invariance(self):
         for seed in range(30):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mbhomology
 from mbhomology.cli import EXIT_INPUT, EXIT_OK, EXIT_SEMANTIC, main
 from mbhomology.schema import (
     canonical_json,
@@ -269,3 +274,77 @@ class TestErrorExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"{prefix}{path}: ")
+
+
+def set_key(key, value):
+    return lambda doc: doc.__setitem__(key, value)
+
+
+def set_in(locate, key, value):
+    return lambda doc: locate(doc).__setitem__(key, value)
+
+
+# (command, corpus file, change, error text after the file name)
+MALFORMED = {
+    "moduli-not-a-list": (
+        "homology", "s2-z2", set_key("moduli", 5),
+        ": key 'moduli' has type int"),
+    "expected-not-a-list": (
+        "homology", "s2-z2", set_key("expected", 5),
+        ": key 'expected' has type int"),
+    "column-cap-string": (
+        "homology", "s2-z2", set_key("column_cap", "4"),
+        ": key 'column_cap' has type str"),
+    "critical-entry-not-an-object": (
+        "homology", "s2-z2", set_key("critical", [5]),
+        ".critical[0]: expected an object, got int"),
+    "expected-entry-not-an-object": (
+        "homology", "s2-z2", set_key("expected", [5]),
+        ".expected[0]: expected an object, got int"),
+    "expected-torsion-not-a-list": (
+        "homology", "s2-z2", set_in(lambda d: d["expected"][0], "torsion", 5),
+        ".expected[0]: key 'torsion' has type int"),
+    "sign-bool": (
+        "homology", "s2-z2", set_in(lambda d: d["moduli"][0], "sign", True),
+        ".moduli[0]: key 'sign' has type bool"),
+    "dim-bool": (
+        "homology", "s2-z2", set_key("dim", True),
+        ": key 'dim' has type bool"),
+    "morse-critical-not-a-list": (
+        "morse", "t2-morse-4pt", set_in(lambda d: d["critical"], "0", 5),
+        ".critical: key '0' has type int"),
+    "morse-counts-not-a-list": (
+        "morse", "t2-morse-4pt", set_key("counts", 5),
+        ": key 'counts' has type int"),
+    "morse-column-cap-string": (
+        "morse", "t2-morse-4pt", set_key("column_cap", "4"),
+        ": key 'column_cap' has type str"),
+}
+
+
+class TestMalformedDocuments:
+    """A wrongly typed field exits 2 and names its JSON path."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exits_2_with_json_path(self, tmp_path, capsys, case):
+        command, name, change, where = MALFORMED[case]
+        doc = load_corpus_doc(name)
+        change(doc)
+        path = write_doc(tmp_path, doc)
+        assert main([command, path]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {path}{where}\n"
+
+
+@pytest.mark.parametrize("module", ["mbhomology", "mbhomology.cli"])
+def test_module_entry_points(module):
+    src = str(Path(mbhomology.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-m", module, "homology", corpus_path("s2-z2")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert (result.returncode, result.stdout, result.stderr) == \
+        (EXIT_OK, "HB_0=Z, HB_1=0, HB_2=Z\n", "")

@@ -56,6 +56,7 @@ def random_matrix(rng, max_dim=6, lo=-9, hi=9):
 
 def check_decomposition(a, dec):
     assert dec.u @ a @ dec.v == dec.s
+    assert dec.u @ dec.u_inv == IntMatrix.identity(a.rows)
     assert abs(det_expansion(dec.u)) == 1
     assert abs(det_expansion(dec.v)) == 1
     d = dec.invariant_factors
