@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactalg import IntMatrix, kernel_basis, snf
+from .exactalg import IntMatrix, invariant_factors, kernel_basis, snf
 
 
 @dataclass
@@ -175,8 +175,8 @@ def homology_at(c, k):
     if not (lower @ upper).is_zero():
         raise ValueError(f"boundary image at degree {k + 1} escapes the "
                          f"kernel at degree {k}; complex is invalid")
-    lower_rank = len(snf(lower).invariant_factors)
-    factors = snf(upper).invariant_factors
+    lower_rank = len(invariant_factors(lower))
+    factors = invariant_factors(upper)
     return HomologyGroup(betti=c.rank(k) - lower_rank - len(factors),
                          torsion=tuple(d for d in factors if d > 1))
 

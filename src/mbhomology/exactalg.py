@@ -8,6 +8,7 @@ depends on never rounding.  Matrices are immutable; all functions are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 
 class IntMatrix:
@@ -293,9 +294,83 @@ def snf(a):
     )
 
 
+def invariant_factors(a):
+    """The invariant factors of an integer matrix, snf(a).invariant_factors.
+
+    Unit entries are eliminated first on sparse columns: a +-1 pivot at
+    (r, c) splits off a factor 1 and leaves the Schur complement
+    col_j -= a[r][j] * pivot * col_c on the other rows and columns.  Pivots
+    with the fewest other entries in their row and column go first, to keep
+    fill low.  The dense snf runs only on the core left without unit
+    entries; boundaries of simplicial complexes often leave none.
+
+    >>> invariant_factors(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    (2, 4)
+    >>> invariant_factors(IntMatrix.from_rows([[1, 1, 0], [-1, 0, 2]]))
+    (1, 1)
+    """
+    cols = [{} for _ in range(a.cols)]
+    rows = [set() for _ in range(a.rows)]
+    for i, row in enumerate(a.data):
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = x
+                rows[i].add(j)
+
+    def fill(i, j):
+        return (len(cols[j]) - 1) * (len(rows[i]) - 1)
+
+    # (fill when queued, column, row) of unit entries; an entry whose value
+    # or fill changed since is skipped or queued again when popped
+    queue = [(fill(i, j), j, i) for j, col in enumerate(cols)
+             for i, x in col.items() if x in (1, -1)]
+    heapify(queue)
+    units = 0
+    while queue:
+        cost, c, r = heappop(queue)
+        pivot_col = cols[c]
+        pivot = pivot_col.get(r)
+        if pivot not in (1, -1):
+            continue
+        now = fill(r, c)
+        if now > cost:
+            heappush(queue, (now, c, r))
+            continue
+        units += 1
+        del pivot_col[r]
+        cols[c] = {}
+        for i in pivot_col:
+            rows[i].discard(c)
+        pivot_row = rows[r]
+        rows[r] = set()
+        pivot_row.discard(c)
+        for j in pivot_row:
+            col = cols[j]
+            f = col.pop(r) * pivot
+            for i, x in pivot_col.items():
+                y = col.get(i, 0) - f * x
+                if y:
+                    if i not in col:
+                        rows[i].add(j)
+                    col[i] = y
+                    if y in (1, -1):
+                        heappush(queue, (fill(i, j), j, i))
+                else:
+                    del col[i]
+                    rows[i].discard(j)
+
+    core_cols = [col for col in cols if col]
+    core_rows = sorted({i for col in core_cols for i in col})
+    if not core_rows:
+        return (1,) * units
+    core = IntMatrix(len(core_rows), len(core_cols),
+                     [[col.get(i, 0) for col in core_cols] for i in core_rows])
+    return (1,) * units + snf(core).invariant_factors
+
+
 def rank(a):
     """Rank of an integer matrix (number of nonzero invariant factors)."""
-    return len(snf(a).invariant_factors)
+    return len(invariant_factors(a))
 
 
 def solve_integer(a, b):

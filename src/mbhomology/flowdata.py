@@ -32,8 +32,7 @@ from .simplicial import (
     SimplicialMap,
     chain_complex_of,
     chain_to_vector,
-    covering_pullback,
-    covering_sheets,
+    covering_lifts,
     fundamental_cycle,
     pushforward,
 )
@@ -332,7 +331,7 @@ def build_multicomplex(fp, check=True):
                     "positive-dimensional sources are supported only for "
                     "index drop one")
             try:
-                covering_sheets(comp.ev_minus)
+                lifts = covering_lifts(comp.ev_minus)
             except CoveringError as err:
                 raise CoveringError(
                     f"component {comp.from_index}->{comp.to_index}: "
@@ -341,7 +340,7 @@ def build_multicomplex(fp, check=True):
             src_complex = source.complex
             for p in range(0, src_complex.top_dim + 1):
                 for col, simplex in enumerate(src_complex.simplices_of_dim(p)):
-                    pulled = covering_pullback(comp.ev_minus, {simplex: 1})
+                    pulled = dict(lifts.get(simplex, ()))
                     vec = _target_vector(target, comp.ev_plus, pulled, p)
                     if comp.sign < 0:
                         vec = tuple(-x for x in vec)

@@ -180,6 +180,8 @@ def phi_chain_map(md, mc, view=None):
             parts = _lift(mc, k, c0)
             full = [0] * view.complex.rank(k)
             for i, vec in parts.items():
+                if not vec:  # an empty bidegree has no block
+                    continue
                 off = view.block_offsets[(i, k - i)]
                 for s, x in enumerate(vec):
                     full[off + s] = x

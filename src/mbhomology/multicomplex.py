@@ -105,7 +105,6 @@ def validate_multicomplex(mc):
     carry the offending residual matrix.
     """
     report = MulticomplexReport()
-    m = mc.ambient_dim
     for (j, p, i), mat in sorted(mc.maps.items()):
         want = (mc.rank(p + j - 1, i - j), mc.rank(p, i))
         if mat.shape != want:
@@ -114,21 +113,22 @@ def validate_multicomplex(mc):
                 f"expected {want}")
     if report.structural:
         return report
-    for i in range(0, m + 1):
-        for p in range(0, mc.column_cap + 1):
-            if mc.rank(p, i) == 0:
-                continue
-            for j in range(0, min(i, m) + 1):
-                target_rank = mc.rank(p + j - 2, i - j)
-                if target_rank == 0:
-                    continue
-                residual = IntMatrix.zeros(target_rank, mc.rank(p, i))
-                for q in range(0, j + 1):
-                    first = mc.map(j - q, p, i)
-                    second = mc.map(q, p + j - q - 1, i - j + q)
-                    residual = residual + second @ first
-                if not residual.is_zero():
-                    report.identity_failures.append((j, p, i, residual))
+    # d[q] o d[a] from the bidegree (p, i) lands in (p+a+q-2, i-a-q) and
+    # adds to the identity for j = a+q; absent maps are zero, so only
+    # pairs of stored maps contribute
+    by_source = {}
+    for (j, p, i), mat in mc.maps.items():
+        by_source.setdefault((p, i), []).append((j, mat))
+    for p, i in sorted(by_source, key=lambda b: (b[1], b[0])):
+        residuals = {}
+        for a, first in by_source[(p, i)]:
+            for q, second in by_source.get((p + a - 1, i - a), ()):
+                j = a + q
+                term = second @ first
+                residuals[j] = residuals[j] + term if j in residuals else term
+        for j in sorted(residuals):
+            if not residuals[j].is_zero():
+                report.identity_failures.append((j, p, i, residuals[j]))
     return report
 
 
@@ -136,8 +136,9 @@ def validate_multicomplex(mc):
 class TotalComplexView:
     """The totalization CB_k = direct sum of C_p(B_i) over p + i = k.
 
-    block_offsets maps a bidegree to the starting coordinate of its block
-    inside its total degree; blocks are ordered by increasing column p.
+    block_offsets maps each bidegree of nonzero rank to the starting
+    coordinate of its block inside its total degree; blocks are ordered by
+    increasing column p.
     """
 
     mc: MBSMulticomplex
@@ -145,47 +146,37 @@ class TotalComplexView:
     block_offsets: dict
 
 
-def _blocks_of_degree(mc, k):
-    out = []
-    for p in range(max(0, k - mc.ambient_dim), min(k, mc.column_cap) + 1):
-        out.append((p, k - p))
-    return out
-
-
 def totalize(mc):
     """Assemble the total complex; the block at (source (p,i), target
-    (p+j-1, i-j)) is d[j]."""
+    (p+j-1, i-j)) is d[j].  Only stored bidegrees and maps are visited,
+    so degrees with no groups get no entries."""
     ranks = {}
     labels = {}
     offsets = {}
-    top = mc.column_cap + mc.ambient_dim
-    for k in range(0, top + 1):
-        blocks = _blocks_of_degree(mc, k)
-        off = 0
-        labs = []
-        for (p, i) in blocks:
-            offsets[(p, i)] = off
-            off += mc.rank(p, i)
-            labs.extend(f"({p},{i}):{lab}" for lab in mc.labels(p, i))
-        ranks[k] = off
-        labels[k] = tuple(labs)
+    for (p, i) in mc.bidegrees():
+        k = p + i
+        offsets[(p, i)] = ranks.get(k, 0)
+        ranks[k] = offsets[(p, i)] + mc.rank(p, i)
+        labels.setdefault(k, []).extend(
+            f"({p},{i}):{lab}" for lab in mc.labels(p, i))
 
-    boundaries = {}
-    for k in range(1, top + 1):
-        src_blocks = _blocks_of_degree(mc, k)
-        tgt_blocks = _blocks_of_degree(mc, k - 1)
-        tgt_pos = {b: t for t, b in enumerate(tgt_blocks)}
-        grid = [[None] * len(src_blocks) for _ in range(len(tgt_blocks))]
-        for sj, (p, i) in enumerate(src_blocks):
-            for j in range(0, min(i, mc.ambient_dim) + 1):
-                tgt = (p + j - 1, i - j)
-                mat = mc.maps.get((j, p, i))
-                if tgt in tgt_pos and mat is not None and not mat.is_zero():
-                    grid[tgt_pos[tgt]][sj] = mat
-        boundaries[k] = IntMatrix.from_blocks(
-            grid,
-            row_sizes=[mc.rank(p, i) for (p, i) in tgt_blocks],
-            col_sizes=[mc.rank(p, i) for (p, i) in src_blocks],
-        )
-    cx = ChainComplex(ranks=ranks, boundaries=boundaries, labels=labels)
+    entries = {}
+    for (j, p, i), mat in mc.maps.items():
+        tgt = (p + j - 1, i - j)
+        if tgt not in offsets or mat.is_zero():
+            continue
+        want = (mc.rank(*tgt), mc.rank(p, i))
+        if mat.shape != want:
+            raise ValueError(f"d[{j}] at (p={p}, i={i}) has shape "
+                             f"{mat.shape}, expected {want}")
+        k = p + i
+        rows = entries.setdefault(
+            k, [[0] * ranks[k] for _ in range(ranks[k - 1])])
+        r0, c0 = offsets[tgt], offsets[(p, i)]
+        for r, row in enumerate(mat.data):
+            rows[r0 + r][c0:c0 + mat.cols] = row
+    boundaries = {k: IntMatrix(ranks[k - 1], ranks[k], rows)
+                  for k, rows in entries.items()}
+    cx = ChainComplex(ranks=ranks, boundaries=boundaries,
+                      labels={k: tuple(labs) for k, labs in labels.items()})
     return TotalComplexView(mc=mc, complex=cx, block_offsets=offsets)

@@ -39,6 +39,14 @@ def _typed(value, kind, what):
     return value
 
 
+def _each(items, kind, where):
+    """`items`, a list, once every element is a `kind`; element t is named
+    `where[t]`."""
+    for t, item in enumerate(items):
+        _typed(item, kind, f"{where}[{t}]")
+    return items
+
+
 def _require(doc, key, kind, where):
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: expected an object, got "
@@ -60,9 +68,15 @@ def column_cap_from_doc(doc, where="document"):
     return _optional(doc, "column_cap", (int, type(None)), where, None)
 
 
-def complex_from_data(data, where):
+def complex_from_data(entry, key, where):
+    """The simplicial complex stored under `key` of the object at
+    `where`."""
+    data = _require(entry, key, dict, where)
     vertices = _require(data, "vertices", int, where)
     simplices = _require(data, "simplices", list, where)
+    for t, simplex in enumerate(simplices):
+        spot = f"{where}.{key}.simplices[{t}]"
+        _each(_typed(simplex, list, spot), int, spot)
     try:
         return SimplicialComplexData.from_simplices(
             [tuple(s) for s in simplices], vertex_count=vertices)
@@ -86,11 +100,11 @@ def presentation_from_doc(doc, where="presentation"):
         index = _require(entry, "index", int, spot)
         kind = _require(entry, "kind", str, spot)
         if kind == "points":
-            names = tuple(_require(entry, "names", list, spot))
+            names = tuple(_each(_require(entry, "names", list, spot), str,
+                                f"{spot}.names"))
             model = CritModel(index=index, dimension=0, names=names)
         elif kind == "simplicial":
-            cx = complex_from_data(_require(entry, "complex", dict, spot),
-                                   spot)
+            cx = complex_from_data(entry, "complex", spot)
             model = CritModel(index=index, dimension=cx.top_dim, complex=cx)
         else:
             raise SchemaError(f"{spot}: unknown kind '{kind}'")
@@ -101,16 +115,19 @@ def presentation_from_doc(doc, where="presentation"):
         spot = f"{where}.moduli[{t}]"
         src = _require(entry, "from", int, spot)
         tgt = _require(entry, "to", int, spot)
-        domain = complex_from_data(_require(entry, "domain", dict, spot), spot)
+        domain = complex_from_data(entry, "domain", spot)
         sign = _require(entry, "sign", int, spot)
         if src not in models or tgt not in models:
             raise SchemaError(f"{spot}: endpoints {src}->{tgt} not among "
                               "the critical indices")
+        images = {key: _each(_require(entry, key, list, spot), int,
+                             f"{spot}.{key}")
+                  for key in ("ev_minus", "ev_plus")}
         try:
             ev_minus = SimplicialMap(domain, models[src].model_complex(),
-                                     _require(entry, "ev_minus", list, spot))
+                                     images["ev_minus"])
             ev_plus = SimplicialMap(domain, models[tgt].model_complex(),
-                                    _require(entry, "ev_plus", list, spot))
+                                    images["ev_plus"])
         except ValueError as err:
             raise SchemaError(f"{spot}: {err}") from err
         moduli.append(ModuliComponentModel(
@@ -164,14 +181,17 @@ def morse_from_doc(doc, where="morse data"):
             index = int(key)
         except ValueError as err:
             raise SchemaError(f"{where}: critical index '{key}'") from err
-        crit[index] = tuple(_typed(names, list,
-                                   f"{where}.critical: key '{key}'"))
+        crit[index] = tuple(_each(
+            _typed(names, list, f"{where}.critical: key '{key}'"), str,
+            f"{where}.critical['{key}']"))
     counts = {}
     for t, item in enumerate(_optional(doc, "counts", list, where, [])):
         if not (isinstance(item, list) and len(item) == 3):
             raise SchemaError(f"{where}.counts[{t}]: expected [from, to, n]")
+        for s, kind in enumerate((str, str, int)):
+            _typed(item[s], kind, f"{where}.counts[{t}][{s}]")
         q, p, n = item
-        counts[(q, p)] = counts.get((q, p), 0) + int(n)
+        counts[(q, p)] = counts.get((q, p), 0) + n
     md = MorseData(crit_by_index=crit, counts=counts)
     problems = md.validate()
     if problems:
@@ -200,8 +220,8 @@ def expected_from_doc(doc, where="document"):
         spot = f"{where}.expected[{t}]"
         degree = _require(entry, "degree", int, spot)
         betti = _require(entry, "betti", int, spot)
-        torsion = tuple(int(x)
-                        for x in _optional(entry, "torsion", list, spot, []))
+        torsion = tuple(_each(_optional(entry, "torsion", list, spot, []),
+                              int, f"{spot}.torsion"))
         out[degree] = (betti, torsion)
     return out
 

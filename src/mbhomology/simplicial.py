@@ -309,8 +309,10 @@ def pushforward(f, chain):
     return {s: c for s, c in out.items() if c}
 
 
-def covering_sheets(f):
-    """Number of sheets of a simplicial covering; raises CoveringError.
+def covering_lifts(f):
+    """Lifts of every target simplex under a simplicial covering, as
+    {target simplex: [(source simplex, orientation sign), ...]}; raises
+    CoveringError.
 
     A covering must be nondegenerate on every simplex, every lift of a face
     must extend to exactly one lift of each coface, and the number of lifts
@@ -322,7 +324,7 @@ def covering_sheets(f):
         if image is None:
             raise CoveringError(f"simplex {s} collapses under the map",
                                 witness=s)
-        lifts.setdefault(image, []).append(s)
+        lifts.setdefault(image, []).append((s, sign))
 
     counts = set()
     for s in f.target.all_simplices():
@@ -333,7 +335,6 @@ def covering_sheets(f):
         raise CoveringError(
             f"target simplex {offending} has {len(lifts.get(offending, []))} "
             f"lifts while others have {max(counts)}", witness=offending)
-    sheets = counts.pop()
 
     # unique lifting: a lift of a face extends to exactly one lift per coface
     for d in sorted(f.target.simplices_by_dim):
@@ -342,14 +343,20 @@ def covering_sheets(f):
         for s in f.target.simplices_of_dim(d):
             for i in range(len(s)):
                 face = s[:i] + s[i + 1:]
-                for face_lift in lifts.get(face, []):
-                    extensions = [up for up in lifts.get(s, [])
+                for face_lift, _ in lifts.get(face, []):
+                    extensions = [up for up, _ in lifts.get(s, [])
                                   if set(face_lift) <= set(up)]
                     if len(extensions) != 1:
                         raise CoveringError(
                             f"lift {face_lift} of {face} extends to "
                             f"{len(extensions)} lifts of {s}", witness=face)
-    return sheets
+    return lifts
+
+
+def covering_sheets(f):
+    """Number of sheets of a simplicial covering; raises CoveringError."""
+    lifts = covering_lifts(f)
+    return len(lifts.get(next(f.target.all_simplices()), []))
 
 
 def covering_pullback(f, chain):
@@ -359,11 +366,7 @@ def covering_pullback(f, chain):
     original chain multiplied by the sheet count; the operation commutes
     with boundaries.
     """
-    covering_sheets(f)
-    lifts = {}
-    for s in f.source.all_simplices():
-        image, sign = f.image_simplex(s)
-        lifts.setdefault(image, []).append((s, sign))
+    lifts = covering_lifts(f)
     out = {}
     for s, coeff in chain.items():
         for lift, sign in lifts.get(tuple(s), []):

@@ -284,6 +284,15 @@ def set_in(locate, key, value):
     return lambda doc: locate(doc).__setitem__(key, value)
 
 
+def all_true(locate, key):
+    return lambda doc: locate(doc).__setitem__(
+        key, [True] * len(locate(doc)[key]))
+
+
+def first_component(doc):
+    return doc["moduli"][0]
+
+
 # (command, corpus file, change, error text after the file name)
 MALFORMED = {
     "moduli-not-a-list": (
@@ -319,6 +328,43 @@ MALFORMED = {
     "morse-column-cap-string": (
         "morse", "t2-morse-4pt", set_key("column_cap", "4"),
         ": key 'column_cap' has type str"),
+    "ev-minus-bools": (
+        "validate", "s2-z2", all_true(first_component, "ev_minus"),
+        ".moduli[0].ev_minus[0] has type bool"),
+    "ev-plus-string": (
+        "homology", "s2-z2", set_in(first_component, "ev_plus", ["0"]),
+        ".moduli[0].ev_plus[0] has type str"),
+    "ev-minus-missing": (
+        "homology", "s2-z2", lambda doc: first_component(doc).pop("ev_minus"),
+        ".moduli[0]: missing key 'ev_minus'"),
+    "expected-torsion-string": (
+        "homology", "s2-z2",
+        set_in(lambda d: d["expected"][0], "torsion", ["a"]),
+        ".expected[0].torsion[0] has type str"),
+    "names-not-strings": (
+        "homology", "s2-z2", set_in(lambda d: d["critical"][1], "names",
+                                    ["n", ["s"]]),
+        ".critical[1].names[1] has type list"),
+    "simplex-not-a-list": (
+        "homology", "s2-z2",
+        lambda doc: doc["critical"][0]["complex"]["simplices"].__setitem__(
+            0, 5),
+        ".critical[0].complex.simplices[0] has type int"),
+    "simplex-vertex-bool": (
+        "homology", "s2-z2",
+        lambda doc: first_component(doc)["domain"]["simplices"].__setitem__(
+            0, [True]),
+        ".moduli[0].domain.simplices[0][0] has type bool"),
+    "morse-count-string": (
+        "morse", "t2-morse-4pt", set_key("counts", [["inner", "bottom", "2"]]),
+        ".counts[0][2] has type str"),
+    "morse-count-point-int": (
+        "morse", "t2-morse-4pt", set_key("counts", [[1, "bottom", 1]]),
+        ".counts[0][0] has type int"),
+    "morse-critical-name-int": (
+        "morse", "t2-morse-4pt",
+        set_in(lambda d: d["critical"], "1", ["inner", 7]),
+        ".critical['1'][1] has type int"),
 }
 
 

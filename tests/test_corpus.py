@@ -8,6 +8,8 @@ from mbhomology.corpus import (
     load_entry,
     run_entry,
 )
+from mbhomology.exactalg import invariant_factors, snf
+from mbhomology.multicomplex import totalize
 from mbhomology.simplicial import chain_complex_of, chain_to_vector, fundamental_cycle
 
 
@@ -32,6 +34,16 @@ class TestEntries:
         for entry in load_entries():
             assert entry.expected, entry.name
             assert entry.manifold in {"s2", "t2"}
+
+
+class TestTotalBoundaries:
+    @pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))
+    def test_invariant_factors_match_snf(self, name):
+        mc = load_entry(name).build()
+        cx = totalize(mc).complex
+        for k in range(0, mc.column_cap + mc.ambient_dim + 2):
+            b = cx.boundary(k)
+            assert invariant_factors(b) == snf(b).invariant_factors, k
 
 
 class TestIndependence:

@@ -9,6 +9,7 @@ from sympy.matrices.normalforms import invariant_factors as sym_invariant_factor
 
 from mbhomology.exactalg import (
     IntMatrix,
+    invariant_factors,
     snf,
     rank,
     solve_integer,
@@ -127,6 +128,42 @@ class TestSnf:
                                            domain=ZZ)
             theirs = tuple(abs(int(x)) for x in theirs if int(x) != 0)
             assert ours == theirs
+
+
+def sparse_matrix(rng, pool, max_dim=12, density=0.3):
+    m = rng.randint(0, max_dim)
+    n = rng.randint(0, max_dim)
+    return IntMatrix(m, n, [[rng.choice(pool) if rng.random() < density
+                             else 0 for _ in range(n)] for _ in range(m)])
+
+
+class TestInvariantFactors:
+    def test_matches_snf_randomized(self):
+        pools = [(1, -1), (1, -1, 2), (2, -2, 3, 4, 6), (1, -3, 5, 7)]
+        no_units = 0
+        for seed in range(600):
+            rng = random.Random(4000 + seed)
+            pool = pools[seed % len(pools)]
+            if seed % 3:
+                a = sparse_matrix(rng, pool, density=rng.choice((0.2, 0.5)))
+            else:
+                a = random_matrix(rng, lo=-3, hi=3)
+            if not any(x in (1, -1) for row in a.data for x in row):
+                no_units += 1
+            assert invariant_factors(a) == snf(a).invariant_factors, seed
+        # the dense core runs on matrices with no unit entry at all
+        assert no_units > 100
+
+    def test_core_after_unit_pivots(self):
+        # one unit pivot leaves the core diag(2, 4), which has no unit
+        a = IntMatrix.from_rows([[1, 1, 0],
+                                 [2, 4, 0],
+                                 [0, 0, 4]])
+        assert invariant_factors(a) == snf(a).invariant_factors == (1, 2, 4)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (3, 5), (5, 3)])
+    def test_empty_and_zero(self, shape):
+        assert invariant_factors(IntMatrix.zeros(*shape)) == ()
 
 
 class TestRank:

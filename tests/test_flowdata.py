@@ -1,5 +1,6 @@
 import pytest
 
+from mbhomology import flowdata
 from mbhomology.chain import HomologyGroup, homology_at, validate_complex
 from mbhomology.exactalg import IntMatrix
 from mbhomology.flowdata import (
@@ -20,6 +21,7 @@ from mbhomology.simplicial import (
     SimplicialComplexData,
     SimplicialMap,
     chain_to_vector,
+    covering_lifts,
     fundamental_cycle,
 )
 
@@ -116,6 +118,18 @@ class TestBuild:
             assert mc.map(1, p, 1).is_zero()
         table = homology_table(mc)
         assert [h.betti for h in table[:3]] == [1, 2, 1]
+
+    def test_covering_checked_once_per_component(self, monkeypatch):
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return covering_lifts(f)
+
+        monkeypatch.setattr(flowdata, "covering_lifts", counted)
+        fp = torus_height_presentation()
+        build_multicomplex(fp)
+        assert calls == [comp.ev_minus for comp in fp.moduli]
 
     def test_point_source_contributes_fundamental_cycle(self):
         # z^2 sphere: the two columns of d[2] are opposite rim cycles

@@ -158,6 +158,20 @@ class TestTotalize:
         assert view.complex.rank(1) == 3
         assert view.complex.rank(2) == 0
 
+    def test_cost_follows_stored_bidegrees(self):
+        # a declared grid of 10^12 bidegrees with two stored: validation
+        # and totalization visit only what is stored
+        big = 10 ** 6
+        mc = MBSMulticomplex(ambient_dim=big, column_cap=big + 2,
+                             row_ranks={(0, 0): 1, (0, 1): 1},
+                             maps={(1, 0, 1): IntMatrix.from_rows([[2]])})
+        assert validate_multicomplex(mc).ok
+        view = totalize(mc)
+        assert view.complex.ranks == {0: 1, 1: 1}
+        assert view.block_offsets == {(0, 0): 0, (0, 1): 0}
+        assert homology_at(view.complex, 0).iso(HomologyGroup(0, (2,)))
+        assert homology_at(view.complex, 1).is_trivial()
+
 
 class TestHomologyTable:
     def test_constant_function_sphere(self):

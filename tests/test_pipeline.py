@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -12,12 +13,14 @@ from mbhomology.corpus import (
     load_entry,
     run_entry,
 )
+from mbhomology.flowdata import CritModel, FlowPresentation, build_multicomplex
 from mbhomology.multicomplex import InvalidMulticomplex
 from mbhomology.pipeline import (
     compare_tables,
     expected_mismatches,
     homology_table,
 )
+from mbhomology.simplicial import SimplicialComplexData
 
 Z = HomologyGroup(1, ())
 ZERO = HomologyGroup(0, ())
@@ -73,6 +76,24 @@ class TestHomologyTable:
         mc = load_entry("t2-height").build()
         table = homology_table(mc, range(1, 3))
         assert [(g.betti, g.torsion) for g in table] == [(2, ()), (1, ())]
+
+    def test_relabeled_torus(self):
+        # constant function on an 8 x 8 grid torus with shuffled vertices
+        n = 8
+        perm = list(range(n * n))
+        random.Random(8).shuffle(perm)
+
+        def v(i, j):
+            return perm[(i % n) * n + j % n]
+
+        tris = [tri for i in range(n) for j in range(n)
+                for tri in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                            (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
+        cx = SimplicialComplexData.from_simplices(tris)
+        fp = FlowPresentation(dim=2, crit=(CritModel(0, 2, complex=cx),))
+        table = homology_table(build_multicomplex(fp, check=False),
+                               range(0, 3))
+        assert [str(g) for g in table] == ["Z", "Z^2", "Z"]
 
     def test_invalid_raises_with_report(self):
         mc = load_entry("t2-deformed").build()
