@@ -52,7 +52,7 @@ def torus_expected():
 def s2_constant():
     fp = FlowPresentation(
         dim=2,
-        crit=(CritModel(index=0, dimension=2, complex=sphere()),),
+        crit=(CritModel(index=0, complex=sphere()),),
         moduli=())
     meta = {
         "name": "s2-constant",
@@ -67,8 +67,8 @@ def s2_constant():
 
 def s2_z2():
     tri = triangle()
-    poles = CritModel(index=2, dimension=0, names=("n", "s"))
-    rim = CritModel(index=0, dimension=1, complex=tri)
+    poles = CritModel(index=2, names=("n", "s"))
+    rim = CritModel(index=0, complex=tri)
     comps = []
     for vertex, sign in ((0, 1), (1, -1)):
         comps.append(ModuliComponentModel(
@@ -91,8 +91,8 @@ def s2_z2():
 
 def s2_minus_z2():
     tri = triangle()
-    rim = CritModel(index=1, dimension=1, complex=tri)
-    poles = CritModel(index=0, dimension=0, names=("n", "s"))
+    rim = CritModel(index=1, complex=tri)
+    poles = CritModel(index=0, names=("n", "s"))
     comps = []
     for vertex, sign in ((0, 1), (1, -1)):
         comps.append(ModuliComponentModel(
@@ -115,8 +115,8 @@ def s2_minus_z2():
 
 def s2_round():
     tri = triangle()
-    top = CritModel(index=2, dimension=0, names=("top",))
-    bottom = CritModel(index=0, dimension=0, names=("bottom",))
+    top = CritModel(index=2, names=("top",))
+    bottom = CritModel(index=0, names=("bottom",))
     comp = ModuliComponentModel(
         from_index=2, to_index=0, domain=tri,
         ev_minus=SimplicialMap(tri, top.model_complex(), [0, 0, 0]),
@@ -136,8 +136,8 @@ def s2_round():
 
 def t2_height():
     tri = triangle()
-    upper = CritModel(index=1, dimension=1, complex=tri)
-    lower = CritModel(index=0, dimension=1, complex=tri)
+    upper = CritModel(index=1, complex=tri)
+    lower = CritModel(index=0, complex=tri)
     comps = []
     for sign in (1, -1):
         comps.append(ModuliComponentModel(
@@ -160,9 +160,9 @@ def t2_height():
 
 def t2_deformed():
     base = square()
-    mid = CritModel(index=1, dimension=0, names=("p1", "q1"))
-    top = CritModel(index=2, dimension=0, names=("p2", "q2"))
-    bottom = CritModel(index=0, dimension=1, complex=base)
+    mid = CritModel(index=1, names=("p1", "q1"))
+    top = CritModel(index=2, names=("p2", "q2"))
+    bottom = CritModel(index=0, complex=base)
     pt = point()
     seg = interval()
 

@@ -210,13 +210,19 @@ def validate_chain_map(f):
                           f"expected {want}")
     if report:
         return report
-    degs = set(f.source.degrees()) | set(f.target.degrees())
-    for k in sorted(degs | {d + 1 for d in degs}):
-        lhs = f.target.boundary(k) @ f.component(k)
-        rhs = f.component(k - 1) @ f.source.boundary(k)
-        if lhs != rhs:
+    for k, residual in chain_map_residuals(f).items():
+        if not residual.is_zero():
             report.append(f"degree {k}: does not commute with boundaries")
     return report
+
+
+def chain_map_residuals(f):
+    """{k: d_k f_k - f_{k-1} d_k} over every degree where either complex is
+    nonzero, and the degree above each; all zero iff f is a chain map."""
+    degs = set(f.source.degrees()) | set(f.target.degrees())
+    return {k: f.target.boundary(k) @ f.component(k)
+            - f.component(k - 1) @ f.source.boundary(k)
+            for k in sorted(degs | {d + 1 for d in degs})}
 
 
 def induced_map_on_homology(f, k):

@@ -182,6 +182,8 @@ def cmd_morse(path, as_json=False, out=None, err=None):
     except InconsistentFlowData as exc:
         err.write(f"invalid Morse-Smale data: {exc}\n")
         return EXIT_SEMANTIC
+    except ValueError as exc:
+        return _input_failure(exc, path, err)
     outcome = verify_morse_mb(md, mc)
     dim = mc.ambient_dim
     data = {

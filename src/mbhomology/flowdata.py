@@ -56,13 +56,17 @@ class CritModel:
     """Critical set of one index: named points, or a triangulated model."""
 
     index: int
-    dimension: int
     names: tuple = None
     complex: SimplicialComplexData = None
 
     @property
     def is_points(self):
         return self.names is not None
+
+    @property
+    def dimension(self):
+        """0 for named points, the model's top dimension otherwise."""
+        return 0 if self.complex is None else self.complex.top_dim
 
     def model_complex(self):
         if self.is_points:
@@ -77,19 +81,12 @@ class CritModel:
                           "not both")
             return report
         if self.is_points:
-            if self.dimension != 0:
-                report.append(f"index {self.index}: point models must have "
-                              "dimension 0")
             if len(set(self.names)) != len(self.names):
                 report.append(f"index {self.index}: duplicate point names")
         else:
             report.extend(f"index {self.index}: {msg}"
                           for msg in self.complex.validate())
             if not report:
-                if self.complex.top_dim != self.dimension:
-                    report.append(
-                        f"index {self.index}: model has dimension "
-                        f"{self.complex.top_dim}, declared {self.dimension}")
                 try:
                     cyc = fundamental_cycle(self.complex)
                     if not cyc.is_closed():
@@ -373,7 +370,7 @@ def morse_to_flow(md, cap=None):
     for k in sorted(md.crit_by_index):
         names = tuple(md.crit_by_index[k])
         if names:
-            crit.append(CritModel(index=k, dimension=0, names=names))
+            crit.append(CritModel(index=k, names=names))
     point = SimplicialComplexData(1, {0: [(0,)]})
     lookup = {}
     for model in crit:

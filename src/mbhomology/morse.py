@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 from .chain import (
     ChainComplex,
     ChainMap,
+    chain_map_residuals,
     homology_at,
-    induced_map_on_homology,
     quasi_iso,
-    validate_chain_map,
     validate_complex,
 )
 from .exactalg import IntMatrix, snf
@@ -44,12 +43,6 @@ class MorseData:
         self.crit_by_index = {int(k): tuple(v)
                               for k, v in self.crit_by_index.items() if v}
         self.counts = {(q, p): int(n) for (q, p), n in self.counts.items()}
-
-    def index_of(self, name):
-        for k, names in self.crit_by_index.items():
-            if name in names:
-                return k
-        raise KeyError(name)
 
     def validate(self):
         report = []
@@ -78,21 +71,19 @@ def morse_complex(md):
         raise InvalidMorseData("; ".join(problems))
     ranks = {}
     labels = {}
-    position = {}
+    position = {}  # point name -> (index, place within its index)
     for k, names in md.crit_by_index.items():
         ranks[k] = len(names)
         labels[k] = tuple(names)
         for t, name in enumerate(names):
-            position[name] = t
-    boundaries = {}
-    for k in sorted(ranks):
-        if k - 1 not in ranks:
-            continue
-        mat = [[0] * ranks[k] for _ in range(ranks[k - 1])]
-        for (q, p), n in md.counts.items():
-            if md.index_of(q) == k:
-                mat[position[p]][position[q]] += n
-        boundaries[k] = IntMatrix(ranks[k - 1], ranks[k], mat)
+            position[name] = (k, t)
+    mats = {k: [[0] * ranks[k] for _ in range(ranks[k - 1])]
+            for k in sorted(ranks) if k - 1 in ranks}
+    for (q, p), n in md.counts.items():
+        (k, col), (_, row) = position[q], position[p]
+        mats[k][row][col] += n
+    boundaries = {k: IntMatrix(ranks[k - 1], ranks[k], mat)
+                  for k, mat in mats.items()}
     cx = ChainComplex(ranks=ranks, boundaries=boundaries, labels=labels)
     problems = validate_complex(cx)
     if problems:
@@ -103,7 +94,9 @@ def morse_complex(md):
 
 def _check_morse_shaped(mc):
     """Every present row must be a full point row: constant rank across all
-    columns with d[0] invertible at even positive columns."""
+    columns with d[0] invertible at even positive columns.  Returns the
+    Smith forms of those d[0] blocks by (p, i); an absent row has none."""
+    d0_decs = {}
     for i in range(0, mc.ambient_dim + 1):
         if not mc.row_present(i):
             continue
@@ -121,6 +114,8 @@ def _check_morse_shaped(mc):
                 raise ValueError(
                     f"d[0] at (p={p}, i={i}) is not invertible; the "
                     "embedding needs full point rows")
+            d0_decs[(p, i)] = dec
+    return d0_decs
 
 
 def phi_embed(mc, k, c0):
@@ -129,12 +124,12 @@ def phi_embed(mc, k, c0):
     Returns {i: c_i} for i = 0..k with odd entries zero and even entries
     produced by the recursion, solved exactly over the integers.
     """
-    _check_morse_shaped(mc)
-    return _lift(mc, k, c0)
+    return _lift(mc, k, c0, _check_morse_shaped(mc))
 
 
-def _lift(mc, k, c0):
-    """phi_embed without the shape check, for callers that made it."""
+def _lift(mc, k, c0, d0_decs):
+    """phi_embed without the shape check, solving with the d[0] Smith
+    forms that the check returned."""
     c0 = tuple(int(x) for x in c0)
     if len(c0) != mc.rank(0, k):
         raise ValueError(f"vector of length {len(c0)} in a rank "
@@ -144,13 +139,16 @@ def _lift(mc, k, c0):
         if i % 2:
             parts[i] = tuple([0] * mc.rank(i, k - i))
             continue
+        dec = d0_decs.get((i, k - i))
+        if dec is None:  # row k - i is absent, so the slot is empty
+            parts[i] = ()
+            continue
         rhs = [0] * mc.rank(i - 1, k - i)
         for t in range(0, i, 2):
             step = mc.map(i - t, t, k - t)
             image = step.times_vector(parts[t])
             rhs = [a + b for a, b in zip(rhs, image)]
-        d0 = mc.map(0, i, k - i)
-        solution = snf(d0).solve([-x for x in rhs])
+        solution = dec.solve([-x for x in rhs])
         if solution is None:
             raise ValueError(
                 f"no integer solution for the column-{i} component; "
@@ -170,14 +168,14 @@ def phi_chain_map(md, mc, view=None):
             raise ValueError(
                 f"row {k} labels {mc.labels(0, k)} do not match critical "
                 f"points {cm.label(k)}")
-    _check_morse_shaped(mc)
+    d0_decs = _check_morse_shaped(mc)
     components = {}
     for k in cm.degrees():
         n = cm.rank(k)
         cols = []
         for t in range(n):
             c0 = [1 if s == t else 0 for s in range(n)]
-            parts = _lift(mc, k, c0)
+            parts = _lift(mc, k, c0, d0_decs)
             full = [0] * view.complex.rank(k)
             for i, vec in parts.items():
                 if not vec:  # an empty bidegree has no block
@@ -199,7 +197,6 @@ class MorseVerification:
     chain_map_residuals: dict
     odd_components_zero: bool
     is_quasi_iso: bool
-    induced: dict
     morse_homology: list
     mb_homology: list
     embedding: ChainMap = field(repr=False, default=None)
@@ -217,47 +214,27 @@ class MorseVerification:
 
 
 def verify_morse_mb(md, mc):
-    """Full diagnostic: chain-map residuals per degree, odd-component check,
-    mapping-cone quasi-isomorphism verdict, induced maps, and both homology
-    tables."""
+    """Check the embedding phi once: the residuals d phi - phi d per degree,
+    zero odd columns, the mapping-cone verdict on an exact phi, and both
+    homology tables in degrees 0..ambient_dim.  Induced maps are left to
+    induced_map_on_homology(outcome.embedding, k)."""
     view = totalize(mc)
     phi = phi_chain_map(md, mc, view=view)
     cm, total = phi.source, view.complex
+    residuals = chain_map_residuals(phi)
 
-    residuals = {}
-    degs = set(cm.degrees()) | set(total.degrees())
-    for k in sorted(degs | {d + 1 for d in degs}):
-        lhs = total.boundary(k) @ phi.component(k)
-        rhs = phi.component(k - 1) @ cm.boundary(k)
-        residuals[k] = lhs - rhs
-
-    odd_zero = True
-    for k in cm.degrees():
-        comp = phi.component(k)
-        for i in range(1, k + 1, 2):
-            off = view.block_offsets.get((i, k - i))
-            if off is None:
-                continue
-            for r in range(mc.rank(i, k - i)):
-                if any(comp[off + r, c] for c in range(comp.cols)):
-                    odd_zero = False
-
-    qi = validate_chain_map(phi) == [] and quasi_iso(phi)
-
-    induced = {}
-    morse_h = []
-    mb_h = []
-    for k in range(0, mc.ambient_dim + 1):
-        morse_h.append(homology_at(cm, k))
-        mb_h.append(homology_at(total, k))
-        induced[k] = induced_map_on_homology(phi, k)
-
+    odd_zero = not any(
+        phi.component(i + j)[off + r, c]
+        for (i, j), off in view.block_offsets.items() if i % 2
+        for r in range(mc.rank(i, j)) for c in range(cm.rank(i + j)))
+    exact = all(r.is_zero() for r in residuals.values())
     return MorseVerification(
         chain_map_residuals=residuals,
         odd_components_zero=odd_zero,
-        is_quasi_iso=qi,
-        induced=induced,
-        morse_homology=morse_h,
-        mb_homology=mb_h,
+        is_quasi_iso=exact and quasi_iso(phi),
+        morse_homology=[homology_at(cm, k)
+                        for k in range(mc.ambient_dim + 1)],
+        mb_homology=[homology_at(total, k)
+                     for k in range(mc.ambient_dim + 1)],
         embedding=phi,
     )

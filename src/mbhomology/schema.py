@@ -102,10 +102,10 @@ def presentation_from_doc(doc, where="presentation"):
         if kind == "points":
             names = tuple(_each(_require(entry, "names", list, spot), str,
                                 f"{spot}.names"))
-            model = CritModel(index=index, dimension=0, names=names)
+            model = CritModel(index=index, names=names)
         elif kind == "simplicial":
             cx = complex_from_data(entry, "complex", spot)
-            model = CritModel(index=index, dimension=cx.top_dim, complex=cx)
+            model = CritModel(index=index, complex=cx)
         else:
             raise SchemaError(f"{spot}: unknown kind '{kind}'")
         crit.append(model)
@@ -181,6 +181,8 @@ def morse_from_doc(doc, where="morse data"):
             index = int(key)
         except ValueError as err:
             raise SchemaError(f"{where}: critical index '{key}'") from err
+        if index < 0:
+            raise SchemaError(f"{where}.critical: key '{key}' is negative")
         crit[index] = tuple(_each(
             _typed(names, list, f"{where}.critical: key '{key}'"), str,
             f"{where}.critical['{key}']"))

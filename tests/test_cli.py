@@ -365,6 +365,15 @@ MALFORMED = {
         "morse", "t2-morse-4pt",
         set_in(lambda d: d["critical"], "1", ["inner", 7]),
         ".critical['1'][1] has type int"),
+    "morse-critical-negative": (
+        "morse", "t2-morse-4pt", set_in(lambda d: d["critical"], "-1", ["a"]),
+        ".critical: key '-1' is negative"),
+    "morse-column-cap-odd": (
+        "morse", "t2-morse-4pt", set_key("column_cap", 7),
+        ": column cap 7 must be even and at least 4"),
+    "morse-column-cap-zero": (
+        "morse", "t2-morse-4pt", set_key("column_cap", 0),
+        ": column cap 0 must be even and at least 4"),
 }
 
 

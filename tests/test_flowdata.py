@@ -64,8 +64,8 @@ class TestFatPointRow:
 def minus_z2_presentation():
     """-z^2 on the sphere: circle of maxima over two minima."""
     tri = triangle()
-    rim = CritModel(index=1, dimension=1, complex=tri)
-    poles = CritModel(index=0, dimension=0, names=("n", "s"))
+    rim = CritModel(index=1, complex=tri)
+    poles = CritModel(index=0, names=("n", "s"))
     comps = []
     for vertex, sign in ((0, 1), (1, -1)):
         comps.append(ModuliComponentModel(
@@ -82,8 +82,8 @@ def minus_z2_presentation():
 def torus_height_presentation():
     tri_top = triangle()
     tri_bot = triangle()
-    upper = CritModel(index=1, dimension=1, complex=tri_top)
-    lower = CritModel(index=0, dimension=1, complex=tri_bot)
+    upper = CritModel(index=1, complex=tri_top)
+    lower = CritModel(index=0, complex=tri_bot)
     comps = []
     for sign in (1, -1):
         comps.append(ModuliComponentModel(
@@ -146,8 +146,8 @@ class TestBuild:
         # a disconnected domain can map locally constantly to two different
         # source points; one component must sit over a single point
         two_points = SimplicialComplexData.from_simplices([(0,), (1,)])
-        upper = CritModel(index=1, dimension=0, names=("a", "b"))
-        lower = CritModel(index=0, dimension=0, names=("m",))
+        upper = CritModel(index=1, names=("a", "b"))
+        lower = CritModel(index=0, names=("m",))
         comp = ModuliComponentModel(
             from_index=1, to_index=0, domain=two_points,
             ev_minus=SimplicialMap(two_points, upper.model_complex(),
@@ -163,8 +163,8 @@ class TestBuild:
         # collapse the rim model onto an edge: not a covering of the circle
         tri = triangle()
         seg = SimplicialComplexData.from_simplices([(0, 1)])
-        rim = CritModel(index=1, dimension=1, complex=tri)
-        poles = CritModel(index=0, dimension=0, names=("n", "s"))
+        rim = CritModel(index=1, complex=tri)
+        poles = CritModel(index=0, names=("n", "s"))
         comp = ModuliComponentModel(
             from_index=1, to_index=0, domain=tri,
             ev_minus=SimplicialMap(tri, tri, vertex_image=[0, 1, 0]),
@@ -177,8 +177,8 @@ class TestBuild:
 
     def test_rejects_wrong_domain_dimension(self):
         tri = triangle()
-        poles = CritModel(index=2, dimension=0, names=("n",))
-        rim = CritModel(index=0, dimension=1, complex=tri)
+        poles = CritModel(index=2, names=("n",))
+        rim = CritModel(index=0, complex=tri)
         pt = SimplicialComplexData.from_simplices([(0,)])
         comp = ModuliComponentModel(
             from_index=2, to_index=0, domain=pt,

@@ -1,7 +1,15 @@
+import random
+
 import pytest
 
-from mbhomology.chain import HomologyGroup, homology_at, validate_chain_map
-from mbhomology.exactalg import IntMatrix
+from mbhomology import chain, morse
+from mbhomology.chain import (
+    HomologyGroup,
+    homology_at,
+    induced_map_on_homology,
+    validate_chain_map,
+)
+from mbhomology.exactalg import IntMatrix, snf
 from mbhomology.flowdata import build_multicomplex, morse_to_flow
 from mbhomology.morse import (
     InvalidMorseData,
@@ -12,6 +20,8 @@ from mbhomology.morse import (
     verify_morse_mb,
 )
 from mbhomology.multicomplex import MBSMulticomplex, totalize, validate_multicomplex
+
+from support import brute_homology, random_complex
 
 
 def torus_md():
@@ -174,7 +184,85 @@ class TestVerify:
     def test_induced_maps_are_unimodular(self):
         md = torus_md()
         outcome = verify_morse_mb(md, build_multicomplex(morse_to_flow(md)))
-        for k, mat in outcome.induced.items():
-            assert mat.rows == mat.cols
-            from mbhomology.exactalg import snf
+        for k in range(3):
+            mat = induced_map_on_homology(outcome.embedding, k)
+            assert mat.rows == mat.cols == outcome.morse_homology[k].betti
             assert snf(mat).invariant_factors == tuple([1] * mat.rows)
+
+    def test_each_check_runs_once(self, monkeypatch):
+        # the chain-map identity is evaluated for the residuals and once
+        # more by the mapping cone's own guard; no generators are computed;
+        # the only Smith forms with transforms are the d[0] blocks, one each
+        residual_calls = []
+        smith_calls = []
+        real_residuals, real_snf = chain.chain_map_residuals, morse.snf
+
+        def counted_residuals(f):
+            residual_calls.append(f)
+            return real_residuals(f)
+
+        def counted_snf(a):
+            smith_calls.append(a)
+            return real_snf(a)
+
+        def no_generators(*args):
+            raise AssertionError("verify_morse_mb computed generators")
+
+        for module in (chain, morse):
+            monkeypatch.setattr(module, "chain_map_residuals",
+                                counted_residuals)
+        monkeypatch.setattr(morse, "snf", counted_snf)
+        monkeypatch.setattr(chain, "snf", no_generators)
+        monkeypatch.setattr(chain, "homology_presentation", no_generators)
+        monkeypatch.setattr(chain, "induced_map_on_homology", no_generators)
+        # a projective plane: d(c) = 2 b, so H_1 = Z/2 is torsion
+        md = MorseData(crit_by_index={0: ("a",), 1: ("b",), 2: ("c",)},
+                       counts={("c", "b"): 2})
+        mc = build_multicomplex(morse_to_flow(md))
+        outcome = verify_morse_mb(md, mc)
+        assert outcome.ok
+        assert [str(g) for g in outcome.mb_homology] == ["Z", "Z/2", "0"]
+        assert len(residual_calls) == 2
+        assert smith_calls == [mc.map(0, p, i)
+                               for i in range(mc.ambient_dim + 1)
+                               for p in range(2, mc.column_cap + 1, 2)]
+
+    def test_lone_top_row(self):
+        # rows 0 and 1 are absent, so the column-2 slot of a row-2 lift is
+        # empty and has no d[0] block to solve with
+        md = MorseData(crit_by_index={2: ("a",)}, counts={})
+        outcome = verify_morse_mb(md, build_multicomplex(morse_to_flow(md)))
+        assert outcome.ok
+        assert [str(g) for g in outcome.morse_homology] == ["0", "0", "Z"]
+        assert outcome.embedding.component(2) == IntMatrix.from_rows([[1]])
+
+
+def morse_data_of(c):
+    """Morse data with one critical point per basis vector of c, indices
+    shifted to start at 0, and the boundary entries as flow-line counts."""
+    lo = min(c.ranks)
+    crit = {k - lo: tuple(f"x{k}.{t}" for t in range(r))
+            for k, r in c.ranks.items()}
+    counts = {}
+    for k, d in c.boundaries.items():
+        for row in range(d.rows):
+            for col in range(d.cols):
+                if d[row, col]:
+                    counts[(f"x{k}.{col}", f"x{k - 1}.{row}")] = d[row, col]
+    return MorseData(crit_by_index=crit, counts=counts), lo
+
+
+class TestRandomMorseData:
+    def test_embedding_is_a_quasi_iso(self):
+        # the paper's Morse embedding on scrambled complexes with torsion:
+        # both tables match the oracle and every check passes
+        for seed in range(60):
+            c = random_complex(random.Random(7000 + seed), max_total_rank=10)
+            md, lo = morse_data_of(c)
+            outcome = verify_morse_mb(md, build_multicomplex(morse_to_flow(md)))
+            assert outcome.ok, seed
+            for k, (a, b) in enumerate(zip(outcome.morse_homology,
+                                           outcome.mb_homology)):
+                want = brute_homology(c, k + lo)
+                assert (a.betti, a.torsion) == want, (seed, k)
+                assert (b.betti, b.torsion) == want, (seed, k)

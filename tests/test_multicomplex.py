@@ -53,8 +53,8 @@ def single_row_mc(model, ambient_dim, cap=4):
 def s2_z2_presentation():
     """Height-squared on the sphere: a circle of minima and two maxima."""
     tri = triangle()
-    poles = CritModel(index=2, dimension=0, names=("n", "s"))
-    rim = CritModel(index=0, dimension=1, complex=tri)
+    poles = CritModel(index=2, names=("n", "s"))
+    rim = CritModel(index=0, complex=tri)
     comps = []
     for vertex, sign in ((0, 1), (1, -1)):
         comps.append(ModuliComponentModel(

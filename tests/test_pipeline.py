@@ -90,7 +90,7 @@ class TestHomologyTable:
                 for tri in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
                             (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
         cx = SimplicialComplexData.from_simplices(tris)
-        fp = FlowPresentation(dim=2, crit=(CritModel(0, 2, complex=cx),))
+        fp = FlowPresentation(dim=2, crit=(CritModel(index=0, complex=cx),))
         table = homology_table(build_multicomplex(fp, check=False),
                                range(0, 3))
         assert [str(g) for g in table] == ["Z", "Z^2", "Z"]
