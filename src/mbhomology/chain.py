@@ -145,11 +145,9 @@ def homology_presentation(c, k):
             raise ValueError(
                 f"boundary image at degree {k + 1} escapes the kernel at "
                 f"degree {k}; complex is invalid")
-        y_cols.append(y)
+        y_cols.append(dict(enumerate(y)))
     z = kern.cols
-    y = IntMatrix(z, b.cols, [[y_cols[j][i] for j in range(b.cols)]
-                              for i in range(z)])
-    dec = snf(y)
+    dec = snf(IntMatrix.from_columns(z, b.cols, y_cols))
     d = dec.invariant_factors
     orders = tuple(d[i] if i < len(d) else 0 for i in range(z))
     gen_indices = tuple(i for i in range(z) if orders[i] != 1)
@@ -232,13 +230,9 @@ def induced_map_on_homology(f, k):
         raise ValueError("not a chain map: " + "; ".join(problems))
     src = homology_presentation(f.source, k)
     tgt = homology_presentation(f.target, k)
-    cols = []
-    for gen in src.generator_vectors():
-        cols.append(tgt.class_of(f.component(k).times_vector(gen)))
-    n_rows = len(tgt.gen_indices)
-    return IntMatrix(n_rows, len(cols),
-                     [[cols[j][i] for j in range(len(cols))]
-                      for i in range(n_rows)])
+    cols = [dict(enumerate(tgt.class_of(f.component(k).times_vector(gen))))
+            for gen in src.generator_vectors()]
+    return IntMatrix.from_columns(len(tgt.gen_indices), len(cols), cols)
 
 
 def mapping_cone(f):

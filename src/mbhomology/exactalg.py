@@ -2,7 +2,9 @@
 
 Everything runs on arbitrary-precision Python ints: Smith normal form
 pivoting makes coefficients grow, and every homology computation downstream
-depends on never rounding.  Matrices are immutable; all functions are pure.
+depends on never rounding.  Matrices are immutable and stored as sparse
+columns, so boundaries and structure maps cost what their nonzeros cost;
+only `snf` works on dense rows.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -12,21 +14,60 @@ from heapq import heapify, heappop, heappush
 
 
 class IntMatrix:
-    """Dense integer matrix, stored row-major as nested tuples.
+    """Integer matrix stored as sparse columns: `columns[j]` is a dict
+    {row: nonzero entry} of column j, and zeros are never stored.
 
-    Treated as immutable everywhere: operations return new matrices.
-    Zero-row and zero-column shapes are legal and behave as zero maps.
+    Treated as immutable everywhere: operations return new matrices, and
+    they may share column dicts, which nobody mutates.  Zero-row and
+    zero-column shapes are legal and behave as zero maps.  `data`, the
+    dense rows, is built on first read.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "columns", "_data")
 
     def __init__(self, rows, cols, data):
+        """Matrix from dense rows: `data` is `rows` sequences of `cols`
+        entries each."""
         data = tuple(tuple(int(x) for x in row) for row in data)
         if len(data) != rows or any(len(row) != cols for row in data):
             raise ValueError(f"entries do not fill a {rows}x{cols} matrix")
+        columns = [{} for _ in range(cols)]
+        for i, row in enumerate(data):
+            for j, x in enumerate(row):
+                if x:
+                    columns[j][i] = x
         self.rows = rows
         self.cols = cols
-        self.data = data
+        self.columns = tuple(columns)
+        self._data = data
+
+    @classmethod
+    def _of(cls, rows, cols, columns):
+        """Unchecked constructor for columns known to be well formed."""
+        mat = cls.__new__(cls)
+        mat.rows = rows
+        mat.cols = cols
+        mat.columns = tuple(columns)
+        mat._data = None
+        return mat
+
+    @classmethod
+    def from_columns(cls, rows, cols, columns):
+        """Matrix from `cols` sparse columns {row: entry}; zero entries are
+        dropped.
+
+        >>> m = IntMatrix.from_columns(2, 3, [{0: 1, 1: -1}, {}, {1: 0}])
+        >>> m.data
+        ((1, 0, 0), (-1, 0, 0))
+        >>> m == IntMatrix.from_rows([[1, 0, 0], [-1, 0, 0]])
+        True
+        """
+        columns = tuple({i: x for i, x in col.items() if x}
+                        for col in columns)
+        if len(columns) != cols or any(
+                min(col) < 0 or max(col) >= rows for col in columns if col):
+            raise ValueError(f"entries do not fill a {rows}x{cols} matrix")
+        return cls._of(rows, cols, columns)
 
     @classmethod
     def from_rows(cls, data, cols=None):
@@ -37,25 +78,35 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of(n, n, ({j: 1} for j in range(n)))
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def column(cls, entries):
-        return cls(len(entries), 1, [[x] for x in entries])
+        return cls._of(rows, cols, ({} for _ in range(cols)))
 
     def __getitem__(self, key):
         i, j = key
-        return self.data[i][j]
-
-    def row(self, i):
-        return self.data[i]
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry ({i}, {j}) outside {self.shape}")
+        return self.columns[j].get(i, 0)
 
     def col(self, j):
-        return tuple(row[j] for row in self.data)
+        col = self.columns[j]
+        return tuple(col.get(i, 0) for i in range(self.rows))
+
+    def _dense_rows(self):
+        """Fresh dense rows as lists; the one place columns become rows."""
+        out = [[0] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, x in col.items():
+                out[i][j] = x
+        return out
+
+    @property
+    def data(self):
+        if self._data is None:
+            self._data = tuple(tuple(row) for row in self._dense_rows())
+        return self._data
 
     @property
     def shape(self):
@@ -64,10 +115,11 @@ class IntMatrix:
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        return self.shape == other.shape and self.data == other.data
+        return self.shape == other.shape and self.columns == other.columns
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols,
+                     tuple(frozenset(col.items()) for col in self.columns)))
 
     def __repr__(self):
         if self.rows == 0 or self.cols == 0:
@@ -76,73 +128,87 @@ class IntMatrix:
         return f"IntMatrix.from_rows([{body}])"
 
     def is_zero(self):
-        return all(x == 0 for row in self.data for x in row)
+        return not any(self.columns)
 
     def __neg__(self):
-        return IntMatrix(self.rows, self.cols,
-                         [[-x for x in row] for row in self.data])
+        return self.scaled(-1)
 
     def __add__(self, other):
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} + {other.shape}")
-        return IntMatrix(self.rows, self.cols,
-                         [[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)])
+        out = []
+        for mine, theirs in zip(self.columns, other.columns):
+            col = dict(mine)
+            for i, x in theirs.items():
+                y = col.get(i, 0) + x
+                if y:
+                    col[i] = y
+                else:
+                    del col[i]
+            out.append(col)
+        return IntMatrix._of(self.rows, self.cols, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scaled(self, c):
-        return IntMatrix(self.rows, self.cols,
-                         [[c * x for x in row] for row in self.data])
+        if not c:
+            return IntMatrix.zeros(self.rows, self.cols)
+        return IntMatrix._of(self.rows, self.cols,
+                             ({i: c * x for i, x in col.items()}
+                              for col in self.columns))
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
+        mine = self.columns
         out = []
-        for row in self.data:
-            acc = [0] * other.cols
-            for a, orow in zip(row, other.data):
-                if a:  # skip zeros: boundary matrices are sparse
-                    acc = [x + a * b for x, b in zip(acc, orow)]
-            out.append(acc)
-        return IntMatrix(self.rows, other.cols, out)
+        for theirs in other.columns:
+            acc = {}
+            for k, b in theirs.items():
+                for i, a in mine[k].items():
+                    acc[i] = acc.get(i, 0) + a * b
+            out.append({i: x for i, x in acc.items() if x})
+        return IntMatrix._of(self.rows, other.cols, out)
 
     def times_vector(self, v):
         v = tuple(v)
         if len(v) != self.cols:
             raise ValueError(f"vector of length {len(v)} against {self.shape}")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
+        out = [0] * self.rows
+        for x, col in zip(v, self.columns):
+            if x:
+                for i, a in col.items():
+                    out[i] += a * x
+        return tuple(out)
 
     def submatrix_cols(self, col_indices):
-        idx = list(col_indices)
-        return IntMatrix(self.rows, len(idx),
-                         [[row[j] for j in idx] for row in self.data])
+        out = [self.columns[j] for j in col_indices]
+        return IntMatrix._of(self.rows, len(out), out)
 
     @classmethod
     def from_blocks(cls, blocks, row_sizes, col_sizes):
         """Assemble a matrix from a 2d grid of blocks (None means zero)."""
-        rows = sum(row_sizes)
-        cols = sum(col_sizes)
-        data = [[0] * cols for _ in range(rows)]
-        r0 = 0
         for bi, rsize in enumerate(row_sizes):
-            c0 = 0
             for bj, csize in enumerate(col_sizes):
                 block = blocks[bi][bj]
+                if block is not None and block.shape != (rsize, csize):
+                    raise ValueError(
+                        f"block ({bi},{bj}) has shape {block.shape}, "
+                        f"expected ({rsize},{csize})")
+        columns = []
+        for bj, csize in enumerate(col_sizes):
+            out = [{} for _ in range(csize)]
+            r0 = 0
+            for bi, rsize in enumerate(row_sizes):
+                block = blocks[bi][bj]
                 if block is not None:
-                    if block.shape != (rsize, csize):
-                        raise ValueError(
-                            f"block ({bi},{bj}) has shape {block.shape}, "
-                            f"expected ({rsize},{csize})")
-                    for i in range(rsize):
-                        brow = block.data[i]
-                        drow = data[r0 + i]
-                        for j in range(csize):
-                            drow[c0 + j] = brow[j]
-                c0 += csize
-            r0 += rsize
-        return cls(rows, cols, data)
+                    for col, bcol in zip(out, block.columns):
+                        for i, x in bcol.items():
+                            col[r0 + i] = x
+                r0 += rsize
+            columns.extend(out)
+        return cls._of(sum(row_sizes), sum(col_sizes), columns)
 
 
 @dataclass(frozen=True)
@@ -191,7 +257,7 @@ def snf(a):
     True
     """
     m, n = a.rows, a.cols
-    s = [list(row) for row in a.data]
+    s = a._dense_rows()
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     u_inv_cols = [row[:] for row in u]  # row op on U = inverse col op here
@@ -309,13 +375,11 @@ def invariant_factors(a):
     >>> invariant_factors(IntMatrix.from_rows([[1, 1, 0], [-1, 0, 2]]))
     (1, 1)
     """
-    cols = [{} for _ in range(a.cols)]
+    cols = [dict(col) for col in a.columns]
     rows = [set() for _ in range(a.rows)]
-    for i, row in enumerate(a.data):
-        for j, x in enumerate(row):
-            if x:
-                cols[j][i] = x
-                rows[i].add(j)
+    for j, col in enumerate(cols):
+        for i in col:
+            rows[i].add(j)
 
     def fill(i, j):
         return (len(cols[j]) - 1) * (len(rows[i]) - 1)
@@ -363,8 +427,10 @@ def invariant_factors(a):
     core_rows = sorted({i for col in core_cols for i in col})
     if not core_rows:
         return (1,) * units
-    core = IntMatrix(len(core_rows), len(core_cols),
-                     [[col.get(i, 0) for col in core_cols] for i in core_rows])
+    place = {i: t for t, i in enumerate(core_rows)}
+    core = IntMatrix._of(len(core_rows), len(core_cols),
+                         ({place[i]: x for i, x in col.items()}
+                          for col in core_cols))
     return (1,) * units + snf(core).invariant_factors
 
 

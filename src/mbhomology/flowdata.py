@@ -31,7 +31,7 @@ from .simplicial import (
     SimplicialComplexData,
     SimplicialMap,
     chain_complex_of,
-    chain_to_vector,
+    chain_to_column,
     covering_lifts,
     fundamental_cycle,
     pushforward,
@@ -104,7 +104,9 @@ class ModuliComponentModel:
     The domain dimension must be (index drop) + (source dimension) - 1.
     ev_minus records where a flow line begins on the source model, ev_plus
     where it ends on the target model; sign is the component's orientation
-    relative to the models' fundamental cycles.
+    relative to the models' fundamental cycles.  multiplicity counts
+    identical copies of the component, so a flow-line count n is one
+    component of multiplicity |n|; the flow schema does not read it.
     """
 
     from_index: int
@@ -113,6 +115,7 @@ class ModuliComponentModel:
     ev_minus: SimplicialMap
     ev_plus: SimplicialMap
     sign: int = 1
+    multiplicity: int = 1
 
     @property
     def relative_index(self):
@@ -127,6 +130,9 @@ class ModuliComponentModel:
         if self.sign not in (1, -1):
             report.append(f"component {self.from_index}->{self.to_index}: "
                           f"sign {self.sign} is not +-1")
+        if self.multiplicity < 1:
+            report.append(f"component {self.from_index}->{self.to_index}: "
+                          f"multiplicity {self.multiplicity} is not positive")
         expected_dim = j + source.dimension - 1
         if self.domain.top_dim != expected_dim:
             report.append(
@@ -227,12 +233,8 @@ def _fat_rows(cap, names):
     n = len(names)
     ranks = {p: n for p in range(cap + 1)}
     labels = {p: tuple(names) for p in range(cap + 1)}
-    boundaries = {}
-    for p in range(1, cap + 1):
-        if p % 2 == 0:
-            boundaries[p] = IntMatrix.identity(n)
-        else:
-            boundaries[p] = IntMatrix.zeros(n, n)
+    eye, zero = IntMatrix.identity(n), IntMatrix.zeros(n, n)
+    boundaries = {p: zero if p % 2 else eye for p in range(1, cap + 1)}
     return ChainComplex(ranks=ranks, boundaries=boundaries, labels=labels)
 
 
@@ -242,20 +244,30 @@ def _row_complex(model, cap):
     return chain_complex_of(model.complex)
 
 
-def _target_vector(target, ev_plus, chain, degree):
-    """Coefficient vector of a chain pushed into a row at the given column.
+def _model_rank(model, degree):
+    """Rank of a model's row at a column: every column of a point row has
+    one generator per point."""
+    if model.is_points:
+        return len(model.names)
+    return len(model.complex.simplices_of_dim(degree))
+
+
+def _target_column(target, ev_plus, chain, degree):
+    """Sparse column {row: coefficient} of a chain pushed into a row at the
+    given column; entries may be zero.
 
     Point-kind targets absorb chains of every degree: each simplex lies over
     a single point and contributes its coefficient to that point's
     degree-p generator.  Simplicial targets take the honest pushforward.
     """
     if target.is_points:
-        vec = [0] * len(target.names)
+        col = {}
         for simplex, coeff in chain.items():
-            vec[ev_plus.vertex_image[simplex[0]]] += coeff
-        return tuple(vec)
+            row = ev_plus.vertex_image[simplex[0]]
+            col[row] = col.get(row, 0) + coeff
+        return col
     pushed = pushforward(ev_plus, chain)
-    return chain_to_vector(target.complex, degree, pushed)
+    return chain_to_column(target.complex, degree, pushed)
 
 
 def build_multicomplex(fp, check=True):
@@ -287,21 +299,20 @@ def build_multicomplex(fp, check=True):
                 sign = -1 if (p + i) % 2 else 1
                 maps[(0, p, i)] = d.scaled(sign)
 
-    # accumulate moduli contributions into dense column lists
+    # accumulate moduli contributions into sparse columns, each scaled by
+    # the component's sign and multiplicity
     pending = {}
 
-    def add_contribution(j, p, i, col, vector):
-        key = (j, p, i)
-        source = fp.crit_at(i)
-        n_cols = len(source.names) if source.is_points else \
-            len(source.complex.simplices_of_dim(p))
-        rows = len(vector)
-        mat = pending.get(key)
-        if mat is None:
-            mat = [[0] * n_cols for _ in range(rows)]
-            pending[key] = mat
-        for r, x in enumerate(vector):
-            mat[r][col] += x
+    def add_contribution(comp, p, col, entries, degree):
+        key = (comp.relative_index, p, comp.from_index)
+        if key not in pending:
+            n_rows = _model_rank(fp.crit_at(comp.to_index), degree)
+            n_cols = _model_rank(fp.crit_at(comp.from_index), p)
+            pending[key] = (n_rows, [{} for _ in range(n_cols)])
+        weight = comp.sign * comp.multiplicity
+        out = pending[key][1][col]
+        for r, x in entries.items():
+            out[r] = out.get(r, 0) + weight * x
 
     for comp in fp.moduli:
         j = comp.relative_index
@@ -314,13 +325,11 @@ def build_multicomplex(fp, check=True):
                 raise FlowDataError(
                     f"component {comp.from_index}->{comp.to_index}: "
                     "ev_minus of a point source must be constant")
-            col = hit.pop()
             cyc = fundamental_cycle(comp.domain)
-            vec = _target_vector(target, comp.ev_plus, cyc.as_chain(),
-                                 comp.domain.top_dim)
-            if comp.sign < 0:
-                vec = tuple(-x for x in vec)
-            add_contribution(j, 0, comp.from_index, col, vec)
+            degree = comp.domain.top_dim
+            add_contribution(comp, 0, hit.pop(),
+                             _target_column(target, comp.ev_plus,
+                                            cyc.as_chain(), degree), degree)
         else:
             if j != 1:
                 raise FlowDataError(
@@ -338,15 +347,14 @@ def build_multicomplex(fp, check=True):
             for p in range(0, src_complex.top_dim + 1):
                 for col, simplex in enumerate(src_complex.simplices_of_dim(p)):
                     pulled = dict(lifts.get(simplex, ()))
-                    vec = _target_vector(target, comp.ev_plus, pulled, p)
-                    if comp.sign < 0:
-                        vec = tuple(-x for x in vec)
-                    add_contribution(1, p, comp.from_index, col, vec)
+                    add_contribution(comp, p, col,
+                                     _target_column(target, comp.ev_plus,
+                                                    pulled, p), p)
 
-    for (j, p, i), rows in pending.items():
-        mat = IntMatrix(len(rows), len(rows[0]) if rows else 0, rows)
+    for key, (n_rows, columns) in pending.items():
+        mat = IntMatrix.from_columns(n_rows, len(columns), columns)
         if not mat.is_zero():
-            maps[(j, p, i)] = mat
+            maps[key] = mat
 
     mc = MBSMulticomplex(
         ambient_dim=fp.dim,
@@ -364,8 +372,8 @@ def build_multicomplex(fp, check=True):
 
 def morse_to_flow(md, cap=None):
     """Flow presentation of Morse-Smale data: all critical models are
-    points, and each signed flow-line count n(q, p) becomes |n| point
-    components with matching signs."""
+    points, and each nonzero flow-line count n(q, p) becomes one point
+    component with the sign of n and multiplicity |n|."""
     crit = []
     for k in sorted(md.crit_by_index):
         names = tuple(md.crit_by_index[k])
@@ -382,17 +390,17 @@ def morse_to_flow(md, cap=None):
             continue
         src_model, src_v = lookup[q]
         tgt_model, tgt_v = lookup[p]
-        for _ in range(abs(n)):
-            moduli.append(ModuliComponentModel(
-                from_index=src_model.index,
-                to_index=tgt_model.index,
-                domain=point,
-                ev_minus=SimplicialMap(point, src_model.model_complex(),
-                                       vertex_image=[src_v]),
-                ev_plus=SimplicialMap(point, tgt_model.model_complex(),
-                                      vertex_image=[tgt_v]),
-                sign=1 if n > 0 else -1,
-            ))
+        moduli.append(ModuliComponentModel(
+            from_index=src_model.index,
+            to_index=tgt_model.index,
+            domain=point,
+            ev_minus=SimplicialMap(point, src_model.model_complex(),
+                                   vertex_image=[src_v]),
+            ev_plus=SimplicialMap(point, tgt_model.model_complex(),
+                                  vertex_image=[tgt_v]),
+            sign=1 if n > 0 else -1,
+            multiplicity=abs(n),
+        ))
     dim = max(md.crit_by_index) if md.crit_by_index else 0
     return FlowPresentation(dim=dim, crit=tuple(crit), moduli=tuple(moduli),
                             column_cap=cap)

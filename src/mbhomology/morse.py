@@ -77,13 +77,13 @@ def morse_complex(md):
         labels[k] = tuple(names)
         for t, name in enumerate(names):
             position[name] = (k, t)
-    mats = {k: [[0] * ranks[k] for _ in range(ranks[k - 1])]
-            for k in sorted(ranks) if k - 1 in ranks}
+    columns = {k: [{} for _ in range(ranks[k])]
+               for k in sorted(ranks) if k - 1 in ranks}
     for (q, p), n in md.counts.items():
         (k, col), (_, row) = position[q], position[p]
-        mats[k][row][col] += n
-    boundaries = {k: IntMatrix(ranks[k - 1], ranks[k], mat)
-                  for k, mat in mats.items()}
+        columns[k][col][row] = n
+    boundaries = {k: IntMatrix.from_columns(ranks[k - 1], ranks[k], cols)
+                  for k, cols in columns.items()}
     cx = ChainComplex(ranks=ranks, boundaries=boundaries, labels=labels)
     problems = validate_complex(cx)
     if problems:
@@ -175,18 +175,14 @@ def phi_chain_map(md, mc, view=None):
         cols = []
         for t in range(n):
             c0 = [1 if s == t else 0 for s in range(n)]
-            parts = _lift(mc, k, c0, d0_decs)
-            full = [0] * view.complex.rank(k)
-            for i, vec in parts.items():
+            col = {}
+            for i, vec in _lift(mc, k, c0, d0_decs).items():
                 if not vec:  # an empty bidegree has no block
                     continue
                 off = view.block_offsets[(i, k - i)]
-                for s, x in enumerate(vec):
-                    full[off + s] = x
-            cols.append(full)
-        components[k] = IntMatrix(view.complex.rank(k), n,
-                                  [[cols[j][i] for j in range(n)]
-                                   for i in range(view.complex.rank(k))])
+                col.update((off + s, x) for s, x in enumerate(vec) if x)
+            cols.append(col)
+        components[k] = IntMatrix.from_columns(view.complex.rank(k), n, cols)
     return ChainMap(source=cm, target=view.complex, components=components)
 
 
@@ -224,9 +220,9 @@ def verify_morse_mb(md, mc):
     residuals = chain_map_residuals(phi)
 
     odd_zero = not any(
-        phi.component(i + j)[off + r, c]
+        off <= r < off + mc.rank(i, j)
         for (i, j), off in view.block_offsets.items() if i % 2
-        for r in range(mc.rank(i, j)) for c in range(cm.rank(i + j)))
+        for col in phi.component(i + j).columns for r in col)
     exact = all(r.is_zero() for r in residuals.values())
     return MorseVerification(
         chain_map_residuals=residuals,

@@ -149,7 +149,18 @@ class TotalComplexView:
 def totalize(mc):
     """Assemble the total complex; the block at (source (p,i), target
     (p+j-1, i-j)) is d[j].  Only stored bidegrees and maps are visited,
-    so degrees with no groups get no entries."""
+    so degrees with no groups get no entries.
+
+    >>> mc = MBSMulticomplex(
+    ...     ambient_dim=1, column_cap=4,
+    ...     row_ranks={(0, 0): 1, (0, 1): 1, (1, 0): 1},
+    ...     maps={(1, 0, 1): IntMatrix.from_rows([[2]])})
+    >>> view = totalize(mc)
+    >>> view.complex.ranks, view.block_offsets[(1, 0)]
+    ({0: 1, 1: 2}, 1)
+    >>> view.complex.boundary(1).data
+    ((2, 0),)
+    """
     ranks = {}
     labels = {}
     offsets = {}
@@ -170,13 +181,13 @@ def totalize(mc):
             raise ValueError(f"d[{j}] at (p={p}, i={i}) has shape "
                              f"{mat.shape}, expected {want}")
         k = p + i
-        rows = entries.setdefault(
-            k, [[0] * ranks[k] for _ in range(ranks[k - 1])])
+        columns = entries.setdefault(k, [{} for _ in range(ranks[k])])
         r0, c0 = offsets[tgt], offsets[(p, i)]
-        for r, row in enumerate(mat.data):
-            rows[r0 + r][c0:c0 + mat.cols] = row
-    boundaries = {k: IntMatrix(ranks[k - 1], ranks[k], rows)
-                  for k, rows in entries.items()}
+        for out, col in zip(columns[c0:c0 + mat.cols], mat.columns):
+            for r, x in col.items():
+                out[r0 + r] = x
+    boundaries = {k: IntMatrix.from_columns(ranks[k - 1], ranks[k], columns)
+                  for k, columns in entries.items()}
     cx = ChainComplex(ranks=ranks, boundaries=boundaries,
                       labels={k: tuple(labs) for k, labs in labels.items()})
     return TotalComplexView(mc=mc, complex=cx, block_offsets=offsets)

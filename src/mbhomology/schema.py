@@ -159,6 +159,11 @@ def presentation_to_doc(fp, meta=None):
                 "complex": complex_to_data(model.complex),
             })
     for comp in fp.moduli:
+        if comp.multiplicity != 1:
+            raise ValueError(
+                f"component {comp.from_index}->{comp.to_index} has "
+                f"multiplicity {comp.multiplicity}; the flow schema stores "
+                "one component per entry")
         doc["moduli"].append({
             "from": comp.from_index,
             "to": comp.to_index,

@@ -195,13 +195,12 @@ def chain_complex_of(k):
         ranks[d] = len(simplices)
         labels[d] = tuple(".".join(str(v) for v in s) for s in simplices)
     for d in range(1, k.top_dim + 1):
-        rows = ranks.get(d - 1, 0)
-        mat = [[0] * ranks[d] for _ in range(rows)]
-        for j, s in enumerate(k.simplices_of_dim(d)):
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                mat[k.index_of(face)][j] += (-1) ** i
-        boundaries[d] = IntMatrix(rows, ranks[d], mat)
+        # the faces of a simplex are distinct, so each gets one entry
+        columns = [{k.index_of(s[:i] + s[i + 1:]): (-1) ** i
+                    for i in range(len(s))}
+                   for s in k.simplices_of_dim(d)]
+        boundaries[d] = IntMatrix.from_columns(ranks.get(d - 1, 0), ranks[d],
+                                               columns)
     return ChainComplex(ranks=ranks, boundaries=boundaries, labels=labels)
 
 
@@ -374,35 +373,37 @@ def covering_pullback(f, chain):
     return {s: c for s, c in out.items() if c}
 
 
-def chain_to_vector(k, d, chain):
-    """Dense coefficient vector of a degree-d sparse chain."""
-    vec = [0] * len(k.simplices_of_dim(d))
+def chain_to_column(k, d, chain):
+    """Sparse matrix column {basis index: coefficient} of a degree-d
+    sparse chain."""
+    col = {}
     for s, coeff in chain.items():
         if len(s) - 1 != d:
             raise ValueError(f"simplex {s} is not of dimension {d}")
-        vec[k.index_of(s)] = coeff
+        col[k.index_of(s)] = coeff
+    return col
+
+
+def chain_to_vector(k, d, chain):
+    """Dense coefficient vector of a degree-d sparse chain."""
+    vec = [0] * len(k.simplices_of_dim(d))
+    for i, coeff in chain_to_column(k, d, chain).items():
+        vec[i] = coeff
     return tuple(vec)
 
 
 def matrix_of_pushforward(f, d):
     """Degree-d pushforward as a matrix in the lexicographic bases."""
     src = f.source.simplices_of_dim(d)
-    rows = len(f.target.simplices_of_dim(d))
-    cols = []
-    for s in src:
-        cols.append(chain_to_vector(f.target, d, pushforward(f, {s: 1})))
-    return IntMatrix(rows, len(src),
-                     [[cols[j][i] for j in range(len(src))]
-                      for i in range(rows)])
+    return IntMatrix.from_columns(
+        len(f.target.simplices_of_dim(d)), len(src),
+        [chain_to_column(f.target, d, pushforward(f, {s: 1})) for s in src])
 
 
 def matrix_of_pullback(f, d):
     """Degree-d covering pullback as a matrix in the lexicographic bases."""
     tgt = f.target.simplices_of_dim(d)
-    rows = len(f.source.simplices_of_dim(d))
-    cols = []
-    for s in tgt:
-        cols.append(chain_to_vector(f.source, d, covering_pullback(f, {s: 1})))
-    return IntMatrix(rows, len(tgt),
-                     [[cols[j][i] for j in range(len(tgt))]
-                      for i in range(rows)])
+    return IntMatrix.from_columns(
+        len(f.source.simplices_of_dim(d)), len(tgt),
+        [chain_to_column(f.source, d, covering_pullback(f, {s: 1}))
+         for s in tgt])

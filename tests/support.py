@@ -6,8 +6,10 @@ from sympy import Matrix as SymMatrix
 from sympy import ZZ
 from sympy.matrices.normalforms import invariant_factors as sym_invariant_factors
 
+from mbhomology import chain, exactalg, morse
 from mbhomology.chain import ChainComplex
 from mbhomology.exactalg import IntMatrix
+from mbhomology.multicomplex import MulticomplexReport
 
 
 def sym_rank(mat):
@@ -113,3 +115,41 @@ def scramble_basis(rng, c, steps=20):
             if upper is not None:
                 rows = [upper.data[p] for p in perm]
                 c.boundaries[k + 1] = IntMatrix(upper.rows, upper.cols, rows)
+
+
+def forbid_dense_rows(monkeypatch):
+    """Make every dense-row form of IntMatrix raise outside `snf` and
+    `MulticomplexReport.describe`: building a matrix from dense rows and
+    reading its dense rows.  Returns the list of (shape, caller) built
+    inside those two."""
+    allowed = []
+    built = []
+    real_init, real_rows = IntMatrix.__init__, IntMatrix._dense_rows
+
+    def guarded(real):
+        def dense(self, *args):
+            if not allowed:
+                raise AssertionError("dense rows built outside snf and "
+                                     "describe")
+            result = real(self, *args)
+            built.append((self.shape, allowed[-1]))
+            return result
+        return dense
+
+    def allowing(fn, name):
+        def call(*args, **kwargs):
+            allowed.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                allowed.pop()
+        return call
+
+    monkeypatch.setattr(IntMatrix, "__init__", guarded(real_init))
+    monkeypatch.setattr(IntMatrix, "_dense_rows", guarded(real_rows))
+    snf = allowing(exactalg.snf, "snf")
+    for module in (exactalg, chain, morse):
+        monkeypatch.setattr(module, "snf", snf)
+    monkeypatch.setattr(MulticomplexReport, "describe",
+                        allowing(MulticomplexReport.describe, "describe"))
+    return built

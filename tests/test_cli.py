@@ -16,6 +16,7 @@ from mbhomology.schema import (
     presentation_to_doc,
 )
 from mbhomology.corpus import data_dir
+from mbhomology.flowdata import morse_to_flow
 
 
 def corpus_path(name):
@@ -186,6 +187,14 @@ class TestRoundTrip:
         md = morse_from_doc(doc)
         meta = {k: v for k, v in doc.items() if k not in self.SEMANTIC_KEYS}
         assert canonical_json(morse_to_doc(md, meta)) == raw
+
+    def test_multiplicity_is_not_dropped(self):
+        # a flow document has no multiplicity field, so a component of
+        # multiplicity 2 cannot be written without changing its meaning
+        md = morse_from_doc({"critical": {"0": ["m"], "1": ["s"]},
+                             "counts": [["s", "m", 2]]})
+        with pytest.raises(ValueError, match="multiplicity 2"):
+            presentation_to_doc(morse_to_flow(md))
 
 
 def ambient_dim(doc):

@@ -71,6 +71,133 @@ def check_decomposition(a, dec):
             assert dec.s[i, j] == expect
 
 
+def dense(rng, m, n, density):
+    """Plain nested lists: the reference the sparse matrix is checked by."""
+    return [[rng.randint(-4, 4) if rng.random() < density else 0
+             for _ in range(n)] for _ in range(m)]
+
+
+def columns_of(rows, n, rng):
+    """Sparse columns of `rows`, with some explicit zeros thrown in."""
+    cols = [{i: row[j] for i, row in enumerate(rows) if row[j]}
+            for j in range(n)]
+    for j, col in enumerate(cols):
+        for i in range(len(rows)):
+            if not rows[i][j] and rng.random() < 0.2:
+                col[i] = 0
+    return cols
+
+
+def as_tuples(rows):
+    return tuple(tuple(row) for row in rows)
+
+
+def stores_no_zero(mat):
+    return all(x for col in mat.columns for x in col.values())
+
+
+class TestIntMatrix:
+    """The sparse-column matrix against plain-list arithmetic."""
+
+    def test_against_dense_reference(self):
+        shapes = set()
+        for seed in range(320):
+            rng = random.Random(5000 + seed)
+            m, k, n = (rng.randint(0, 5) for _ in range(3))
+            shapes.add((m, n))
+            density = rng.choice((0.0, 0.3, 0.7, 1.0))
+            ra, rb = dense(rng, m, n, density), dense(rng, m, n, density)
+            rc = dense(rng, n, k, rng.choice((0.0, 0.5)))
+            a = IntMatrix(m, n, ra)
+            b = IntMatrix.from_columns(m, n, columns_of(rb, n, rng))
+            c = IntMatrix.from_columns(n, k, columns_of(rc, k, rng))
+            same = IntMatrix(m, n, rb)
+            assert b == same and hash(b) == hash(same)
+            assert a.data == as_tuples(ra) and b.data == as_tuples(rb)
+            assert a.is_zero() == (not any(map(any, ra)))
+            for i in range(m):
+                for j in range(n):
+                    assert a[i, j] == ra[i][j]
+            for j in range(n):
+                assert a.col(j) == tuple(row[j] for row in ra)
+            picks = rng.randint(0, 4) if n else 0
+            idx = [rng.randrange(n) for _ in range(picks)]
+            results = {
+                "add": (a + b, n, [[x + y for x, y in zip(r, s)]
+                                   for r, s in zip(ra, rb)]),
+                "sub": (a - b, n, [[x - y for x, y in zip(r, s)]
+                                   for r, s in zip(ra, rb)]),
+                "neg": (-a, n, [[-x for x in r] for r in ra]),
+                "matmul": (a @ c, k, [[sum(ra[i][t] * rc[t][j]
+                                           for t in range(n))
+                                       for j in range(k)] for i in range(m)]),
+                "submatrix_cols": (a.submatrix_cols(idx), len(idx),
+                                   [[r[j] for j in idx] for r in ra]),
+            }
+            for factor in (-2, 0, 3):
+                results[f"scaled {factor}"] = (
+                    a.scaled(factor), n, [[factor * x for x in r] for r in ra])
+            for name, (got, cols, want) in results.items():
+                assert got.shape == (m, cols), (seed, name)
+                assert got == IntMatrix(m, cols, want), (seed, name)
+                assert stores_no_zero(got), (seed, name)
+                assert got.data == as_tuples(want), (seed, name)
+            v = [rng.randint(-3, 3) for _ in range(n)]
+            assert a.times_vector(v) == tuple(sum(x * y for x, y in zip(r, v))
+                                              for r in ra)
+        assert {(0, 3), (3, 0), (0, 0)} <= shapes
+
+    def test_from_blocks_against_dense_reference(self):
+        for seed in range(60):
+            rng = random.Random(6000 + seed)
+            row_sizes = [rng.randint(0, 3) for _ in range(2)]
+            col_sizes = [rng.randint(0, 3) for _ in range(3)]
+            blocks = [[None if rng.random() < 0.3 else
+                       dense(rng, r, c, 0.5) for c in col_sizes]
+                      for r in row_sizes]
+            want = [[0] * sum(col_sizes) for _ in range(sum(row_sizes))]
+            r0 = 0
+            for bi, r in enumerate(row_sizes):
+                c0 = 0
+                for bj, c in enumerate(col_sizes):
+                    for i, row in enumerate(blocks[bi][bj] or ()):
+                        want[r0 + i][c0:c0 + c] = row
+                    c0 += c
+                r0 += r
+            got = IntMatrix.from_blocks(
+                [[None if blk is None else IntMatrix(len(blk), c, blk)
+                  for blk, c in zip(row, col_sizes)] for row in blocks],
+                row_sizes, col_sizes)
+            assert got.data == as_tuples(want)
+            assert got == IntMatrix(sum(row_sizes), sum(col_sizes), want)
+            assert stores_no_zero(got)
+
+    def test_explicit_zeros_are_not_stored(self):
+        zero = IntMatrix.zeros(2, 3)
+        full = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        for mat in (IntMatrix(2, 3, [[0, 0, 0], [0, 0, 0]]),
+                    IntMatrix.from_columns(2, 3, [{0: 0}, {}, {1: 0}]),
+                    full.scaled(0), full - full):
+            assert mat == zero and hash(mat) == hash(zero)
+            assert mat.is_zero() and stores_no_zero(mat)
+
+    @pytest.mark.parametrize("build", [
+        lambda: IntMatrix(2, 2, [[1, 2], [3]]),
+        lambda: IntMatrix(2, 2, [[1, 2]]),
+        lambda: IntMatrix.from_columns(2, 2, [{0: 1}]),
+        lambda: IntMatrix.from_columns(2, 1, [{2: 1}]),
+        lambda: IntMatrix.from_columns(2, 1, [{-1: 1}]),
+    ])
+    def test_constructors_reject_bad_shapes(self, build):
+        with pytest.raises(ValueError, match="entries do not fill a 2x"):
+            build()
+
+    @pytest.mark.parametrize("key", [(2, 0), (0, 3), (-1, 0), (0, -1)])
+    def test_entry_outside_raises(self, key):
+        with pytest.raises(IndexError):
+            IntMatrix.zeros(2, 3)[key]
+
+
 class TestSnf:
     def test_identity(self):
         dec = snf(IntMatrix.identity(2))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from mbhomology import flowdata
@@ -213,10 +215,41 @@ class TestMorseToFlow:
         md = MorseData(crit_by_index={0: ("m",), 1: ("s",)},
                        counts={("s", "m"): -2})
         fp = morse_to_flow(md)
-        assert len(fp.moduli) == 2
-        assert all(c.sign == -1 for c in fp.moduli)
+        assert [(c.sign, c.multiplicity) for c in fp.moduli] == [(-1, 2)]
         mc = build_multicomplex(fp)
         assert mc.map(1, 0, 1) == IntMatrix.from_rows([[-2]])
+
+    def test_large_count_is_one_component(self):
+        # a count costs one component whatever its size: d(s) = 10^9 m
+        n = 10 ** 9
+        md = MorseData(crit_by_index={0: ("m",), 1: ("s",)},
+                       counts={("s", "m"): n})
+        fp = morse_to_flow(md)
+        assert [(c.sign, c.multiplicity) for c in fp.moduli] == [(1, n)]
+        mc = build_multicomplex(fp)
+        assert mc.map(1, 0, 1) == IntMatrix.from_rows([[n]])
+        assert [str(g) for g in homology_table(mc, range(2))] == \
+            [f"Z/{n}", "0"]
+
+    def test_multiplicity_scales_covering_components(self):
+        # the covering branch weighs a component by sign * multiplicity
+        # exactly as it weighs that many copies of it
+        fp = minus_z2_presentation()
+        tripled = replace(fp.moduli[1], multiplicity=3)
+        one = build_multicomplex(replace(fp, moduli=(fp.moduli[0], tripled)),
+                                 check=False)
+        many = build_multicomplex(
+            replace(fp, moduli=(fp.moduli[0],) + (fp.moduli[1],) * 3),
+            check=False)
+        assert one.maps == many.maps
+        assert one.map(1, 1, 1) == IntMatrix.from_rows([[1, 1, 1],
+                                                        [-3, -3, -3]])
+
+    def test_rejects_multiplicity_below_one(self):
+        fp = minus_z2_presentation()
+        bad = replace(fp.moduli[0], multiplicity=0)
+        with pytest.raises(FlowDataError, match="multiplicity 0"):
+            build_multicomplex(replace(fp, moduli=(bad, fp.moduli[1])))
 
     def test_nonsquaring_counts_fail_anticommutation(self):
         # a single chain r -> q -> p with both counts 1: the identity at

@@ -21,7 +21,7 @@ from mbhomology.morse import (
 )
 from mbhomology.multicomplex import MBSMulticomplex, totalize, validate_multicomplex
 
-from support import brute_homology, random_complex
+from support import brute_homology, forbid_dense_rows, random_complex
 
 
 def torus_md():
@@ -253,6 +253,18 @@ def morse_data_of(c):
 
 
 class TestRandomMorseData:
+    def test_cost_follows_the_nonzeros(self, monkeypatch):
+        # building and verifying the embedding makes dense rows only for
+        # the Smith forms of the d[0] blocks and of the cores left by
+        # unit-pivot elimination
+        c = random_complex(random.Random(7003), max_total_rank=10)
+        md, lo = morse_data_of(c)
+        built = forbid_dense_rows(monkeypatch)
+        outcome = verify_morse_mb(md, build_multicomplex(morse_to_flow(md)))
+        assert outcome.ok
+        assert any(g.torsion for g in outcome.mb_homology)
+        assert built and all(caller == "snf" for _, caller in built)
+
     def test_embedding_is_a_quasi_iso(self):
         # the paper's Morse embedding on scrambled complexes with torsion:
         # both tables match the oracle and every check passes

@@ -13,6 +13,7 @@ from mbhomology.corpus import (
     load_entry,
     run_entry,
 )
+from mbhomology.exactalg import IntMatrix
 from mbhomology.flowdata import CritModel, FlowPresentation, build_multicomplex
 from mbhomology.multicomplex import InvalidMulticomplex
 from mbhomology.pipeline import (
@@ -21,9 +22,26 @@ from mbhomology.pipeline import (
     homology_table,
 )
 from mbhomology.simplicial import SimplicialComplexData
+from support import forbid_dense_rows
 
 Z = HomologyGroup(1, ())
 ZERO = HomologyGroup(0, ())
+
+
+def relabeled_torus(n, seed):
+    """Constant function on the n x n grid torus (6 n^2 simplices) with
+    its vertices shuffled."""
+    perm = list(range(n * n))
+    random.Random(seed).shuffle(perm)
+
+    def v(i, j):
+        return perm[(i % n) * n + j % n]
+
+    tris = [tri for i in range(n) for j in range(n)
+            for tri in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                        (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
+    cx = SimplicialComplexData.from_simplices(tris)
+    return FlowPresentation(dim=2, crit=(CritModel(index=0, complex=cx),))
 
 
 @pytest.fixture
@@ -79,21 +97,21 @@ class TestHomologyTable:
 
     def test_relabeled_torus(self):
         # constant function on an 8 x 8 grid torus with shuffled vertices
-        n = 8
-        perm = list(range(n * n))
-        random.Random(8).shuffle(perm)
+        table = homology_table(build_multicomplex(relabeled_torus(8, 8),
+                                                  check=False), range(0, 3))
+        assert [str(g) for g in table] == ["Z", "Z^2", "Z"]
 
-        def v(i, j):
-            return perm[(i % n) * n + j % n]
-
-        tris = [tri for i in range(n) for j in range(n)
-                for tri in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
-                            (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
-        cx = SimplicialComplexData.from_simplices(tris)
-        fp = FlowPresentation(dim=2, crit=(CritModel(index=0, complex=cx),))
+    def test_cost_follows_the_nonzeros(self, monkeypatch):
+        # the 2400-simplex torus is built, validated, totalized and reduced
+        # without a dense matrix: no dense rows outside snf and describe
+        fp = relabeled_torus(20, 20)
+        built = forbid_dense_rows(monkeypatch)
+        with pytest.raises(AssertionError):
+            IntMatrix.identity(2).data
         table = homology_table(build_multicomplex(fp, check=False),
                                range(0, 3))
         assert [str(g) for g in table] == ["Z", "Z^2", "Z"]
+        assert all(caller == "snf" for _, caller in built)
 
     def test_invalid_raises_with_report(self):
         mc = load_entry("t2-deformed").build()
