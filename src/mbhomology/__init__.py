@@ -5,8 +5,6 @@ from .exactalg import (
     SmithDecomposition,
     snf,
     rank,
-    solve_integer,
-    kernel_basis,
 )
 from .chain import (
     ChainComplex,
@@ -14,7 +12,6 @@ from .chain import (
     HomologyGroup,
     validate_complex,
     homology_at,
-    induced_map_on_homology,
     mapping_cone,
     quasi_iso,
 )

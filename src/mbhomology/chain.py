@@ -1,17 +1,16 @@
 """Chain complexes of finitely generated free Z-modules.
 
 A complex stores its ranks and boundary matrices by degree; degrees outside
-the stored range have rank zero.  Homology is computed exactly: a group from
-the ranks and invariant factors of the two adjacent boundaries, and
-generators, where a map needs them, from kernel and image lattices via Smith
-normal form.
+the stored range have rank zero.  Homology is computed exactly, as a group
+from the ranks and invariant factors of the two adjacent boundaries; a chain
+map is judged by whether its mapping cone is acyclic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactalg import IntMatrix, invariant_factors, kernel_basis, snf
+from .exactalg import IntMatrix, invariant_factors
 
 
 @dataclass
@@ -94,80 +93,12 @@ class HomologyGroup:
         return " ⊕ ".join(parts) if parts else "0"
 
 
-@dataclass
-class HomologyPresentation:
-    """Internal data tying homology classes to the chain basis.
-
-    kernel holds a saturated basis K of ker(d_k); u is the row transform of
-    the Smith form of the image of d_{k+1} written in K-coordinates.  The
-    quotient generators are K times the u^-1 columns listed in gen_indices,
-    with orders[i] = 0 for free generators and the invariant factor
-    otherwise.
-    """
-
-    kernel: IntMatrix
-    kernel_dec: object
-    u: IntMatrix
-    u_inv: IntMatrix
-    orders: tuple
-    gen_indices: tuple
-
-    def class_of(self, vector):
-        """Coordinates of a cycle's homology class in the chosen generators.
-
-        Free coordinates are integers; torsion coordinates are reduced to
-        [0, d).  Raises ValueError if the vector is not a cycle.
-        """
-        y = self.kernel_dec.solve(vector)
-        if y is None:
-            raise ValueError("vector is not a cycle")
-        yy = self.u.times_vector(y)
-        coords = []
-        for i in self.gen_indices:
-            d = self.orders[i]
-            coords.append(yy[i] % d if d else yy[i])
-        return tuple(coords)
-
-    def generator_vectors(self):
-        """Generators as cycles in the degree-k chain basis."""
-        return tuple(self.kernel.times_vector(self.u_inv.col(i))
-                     for i in self.gen_indices)
-
-
-def homology_presentation(c, k):
-    kern = kernel_basis(c.boundary(k))
-    kern_dec = snf(kern)
-    b = c.boundary(k + 1)
-    y_cols = []
-    for j in range(b.cols):
-        y = kern_dec.solve(b.col(j))
-        if y is None:
-            raise ValueError(
-                f"boundary image at degree {k + 1} escapes the kernel at "
-                f"degree {k}; complex is invalid")
-        y_cols.append(dict(enumerate(y)))
-    z = kern.cols
-    dec = snf(IntMatrix.from_columns(z, b.cols, y_cols))
-    d = dec.invariant_factors
-    orders = tuple(d[i] if i < len(d) else 0 for i in range(z))
-    gen_indices = tuple(i for i in range(z) if orders[i] != 1)
-    return HomologyPresentation(
-        kernel=kern,
-        kernel_dec=kern_dec,
-        u=dec.u,
-        u_inv=dec.u_inv,
-        orders=orders,
-        gen_indices=gen_indices,
-    )
-
-
 def homology_at(c, k):
     """Homology of a complex at degree k.
 
     betti = rank C_k - rank d_k - rank d_{k+1}; the torsion is the invariant
     factors above 1 of d_{k+1}, since C_k / ker d_k is free.  Raises
-    ValueError when d_k o d_{k+1} != 0.  Generators come from
-    homology_presentation.
+    ValueError when d_k o d_{k+1} != 0.
     """
     lower, upper = c.boundary(k), c.boundary(k + 1)
     if not (lower @ upper).is_zero():
@@ -186,32 +117,11 @@ class ChainMap:
     source: ChainComplex
     target: ChainComplex
     components: dict
-    degree_shift: int = 0
 
     def component(self, k):
         if k in self.components:
             return self.components[k]
-        return IntMatrix.zeros(self.target.rank(k + self.degree_shift),
-                               self.source.rank(k))
-
-
-def validate_chain_map(f):
-    report = []
-    if f.degree_shift != 0:
-        report.append(f"degree shift {f.degree_shift} is not a chain map")
-        return report
-    for k in sorted(f.components):
-        comp = f.components[k]
-        want = (f.target.rank(k), f.source.rank(k))
-        if comp.shape != want:
-            report.append(f"degree {k}: component shape {comp.shape}, "
-                          f"expected {want}")
-    if report:
-        return report
-    for k, residual in chain_map_residuals(f).items():
-        if not residual.is_zero():
-            report.append(f"degree {k}: does not commute with boundaries")
-    return report
+        return IntMatrix.zeros(self.target.rank(k), self.source.rank(k))
 
 
 def chain_map_residuals(f):
@@ -223,23 +133,13 @@ def chain_map_residuals(f):
             for k in sorted(degs | {d + 1 for d in degs})}
 
 
-def induced_map_on_homology(f, k):
-    """Matrix of H_k(f) in the generator bases of homology_presentation."""
-    problems = validate_chain_map(f)
-    if problems:
-        raise ValueError("not a chain map: " + "; ".join(problems))
-    src = homology_presentation(f.source, k)
-    tgt = homology_presentation(f.target, k)
-    cols = [dict(enumerate(tgt.class_of(f.component(k).times_vector(gen))))
-            for gen in src.generator_vectors()]
-    return IntMatrix.from_columns(len(tgt.gen_indices), len(cols), cols)
-
-
 def mapping_cone(f):
-    """Cone(f)_k = source_{k-1} (+) target_k with the sign-twisted boundary."""
-    problems = validate_chain_map(f)
-    if problems:
-        raise ValueError("not a chain map: " + "; ".join(problems))
+    """Cone(f)_k = source_{k-1} (+) target_k with the sign-twisted boundary.
+
+    Raises ValueError unless f commutes with the boundaries.
+    """
+    if not all(r.is_zero() for r in chain_map_residuals(f).values()):
+        raise ValueError("not a chain map")
     src, tgt = f.source, f.target
     degs = set()
     for k in src.degrees():

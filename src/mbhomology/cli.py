@@ -118,13 +118,17 @@ def cmd_validate(path, as_json=False, out=None, err=None):
 
 
 def parse_degree_range(text, default_hi):
+    """The degrees `--degrees` names: K, A..B, or 0..default_hi when it is
+    absent.  Raises ValueError naming the option."""
     if text is None:
         return range(0, default_hi + 1)
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    k = int(text)
-    return range(k, k + 1)
+    lo, dots, hi = text.partition("..")
+    try:
+        lo = int(lo)
+        return range(lo, (int(hi) if dots else lo) + 1)
+    except ValueError:
+        raise ValueError(f"--degrees: expected K or A..B, got {text!r}") \
+            from None
 
 
 def cmd_homology(path, degrees=None, as_json=False, out=None, err=None):
@@ -133,10 +137,14 @@ def cmd_homology(path, degrees=None, as_json=False, out=None, err=None):
     try:
         fp, doc = presentation_from_file(path)
         expected = expected_from_doc(doc, where=path)
-        degree_range = parse_degree_range(degrees, fp.dim)
         mc = build_multicomplex(fp, check=False)
     except ValueError as exc:
         return _input_failure(exc, path, err)
+    try:
+        degree_range = parse_degree_range(degrees, fp.dim)
+    except ValueError as exc:
+        err.write(f"input error: {exc}\n")
+        return EXIT_INPUT
     try:
         groups = dict(zip(degree_range, homology_table(mc, degree_range)))
     except InvalidMulticomplex as exc:

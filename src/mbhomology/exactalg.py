@@ -214,14 +214,12 @@ class IntMatrix:
 @dataclass(frozen=True)
 class SmithDecomposition:
     """U @ A @ V == S with U, V unimodular and S a nonnegative diagonal
-    whose entries form a divisibility chain d_1 | d_2 | ...; u_inv is the
-    inverse of U."""
+    whose entries form a divisibility chain d_1 | d_2 | ..."""
 
     u: IntMatrix
     s: IntMatrix
     v: IntMatrix
     invariant_factors: tuple
-    u_inv: IntMatrix
 
     def solve(self, b):
         """One integer solution x of A @ x == b, or None if there is none."""
@@ -260,13 +258,11 @@ def snf(a):
     s = a._dense_rows()
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    u_inv_cols = [row[:] for row in u]  # row op on U = inverse col op here
 
     def swap_rows(i, j):
         if i != j:
             s[i], s[j] = s[j], s[i]
             u[i], u[j] = u[j], u[i]
-            u_inv_cols[i], u_inv_cols[j] = u_inv_cols[j], u_inv_cols[i]
 
     def swap_cols(i, j):
         if i != j:
@@ -283,9 +279,6 @@ def snf(a):
             srow, drow = u[src], u[dst]
             for k in range(m):
                 drow[k] += c * srow[k]
-            scol, dcol = u_inv_cols[src], u_inv_cols[dst]
-            for k in range(m):
-                scol[k] -= c * dcol[k]
 
     def add_col(src, dst, c):
         if c:
@@ -317,7 +310,6 @@ def snf(a):
             if s[t][t] < 0:
                 s[t] = [-x for x in s[t]]
                 u[t] = [-x for x in u[t]]
-                u_inv_cols[t] = [-x for x in u_inv_cols[t]]
             pivot = s[t][t]
             dirty = False
             for i in range(t + 1, m):
@@ -356,7 +348,6 @@ def snf(a):
         s=IntMatrix(m, n, s),
         v=IntMatrix(n, n, v),
         invariant_factors=factors,
-        u_inv=IntMatrix(m, m, zip(*u_inv_cols)),
     )
 
 
@@ -438,28 +429,3 @@ def rank(a):
     """Rank of an integer matrix (number of nonzero invariant factors)."""
     return len(invariant_factors(a))
 
-
-def solve_integer(a, b):
-    """One integer solution of A @ x == b, or None when none exists.
-
-    >>> solve_integer(IntMatrix.from_rows([[2, 1], [0, 3]]), (5, 3))
-    (2, 1)
-    >>> solve_integer(IntMatrix.from_rows([[2]]), (3,)) is None
-    True
-    """
-    if len(tuple(b)) != a.rows:
-        raise ValueError(f"right-hand side of length {len(tuple(b))} "
-                         f"against {a.rows} equations")
-    return snf(a).solve(b)
-
-
-def kernel_basis(a):
-    """Columns form a basis of ker(A) that extends to a basis of Z^cols.
-
-    The kernel of A is spanned by the columns of V that the Smith form
-    pairs with zero diagonal entries; V unimodular makes the basis
-    saturated.
-    """
-    dec = snf(a)
-    r = len(dec.invariant_factors)
-    return dec.v.submatrix_cols(range(r, a.cols))

@@ -212,8 +212,8 @@ class MorseVerification:
 def verify_morse_mb(md, mc):
     """Check the embedding phi once: the residuals d phi - phi d per degree,
     zero odd columns, the mapping-cone verdict on an exact phi, and both
-    homology tables in degrees 0..ambient_dim.  Induced maps are left to
-    induced_map_on_homology(outcome.embedding, k)."""
+    homology tables in degrees 0..ambient_dim.  The embedding is kept on
+    the outcome."""
     view = totalize(mc)
     phi = phi_chain_map(md, mc, view=view)
     cm, total = phi.source, view.complex

@@ -34,7 +34,8 @@ class SimplicialComplexData:
 
     The vertex order provides orientations.  Basis order within each
     dimension is lexicographic, so chain-level constructions downstream are
-    deterministic.
+    deterministic.  The constructor checks all of this once and raises
+    ValueError on a malformed complex, so every instance is well formed.
     """
 
     __slots__ = ("vertex_count", "simplices_by_dim", "_index")
@@ -49,6 +50,9 @@ class SimplicialComplexData:
         for d, simplices in self.simplices_by_dim.items():
             for i, s in enumerate(simplices):
                 self._index[s] = (d, i)
+        problem = self._first_problem()
+        if problem:
+            raise ValueError(f"malformed complex: {problem}")
 
     @classmethod
     def from_simplices(cls, simplices, vertex_count=None):
@@ -84,21 +88,21 @@ class SimplicialComplexData:
         for d in sorted(self.simplices_by_dim):
             yield from self.simplices_by_dim[d]
 
-    def validate(self):
-        report = []
-        for d, simplices in self.simplices_by_dim.items():
-            for s in simplices:
+    def _first_problem(self):
+        """What is wrong with the lowest malformed simplex, or None."""
+        for d in sorted(self.simplices_by_dim):
+            for s in self.simplices_by_dim[d]:
                 if len(s) != d + 1:
-                    report.append(f"{s} listed at dimension {d}")
+                    return f"{s} listed at dimension {d}"
                 if list(s) != sorted(set(s)):
-                    report.append(f"{s} is not strictly increasing")
+                    return f"{s} is not strictly increasing"
                 if s and (s[0] < 0 or s[-1] >= self.vertex_count):
-                    report.append(f"{s} uses vertices outside range")
+                    return f"{s} uses vertices outside range"
                 if d > 0:
                     for face in combinations(s, d):
-                        if not self.has(face):
-                            report.append(f"face {face} of {s} is missing")
-        return report
+                        if face not in self._index:
+                            return f"face {face} of {s} is missing"
+        return None
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplexData):
@@ -184,9 +188,6 @@ def chain_complex_of(k):
     >>> [c.rank(0), c.rank(1)]
     [3, 3]
     """
-    problems = k.validate()
-    if problems:
-        raise ValueError("malformed complex: " + "; ".join(problems))
     ranks = {}
     boundaries = {}
     labels = {}
@@ -226,9 +227,6 @@ def fundamental_cycle(k):
     Raises NoFundamentalCycle if the complex is not a pure pseudomanifold
     or is not orientable.
     """
-    problems = k.validate()
-    if problems:
-        raise NoFundamentalCycle("malformed complex: " + "; ".join(problems))
     d = k.top_dim
     if d < 0:
         raise NoFundamentalCycle("empty complex")
@@ -350,12 +348,6 @@ def covering_lifts(f):
                             f"lift {face_lift} of {face} extends to "
                             f"{len(extensions)} lifts of {s}", witness=face)
     return lifts
-
-
-def covering_sheets(f):
-    """Number of sheets of a simplicial covering; raises CoveringError."""
-    lifts = covering_lifts(f)
-    return len(lifts.get(next(f.target.all_simplices()), []))
 
 
 def covering_pullback(f, chain):

@@ -6,7 +6,7 @@ from sympy import Matrix as SymMatrix
 from sympy import ZZ
 from sympy.matrices.normalforms import invariant_factors as sym_invariant_factors
 
-from mbhomology import chain, exactalg, morse
+from mbhomology import exactalg, morse
 from mbhomology.chain import ChainComplex
 from mbhomology.exactalg import IntMatrix
 from mbhomology.multicomplex import MulticomplexReport
@@ -148,7 +148,7 @@ def forbid_dense_rows(monkeypatch):
     monkeypatch.setattr(IntMatrix, "__init__", guarded(real_init))
     monkeypatch.setattr(IntMatrix, "_dense_rows", guarded(real_rows))
     snf = allowing(exactalg.snf, "snf")
-    for module in (exactalg, chain, morse):
+    for module in (exactalg, morse):
         monkeypatch.setattr(module, "snf", snf)
     monkeypatch.setattr(MulticomplexReport, "describe",
                         allowing(MulticomplexReport.describe, "describe"))

@@ -284,6 +284,15 @@ class TestErrorExitCodes:
         assert captured.out == ""
         assert captured.err.startswith(f"{prefix}{path}: ")
 
+    @pytest.mark.parametrize("degrees", ["1..x", "..", "x"])
+    def test_bad_degrees_blame_the_option(self, capsys, degrees):
+        argv = ["homology", corpus_path("s2-z2"), "--degrees", degrees]
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("input error: --degrees: expected K or A..B, "
+                                f"got {degrees!r}\n")
+
 
 def set_key(key, value):
     return lambda doc: doc.__setitem__(key, value)
@@ -300,6 +309,15 @@ def all_true(locate, key):
 
 def first_component(doc):
     return doc["moduli"][0]
+
+
+def domain_edge(vertex):
+    """Replace the first edge [0, 1] of the first moduli domain by
+    [0, vertex]."""
+    def change(doc):
+        simplices = first_component(doc)["domain"]["simplices"]
+        simplices[simplices.index([0, 1])] = [0, vertex]
+    return change
 
 
 # (command, corpus file, change, error text after the file name)
@@ -383,6 +401,22 @@ MALFORMED = {
     "morse-column-cap-zero": (
         "morse", "t2-morse-4pt", set_key("column_cap", 0),
         ": column cap 0 must be even and at least 4"),
+    # s2-z2's first component has a point source; s2-minus-z2's first one
+    # covers a circle
+    "point-domain-vertex-huge": (
+        "homology", "s2-z2", domain_edge(10 ** 6),
+        ".moduli[0]: malformed complex: (1000000,) uses vertices outside "
+        "range"),
+    "point-domain-vertex-negative": (
+        "validate", "s2-z2", domain_edge(-1),
+        ".moduli[0]: malformed complex: (-1,) uses vertices outside range"),
+    "covering-domain-vertex-huge": (
+        "validate", "s2-minus-z2", domain_edge(10 ** 6),
+        ".moduli[0]: malformed complex: (1000000,) uses vertices outside "
+        "range"),
+    "covering-domain-vertex-negative": (
+        "homology", "s2-minus-z2", domain_edge(-1),
+        ".moduli[0]: malformed complex: (-1,) uses vertices outside range"),
 }
 
 

@@ -12,8 +12,8 @@ from mbhomology.simplicial import (
     boundary_of_chain,
     chain_complex_of,
     chain_to_vector,
+    covering_lifts,
     covering_pullback,
-    covering_sheets,
     fundamental_cycle,
     matrix_of_pullback,
     matrix_of_pushforward,
@@ -37,6 +37,13 @@ def full_2_simplex():
 def sphere_bd3():
     return SimplicialComplexData.from_simplices(
         [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+
+def sheets(f):
+    """Number of lifts over each target simplex of a covering."""
+    counts = {len(up) for up in covering_lifts(f).values()}
+    assert len(counts) == 1
+    return counts.pop()
 
 
 def hexagon_to_triangle():
@@ -68,9 +75,14 @@ class TestChainComplexOf:
         assert homology_at(c, 2).iso(HomologyGroup(1, ()))
 
     def test_rejects_malformed(self):
-        k = SimplicialComplexData(3, {1: [(0, 1)]})  # missing vertices
-        with pytest.raises(ValueError):
-            chain_complex_of(k)
+        # the constructor checks the complex, so no malformed one reaches
+        # chain_complex_of
+        with pytest.raises(ValueError, match="malformed complex: face"):
+            SimplicialComplexData(3, {1: [(0, 1)]})  # missing vertices
+        for vertex in (3, -1):
+            with pytest.raises(ValueError, match="outside range"):
+                SimplicialComplexData.from_simplices([(0, vertex)],
+                                                     vertex_count=3)
 
 
 class TestFundamentalCycle:
@@ -164,13 +176,13 @@ class TestCoveringPullback:
     def test_identity(self):
         k = triangle_circle()
         f = SimplicialMap(k, k, vertex_image=[0, 1, 2])
-        assert covering_sheets(f) == 1
+        assert sheets(f) == 1
         chain = {(0, 1): 2, (1, 2): -5}
         assert covering_pullback(f, chain) == chain
 
     def test_hexagon_edge_lifts(self):
         f = hexagon_to_triangle()
-        assert covering_sheets(f) == 2
+        assert sheets(f) == 2
         lifted = covering_pullback(f, {(0, 1): 1})
         assert lifted == {(0, 1): 1, (3, 4): 1}
         # a lift hitting a descending edge picks up the sorting sign
@@ -182,7 +194,7 @@ class TestCoveringPullback:
             [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         f = SimplicialMap(two, triangle_circle(),
                           vertex_image=[0, 1, 2, 0, 1, 2])
-        assert covering_sheets(f) == 2
+        assert sheets(f) == 2
         base = fundamental_cycle(triangle_circle()).as_chain()
         lifted = covering_pullback(f, base)
         top = fundamental_cycle(two).coefficients
@@ -201,7 +213,7 @@ class TestCoveringPullback:
         tgt = SimplicialComplexData.from_simplices([(0, 1)])
         f = SimplicialMap(src, tgt, vertex_image=[0, 1, 1])
         with pytest.raises(CoveringError) as err:
-            covering_sheets(f)
+            covering_lifts(f)
         assert err.value.witness is not None
 
     def test_pushforward_of_pullback_scales_by_sheets(self):
