@@ -125,10 +125,12 @@ def parse_degree_range(text, default_hi):
     lo, dots, hi = text.partition("..")
     try:
         lo = int(lo)
-        return range(lo, (int(hi) if dots else lo) + 1)
+        degrees = range(lo, (int(hi) if dots else lo) + 1)
     except ValueError:
-        raise ValueError(f"--degrees: expected K or A..B, got {text!r}") \
-            from None
+        degrees = None
+    if not degrees:  # unparsable, or B < A
+        raise ValueError(f"--degrees: expected K or A..B, got {text!r}")
+    return degrees
 
 
 def cmd_homology(path, degrees=None, as_json=False, out=None, err=None):

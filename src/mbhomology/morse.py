@@ -228,9 +228,7 @@ def verify_morse_mb(md, mc):
         chain_map_residuals=residuals,
         odd_components_zero=odd_zero,
         is_quasi_iso=exact and quasi_iso(phi),
-        morse_homology=[homology_at(cm, k)
-                        for k in range(mc.ambient_dim + 1)],
-        mb_homology=[homology_at(total, k)
-                     for k in range(mc.ambient_dim + 1)],
+        morse_homology=homology_at(cm, range(mc.ambient_dim + 1)),
+        mb_homology=homology_at(total, range(mc.ambient_dim + 1)),
         embedding=phi,
     )

@@ -1,8 +1,8 @@
 """One path from a multicomplex to its homology table.
 
 The command line and the corpus both go through here: the multicomplex is
-validated once, totalized, and its homology computed degree by degree; the
-table is then checked against expected values or against a second table.
+validated once, totalized, and its homology computed in one pass over the
+degrees; the table is then checked against expected values or a second one.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from .multicomplex import InvalidMulticomplex, totalize, validate_multicomplex
 
 def homology_table(mc, degrees=None):
     """Homology of the totalization in `degrees` (default 0 .. column_cap - 1),
-    one group per degree in order.
+    one group per degree in order, from one `homology_at` pass: each total
+    boundary is reduced once.
 
     Raises InvalidMulticomplex, carrying the validator's report, before any
     homology is computed.  Degrees above the ambient dimension are
@@ -26,7 +27,7 @@ def homology_table(mc, degrees=None):
     view = totalize(mc)
     if degrees is None:
         degrees = range(0, mc.column_cap)
-    return [homology_at(view.complex, k) for k in degrees]
+    return homology_at(view.complex, degrees)
 
 
 def expected_mismatches(groups, expected):

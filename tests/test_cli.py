@@ -284,7 +284,7 @@ class TestErrorExitCodes:
         assert captured.out == ""
         assert captured.err.startswith(f"{prefix}{path}: ")
 
-    @pytest.mark.parametrize("degrees", ["1..x", "..", "x"])
+    @pytest.mark.parametrize("degrees", ["1..x", "..", "x", "3..1"])
     def test_bad_degrees_blame_the_option(self, capsys, degrees):
         argv = ["homology", corpus_path("s2-z2"), "--degrees", degrees]
         assert main(argv) == EXIT_INPUT

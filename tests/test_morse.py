@@ -45,22 +45,25 @@ def sphere4_md():
 class TestMorseComplex:
     def test_torus(self):
         cx = morse_complex(torus_md())
-        assert homology_at(cx, 0).iso(HomologyGroup(1, ()))
-        assert homology_at(cx, 1).iso(HomologyGroup(2, ()))
-        assert homology_at(cx, 2).iso(HomologyGroup(1, ()))
+        h0, h1, h2 = homology_at(cx, range(3))
+        assert h0.iso(HomologyGroup(1, ()))
+        assert h1.iso(HomologyGroup(2, ()))
+        assert h2.iso(HomologyGroup(1, ()))
 
     def test_round_sphere(self):
         cx = morse_complex(sphere2_md())
-        assert homology_at(cx, 0).iso(HomologyGroup(1, ()))
-        assert homology_at(cx, 1).is_trivial()
-        assert homology_at(cx, 2).iso(HomologyGroup(1, ()))
+        h0, h1, h2 = homology_at(cx, range(3))
+        assert h0.iso(HomologyGroup(1, ()))
+        assert h1.is_trivial()
+        assert h2.iso(HomologyGroup(1, ()))
 
     def test_two_maxima_sphere(self):
         cx = morse_complex(sphere4_md())
         assert cx.boundary(2) == IntMatrix.from_rows([[1, -1]])
-        assert homology_at(cx, 0).iso(HomologyGroup(1, ()))
-        assert homology_at(cx, 1).is_trivial()
-        assert homology_at(cx, 2).iso(HomologyGroup(1, ()))
+        h0, h1, h2 = homology_at(cx, range(3))
+        assert h0.iso(HomologyGroup(1, ()))
+        assert h1.is_trivial()
+        assert h2.iso(HomologyGroup(1, ()))
 
     def test_rejects_nonsquaring(self):
         md = MorseData(crit_by_index={0: ("p",), 1: ("q",), 2: ("r",)},
@@ -189,8 +192,8 @@ class TestVerify:
         assert [str(g) for g in outcome.morse_homology] == ["Z", "Z^2", "Z"]
         cone = mapping_cone(outcome.embedding)
         lo, hi = cone.degree_range
-        assert all(homology_at(cone, k).is_trivial()
-                   for k in range(lo, hi + 2))
+        assert all(h.is_trivial()
+                   for h in homology_at(cone, range(lo, hi + 2)))
 
     def test_each_check_runs_once(self, monkeypatch):
         # the chain-map identity is evaluated for the residuals and once
@@ -261,6 +264,32 @@ class TestRandomMorseData:
         assert outcome.ok
         assert any(g.torsion for g in outcome.mb_homology)
         assert built and all(caller == "snf" for _, caller in built)
+
+    def test_each_boundary_is_reduced_once(self, monkeypatch):
+        # one homology pass per complex: the cone verdict, the
+        # critical-point table and the total table each reduce every
+        # boundary they read exactly once, in that order
+        c = random_complex(random.Random(7003), max_total_rank=10)
+        md, lo = morse_data_of(c)
+        mc = build_multicomplex(morse_to_flow(md))
+        seen = []
+        real = chain.invariant_factors
+
+        def counted(a):
+            seen.append(a)
+            return real(a)
+
+        monkeypatch.setattr(chain, "invariant_factors", counted)
+        outcome = verify_morse_mb(md, mc)
+        assert outcome.ok
+        cm, total = outcome.embedding.source, outcome.embedding.target
+        cone = mapping_cone(outcome.embedding)
+        c_lo, c_hi = cone.degree_range
+        table = range(mc.ambient_dim + 2)
+        assert cm.rank(1) and mc.ambient_dim >= 1
+        assert seen == ([cone.boundary(k) for k in range(c_lo, c_hi + 3)]
+                        + [cm.boundary(k) for k in table]
+                        + [total.boundary(k) for k in table])
 
     def test_embedding_is_a_quasi_iso(self):
         # the paper's Morse embedding on scrambled complexes with torsion:
