@@ -194,7 +194,7 @@ def cmd_morse(path, as_json=False, out=None, err=None):
         return EXIT_SEMANTIC
     except ValueError as exc:
         return _input_failure(exc, path, err)
-    outcome = verify_morse_mb(md, mc)
+    outcome = verify_morse_mb(cm, mc)
     dim = mc.ambient_dim
     data = {
         "morse_homology": [group_to_data(k, outcome.morse_homology[k], dim)

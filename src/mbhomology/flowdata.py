@@ -380,24 +380,24 @@ def morse_to_flow(md, cap=None):
         if names:
             crit.append(CritModel(index=k, names=names))
     point = SimplicialComplexData(1, {0: [(0,)]})
-    lookup = {}
+    # point name -> (index, map onto its vertex), one map per critical
+    # point, shared by all of the point's components
+    at_point = {}
     for model in crit:
         for t, name in enumerate(model.names):
-            lookup[name] = (model, t)
+            at_point[name] = (model.index, SimplicialMap(
+                point, model.model_complex(), vertex_image=[t]))
     moduli = []
     for (q, p), n in sorted(md.counts.items()):
         if n == 0:
             continue
-        src_model, src_v = lookup[q]
-        tgt_model, tgt_v = lookup[p]
+        (src_index, ev_minus), (tgt_index, ev_plus) = at_point[q], at_point[p]
         moduli.append(ModuliComponentModel(
-            from_index=src_model.index,
-            to_index=tgt_model.index,
+            from_index=src_index,
+            to_index=tgt_index,
             domain=point,
-            ev_minus=SimplicialMap(point, src_model.model_complex(),
-                                   vertex_image=[src_v]),
-            ev_plus=SimplicialMap(point, tgt_model.model_complex(),
-                                  vertex_image=[tgt_v]),
+            ev_minus=ev_minus,
+            ev_plus=ev_plus,
             sign=1 if n > 0 else -1,
             multiplicity=abs(n),
         ))

@@ -49,7 +49,9 @@ class MorseData:
         seen = {}
         for k, names in self.crit_by_index.items():
             for name in names:
-                if name in seen:
+                if seen.get(name) == k:
+                    report.append(f"point {name} listed twice at index {k}")
+                elif name in seen:
                     report.append(f"point {name} listed at indices "
                                   f"{seen[name]} and {k}")
                 seen[name] = k
@@ -95,8 +97,10 @@ def morse_complex(md):
 def _check_morse_shaped(mc):
     """Every present row must be a full point row: constant rank across all
     columns with d[0] invertible at even positive columns.  Returns the
-    Smith forms of those d[0] blocks by (p, i); an absent row has none."""
+    Smith forms of those d[0] blocks by (p, i); an absent row has none.
+    Equal blocks share one Smith form."""
     d0_decs = {}
+    by_block = {}
     for i in range(0, mc.ambient_dim + 1):
         if not mc.row_present(i):
             continue
@@ -108,7 +112,9 @@ def _check_morse_shaped(mc):
                     "point rows")
         for p in range(2, mc.column_cap + 1, 2):
             d0 = mc.map(0, p, i)
-            dec = snf(d0)
+            dec = by_block.get(d0)
+            if dec is None:
+                dec = by_block[d0] = snf(d0)
             if d0.rows != d0.cols or \
                     dec.invariant_factors != tuple([1] * d0.rows):
                 raise ValueError(
@@ -157,10 +163,9 @@ def _lift(mc, k, c0, d0_decs):
     return parts
 
 
-def phi_chain_map(md, mc, view=None):
-    """The embedding as a chain map from the critical-point complex into
-    the totalization."""
-    cm = morse_complex(md)
+def phi_chain_map(cm, mc, view=None):
+    """The embedding as a chain map from the critical-point complex
+    cm = morse_complex(md) into the totalization."""
     if view is None:
         view = totalize(mc)
     for k in cm.degrees():
@@ -209,14 +214,15 @@ class MorseVerification:
                         zip(self.morse_homology, self.mb_homology)))
 
 
-def verify_morse_mb(md, mc):
-    """Check the embedding phi once: the residuals d phi - phi d per degree,
+def verify_morse_mb(cm, mc):
+    """Check the embedding phi of the critical-point complex
+    cm = morse_complex(md) once: the residuals d phi - phi d per degree,
     zero odd columns, the mapping-cone verdict on an exact phi, and both
     homology tables in degrees 0..ambient_dim.  The embedding is kept on
     the outcome."""
     view = totalize(mc)
-    phi = phi_chain_map(md, mc, view=view)
-    cm, total = phi.source, view.complex
+    phi = phi_chain_map(cm, mc, view=view)
+    total = view.complex
     residuals = chain_map_residuals(phi)
 
     odd_zero = not any(

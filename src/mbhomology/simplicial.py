@@ -105,6 +105,8 @@ class SimplicialComplexData:
         return None
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, SimplicialComplexData):
             return NotImplemented
         return (self.vertex_count == other.vertex_count

@@ -14,7 +14,7 @@ from mbhomology.chain import homology_at, validate_complex
 from mbhomology.corpus import independence_suite, load_entries, load_entry, run_entry
 from mbhomology.exactalg import snf
 from mbhomology.flowdata import FlowPresentation, build_multicomplex, morse_to_flow
-from mbhomology.morse import MorseData, verify_morse_mb
+from mbhomology.morse import MorseData, morse_complex, verify_morse_mb
 from mbhomology.multicomplex import totalize, validate_multicomplex
 from mbhomology.pipeline import homology_table
 from mbhomology.simplicial import (
@@ -143,7 +143,7 @@ def test_criterion_7_morse_embedding():
     ]
     for md in data:
         mc = build_multicomplex(morse_to_flow(md))
-        outcome = verify_morse_mb(md, mc)
+        outcome = verify_morse_mb(morse_complex(md), mc)
         assert outcome.chain_map_exact
         assert all(r.is_zero() for r in outcome.chain_map_residuals.values())
         assert outcome.odd_components_zero

@@ -395,6 +395,10 @@ MALFORMED = {
     "morse-critical-negative": (
         "morse", "t2-morse-4pt", set_in(lambda d: d["critical"], "-1", ["a"]),
         ".critical: key '-1' is negative"),
+    "morse-critical-name-twice": (
+        "morse", "t2-morse-4pt",
+        set_in(lambda d: d["critical"], "1", ["inner", "inner"]),
+        ": point inner listed twice at index 1"),
     "morse-column-cap-odd": (
         "morse", "t2-morse-4pt", set_key("column_cap", 7),
         ": column cap 7 must be even and at least 4"),

@@ -232,6 +232,25 @@ class TestMorseToFlow:
         assert [str(g) for g in homology_table(mc, range(2))] == \
             [f"Z/{n}", "0"]
 
+    def test_components_share_one_map_per_point(self):
+        # every point has several components; each of its components points
+        # at the one map onto the point's vertex
+        md = MorseData(crit_by_index={0: ("a0", "a1"), 1: ("b0", "b1"),
+                                      2: ("c",)},
+                       counts={("b0", "a0"): 1, ("b0", "a1"): -1,
+                               ("b1", "a0"): 1, ("b1", "a1"): -1,
+                               ("c", "b0"): 1, ("c", "b1"): -1})
+        fp = morse_to_flow(md)
+        by_point = {}
+        for comp in fp.moduli:
+            for index, ev in ((comp.from_index, comp.ev_minus),
+                              (comp.to_index, comp.ev_plus)):
+                by_point.setdefault((index, ev.vertex_image), []).append(ev)
+        assert len(by_point) == 5
+        assert all(len(maps) >= 2 and all(ev is maps[0] for ev in maps)
+                   for maps in by_point.values())
+        assert len({id(ev) for maps in by_point.values() for ev in maps}) == 5
+
     def test_multiplicity_scales_covering_components(self):
         # the covering branch weighs a component by sign * multiplicity
         # exactly as it weighs that many copies of it

@@ -1,14 +1,16 @@
+import json
 import random
 
 import pytest
 
-from mbhomology import chain, morse
+from mbhomology import chain, cli, morse
 from mbhomology.chain import (
     HomologyGroup,
     chain_map_residuals,
     homology_at,
     mapping_cone,
 )
+from mbhomology.corpus import data_dir
 from mbhomology.exactalg import IntMatrix
 from mbhomology.flowdata import build_multicomplex, morse_to_flow
 from mbhomology.morse import (
@@ -112,7 +114,7 @@ class TestPhiEmbed:
                        counts={})
         mc = synthetic_three_row()
         view = totalize(mc)
-        phi = phi_chain_map(md, mc, view=view)
+        phi = phi_chain_map(morse_complex(md), mc, view=view)
         assert all(r.is_zero() for r in chain_map_residuals(phi).values())
         for k in range(0, 3):
             lhs = view.complex.boundary(k) @ phi.component(k)
@@ -168,7 +170,7 @@ class TestVerify:
     def test_corpus_morse_data(self, md_factory):
         md = md_factory()
         mc = build_multicomplex(morse_to_flow(md))
-        outcome = verify_morse_mb(md, mc)
+        outcome = verify_morse_mb(morse_complex(md), mc)
         assert outcome.chain_map_exact
         assert outcome.odd_components_zero
         assert outcome.is_quasi_iso
@@ -179,7 +181,7 @@ class TestVerify:
     def test_synthetic_instance(self):
         md = MorseData(crit_by_index={0: ("p",), 1: ("q",), 2: ("r",)},
                        counts={})
-        outcome = verify_morse_mb(md, synthetic_three_row())
+        outcome = verify_morse_mb(morse_complex(md), synthetic_three_row())
         assert outcome.chain_map_exact
         assert outcome.is_quasi_iso
         assert outcome.ok
@@ -188,7 +190,8 @@ class TestVerify:
         # the embedding induces isomorphisms on homology exactly when its
         # mapping cone is acyclic, in every degree the cone has
         md = torus_md()
-        outcome = verify_morse_mb(md, build_multicomplex(morse_to_flow(md)))
+        outcome = verify_morse_mb(morse_complex(md),
+                                  build_multicomplex(morse_to_flow(md)))
         assert [str(g) for g in outcome.morse_homology] == ["Z", "Z^2", "Z"]
         cone = mapping_cone(outcome.embedding)
         lo, hi = cone.degree_range
@@ -198,7 +201,7 @@ class TestVerify:
     def test_each_check_runs_once(self, monkeypatch):
         # the chain-map identity is evaluated for the residuals and once
         # more by the mapping cone's own guard; the only Smith forms with
-        # transforms are the d[0] blocks, one each
+        # transforms are the d[0] blocks, one per distinct block
         residual_calls = []
         smith_calls = []
         real_residuals, real_snf = chain.chain_map_residuals, morse.snf
@@ -219,19 +222,61 @@ class TestVerify:
         md = MorseData(crit_by_index={0: ("a",), 1: ("b",), 2: ("c",)},
                        counts={("c", "b"): 2})
         mc = build_multicomplex(morse_to_flow(md))
-        outcome = verify_morse_mb(md, mc)
+        outcome = verify_morse_mb(morse_complex(md), mc)
         assert outcome.ok
         assert [str(g) for g in outcome.mb_homology] == ["Z", "Z/2", "0"]
         assert len(residual_calls) == 2
-        assert smith_calls == [mc.map(0, p, i)
-                               for i in range(mc.ambient_dim + 1)
-                               for p in range(2, mc.column_cap + 1, 2)]
+        blocks = [mc.map(0, p, i) for i in range(mc.ambient_dim + 1)
+                  for p in range(2, mc.column_cap + 1, 2)]
+        assert smith_calls == list(dict.fromkeys(blocks))
+        assert smith_calls == [IntMatrix.from_rows([[1]]),
+                               IntMatrix.from_rows([[-1]])]
+
+    def test_cmd_morse_builds_one_morse_complex(self, monkeypatch, capsys):
+        built = []
+        real = morse.morse_complex
+
+        def counted(md):
+            built.append(md)
+            return real(md)
+
+        for module in (cli, morse):
+            monkeypatch.setattr(module, "morse_complex", counted)
+        path = str(data_dir() / "t2-morse-4pt.json")
+        assert cli.main(["morse", path]) == cli.EXIT_OK
+        assert "quasi-isomorphism: yes" in capsys.readouterr().out
+        assert len(built) == 1
+
+    def test_smith_forms_do_not_grow_with_column_cap(self, monkeypatch,
+                                                     tmp_path, capsys):
+        # the d[0] blocks repeat along each row, so a larger cap adds
+        # blocks but no new Smith forms
+        calls = []
+        real = morse.snf
+
+        def counted(a):
+            calls.append(a)
+            return real(a)
+
+        monkeypatch.setattr(morse, "snf", counted)
+        doc = json.loads((data_dir() / "t2-morse-4pt.json").read_text("utf-8"))
+        per_cap = []
+        for cap in (8, 64):
+            doc["column_cap"] = cap
+            path = tmp_path / f"cap{cap}.json"
+            path.write_text(json.dumps(doc))
+            calls.clear()
+            assert cli.main(["morse", str(path)]) == cli.EXIT_OK
+            per_cap.append(len(calls))
+        capsys.readouterr()
+        assert per_cap[0] == per_cap[1]
 
     def test_lone_top_row(self):
         # rows 0 and 1 are absent, so the column-2 slot of a row-2 lift is
         # empty and has no d[0] block to solve with
         md = MorseData(crit_by_index={2: ("a",)}, counts={})
-        outcome = verify_morse_mb(md, build_multicomplex(morse_to_flow(md)))
+        outcome = verify_morse_mb(morse_complex(md),
+                                  build_multicomplex(morse_to_flow(md)))
         assert outcome.ok
         assert [str(g) for g in outcome.morse_homology] == ["0", "0", "Z"]
         assert outcome.embedding.component(2) == IntMatrix.from_rows([[1]])
@@ -260,7 +305,8 @@ class TestRandomMorseData:
         c = random_complex(random.Random(7003), max_total_rank=10)
         md, lo = morse_data_of(c)
         built = forbid_dense_rows(monkeypatch)
-        outcome = verify_morse_mb(md, build_multicomplex(morse_to_flow(md)))
+        outcome = verify_morse_mb(morse_complex(md),
+                                  build_multicomplex(morse_to_flow(md)))
         assert outcome.ok
         assert any(g.torsion for g in outcome.mb_homology)
         assert built and all(caller == "snf" for _, caller in built)
@@ -280,7 +326,7 @@ class TestRandomMorseData:
             return real(a)
 
         monkeypatch.setattr(chain, "invariant_factors", counted)
-        outcome = verify_morse_mb(md, mc)
+        outcome = verify_morse_mb(morse_complex(md), mc)
         assert outcome.ok
         cm, total = outcome.embedding.source, outcome.embedding.target
         cone = mapping_cone(outcome.embedding)
@@ -297,7 +343,8 @@ class TestRandomMorseData:
         for seed in range(60):
             c = random_complex(random.Random(7000 + seed), max_total_rank=10)
             md, lo = morse_data_of(c)
-            outcome = verify_morse_mb(md, build_multicomplex(morse_to_flow(md)))
+            outcome = verify_morse_mb(morse_complex(md),
+                                      build_multicomplex(morse_to_flow(md)))
             assert outcome.ok, seed
             for k, (a, b) in enumerate(zip(outcome.morse_homology,
                                            outcome.mb_homology)):
