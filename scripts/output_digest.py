@@ -1,11 +1,19 @@
-"""One SHA-256 over what the CLI prints for a fixed set of calls.
+"""SHA-256 digests over what the CLI prints for fixed sets of calls.
 
-Runs `validate`, `homology`, `morse` and `homology --degrees 0..5`, each as
-text and with `--json`, on the shipped corpus and on 20 seeded documents
-(seed 1, calls 0..19) of every benchmark workload.  The digest covers the
-file name, command, flags, exit code, stdout and stderr of each call, with
-the input path replaced by a fixed token.  Run it in two checkouts: equal
-digests mean their CLI output is byte-identical on these calls.
+Three call sets, one digest line each:
+
+- documents: `validate`, `homology`, `morse` and `homology --degrees 0..5`,
+  each as text and with `--json`, on the shipped corpus and on 20 seeded
+  documents (seed 1, calls 0..19) of every benchmark workload;
+- compare: `compare` of each corpus file against the next one (the last
+  against the first), as text and with `--json`;
+- refusals: the argument parser's refusals of no command, an unknown
+  command and a command without its path.
+
+A digest covers the file names, command, flags, exit code, stdout and
+stderr of each call, with input paths replaced by fixed tokens.  Run it in
+two checkouts: equal digests mean their CLI output is byte-identical on
+that call set.
 
     python3 scripts/output_digest.py
 """
@@ -27,6 +35,7 @@ import workloads  # noqa: E402
 
 COMMANDS = (["validate"], ["homology"], ["morse"],
             ["homology", "--degrees", "0..5"])
+REFUSALS = ([], ["nosuch"], ["homology"])
 SEEDED = 20
 TOKEN = "<input>"
 
@@ -55,21 +64,46 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def record(digest, argv, names, paths):
+    """Add one call to `digest`, with `names` standing for `paths`."""
+    code, out, err = run(argv)
+    for n, path in enumerate(paths):
+        token = TOKEN if len(paths) == 1 else f"<input{n}>"
+        out, err = out.replace(path, token), err.replace(path, token)
+    shown = [*names, *(a for a in argv if a not in paths)]
+    digest.update(json.dumps([*shown, str(code), out, err]).encode("utf-8"))
+
+
+def document_calls(scratch):
+    """(argv, names, paths) of the documents call set."""
+    for name, path in documents(scratch):
+        for command in COMMANDS:
+            for flags in ([], ["--json"]):
+                yield ([command[0], path, *command[1:], *flags], [name],
+                       [path])
+
+
+def compare_calls():
+    """(argv, names, paths) of the compare call set."""
+    corpus = [(f"{name}.json", str(data_dir() / f"{name}.json"))
+              for name in entry_names()]
+    for (name_a, a), (name_b, b) in zip(corpus, corpus[1:] + corpus[:1]):
+        for flags in ([], ["--json"]):
+            yield ["compare", a, b, *flags], [name_a, name_b], [a, b]
+
+
 def main():
-    digest = hashlib.sha256()
-    calls = 0
     with tempfile.TemporaryDirectory() as scratch:
-        for name, path in documents(scratch):
-            for command in COMMANDS:
-                for flags in ([], ["--json"]):
-                    code, out, err = run([command[0], path, *command[1:],
-                                          *flags])
-                    record = [name, *command, *flags, str(code),
-                              out.replace(path, TOKEN),
-                              err.replace(path, TOKEN)]
-                    digest.update(json.dumps(record).encode("utf-8"))
-                    calls += 1
-    print(f"{digest.hexdigest()}  {calls} calls")
+        for label, calls in (
+                ("documents", document_calls(scratch)),
+                ("compare", compare_calls()),
+                ("refusals", ((argv, [], []) for argv in REFUSALS))):
+            digest = hashlib.sha256()
+            count = 0
+            for argv, names, paths in calls:
+                record(digest, argv, names, paths)
+                count += 1
+            print(f"{digest.hexdigest()}  {count} calls  {label}")
 
 
 if __name__ == "__main__":

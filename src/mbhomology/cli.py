@@ -9,6 +9,7 @@ non-isomorphic comparison), 2 for unreadable or malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .chain import HomologyGroup
@@ -85,35 +86,33 @@ def _emit(out, json_doc, text, as_json):
         out.write(text + "\n")
 
 
-def _input_failure(exc, path, err):
+def _input_failure(exc, path):
     """Report an error raised while loading or building `path` and return
     the exit code: a failed covering check is inconsistent flow data,
     anything else is bad input."""
     if isinstance(exc, CoveringError):
-        err.write(f"inconsistent flow data: {path}: {exc}\n")
+        sys.stderr.write(f"inconsistent flow data: {path}: {exc}\n")
         return EXIT_SEMANTIC
     where = "" if isinstance(exc, SchemaError) else f"{path}: "
-    err.write(f"input error: {where}{exc}\n")
+    sys.stderr.write(f"input error: {where}{exc}\n")
     return EXIT_INPUT
 
 
-def _invalid(report, err, as_json, heading=""):
+def _invalid(report, as_json, heading=""):
     data = validation_to_data(report)
-    _emit(err, data, heading + render_validation_text(data), as_json)
+    _emit(sys.stderr, data, heading + render_validation_text(data), as_json)
     return EXIT_SEMANTIC
 
 
-def cmd_validate(path, as_json=False, out=None, err=None):
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
+def cmd_validate(path, as_json=False):
     try:
         fp, _ = presentation_from_file(path)
         mc = build_multicomplex(fp, check=False)
     except ValueError as exc:
-        return _input_failure(exc, path, err)
+        return _input_failure(exc, path)
     report = validate_multicomplex(mc)
     data = validation_to_data(report)
-    _emit(out, data, render_validation_text(data), as_json)
+    _emit(sys.stdout, data, render_validation_text(data), as_json)
     return EXIT_OK if report.ok else EXIT_SEMANTIC
 
 
@@ -133,24 +132,22 @@ def parse_degree_range(text, default_hi):
     return degrees
 
 
-def cmd_homology(path, degrees=None, as_json=False, out=None, err=None):
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
+def cmd_homology(path, degrees=None, as_json=False):
     try:
         fp, doc = presentation_from_file(path)
         expected = expected_from_doc(doc, where=path)
         mc = build_multicomplex(fp, check=False)
     except ValueError as exc:
-        return _input_failure(exc, path, err)
+        return _input_failure(exc, path)
     try:
         degree_range = parse_degree_range(degrees, fp.dim)
     except ValueError as exc:
-        err.write(f"input error: {exc}\n")
+        sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
     try:
         groups = dict(zip(degree_range, homology_table(mc, degree_range)))
     except InvalidMulticomplex as exc:
-        return _invalid(exc.report, err, as_json)
+        return _invalid(exc.report, as_json)
     data = {
         "valid": True,
         "homology": [group_to_data(k, group, mc.ambient_dim)
@@ -166,14 +163,12 @@ def cmd_homology(path, degrees=None, as_json=False, out=None, err=None):
         if mismatches:
             code = EXIT_SEMANTIC
             for line in mismatches:
-                err.write(line + "\n")
-    _emit(out, data, text, as_json)
+                sys.stderr.write(line + "\n")
+    _emit(sys.stdout, data, text, as_json)
     return code
 
 
-def cmd_morse(path, as_json=False, out=None, err=None):
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
+def cmd_morse(path, as_json=False):
     try:
         doc = load_document(path)
         if doc.get("kind") != "morse":
@@ -181,19 +176,19 @@ def cmd_morse(path, as_json=False, out=None, err=None):
         md = morse_from_doc(doc, where=path)
         cap = column_cap_from_doc(doc, path)
     except ValueError as exc:
-        return _input_failure(exc, path, err)
+        return _input_failure(exc, path)
     try:
         cm = morse_complex(md)
     except InvalidMorseData as exc:
-        err.write(f"invalid Morse-Smale data: {exc}\n")
+        sys.stderr.write(f"invalid Morse-Smale data: {exc}\n")
         return EXIT_SEMANTIC
     try:
         mc = build_multicomplex(morse_to_flow(md, cap=cap))
     except InconsistentFlowData as exc:
-        err.write(f"invalid Morse-Smale data: {exc}\n")
+        sys.stderr.write(f"invalid Morse-Smale data: {exc}\n")
         return EXIT_SEMANTIC
     except ValueError as exc:
-        return _input_failure(exc, path, err)
+        return _input_failure(exc, path)
     outcome = verify_morse_mb(cm, mc)
     dim = mc.ambient_dim
     data = {
@@ -214,24 +209,22 @@ def cmd_morse(path, as_json=False, out=None, err=None):
         f"chain map: {'exact' if outcome.chain_map_exact else 'BROKEN'}; "
         f"quasi-isomorphism: {'yes' if outcome.is_quasi_iso else 'NO'}",
     ]
-    _emit(out, data, "\n".join(lines), as_json)
+    _emit(sys.stdout, data, "\n".join(lines), as_json)
     return EXIT_OK if outcome.ok else EXIT_SEMANTIC
 
 
-def cmd_compare(path_a, path_b, as_json=False, out=None, err=None):
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
+def cmd_compare(path_a, path_b, as_json=False):
     tables = []
     for path in (path_a, path_b):
         try:
             fp, _ = presentation_from_file(path)
             mc = build_multicomplex(fp, check=False)
         except ValueError as exc:
-            return _input_failure(exc, path, err)
+            return _input_failure(exc, path)
         try:
             tables.append(homology_table(mc, range(0, mc.ambient_dim + 1)))
         except InvalidMulticomplex as exc:
-            return _invalid(exc.report, err, as_json, f"{path}:\n")
+            return _invalid(exc.report, as_json, f"{path}:\n")
     comparisons = compare_tables(*tables)
     all_iso = all(iso for *_, iso in comparisons)
     data = {
@@ -248,11 +241,13 @@ def cmd_compare(path_a, path_b, as_json=False, out=None, err=None):
              for k, a, b, iso in comparisons]
     lines.append("comparison: " +
                  ("isomorphic" if all_iso else "NOT isomorphic"))
-    _emit(out, data, "\n".join(lines), as_json)
+    _emit(sys.stdout, data, "\n".join(lines), as_json)
     return EXIT_OK if all_iso else EXIT_SEMANTIC
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The parser, built on the first `main` call; parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="mbhomology",
         description="Exact integer Morse-Bott homology of finite flow "
@@ -280,8 +275,11 @@ def main(argv=None):
     p.add_argument("path_a")
     p.add_argument("path_b")
     p.add_argument("--json", action="store_true")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     if args.command == "validate":
         return cmd_validate(args.path, as_json=args.json)
     if args.command == "homology":

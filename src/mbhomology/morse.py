@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 from .chain import (
     ChainComplex,
     ChainMap,
+    _acyclic,
+    _cone,
     chain_map_residuals,
     homology_at,
-    quasi_iso,
     validate_complex,
 )
 from .exactalg import IntMatrix, snf
@@ -233,7 +234,7 @@ def verify_morse_mb(cm, mc):
     return MorseVerification(
         chain_map_residuals=residuals,
         odd_components_zero=odd_zero,
-        is_quasi_iso=exact and quasi_iso(phi),
+        is_quasi_iso=exact and _acyclic(_cone(phi)),
         morse_homology=homology_at(cm, range(mc.ambient_dim + 1)),
         mb_homology=homology_at(total, range(mc.ambient_dim + 1)),
         embedding=phi,

@@ -136,9 +136,9 @@ def validate_multicomplex(mc):
 class TotalComplexView:
     """The totalization CB_k = direct sum of C_p(B_i) over p + i = k.
 
-    block_offsets maps each bidegree of nonzero rank to the starting
-    coordinate of its block inside its total degree; blocks are ordered by
-    increasing column p.
+    block_offsets maps each bidegree (p, i) of nonzero rank to the start
+    off of its block inside its total degree, so total generator off + t is
+    mc.labels(p, i)[t]; blocks are ordered by increasing column p.
     """
 
     mc: MBSMulticomplex
@@ -162,14 +162,11 @@ def totalize(mc):
     ((2, 0),)
     """
     ranks = {}
-    labels = {}
     offsets = {}
     for (p, i) in mc.bidegrees():
         k = p + i
         offsets[(p, i)] = ranks.get(k, 0)
         ranks[k] = offsets[(p, i)] + mc.rank(p, i)
-        labels.setdefault(k, []).extend(
-            f"({p},{i}):{lab}" for lab in mc.labels(p, i))
 
     entries = {}
     for (j, p, i), mat in mc.maps.items():
@@ -188,6 +185,5 @@ def totalize(mc):
                 out[r0 + r] = x
     boundaries = {k: IntMatrix.from_columns(ranks[k - 1], ranks[k], columns)
                   for k, columns in entries.items()}
-    cx = ChainComplex(ranks=ranks, boundaries=boundaries,
-                      labels={k: tuple(labs) for k, labs in labels.items()})
+    cx = ChainComplex(ranks=ranks, boundaries=boundaries)
     return TotalComplexView(mc=mc, complex=cx, block_offsets=offsets)

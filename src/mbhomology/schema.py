@@ -40,10 +40,11 @@ def _typed(value, kind, what):
 
 
 def _each(items, kind, where):
-    """`items`, a list, once every element is a `kind`; element t is named
-    `where[t]`."""
+    """`items`, a list, once every element is a `kind`; `_typed` raises for
+    the first that is not, naming it `where[t]`."""
     for t, item in enumerate(items):
-        _typed(item, kind, f"{where}[{t}]")
+        if isinstance(item, bool) or not isinstance(item, kind):
+            _typed(item, kind, f"{where}[{t}]")
     return items
 
 
@@ -75,8 +76,11 @@ def complex_from_data(entry, key, where):
     vertices = _require(data, "vertices", int, where)
     simplices = _require(data, "simplices", list, where)
     for t, simplex in enumerate(simplices):
-        spot = f"{where}.{key}.simplices[{t}]"
-        _each(_typed(simplex, list, spot), int, spot)
+        if not isinstance(simplex, list):
+            _typed(simplex, list, f"{where}.{key}.simplices[{t}]")
+        for s, vertex in enumerate(simplex):
+            if isinstance(vertex, bool) or not isinstance(vertex, int):
+                _typed(vertex, int, f"{where}.{key}.simplices[{t}][{s}]")
     try:
         return SimplicialComplexData.from_simplices(
             [tuple(s) for s in simplices], vertex_count=vertices)
@@ -188,6 +192,8 @@ def morse_from_doc(doc, where="morse data"):
             raise SchemaError(f"{where}: critical index '{key}'") from err
         if index < 0:
             raise SchemaError(f"{where}.critical: key '{key}' is negative")
+        if key != str(index):  # "01" would alias "1" and replace its points
+            raise SchemaError(f"{where}.critical: key '{key}' is not {index}")
         crit[index] = tuple(_each(
             _typed(names, list, f"{where}.critical: key '{key}'"), str,
             f"{where}.critical['{key}']"))
@@ -196,7 +202,8 @@ def morse_from_doc(doc, where="morse data"):
         if not (isinstance(item, list) and len(item) == 3):
             raise SchemaError(f"{where}.counts[{t}]: expected [from, to, n]")
         for s, kind in enumerate((str, str, int)):
-            _typed(item[s], kind, f"{where}.counts[{t}][{s}]")
+            if isinstance(item[s], bool) or not isinstance(item[s], kind):
+                _typed(item[s], kind, f"{where}.counts[{t}][{s}]")
         q, p, n = item
         counts[(q, p)] = counts.get((q, p), 0) + n
     md = MorseData(crit_by_index=crit, counts=counts)

@@ -1,12 +1,15 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import mbhomology
+from mbhomology import cli
 from mbhomology.cli import EXIT_INPUT, EXIT_OK, EXIT_SEMANTIC, main
 from mbhomology.schema import (
     canonical_json,
@@ -382,6 +385,23 @@ MALFORMED = {
         lambda doc: first_component(doc)["domain"]["simplices"].__setitem__(
             0, [True]),
         ".moduli[0].domain.simplices[0][0] has type bool"),
+    "later-simplex-vertex-float": (
+        "homology", "s2-constant",
+        lambda doc: doc["critical"][0]["complex"]["simplices"].__setitem__(
+            12, [0, 2, 2.5]),
+        ".critical[0].complex.simplices[12][2] has type float"),
+    "ev-plus-fourth-string": (
+        "homology", "s2-z2",
+        set_in(lambda d: d["moduli"][1], "ev_plus", [0, 1, 2, "3"]),
+        ".moduli[1].ev_plus[3] has type str"),
+    "names-third-int": (
+        "homology", "s2-z2", set_in(lambda d: d["critical"][1], "names",
+                                    ["n", "s", 3]),
+        ".critical[1].names[2] has type int"),
+    "expected-torsion-second-string": (
+        "homology", "s2-z2",
+        set_in(lambda d: d["expected"][0], "torsion", [2, "2"]),
+        ".expected[0].torsion[1] has type str"),
     "morse-count-string": (
         "morse", "t2-morse-4pt", set_key("counts", [["inner", "bottom", "2"]]),
         ".counts[0][2] has type str"),
@@ -395,6 +415,14 @@ MALFORMED = {
     "morse-critical-negative": (
         "morse", "t2-morse-4pt", set_in(lambda d: d["critical"], "-1", ["a"]),
         ".critical: key '-1' is negative"),
+    "morse-critical-key-zero-padded": (
+        "morse", "t2-morse-4pt",
+        set_in(lambda d: d["critical"], "01", ["extra"]),
+        ".critical: key '01' is not 1"),
+    "morse-critical-key-underscore": (
+        "morse", "t2-morse-4pt",
+        set_in(lambda d: d["critical"], "1_0", ["extra"]),
+        ".critical: key '1_0' is not 10"),
     "morse-critical-name-twice": (
         "morse", "t2-morse-4pt",
         set_in(lambda d: d["critical"], "1", ["inner", "inner"]),
@@ -437,6 +465,45 @@ class TestMalformedDocuments:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"input error: {path}{where}\n"
+
+
+REFUSALS = ([], ["nosuch"], ["homology"])
+
+
+class TestParser:
+    """One argument parser per process, refusing as a fresh one would."""
+
+    def test_built_once_for_many_calls(self, monkeypatch, capsys):
+        built = []
+        real = argparse.ArgumentParser
+
+        def counted(*args, **kwargs):
+            built.append(kwargs.get("prog"))
+            return real(*args, **kwargs)
+
+        cli._parser.cache_clear()  # an earlier test may have built it
+        monkeypatch.setattr(cli, "argparse",
+                            types.SimpleNamespace(ArgumentParser=counted))
+        for _ in range(5):
+            assert main(["homology", corpus_path("s2-z2")]) == EXIT_OK
+        assert built == ["mbhomology"]
+
+    def test_refusals_do_not_depend_on_earlier_calls(self, capsys):
+        def refusals():
+            out = []
+            for argv in REFUSALS:
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                out.append((exc.value.code, capsys.readouterr().err))
+            return out
+
+        cli._parser.cache_clear()  # the first refusals build the parser
+        first = refusals()
+        assert main(["homology", corpus_path("s2-z2")]) == EXIT_OK
+        capsys.readouterr()
+        assert refusals() == first
+        assert [code for code, _ in first] == [2, 2, 2]
+        assert all(err.startswith("usage: mbhomology") for _, err in first)
 
 
 @pytest.mark.parametrize("module", ["mbhomology", "mbhomology.cli"])
