@@ -152,7 +152,7 @@ def mapping_cone(f):
 
 
 def _cone(f):
-    """mapping_cone(f), unchecked: the caller has found f a chain map."""
+    """mapping_cone(f) for an f the caller has found a chain map."""
     src, tgt = f.source, f.target
     degs = {k + 1 for k in src.degrees()} | set(tgt.degrees())
     if not degs:
@@ -172,12 +172,13 @@ def _cone(f):
 def quasi_iso(f):
     """True iff f induces isomorphisms on homology in every degree.
 
-    Criterion: the mapping cone is acyclic.
+    Criterion: the mapping cone is acyclic, read from one homology pass
+    over its degrees and the one above.
     """
     return _acyclic(mapping_cone(f))
 
 
-def _acyclic(c):
-    """True iff c has no homology in its degrees or the one above them."""
-    lo, hi = c.degree_range
-    return all(h.is_trivial() for h in homology_at(c, range(lo, hi + 2)))
+def _acyclic(cone):
+    """True iff `cone` has no homology in its degrees or the one above."""
+    lo, hi = cone.degree_range
+    return all(h.is_trivial() for h in homology_at(cone, range(lo, hi + 2)))

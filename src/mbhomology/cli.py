@@ -86,33 +86,35 @@ def _emit(out, json_doc, text, as_json):
         out.write(text + "\n")
 
 
-def _input_failure(exc, path):
+def _input_failure(exc, path, err):
     """Report an error raised while loading or building `path` and return
     the exit code: a failed covering check is inconsistent flow data,
     anything else is bad input."""
     if isinstance(exc, CoveringError):
-        sys.stderr.write(f"inconsistent flow data: {path}: {exc}\n")
+        err.write(f"inconsistent flow data: {path}: {exc}\n")
         return EXIT_SEMANTIC
     where = "" if isinstance(exc, SchemaError) else f"{path}: "
-    sys.stderr.write(f"input error: {where}{exc}\n")
+    err.write(f"input error: {where}{exc}\n")
     return EXIT_INPUT
 
 
-def _invalid(report, as_json, heading=""):
+def _invalid(report, err, as_json, heading=""):
     data = validation_to_data(report)
-    _emit(sys.stderr, data, heading + render_validation_text(data), as_json)
+    _emit(err, data, heading + render_validation_text(data), as_json)
     return EXIT_SEMANTIC
 
 
-def cmd_validate(path, as_json=False):
+def cmd_validate(path, as_json=False, out=None, err=None):
+    out = out if out is not None else sys.stdout
+    err = err if err is not None else sys.stderr
     try:
         fp, _ = presentation_from_file(path)
         mc = build_multicomplex(fp, check=False)
     except ValueError as exc:
-        return _input_failure(exc, path)
+        return _input_failure(exc, path, err)
     report = validate_multicomplex(mc)
     data = validation_to_data(report)
-    _emit(sys.stdout, data, render_validation_text(data), as_json)
+    _emit(out, data, render_validation_text(data), as_json)
     return EXIT_OK if report.ok else EXIT_SEMANTIC
 
 
@@ -132,22 +134,24 @@ def parse_degree_range(text, default_hi):
     return degrees
 
 
-def cmd_homology(path, degrees=None, as_json=False):
+def cmd_homology(path, degrees=None, as_json=False, out=None, err=None):
+    out = out if out is not None else sys.stdout
+    err = err if err is not None else sys.stderr
     try:
         fp, doc = presentation_from_file(path)
         expected = expected_from_doc(doc, where=path)
         mc = build_multicomplex(fp, check=False)
     except ValueError as exc:
-        return _input_failure(exc, path)
+        return _input_failure(exc, path, err)
     try:
         degree_range = parse_degree_range(degrees, fp.dim)
     except ValueError as exc:
-        sys.stderr.write(f"input error: {exc}\n")
+        err.write(f"input error: {exc}\n")
         return EXIT_INPUT
     try:
         groups = dict(zip(degree_range, homology_table(mc, degree_range)))
     except InvalidMulticomplex as exc:
-        return _invalid(exc.report, as_json)
+        return _invalid(exc.report, err, as_json)
     data = {
         "valid": True,
         "homology": [group_to_data(k, group, mc.ambient_dim)
@@ -163,12 +167,14 @@ def cmd_homology(path, degrees=None, as_json=False):
         if mismatches:
             code = EXIT_SEMANTIC
             for line in mismatches:
-                sys.stderr.write(line + "\n")
-    _emit(sys.stdout, data, text, as_json)
+                err.write(line + "\n")
+    _emit(out, data, text, as_json)
     return code
 
 
-def cmd_morse(path, as_json=False):
+def cmd_morse(path, as_json=False, out=None, err=None):
+    out = out if out is not None else sys.stdout
+    err = err if err is not None else sys.stderr
     try:
         doc = load_document(path)
         if doc.get("kind") != "morse":
@@ -176,19 +182,19 @@ def cmd_morse(path, as_json=False):
         md = morse_from_doc(doc, where=path)
         cap = column_cap_from_doc(doc, path)
     except ValueError as exc:
-        return _input_failure(exc, path)
+        return _input_failure(exc, path, err)
     try:
         cm = morse_complex(md)
     except InvalidMorseData as exc:
-        sys.stderr.write(f"invalid Morse-Smale data: {exc}\n")
+        err.write(f"invalid Morse-Smale data: {exc}\n")
         return EXIT_SEMANTIC
     try:
         mc = build_multicomplex(morse_to_flow(md, cap=cap))
     except InconsistentFlowData as exc:
-        sys.stderr.write(f"invalid Morse-Smale data: {exc}\n")
+        err.write(f"invalid Morse-Smale data: {exc}\n")
         return EXIT_SEMANTIC
     except ValueError as exc:
-        return _input_failure(exc, path)
+        return _input_failure(exc, path, err)
     outcome = verify_morse_mb(cm, mc)
     dim = mc.ambient_dim
     data = {
@@ -209,22 +215,24 @@ def cmd_morse(path, as_json=False):
         f"chain map: {'exact' if outcome.chain_map_exact else 'BROKEN'}; "
         f"quasi-isomorphism: {'yes' if outcome.is_quasi_iso else 'NO'}",
     ]
-    _emit(sys.stdout, data, "\n".join(lines), as_json)
+    _emit(out, data, "\n".join(lines), as_json)
     return EXIT_OK if outcome.ok else EXIT_SEMANTIC
 
 
-def cmd_compare(path_a, path_b, as_json=False):
+def cmd_compare(path_a, path_b, as_json=False, out=None, err=None):
+    out = out if out is not None else sys.stdout
+    err = err if err is not None else sys.stderr
     tables = []
     for path in (path_a, path_b):
         try:
             fp, _ = presentation_from_file(path)
             mc = build_multicomplex(fp, check=False)
         except ValueError as exc:
-            return _input_failure(exc, path)
+            return _input_failure(exc, path, err)
         try:
             tables.append(homology_table(mc, range(0, mc.ambient_dim + 1)))
         except InvalidMulticomplex as exc:
-            return _invalid(exc.report, as_json, f"{path}:\n")
+            return _invalid(exc.report, err, as_json, f"{path}:\n")
     comparisons = compare_tables(*tables)
     all_iso = all(iso for *_, iso in comparisons)
     data = {
@@ -241,40 +249,30 @@ def cmd_compare(path_a, path_b, as_json=False):
              for k, a, b, iso in comparisons]
     lines.append("comparison: " +
                  ("isomorphic" if all_iso else "NOT isomorphic"))
-    _emit(sys.stdout, data, "\n".join(lines), as_json)
+    _emit(out, data, "\n".join(lines), as_json)
     return EXIT_OK if all_iso else EXIT_SEMANTIC
 
 
-@functools.cache
+@functools.cache  # built by the first main call; parsing never changes it
 def _parser():
-    """The parser, built on the first `main` call; parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="mbhomology",
         description="Exact integer Morse-Bott homology of finite flow "
                     "presentations.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate",
-                       help="check the anticommutation identities")
-    p.add_argument("path")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("homology", help="compute the homology table")
-    p.add_argument("path")
-    p.add_argument("--degrees", default=None,
-                   help="single degree K or range A..B (default 0..dim)")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("morse",
-                       help="verify the critical-point complex embedding")
-    p.add_argument("path")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("compare",
-                       help="compare homology tables of two presentations")
-    p.add_argument("path_a")
-    p.add_argument("path_b")
-    p.add_argument("--json", action="store_true")
+    for name, text, paths in (
+            ("validate", "check the anticommutation identities", ["path"]),
+            ("homology", "compute the homology table", ["path"]),
+            ("morse", "verify the critical-point complex embedding", ["path"]),
+            ("compare", "compare homology tables of two presentations",
+             ["path_a", "path_b"])):
+        p = sub.add_parser(name, help=text)
+        for path in paths:
+            p.add_argument(path)
+        if name == "homology":
+            p.add_argument("--degrees", help="single degree K or range "
+                           "A..B (default 0..dim)")
+        p.add_argument("--json", action="store_true")
     return parser
 
 

@@ -136,9 +136,9 @@ def validate_multicomplex(mc):
 class TotalComplexView:
     """The totalization CB_k = direct sum of C_p(B_i) over p + i = k.
 
-    block_offsets maps each bidegree (p, i) of nonzero rank to the start
-    off of its block inside its total degree, so total generator off + t is
-    mc.labels(p, i)[t]; blocks are ordered by increasing column p.
+    block_offsets maps each bidegree (p, i) of nonzero rank to the offset
+    `off` of its block inside its total degree, so total generator off + t
+    is mc.labels(p, i)[t]; blocks are ordered by increasing column p.
     """
 
     mc: MBSMulticomplex

@@ -31,20 +31,25 @@ def canonical_json(doc):
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def _typed(value, kind, what):
-    """`value` if it is a `kind`; no field of the schema is a bool, so a
-    bool never passes for an int."""
-    if isinstance(value, bool) or not isinstance(value, kind):
+def _wrong(value, kind):  # a bool never passes: no schema field is one
+    return isinstance(value, bool) or not isinstance(value, kind)
+
+
+def _typed(value, kind, what, *idx):
+    """`value` if it is a `kind`; else an error naming `what[i]...` for
+    the indices `idx`, a path formatted only then."""
+    if _wrong(value, kind):
+        what += "".join(f"[{i}]" for i in idx)
         raise SchemaError(f"{what} has type {type(value).__name__}")
     return value
 
 
-def _each(items, kind, where):
-    """`items`, a list, once every element is a `kind`; `_typed` raises for
-    the first that is not, naming it `where[t]`."""
+def _each(items, kind, where, *idx):
+    """`items`, a list, once every element is a `kind`; element t is named
+    `where[i]...[t]` for the indices `idx`."""
     for t, item in enumerate(items):
-        if isinstance(item, bool) or not isinstance(item, kind):
-            _typed(item, kind, f"{where}[{t}]")
+        if _wrong(item, kind):
+            _typed(item, kind, where, *idx, t)
     return items
 
 
@@ -75,12 +80,9 @@ def complex_from_data(entry, key, where):
     data = _require(entry, key, dict, where)
     vertices = _require(data, "vertices", int, where)
     simplices = _require(data, "simplices", list, where)
+    spot = f"{where}.{key}.simplices"
     for t, simplex in enumerate(simplices):
-        if not isinstance(simplex, list):
-            _typed(simplex, list, f"{where}.{key}.simplices[{t}]")
-        for s, vertex in enumerate(simplex):
-            if isinstance(vertex, bool) or not isinstance(vertex, int):
-                _typed(vertex, int, f"{where}.{key}.simplices[{t}][{s}]")
+        _each(_typed(simplex, list, spot, t), int, spot, t)
     try:
         return SimplicialComplexData.from_simplices(
             [tuple(s) for s in simplices], vertex_count=vertices)
@@ -198,12 +200,12 @@ def morse_from_doc(doc, where="morse data"):
             _typed(names, list, f"{where}.critical: key '{key}'"), str,
             f"{where}.critical['{key}']"))
     counts = {}
+    spot = f"{where}.counts"
     for t, item in enumerate(_optional(doc, "counts", list, where, [])):
         if not (isinstance(item, list) and len(item) == 3):
-            raise SchemaError(f"{where}.counts[{t}]: expected [from, to, n]")
+            raise SchemaError(f"{spot}[{t}]: expected [from, to, n]")
         for s, kind in enumerate((str, str, int)):
-            if isinstance(item[s], bool) or not isinstance(item[s], kind):
-                _typed(item[s], kind, f"{where}.counts[{t}][{s}]")
+            _typed(item[s], kind, spot, t, s)
         q, p, n = item
         counts[(q, p)] = counts.get((q, p), 0) + n
     md = MorseData(crit_by_index=crit, counts=counts)
