@@ -6,20 +6,16 @@ from the ranks and invariant factors of the two adjacent boundaries; a chain
 map is judged by whether its mapping cone is acyclic.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-
 from .exactalg import IntMatrix, invariant_factors
 
 
-@dataclass
 class ChainComplex:
     """Graded free Z-module with boundary maps d_k : C_k -> C_{k-1}."""
 
-    ranks: dict
-    boundaries: dict
-    labels: dict = field(default_factory=dict)
+    def __init__(self, ranks, boundaries, labels=None):
+        self.ranks = ranks
+        self.boundaries = boundaries
+        self.labels = {} if labels is None else labels
 
     def rank(self, k):
         return self.ranks.get(k, 0)
@@ -70,12 +66,33 @@ def validate_complex(c):
     return report
 
 
-@dataclass(frozen=True)
 class HomologyGroup:
-    """H = Z^betti (+) Z/d_1 (+) ... with d_i > 1 in divisibility order."""
+    """H = Z^betti (+) Z/d_1 (+) ... with d_i > 1 in divisibility order.
 
-    betti: int
-    torsion: tuple
+    Immutable; equal groups compare and hash equal.
+    """
+
+    __slots__ = ("betti", "torsion")
+
+    def __init__(self, betti, torsion):
+        object.__setattr__(self, "betti", betti)
+        object.__setattr__(self, "torsion", torsion)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"HomologyGroup is immutable: {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.iso(other)
+
+    def __hash__(self):
+        return hash((self.betti, self.torsion))
+
+    def __repr__(self):
+        return f"HomologyGroup(betti={self.betti!r}, torsion={self.torsion!r})"
 
     def iso(self, other):
         return self.betti == other.betti and self.torsion == other.torsion
@@ -118,13 +135,13 @@ def homology_at(c, degrees):
         torsion=tuple(x for x in factors[k + 1] if x > 1)) for k in degrees]
 
 
-@dataclass
 class ChainMap:
     """Degree-zero map of chain complexes, one matrix per degree."""
 
-    source: ChainComplex
-    target: ChainComplex
-    components: dict
+    def __init__(self, source, target, components):
+        self.source = source
+        self.target = target
+        self.components = components
 
     def component(self, k):
         if k in self.components:

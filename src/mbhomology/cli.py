@@ -6,15 +6,12 @@ semantic failure (invalid multicomplex, inconsistent flow data, mismatch,
 non-isomorphic comparison), 2 for unreadable or malformed input.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import sys
 
 from .chain import HomologyGroup
 from .flowdata import InconsistentFlowData, build_multicomplex, morse_to_flow
-from .morse import InvalidMorseData, morse_complex, verify_morse_mb
 from .multicomplex import InvalidMulticomplex, validate_multicomplex
 from .pipeline import compare_tables, expected_mismatches, homology_table
 from .schema import (  # presentation_from_doc: kept importable from here
@@ -173,6 +170,9 @@ def cmd_homology(path, degrees=None, as_json=False, out=None, err=None):
 
 
 def cmd_morse(path, as_json=False, out=None, err=None):
+    # imported here: the other commands never need the module
+    from .morse import InvalidMorseData, morse_complex, verify_morse_mb
+
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:

@@ -2,10 +2,7 @@
 homology, plus the independence checks across presentations of the same
 manifold."""
 
-from __future__ import annotations
-
 import json
-from dataclasses import dataclass, field
 from importlib import resources
 
 from .chain import HomologyGroup
@@ -14,15 +11,16 @@ from .pipeline import compare_tables, expected_mismatches, homology_table
 from .schema import expected_from_doc, morse_from_doc, presentation_from_doc
 
 
-@dataclass
 class CorpusEntry:
-    name: str
-    manifold: str
-    kind: str
-    expected: dict
-    notes: str = ""
-    flow: object = None
-    morse: object = None
+    def __init__(self, name, manifold, kind, expected, notes="", flow=None,
+                 morse=None):
+        self.name = name
+        self.manifold = manifold
+        self.kind = kind
+        self.expected = expected
+        self.notes = notes
+        self.flow = flow
+        self.morse = morse
 
     def presentation(self):
         if self.kind == "morse":
@@ -34,23 +32,24 @@ class CorpusEntry:
         return build_multicomplex(self.presentation(), check=False)
 
 
-@dataclass
 class EntryReport:
-    name: str
-    built: bool
-    diagnostics: str = ""
-    table: list = field(default_factory=list)
-    mismatches: list = field(default_factory=list)
+    def __init__(self, name, built, diagnostics="", table=None,
+                 mismatches=None):
+        self.name = name
+        self.built = built
+        self.diagnostics = diagnostics
+        self.table = [] if table is None else table
+        self.mismatches = [] if mismatches is None else mismatches
 
     @property
     def ok(self):
         return self.built and not self.mismatches
 
 
-@dataclass
 class IndependenceReport:
-    groups: dict
-    comparisons: list
+    def __init__(self, groups, comparisons):
+        self.groups = groups
+        self.comparisons = comparisons
 
     @property
     def ok(self):

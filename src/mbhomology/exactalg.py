@@ -7,9 +7,6 @@ columns, so boundaries and structure maps cost what their nonzeros cost;
 only `snf` works on dense rows.  All functions are pure.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 
@@ -211,15 +208,15 @@ class IntMatrix:
         return cls._of(sum(row_sizes), sum(col_sizes), columns)
 
 
-@dataclass(frozen=True)
 class SmithDecomposition:
     """U @ A @ V == S with U, V unimodular and S a nonnegative diagonal
     whose entries form a divisibility chain d_1 | d_2 | ..."""
 
-    u: IntMatrix
-    s: IntMatrix
-    v: IntMatrix
-    invariant_factors: tuple
+    def __init__(self, u, s, v, invariant_factors):
+        self.u = u
+        self.s = s
+        self.v = v
+        self.invariant_factors = invariant_factors
 
     def solve(self, b):
         """One integer solution x of A @ x == b, or None if there is none."""

@@ -19,9 +19,6 @@ Chains landing on a point-kind row keep their column: a constant chain of
 degree p is the degree-p generator of that point's row, not zero.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .chain import ChainComplex
@@ -52,13 +49,13 @@ class InconsistentFlowData(ValueError):
         self.report = report
 
 
-@dataclass
 class CritModel:
     """Critical set of one index: named points, or a triangulated model."""
 
-    index: int
-    names: tuple = None
-    complex: SimplicialComplexData = None
+    def __init__(self, index, names=None, complex=None):
+        self.index = index
+        self.names = names
+        self.complex = complex
 
     @property
     def is_points(self):
@@ -97,7 +94,6 @@ class CritModel:
         return report
 
 
-@dataclass
 class ModuliComponentModel:
     """One connected component of a compactified space of flow lines.
 
@@ -109,13 +105,15 @@ class ModuliComponentModel:
     component of multiplicity |n|; the flow schema does not read it.
     """
 
-    from_index: int
-    to_index: int
-    domain: SimplicialComplexData
-    ev_minus: SimplicialMap
-    ev_plus: SimplicialMap
-    sign: int = 1
-    multiplicity: int = 1
+    def __init__(self, from_index, to_index, domain, ev_minus, ev_plus,
+                 sign=1, multiplicity=1):
+        self.from_index = from_index
+        self.to_index = to_index
+        self.domain = domain
+        self.ev_minus = ev_minus
+        self.ev_plus = ev_plus
+        self.sign = sign
+        self.multiplicity = multiplicity
 
     @property
     def relative_index(self):
@@ -149,19 +147,15 @@ class ModuliComponentModel:
         return report
 
 
-@dataclass
 class FlowPresentation:
     """Ambient dimension, critical models (at most one per index; absent
     indices are empty), and moduli components."""
 
-    dim: int
-    crit: tuple
-    moduli: tuple = field(default_factory=tuple)
-    column_cap: int = None
-
-    def __post_init__(self):
-        self.crit = tuple(self.crit)
-        self.moduli = tuple(self.moduli)
+    def __init__(self, dim, crit, moduli=(), column_cap=None):
+        self.dim = dim
+        self.crit = tuple(crit)
+        self.moduli = tuple(moduli)
+        self.column_cap = column_cap
 
     def crit_at(self, i):
         for model in self.crit:

@@ -11,10 +11,6 @@ full point row.  The result is a chain map into the total complex and a
 quasi-isomorphism, which is verified here matrix-exactly.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-
 from .chain import (
     ChainComplex,
     ChainMap,
@@ -32,18 +28,14 @@ class InvalidMorseData(ValueError):
     """The flow-line counts do not square to zero."""
 
 
-@dataclass
 class MorseData:
     """Critical points by index and signed flow-line counts n(q, p) for
     index(q) = index(p) + 1."""
 
-    crit_by_index: dict
-    counts: dict
-
-    def __post_init__(self):
+    def __init__(self, crit_by_index, counts):
         self.crit_by_index = {int(k): tuple(v)
-                              for k, v in self.crit_by_index.items() if v}
-        self.counts = {(q, p): int(n) for (q, p), n in self.counts.items()}
+                              for k, v in crit_by_index.items() if v}
+        self.counts = {(q, p): int(n) for (q, p), n in counts.items()}
 
     def validate(self):
         report = []
@@ -125,18 +117,13 @@ def _check_morse_shaped(mc):
     return d0_decs
 
 
-def phi_embed(mc, k, c0):
+def _lift(mc, k, c0, d0_decs):
     """Canonical lift of a column-zero vector of row k into total degree k.
 
     Returns {i: c_i} for i = 0..k with odd entries zero and even entries
-    produced by the recursion, solved exactly over the integers.
+    produced by the recursion, solved exactly over the integers with the
+    d[0] Smith forms that `_check_morse_shaped(mc)` returned.
     """
-    return _lift(mc, k, c0, _check_morse_shaped(mc))
-
-
-def _lift(mc, k, c0, d0_decs):
-    """phi_embed without the shape check, solving with the d[0] Smith
-    forms that the check returned."""
     c0 = tuple(int(x) for x in c0)
     if len(c0) != mc.rank(0, k):
         raise ValueError(f"vector of length {len(c0)} in a rank "
@@ -192,16 +179,17 @@ def phi_chain_map(cm, mc, view=None):
     return ChainMap(source=cm, target=view.complex, components=components)
 
 
-@dataclass
 class MorseVerification:
     """Outcome of checking the embedding against the multicomplex."""
 
-    chain_map_residuals: dict
-    odd_components_zero: bool
-    is_quasi_iso: bool
-    morse_homology: list
-    mb_homology: list
-    embedding: ChainMap = field(repr=False, default=None)
+    def __init__(self, chain_map_residuals, odd_components_zero,
+                 is_quasi_iso, morse_homology, mb_homology, embedding=None):
+        self.chain_map_residuals = chain_map_residuals
+        self.odd_components_zero = odd_components_zero
+        self.is_quasi_iso = is_quasi_iso
+        self.morse_homology = morse_homology
+        self.mb_homology = mb_homology
+        self.embedding = embedding
 
     @property
     def chain_map_exact(self):

@@ -10,10 +10,6 @@ sum.  Validity means the anticommutation identity
 which is exactly what makes the total boundary square to zero.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-
 from .chain import ChainComplex
 from .exactalg import IntMatrix
 
@@ -24,7 +20,6 @@ class InvalidMulticomplex(ValueError):
         self.report = report
 
 
-@dataclass
 class MBSMulticomplex:
     """Bigraded groups with structure maps, immutable after construction.
 
@@ -33,20 +28,19 @@ class MBSMulticomplex:
     ambient_dim have rank zero, and absent maps are zero.
     """
 
-    ambient_dim: int
-    column_cap: int
-    row_ranks: dict
-    row_labels: dict = field(default_factory=dict)
-    maps: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        m = self.ambient_dim
-        if self.column_cap % 2 or self.column_cap < m + 2:
+    def __init__(self, ambient_dim, column_cap, row_ranks, row_labels=None,
+                 maps=None):
+        self.ambient_dim = ambient_dim
+        self.column_cap = column_cap
+        self.row_ranks = row_ranks
+        self.row_labels = {} if row_labels is None else row_labels
+        self.maps = {} if maps is None else maps
+        m = ambient_dim
+        if column_cap % 2 or column_cap < m + 2:
             raise ValueError(
-                f"column cap {self.column_cap} must be even and at least "
-                f"{m + 2}")
-        for (p, i), r in self.row_ranks.items():
-            if r < 0 or not (0 <= p <= self.column_cap) or not (0 <= i <= m):
+                f"column cap {column_cap} must be even and at least {m + 2}")
+        for (p, i), r in row_ranks.items():
+            if r < 0 or not (0 <= p <= column_cap) or not (0 <= i <= m):
                 raise ValueError(f"bad bidegree ({p},{i}) with rank {r}")
         for (j, p, i) in self.maps:
             if j < 0 or j > m:
@@ -80,10 +74,11 @@ class MBSMulticomplex:
                 yield (p, i)
 
 
-@dataclass
 class MulticomplexReport:
-    structural: list = field(default_factory=list)
-    identity_failures: list = field(default_factory=list)
+    def __init__(self, structural=None, identity_failures=None):
+        self.structural = [] if structural is None else structural
+        self.identity_failures = ([] if identity_failures is None
+                                  else identity_failures)
 
     @property
     def ok(self):
@@ -132,7 +127,6 @@ def validate_multicomplex(mc):
     return report
 
 
-@dataclass
 class TotalComplexView:
     """The totalization CB_k = direct sum of C_p(B_i) over p + i = k.
 
@@ -141,9 +135,10 @@ class TotalComplexView:
     is mc.labels(p, i)[t]; blocks are ordered by increasing column p.
     """
 
-    mc: MBSMulticomplex
-    complex: ChainComplex
-    block_offsets: dict
+    def __init__(self, mc, complex, block_offsets):
+        self.mc = mc
+        self.complex = complex
+        self.block_offsets = block_offsets
 
 
 def totalize(mc):

@@ -5,8 +5,6 @@ validated once, totalized, and its homology computed in one pass over the
 degrees; the table is then checked against expected values or a second one.
 """
 
-from __future__ import annotations
-
 from .chain import homology_at
 from .multicomplex import InvalidMulticomplex, totalize, validate_multicomplex
 

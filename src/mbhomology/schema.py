@@ -6,8 +6,6 @@ for the shipped example files and for user input.  Readers raise
 SchemaError, a ValueError, naming the file or JSON path at fault.
 """
 
-from __future__ import annotations
-
 import json
 
 from .flowdata import (
@@ -16,7 +14,6 @@ from .flowdata import (
     ModuliComponentModel,
     morse_to_flow,
 )
-from .morse import MorseData
 from .simplicial import SimplicialComplexData, SimplicialMap
 
 SCHEMA_VERSION = 1
@@ -186,6 +183,8 @@ def presentation_to_doc(fp, meta=None):
 
 
 def morse_from_doc(doc, where="morse data"):
+    from .morse import MorseData  # only the morse command needs the module
+
     crit = {}
     for key, names in _require(doc, "critical", dict, where).items():
         try:

@@ -7,9 +7,6 @@ along simplicial coverings realizes the fibered product with a space whose
 projection restricts to sheeted isomorphisms.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .chain import ChainComplex
@@ -118,17 +115,14 @@ class SimplicialComplexData:
                 f"simplices={tops})")
 
 
-@dataclass
 class SimplicialMap:
     """Vertex map whose image of every simplex spans a simplex of the
     target (possibly of lower dimension)."""
 
-    source: SimplicialComplexData
-    target: SimplicialComplexData
-    vertex_image: tuple
-
-    def __post_init__(self):
-        self.vertex_image = tuple(int(v) for v in self.vertex_image)
+    def __init__(self, source, target, vertex_image):
+        self.source = source
+        self.target = target
+        self.vertex_image = tuple(int(v) for v in vertex_image)
         if len(self.vertex_image) != self.source.vertex_count:
             raise ValueError(
                 f"vertex map covers {len(self.vertex_image)} of "
@@ -162,15 +156,15 @@ def _sort_sign(values):
     return sign
 
 
-@dataclass
 class OrientedCycle:
     """Top-dimensional chain with +/-1 coefficients: the fundamental cycle
     of an oriented pseudomanifold, relative to its boundary when there is
     one."""
 
-    complex: SimplicialComplexData
-    coefficients: dict
-    boundary_simplices: tuple = field(default_factory=tuple)
+    def __init__(self, complex, coefficients, boundary_simplices=()):
+        self.complex = complex
+        self.coefficients = coefficients
+        self.boundary_simplices = boundary_simplices
 
     def as_chain(self):
         return dict(self.coefficients)
@@ -352,21 +346,6 @@ def covering_lifts(f):
     return lifts
 
 
-def covering_pullback(f, chain):
-    """Signed sum of lifts of each simplex of a chain on the target.
-
-    Lift signs are chosen so that pushing the pullback forward returns the
-    original chain multiplied by the sheet count; the operation commutes
-    with boundaries.
-    """
-    lifts = covering_lifts(f)
-    out = {}
-    for s, coeff in chain.items():
-        for lift, sign in lifts.get(tuple(s), []):
-            out[lift] = out.get(lift, 0) + sign * coeff
-    return {s: c for s, c in out.items() if c}
-
-
 def chain_to_column(k, d, chain):
     """Sparse matrix column {basis index: coefficient} of a degree-d
     sparse chain."""
@@ -376,28 +355,3 @@ def chain_to_column(k, d, chain):
             raise ValueError(f"simplex {s} is not of dimension {d}")
         col[k.index_of(s)] = coeff
     return col
-
-
-def chain_to_vector(k, d, chain):
-    """Dense coefficient vector of a degree-d sparse chain."""
-    vec = [0] * len(k.simplices_of_dim(d))
-    for i, coeff in chain_to_column(k, d, chain).items():
-        vec[i] = coeff
-    return tuple(vec)
-
-
-def matrix_of_pushforward(f, d):
-    """Degree-d pushforward as a matrix in the lexicographic bases."""
-    src = f.source.simplices_of_dim(d)
-    return IntMatrix.from_columns(
-        len(f.target.simplices_of_dim(d)), len(src),
-        [chain_to_column(f.target, d, pushforward(f, {s: 1})) for s in src])
-
-
-def matrix_of_pullback(f, d):
-    """Degree-d covering pullback as a matrix in the lexicographic bases."""
-    tgt = f.target.simplices_of_dim(d)
-    return IntMatrix.from_columns(
-        len(f.source.simplices_of_dim(d)), len(tgt),
-        [chain_to_column(f.source, d, covering_pullback(f, {s: 1}))
-         for s in tgt])

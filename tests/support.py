@@ -1,4 +1,5 @@
-"""Shared test helpers: random complexes and independent homology oracles."""
+"""Shared test helpers: random complexes, independent homology oracles,
+and chain-level views of simplicial maps that only tests need."""
 
 import random
 
@@ -10,6 +11,7 @@ from mbhomology import exactalg, morse
 from mbhomology.chain import ChainComplex
 from mbhomology.exactalg import IntMatrix
 from mbhomology.multicomplex import MulticomplexReport
+from mbhomology.simplicial import chain_to_column, covering_lifts, pushforward
 
 
 def sym_rank(mat):
@@ -153,3 +155,49 @@ def forbid_dense_rows(monkeypatch):
     monkeypatch.setattr(MulticomplexReport, "describe",
                         allowing(MulticomplexReport.describe, "describe"))
     return built
+
+
+def covering_pullback(f, chain):
+    """Signed sum of lifts of each simplex of a chain on the target.
+
+    Lift signs are chosen so that pushing the pullback forward returns the
+    original chain multiplied by the sheet count; the operation commutes
+    with boundaries.
+    """
+    lifts = covering_lifts(f)
+    out = {}
+    for s, coeff in chain.items():
+        for lift, sign in lifts.get(tuple(s), []):
+            out[lift] = out.get(lift, 0) + sign * coeff
+    return {s: c for s, c in out.items() if c}
+
+
+def chain_to_vector(k, d, chain):
+    """Dense coefficient vector of a degree-d sparse chain."""
+    vec = [0] * len(k.simplices_of_dim(d))
+    for i, coeff in chain_to_column(k, d, chain).items():
+        vec[i] = coeff
+    return tuple(vec)
+
+
+def matrix_of_pushforward(f, d):
+    """Degree-d pushforward as a matrix in the lexicographic bases."""
+    src = f.source.simplices_of_dim(d)
+    return IntMatrix.from_columns(
+        len(f.target.simplices_of_dim(d)), len(src),
+        [chain_to_column(f.target, d, pushforward(f, {s: 1})) for s in src])
+
+
+def matrix_of_pullback(f, d):
+    """Degree-d covering pullback as a matrix in the lexicographic bases."""
+    tgt = f.target.simplices_of_dim(d)
+    return IntMatrix.from_columns(
+        len(f.source.simplices_of_dim(d)), len(tgt),
+        [chain_to_column(f.source, d, covering_pullback(f, {s: 1}))
+         for s in tgt])
+
+
+def phi_embed(mc, k, c0):
+    """Canonical lift of a column-zero vector of row k into total degree k:
+    {i: c_i} for i = 0..k, after checking that mc has full point rows."""
+    return morse._lift(mc, k, c0, morse._check_morse_shaped(mc))

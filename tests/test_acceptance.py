@@ -21,13 +21,16 @@ from mbhomology.simplicial import (
     SimplicialComplexData,
     SimplicialMap,
     chain_complex_of,
-    chain_to_vector,
     fundamental_cycle,
-    matrix_of_pullback,
-    matrix_of_pushforward,
 )
 
-from support import brute_homology, random_complex
+from support import (
+    brute_homology,
+    chain_to_vector,
+    matrix_of_pullback,
+    matrix_of_pushforward,
+    random_complex,
+)
 from test_exactalg import check_decomposition, gcd_of_k_minors, random_matrix
 from test_simplicial import random_subcomplex
 

@@ -54,6 +54,30 @@ class TestValidate:
         assert any("shape" in line for line in report)
 
 
+class TestHomologyGroup:
+    def test_equal_groups_compare_and_hash_equal(self):
+        a, b = HomologyGroup(1, (2,)), HomologyGroup(1, (2,))
+        assert a == b and hash(a) == hash(b)
+        assert a != HomologyGroup(1, ()) and a != HomologyGroup(0, (2,))
+        assert a != (1, (2,))
+        assert len({a, b, HomologyGroup(0, (2,))}) == 2
+
+    def test_str(self):
+        shown = [str(HomologyGroup(b, t)) for b, t in
+                 ((0, ()), (1, ()), (3, ()), (0, (3,)), (2, (2, 4)))]
+        assert shown == ["0", "Z", "Z^3", "Z/3", "Z^2 ⊕ Z/2 ⊕ Z/4"]
+
+    def test_immutable(self):
+        h = HomologyGroup(1, ())
+        with pytest.raises(AttributeError):
+            h.betti = 2
+        with pytest.raises(AttributeError):
+            del h.torsion
+        with pytest.raises(AttributeError):
+            h.rank = 1
+        assert h == HomologyGroup(1, ())
+
+
 class TestHomology:
     def test_point(self):
         c = point_complex()

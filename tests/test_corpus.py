@@ -12,7 +12,9 @@ from mbhomology.corpus import (
 )
 from mbhomology.exactalg import invariant_factors, snf
 from mbhomology.multicomplex import totalize
-from mbhomology.simplicial import chain_complex_of, chain_to_vector, fundamental_cycle
+from mbhomology.simplicial import chain_complex_of, fundamental_cycle
+
+from support import chain_to_vector
 
 
 EXPECTED_NAMES = {

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from mbhomology import flowdata
@@ -22,10 +20,11 @@ from mbhomology.simplicial import (
     CoveringError,
     SimplicialComplexData,
     SimplicialMap,
-    chain_to_vector,
     covering_lifts,
     fundamental_cycle,
 )
+
+from support import chain_to_vector
 
 
 def triangle():
@@ -64,6 +63,18 @@ class TestFatPointRow:
         assert default_column_cap(4) == 6
 
 
+def with_moduli(fp, moduli):
+    return FlowPresentation(dim=fp.dim, crit=fp.crit, moduli=moduli,
+                            column_cap=fp.column_cap)
+
+
+def with_multiplicity(comp, multiplicity):
+    return ModuliComponentModel(
+        from_index=comp.from_index, to_index=comp.to_index,
+        domain=comp.domain, ev_minus=comp.ev_minus, ev_plus=comp.ev_plus,
+        sign=comp.sign, multiplicity=multiplicity)
+
+
 def minus_z2_presentation():
     """-z^2 on the sphere: circle of maxima over two minima."""
     tri = triangle()
@@ -97,6 +108,17 @@ def torus_height_presentation():
             sign=sign,
         ))
     return FlowPresentation(dim=2, crit=(lower, upper), moduli=tuple(comps))
+
+
+class TestFlowPresentation:
+    def test_stores_models_and_components_as_tuples(self):
+        fp = minus_z2_presentation()
+        again = FlowPresentation(dim=2, crit=list(fp.crit),
+                                 moduli=iter(fp.moduli))
+        assert again.crit == fp.crit and isinstance(again.crit, tuple)
+        assert again.moduli == fp.moduli and isinstance(again.moduli, tuple)
+        bare = FlowPresentation(dim=0, crit=[])
+        assert (bare.crit, bare.moduli, bare.column_cap) == ((), (), None)
 
 
 class TestBuild:
@@ -255,11 +277,11 @@ class TestMorseToFlow:
         # the covering branch weighs a component by sign * multiplicity
         # exactly as it weighs that many copies of it
         fp = minus_z2_presentation()
-        tripled = replace(fp.moduli[1], multiplicity=3)
-        one = build_multicomplex(replace(fp, moduli=(fp.moduli[0], tripled)),
-                                 check=False)
+        tripled = with_multiplicity(fp.moduli[1], 3)
+        one = build_multicomplex(
+            with_moduli(fp, (fp.moduli[0], tripled)), check=False)
         many = build_multicomplex(
-            replace(fp, moduli=(fp.moduli[0],) + (fp.moduli[1],) * 3),
+            with_moduli(fp, (fp.moduli[0],) + (fp.moduli[1],) * 3),
             check=False)
         assert one.maps == many.maps
         assert one.map(1, 1, 1) == IntMatrix.from_rows([[1, 1, 1],
@@ -267,9 +289,9 @@ class TestMorseToFlow:
 
     def test_rejects_multiplicity_below_one(self):
         fp = minus_z2_presentation()
-        bad = replace(fp.moduli[0], multiplicity=0)
+        bad = with_multiplicity(fp.moduli[0], 0)
         with pytest.raises(FlowDataError, match="multiplicity 0"):
-            build_multicomplex(replace(fp, moduli=(bad, fp.moduli[1])))
+            build_multicomplex(with_moduli(fp, (bad, fp.moduli[1])))
 
     def test_nonsquaring_counts_fail_anticommutation(self):
         # a single chain r -> q -> p with both counts 1: the identity at

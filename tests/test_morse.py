@@ -18,12 +18,11 @@ from mbhomology.morse import (
     MorseData,
     morse_complex,
     phi_chain_map,
-    phi_embed,
     verify_morse_mb,
 )
 from mbhomology.multicomplex import MBSMulticomplex, totalize, validate_multicomplex
 
-from support import brute_homology, forbid_dense_rows, random_complex
+from support import brute_homology, forbid_dense_rows, phi_embed, random_complex
 
 
 def torus_md():
@@ -42,6 +41,15 @@ def sphere4_md():
     return MorseData(crit_by_index={0: ("bottom",), 1: ("saddle",),
                                     2: ("east", "west")},
                      counts={("east", "saddle"): 1, ("west", "saddle"): -1})
+
+
+class TestMorseData:
+    def test_normalizes_indices_names_and_counts(self):
+        md = MorseData(crit_by_index={"1": ["s"], 0: ("m",), 2: []},
+                       counts={("s", "m"): 2.0})
+        assert md.crit_by_index == {1: ("s",), 0: ("m",)}
+        assert md.counts == {("s", "m"): 2}
+        assert type(md.counts[("s", "m")]) is int
 
 
 class TestMorseComplex:
@@ -241,8 +249,7 @@ class TestVerify:
             built.append(md)
             return real(md)
 
-        for module in (cli, morse):
-            monkeypatch.setattr(module, "morse_complex", counted)
+        monkeypatch.setattr(morse, "morse_complex", counted)
         path = str(data_dir() / "t2-morse-4pt.json")
         assert cli.main(["morse", path]) == cli.EXIT_OK
         assert "quasi-isomorphism: yes" in capsys.readouterr().out

@@ -11,13 +11,16 @@ from mbhomology.simplicial import (
     SimplicialMap,
     boundary_of_chain,
     chain_complex_of,
-    chain_to_vector,
     covering_lifts,
-    covering_pullback,
     fundamental_cycle,
+    pushforward,
+)
+
+from support import (
+    chain_to_vector,
+    covering_pullback,
     matrix_of_pullback,
     matrix_of_pushforward,
-    pushforward,
 )
 
 
@@ -147,6 +150,27 @@ class TestFundamentalCycle:
         k = SimplicialComplexData.from_simplices([(0, 1), (1, 2), (1, 3)])
         with pytest.raises(NoFundamentalCycle):
             fundamental_cycle(k)
+
+
+class TestSimplicialMap:
+    def test_vertex_image_becomes_a_tuple(self):
+        f = SimplicialMap(hexagon_circle(), triangle_circle(),
+                          vertex_image=[0, 1, 2, 0, 1, 2])
+        assert f.vertex_image == (0, 1, 2, 0, 1, 2)
+
+    @pytest.mark.parametrize("image, message", [
+        ([0, 1], "vertex map covers 2 of 3 vertices"),
+        ([0, 1, 3], "image vertex 3 outside target"),
+    ])
+    def test_rejects_bad_vertex_image(self, image, message):
+        with pytest.raises(ValueError, match=message):
+            SimplicialMap(triangle_circle(), triangle_circle(), image)
+
+    def test_rejects_image_off_the_target(self):
+        edge = SimplicialComplexData.from_simplices([(0, 1)])
+        apart = SimplicialComplexData.from_simplices([(0,), (1,)])
+        with pytest.raises(ValueError, match="is not a simplex"):
+            SimplicialMap(edge, apart, [0, 1])
 
 
 class TestPushforward:
