@@ -8,6 +8,7 @@ non-isomorphic comparison), 2 for unreadable or malformed input.
 
 import argparse
 import functools
+import re
 import sys
 
 from .chain import HomologyGroup
@@ -120,12 +121,13 @@ def parse_degree_range(text, default_hi):
     absent.  Raises ValueError naming the option."""
     if text is None:
         return range(0, default_hi + 1)
-    lo, dots, hi = text.partition("..")
-    try:
-        lo = int(lo)
-        degrees = range(lo, (int(hi) if dots else lo) + 1)
-    except ValueError:
-        degrees = None
+    # plain ASCII decimals only: int() would also take "1_0", " 1", "+1"
+    # and non-ASCII digits
+    match = re.fullmatch(r"([0-9]+)(?:\.\.([0-9]+))?", text)
+    degrees = None
+    if match:
+        lo, hi = match.groups()
+        degrees = range(int(lo), int(hi or lo) + 1)
     if not degrees:  # unparsable, or B < A
         raise ValueError(f"--degrees: expected K or A..B, got {text!r}")
     return degrees

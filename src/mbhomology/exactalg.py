@@ -218,25 +218,6 @@ class SmithDecomposition:
         self.v = v
         self.invariant_factors = invariant_factors
 
-    def solve(self, b):
-        """One integer solution x of A @ x == b, or None if there is none."""
-        b = tuple(int(x) for x in b)
-        if len(b) != self.u.cols:
-            raise ValueError(f"vector of length {len(b)} against "
-                             f"{self.u.cols} equations")
-        c = self.u.times_vector(b)
-        d = self.invariant_factors
-        y = [0] * self.v.rows
-        for i, ci in enumerate(c):
-            if i < len(d):
-                q, r = divmod(ci, d[i])
-                if r:
-                    return None
-                y[i] = q
-            elif ci:
-                return None
-        return self.v.times_vector(y)
-
 
 def snf(a):
     """Smith normal form of an integer matrix.

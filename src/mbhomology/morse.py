@@ -6,9 +6,10 @@ the even columns by the recursion
 
     c_i = -d[0]^{-1} ( d[i] c_0 + d[i-2] c_2 + ... + d[2] c_{i-2} ),
 
-odd columns staying zero; d[0] is invertible there because every row is a
-full point row.  The result is a chain map into the total complex and a
-quasi-isomorphism, which is verified here matrix-exactly.
+odd columns staying zero; every row is a full point row, so d[0] is
+eps * I there with eps = +1 or -1, and d[0]^{-1} = eps.  The result is a
+chain map into the total complex and a quasi-isomorphism, which is verified
+here matrix-exactly.
 """
 
 from .chain import (
@@ -20,7 +21,7 @@ from .chain import (
     homology_at,
     validate_complex,
 )
-from .exactalg import IntMatrix, snf
+from .exactalg import IntMatrix
 from .multicomplex import totalize
 
 
@@ -89,11 +90,8 @@ def morse_complex(md):
 
 def _check_morse_shaped(mc):
     """Every present row must be a full point row: constant rank across all
-    columns with d[0] invertible at even positive columns.  Returns the
-    Smith forms of those d[0] blocks by (p, i); an absent row has none.
-    Equal blocks share one Smith form."""
-    d0_decs = {}
-    by_block = {}
+    columns, and at every even positive column a d[0] block eps * I with
+    eps = +1 or -1 read from the block.  Raises ValueError otherwise."""
     for i in range(0, mc.ambient_dim + 1):
         if not mc.row_present(i):
             continue
@@ -105,55 +103,22 @@ def _check_morse_shaped(mc):
                     "point rows")
         for p in range(2, mc.column_cap + 1, 2):
             d0 = mc.map(0, p, i)
-            dec = by_block.get(d0)
-            if dec is None:
-                dec = by_block[d0] = snf(d0)
-            if d0.rows != d0.cols or \
-                    dec.invariant_factors != tuple([1] * d0.rows):
+            eps = d0[0, 0] if d0.shape == (base, base) else None
+            if eps not in (1, -1) or any(
+                    col != {j: eps} for j, col in enumerate(d0.columns)):
                 raise ValueError(
-                    f"d[0] at (p={p}, i={i}) is not invertible; the "
-                    "embedding needs full point rows")
-            d0_decs[(p, i)] = dec
-    return d0_decs
-
-
-def _lift(mc, k, c0, d0_decs):
-    """Canonical lift of a column-zero vector of row k into total degree k.
-
-    Returns {i: c_i} for i = 0..k with odd entries zero and even entries
-    produced by the recursion, solved exactly over the integers with the
-    d[0] Smith forms that `_check_morse_shaped(mc)` returned.
-    """
-    c0 = tuple(int(x) for x in c0)
-    if len(c0) != mc.rank(0, k):
-        raise ValueError(f"vector of length {len(c0)} in a rank "
-                         f"{mc.rank(0, k)} slot")
-    parts = {0: c0}
-    for i in range(1, k + 1):
-        if i % 2:
-            parts[i] = tuple([0] * mc.rank(i, k - i))
-            continue
-        dec = d0_decs.get((i, k - i))
-        if dec is None:  # row k - i is absent, so the slot is empty
-            parts[i] = ()
-            continue
-        rhs = [0] * mc.rank(i - 1, k - i)
-        for t in range(0, i, 2):
-            step = mc.map(i - t, t, k - t)
-            image = step.times_vector(parts[t])
-            rhs = [a + b for a, b in zip(rhs, image)]
-        solution = dec.solve([-x for x in rhs])
-        if solution is None:
-            raise ValueError(
-                f"no integer solution for the column-{i} component; "
-                "inconsistent point-row data")
-        parts[i] = solution
-    return parts
+                    f"d[0] at (p={p}, i={i}) is not +-I; the embedding "
+                    "needs full point rows")
 
 
 def phi_chain_map(cm, mc, view=None):
     """The embedding as a chain map from the critical-point complex
-    cm = morse_complex(md) into the totalization."""
+    cm = morse_complex(md) into the totalization.
+
+    Row k lifts all at once: C_0 = I, the odd C_i are zero, and since d[0]
+    is eps * I at each even bidegree (i, k - i),
+    C_i = -eps * sum over even t < i of d[i - t] C_t.  An absent row gives
+    an empty slot."""
     if view is None:
         view = totalize(mc)
     for k in cm.degrees():
@@ -161,20 +126,24 @@ def phi_chain_map(cm, mc, view=None):
             raise ValueError(
                 f"row {k} labels {mc.labels(0, k)} do not match critical "
                 f"points {cm.label(k)}")
-    d0_decs = _check_morse_shaped(mc)
+    _check_morse_shaped(mc)
     components = {}
     for k in cm.degrees():
         n = cm.rank(k)
-        cols = []
-        for t in range(n):
-            c0 = [1 if s == t else 0 for s in range(n)]
-            col = {}
-            for i, vec in _lift(mc, k, c0, d0_decs).items():
-                if not vec:  # an empty bidegree has no block
-                    continue
-                off = view.block_offsets[(i, k - i)]
-                col.update((off + s, x) for s, x in enumerate(vec) if x)
-            cols.append(col)
+        parts = {0: IntMatrix.identity(n)}
+        for i in range(2, k + 1, 2):
+            rows = mc.rank(i, k - i)
+            acc = IntMatrix.zeros(rows, n)
+            if rows:
+                for t in range(0, i, 2):
+                    acc = acc + mc.map(i - t, t, k - t) @ parts[t]
+                acc = acc.scaled(-mc.map(0, i, k - i)[0, 0])
+            parts[i] = acc
+        cols = [{} for _ in range(n)]
+        for i, part in parts.items():
+            off = view.block_offsets.get((i, k - i))
+            for col, entries in zip(cols, part.columns):
+                col.update((off + s, x) for s, x in entries.items())
         components[k] = IntMatrix.from_columns(view.complex.rank(k), n, cols)
     return ChainMap(source=cm, target=view.complex, components=components)
 

@@ -7,27 +7,28 @@ from sympy import Matrix as SymMatrix
 from sympy import ZZ
 from sympy.matrices.normalforms import invariant_factors as sym_invariant_factors
 
-from mbhomology import exactalg, morse
+from mbhomology import exactalg
 from mbhomology.chain import ChainComplex
 from mbhomology.exactalg import IntMatrix
 from mbhomology.multicomplex import MulticomplexReport
 from mbhomology.simplicial import chain_to_column, covering_lifts, pushforward
 
 
+def to_sympy(mat):
+    return SymMatrix(mat.rows, mat.cols, [x for row in mat.data for x in row])
+
+
 def sym_rank(mat):
     if mat.rows == 0 or mat.cols == 0:
         return 0
-    return SymMatrix(mat.rows, mat.cols,
-                     [x for row in mat.data for x in row]).rank()
+    return to_sympy(mat).rank()
 
 
 def sym_torsion(mat):
     """Invariant factors > 1 of an integer matrix, via sympy."""
     if mat.rows == 0 or mat.cols == 0:
         return ()
-    factors = sym_invariant_factors(
-        SymMatrix(mat.rows, mat.cols, [x for row in mat.data for x in row]),
-        domain=ZZ)
+    factors = sym_invariant_factors(to_sympy(mat), domain=ZZ)
     return tuple(abs(int(d)) for d in factors if abs(int(d)) > 1)
 
 
@@ -149,9 +150,7 @@ def forbid_dense_rows(monkeypatch):
 
     monkeypatch.setattr(IntMatrix, "__init__", guarded(real_init))
     monkeypatch.setattr(IntMatrix, "_dense_rows", guarded(real_rows))
-    snf = allowing(exactalg.snf, "snf")
-    for module in (exactalg, morse):
-        monkeypatch.setattr(module, "snf", snf)
+    monkeypatch.setattr(exactalg, "snf", allowing(exactalg.snf, "snf"))
     monkeypatch.setattr(MulticomplexReport, "describe",
                         allowing(MulticomplexReport.describe, "describe"))
     return built
@@ -198,6 +197,34 @@ def matrix_of_pullback(f, d):
 
 
 def phi_embed(mc, k, c0):
-    """Canonical lift of a column-zero vector of row k into total degree k:
-    {i: c_i} for i = 0..k, after checking that mc has full point rows."""
-    return morse._lift(mc, k, c0, morse._check_morse_shaped(mc))
+    """Reference lift of a column-zero vector of row k into total degree k,
+    one vector at a time: {i: c_i} for i = 0..k, odd c_i zero, and each
+    even c_i the solution of
+
+        d[0] c_i = -(d[i] c_0 + d[i-2] c_2 + ... + d[2] c_{i-2})
+
+    found by sympy over the rationals, whatever the invertible d[0] is.  A
+    slot of an absent row is empty.  Raises ValueError when some d[0] is
+    not invertible or a solution is not integral."""
+    c0 = tuple(c0)
+    if len(c0) != mc.rank(0, k):
+        raise ValueError(f"vector of length {len(c0)} in a rank "
+                         f"{mc.rank(0, k)} slot")
+    parts = {0: c0}
+    for i in range(1, k + 1):
+        n = mc.rank(i, k - i)
+        if i % 2 or not n:
+            parts[i] = (0,) * n
+            continue
+        rhs = [0] * mc.rank(i - 1, k - i)
+        for t in range(0, i, 2):
+            image = mc.map(i - t, t, k - t).times_vector(parts[t])
+            rhs = [a - b for a, b in zip(rhs, image)]
+        d0 = to_sympy(mc.map(0, i, k - i))
+        if not d0.is_square or d0.det() == 0:
+            raise ValueError(f"d[0] at (p={i}, i={k - i}) is not invertible")
+        solution = d0.LUsolve(SymMatrix(rhs))
+        if not all(x.is_integer for x in solution):
+            raise ValueError(f"no integer solution at (p={i}, i={k - i})")
+        parts[i] = tuple(int(x) for x in solution)
+    return parts

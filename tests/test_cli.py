@@ -287,7 +287,9 @@ class TestErrorExitCodes:
         assert captured.out == ""
         assert captured.err.startswith(f"{prefix}{path}: ")
 
-    @pytest.mark.parametrize("degrees", ["1..x", "..", "x", "3..1"])
+    @pytest.mark.parametrize("degrees", [
+        "1..x", "..", "x", "3..1", "0..1_0", " 1", "+1", "\u0662", "1..\u0662",
+        "1 ", "1..", "..1", "0...1", "1\n"])
     def test_bad_degrees_blame_the_option(self, capsys, degrees):
         argv = ["homology", corpus_path("s2-z2"), "--degrees", degrees]
         assert main(argv) == EXIT_INPUT

@@ -300,49 +300,3 @@ class TestRank:
     def test_rank_one(self):
         # all 2x2 minors vanish, some entry nonzero
         assert rank(IntMatrix.from_rows([[1, 2], [2, 4]])) == 1
-
-
-class TestSolveInteger:
-    """SmithDecomposition.solve, which the Morse embedding's lifts use."""
-
-    def test_identity(self):
-        assert snf(IntMatrix.identity(3)).solve((4, -1, 7)) == (4, -1, 7)
-
-    def test_parity_obstruction(self):
-        assert snf(IntMatrix.from_rows([[2]])).solve((3,)) is None
-
-    def test_triangular(self):
-        a = IntMatrix.from_rows([[2, 1], [0, 3]])
-        x = snf(a).solve((5, 3))
-        # det = 6 != 0 so the solution is unique; substitute back
-        assert x == (2, 1)
-        assert a.times_vector(x) == (5, 3)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            snf(IntMatrix.identity(2)).solve((1, 2, 3))
-
-    def test_membership_randomized(self):
-        # solve returns a solution iff b lies in the image lattice,
-        # judged by the SNF membership criterion computed from scratch.
-        for seed in range(100):
-            rng = random.Random(2000 + seed)
-            a = random_matrix(rng, max_dim=5)
-            if rng.random() < 0.5:
-                # b guaranteed in the image
-                x = tuple(rng.randint(-4, 4) for _ in range(a.cols))
-                b = a.times_vector(x)
-            else:
-                b = tuple(rng.randint(-9, 9) for _ in range(a.rows))
-            dec = snf(a)
-            c = dec.u.times_vector(b)
-            member = all(
-                (c[i] % dec.invariant_factors[i] == 0)
-                if i < len(dec.invariant_factors) else (c[i] == 0)
-                for i in range(a.rows)
-            )
-            x = dec.solve(b)
-            assert (x is not None) == member
-            if x is not None:
-                assert a.times_vector(x) == tuple(b)
-

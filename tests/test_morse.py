@@ -1,18 +1,23 @@
 import json
 import random
+import sys
 
 import pytest
 
-from mbhomology import chain, cli, morse
+from mbhomology import chain, cli, exactalg, morse
 from mbhomology.chain import (
     HomologyGroup,
     chain_map_residuals,
     homology_at,
     mapping_cone,
 )
-from mbhomology.corpus import data_dir
+from mbhomology.corpus import data_dir, entry_names, load_entry
 from mbhomology.exactalg import IntMatrix
-from mbhomology.flowdata import build_multicomplex, morse_to_flow
+from mbhomology.flowdata import (
+    build_multicomplex,
+    default_column_cap,
+    morse_to_flow,
+)
 from mbhomology.morse import (
     InvalidMorseData,
     MorseData,
@@ -82,17 +87,18 @@ class TestMorseComplex:
             morse_complex(md)
 
 
-def synthetic_three_row(d2_entry=5):
+def synthetic_three_row(d2_entry=5, flipped_row=None):
     """Three one-point rows with a hand-chosen nonzero d[2]; d[1] = 0, so
-    anticommutation holds for any d[2] value."""
+    anticommutation holds for any d[2] value.  The d[0] blocks carry the
+    checkerboard sign, reversed on `flipped_row`."""
     ranks = {}
     maps = {}
     for i in (0, 1, 2):
         for p in range(5):
             ranks[(p, i)] = 1
         for p in (2, 4):
-            maps[(0, p, i)] = IntMatrix.from_rows(
-                [[1 if (p + i) % 2 == 0 else -1]])
+            sign = (-1) ** (p + i + (i == flipped_row))
+            maps[(0, p, i)] = IntMatrix.from_rows([[sign]])
     maps[(2, 0, 2)] = IntMatrix.from_rows([[d2_entry]])
     labels = {(p, 0): ("p",) for p in range(5)}
     labels.update({(p, 1): ("q",) for p in range(5)})
@@ -101,10 +107,49 @@ def synthetic_three_row(d2_entry=5):
                            row_labels=labels, maps=maps)
 
 
+def lift(md, mc, k, c0):
+    """phi_chain_map applied to a column-zero vector of row k, cut into its
+    slots {i: c_i}; checked against the reference phi_embed."""
+    view = totalize(mc)
+    phi = phi_chain_map(morse_complex(md), mc, view=view)
+    image = phi.component(k).times_vector(c0)
+    parts = {}
+    for i in range(k + 1):
+        off = view.block_offsets.get((i, k - i), 0)
+        parts[i] = image[off:off + mc.rank(i, k - i)]
+    assert parts == phi_embed(mc, k, c0)
+    return parts
+
+
+def reference_components(cm, view):
+    """phi_embed of every basis vector of cm, as one matrix per degree."""
+    mc = view.mc
+    components = {}
+    for k in cm.degrees():
+        n = cm.rank(k)
+        cols = []
+        for t in range(n):
+            col = {}
+            parts = phi_embed(mc, k, [int(s == t) for s in range(n)])
+            for i, vec in parts.items():
+                if vec:
+                    off = view.block_offsets[(i, k - i)]
+                    col.update((off + s, x) for s, x in enumerate(vec))
+            cols.append(col)
+        components[k] = IntMatrix.from_columns(view.complex.rank(k), n, cols)
+    return components
+
+
+def matches_reference(outcome, mc):
+    phi = outcome.embedding
+    want = reference_components(phi.source, totalize(mc))
+    return {k: phi.component(k) for k in want} == want
+
+
 class TestPhiEmbed:
     def test_zero_interaction_gives_inclusion(self):
-        mc = build_multicomplex(morse_to_flow(torus_md()))
-        parts = phi_embed(mc, 2, (1,))
+        md = torus_md()
+        parts = lift(md, build_multicomplex(morse_to_flow(md)), 2, (1,))
         assert parts[0] == (1,)
         assert parts[1] == (0, 0)
         assert parts[2] == (0,)
@@ -112,7 +157,9 @@ class TestPhiEmbed:
     def test_synthetic_nonzero_d2(self):
         mc = synthetic_three_row()
         assert validate_multicomplex(mc).ok
-        parts = phi_embed(mc, 2, (1,))
+        md = MorseData(crit_by_index={0: ("p",), 1: ("q",), 2: ("r",)},
+                       counts={})
+        parts = lift(md, mc, 2, (1,))
         # c_2 = -d[0]^{-1} d[2] c_0 with d[0] = +identity at (2, 0)
         assert parts[1] == (0,)
         assert parts[2] == (-5,)
@@ -135,12 +182,12 @@ class TestPhiEmbed:
             for k, names in md.crit_by_index.items():
                 for t in range(len(names)):
                     c0 = [1 if s == t else 0 for s in range(len(names))]
-                    parts = phi_embed(mc, k, c0)
+                    parts = lift(md, mc, k, c0)
                     for i in range(1, k + 1, 2):
                         assert all(x == 0 for x in parts[i])
 
     def test_uniqueness_under_reordering(self):
-        # permuting the point basis and solving again gives the same
+        # permuting the point basis and lifting again gives the same
         # embedding after undoing the permutation
         md = sphere4_md()
         mc = build_multicomplex(morse_to_flow(md))
@@ -161,16 +208,59 @@ class TestPhiEmbed:
                                    row_ranks=ranks, row_labels=labels,
                                    maps=maps)
         assert validate_multicomplex(permuted).ok
-        direct = phi_embed(mc, 2, (1, 0))
-        via_perm = phi_embed(permuted, 2, (0, 1))
+        permuted_md = MorseData(
+            crit_by_index={**md.crit_by_index, 2: labels[(0, 2)]},
+            counts=md.counts)
+        direct = lift(md, mc, 2, (1, 0))
+        via_perm = lift(permuted_md, permuted, 2, (0, 1))
         assert direct[2] == via_perm[2]
         assert direct[1] == via_perm[1]
 
     def test_rejects_non_morse_shaped(self):
         from test_multicomplex import s2_z2_presentation
         mc = build_multicomplex(s2_z2_presentation())
-        with pytest.raises(ValueError):
-            phi_embed(mc, 2, (1, 0))
+        empty = morse_complex(MorseData(crit_by_index={}, counts={}))
+        with pytest.raises(ValueError, match="full point rows"):
+            phi_chain_map(empty, mc)
+
+    @pytest.mark.parametrize("d0", [[[0, 1], [1, 0]], [[1, 1], [0, 1]],
+                                    [[1, 0], [0, -1]]],
+                             ids=["swap", "shear", "mixed-signs"])
+    def test_rejects_other_unimodular_d0(self, d0):
+        # a unimodular d[0] that is not +-I is refused, by bidegree, though
+        # the reference lift could solve through it
+        mc = MBSMulticomplex(
+            ambient_dim=0, column_cap=2,
+            row_ranks={(p, 0): 2 for p in range(3)},
+            row_labels={(p, 0): ("a", "b") for p in range(3)},
+            maps={(0, 2, 0): IntMatrix.from_rows(d0)})
+        assert validate_multicomplex(mc).ok
+        cm = morse_complex(MorseData(crit_by_index={0: ("a", "b")},
+                                     counts={}))
+        with pytest.raises(ValueError, match=r"d\[0\] at \(p=2, i=0\)"):
+            phi_chain_map(cm, mc)
+
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_accepts_either_sign(self, row):
+        # -I where the checkerboard puts +I, and the reverse, is accepted;
+        # the lift divides by that sign
+        md = MorseData(crit_by_index={0: ("p",), 1: ("q",), 2: ("r",)},
+                       counts={})
+        mc = synthetic_three_row(flipped_row=row)
+        assert validate_multicomplex(mc).ok
+        outcome = verify_morse_mb(morse_complex(md), mc)
+        assert outcome.ok
+        assert matches_reference(outcome, mc)
+        assert lift(md, mc, 2, (1,))[2] == ((5,) if row == 0 else (-5,))
+
+    @pytest.mark.parametrize(
+        "name", [n for n in entry_names() if load_entry(n).kind == "morse"])
+    def test_matches_reference_on_corpus(self, name):
+        md = load_entry(name).morse
+        mc = build_multicomplex(morse_to_flow(md))
+        outcome = verify_morse_mb(morse_complex(md), mc)
+        assert outcome.ok
+        assert matches_reference(outcome, mc)
 
 
 class TestVerify:
@@ -209,24 +299,24 @@ class TestVerify:
     def test_each_check_runs_once(self, monkeypatch):
         # the chain-map identity is evaluated once, for the residuals; the
         # cone is built only after they are all zero, without a second
-        # check; the only Smith forms with transforms are the d[0]
-        # blocks, one per distinct block
+        # check; the embedding takes no Smith form, so snf runs only on
+        # the cores that invariant_factors leaves
         residual_calls = []
-        smith_calls = []
-        real_residuals, real_snf = chain.chain_map_residuals, morse.snf
+        smith_callers = []
+        real_residuals, real_snf = chain.chain_map_residuals, exactalg.snf
 
         def counted_residuals(f):
             residual_calls.append(f)
             return real_residuals(f)
 
         def counted_snf(a):
-            smith_calls.append(a)
+            smith_callers.append(sys._getframe(1).f_code)
             return real_snf(a)
 
         for module in (chain, morse):
             monkeypatch.setattr(module, "chain_map_residuals",
                                 counted_residuals)
-        monkeypatch.setattr(morse, "snf", counted_snf)
+        monkeypatch.setattr(exactalg, "snf", counted_snf)
         # a projective plane: d(c) = 2 b, so H_1 = Z/2 is torsion
         md = MorseData(crit_by_index={0: ("a",), 1: ("b",), 2: ("c",)},
                        counts={("c", "b"): 2})
@@ -235,11 +325,9 @@ class TestVerify:
         assert outcome.ok
         assert [str(g) for g in outcome.mb_homology] == ["Z", "Z/2", "0"]
         assert len(residual_calls) == 1
-        blocks = [mc.map(0, p, i) for i in range(mc.ambient_dim + 1)
-                  for p in range(2, mc.column_cap + 1, 2)]
-        assert smith_calls == list(dict.fromkeys(blocks))
-        assert smith_calls == [IntMatrix.from_rows([[1]]),
-                               IntMatrix.from_rows([[-1]])]
+        assert not hasattr(morse, "snf")
+        # the torsion leaves a core, so snf does run, from one caller
+        assert set(smith_callers) == {exactalg.invariant_factors.__code__}
 
     def test_cmd_morse_builds_one_morse_complex(self, monkeypatch, capsys):
         built = []
@@ -257,31 +345,42 @@ class TestVerify:
 
     def test_smith_forms_do_not_grow_with_column_cap(self, monkeypatch,
                                                      tmp_path, capsys):
-        # the d[0] blocks repeat along each row, so a larger cap adds
-        # blocks but no new Smith forms
-        calls = []
-        real = morse.snf
+        # the d[0] blocks are +-I, so building the embedding takes no
+        # Smith form at all, however many blocks the cap adds
+        runs = []
+        inside = []
+        during = []
+        real_phi, real_snf = morse.phi_chain_map, exactalg.snf
 
-        def counted(a):
-            calls.append(a)
-            return real(a)
+        def watched_phi(*args, **kwargs):
+            runs.append(True)
+            inside.append(True)
+            try:
+                return real_phi(*args, **kwargs)
+            finally:
+                inside.pop()
 
-        monkeypatch.setattr(morse, "snf", counted)
+        def watched_snf(a):
+            if inside:
+                during.append(a)
+            return real_snf(a)
+
+        monkeypatch.setattr(morse, "phi_chain_map", watched_phi)
+        monkeypatch.setattr(exactalg, "snf", watched_snf)
         doc = json.loads((data_dir() / "t2-morse-4pt.json").read_text("utf-8"))
-        per_cap = []
         for cap in (8, 64):
             doc["column_cap"] = cap
             path = tmp_path / f"cap{cap}.json"
             path.write_text(json.dumps(doc))
-            calls.clear()
+            runs.clear()
             assert cli.main(["morse", str(path)]) == cli.EXIT_OK
-            per_cap.append(len(calls))
+            assert runs == [True], cap
+            assert during == [], cap
         capsys.readouterr()
-        assert per_cap[0] == per_cap[1]
 
     def test_lone_top_row(self):
         # rows 0 and 1 are absent, so the column-2 slot of a row-2 lift is
-        # empty and has no d[0] block to solve with
+        # empty and has no d[0] block to divide by
         md = MorseData(crit_by_index={2: ("a",)}, counts={})
         outcome = verify_morse_mb(morse_complex(md),
                                   build_multicomplex(morse_to_flow(md)))
@@ -308,8 +407,7 @@ def morse_data_of(c):
 class TestRandomMorseData:
     def test_cost_follows_the_nonzeros(self, monkeypatch):
         # building and verifying the embedding makes dense rows only for
-        # the Smith forms of the d[0] blocks and of the cores left by
-        # unit-pivot elimination
+        # the Smith forms of the cores left by unit-pivot elimination
         c = random_complex(random.Random(7003), max_total_rank=10)
         md, lo = morse_data_of(c)
         built = forbid_dense_rows(monkeypatch)
@@ -359,3 +457,24 @@ class TestRandomMorseData:
                 want = brute_homology(c, k + lo)
                 assert (a.betti, a.torsion) == want, (seed, k)
                 assert (b.betti, b.torsion) == want, (seed, k)
+
+    def test_embedding_matches_reference_at_every_cap(self):
+        # truncation stability: at the smallest even cap >= m + 2, at
+        # 2m + 4 and at 64 every column of the embedding equals the
+        # reference lift, and the verdicts and both tables agree
+        for seed in range(60):
+            c = random_complex(random.Random(7000 + seed), max_total_rank=10)
+            md, lo = morse_data_of(c)
+            cm = morse_complex(md)
+            m = max(md.crit_by_index)
+            seen = set()
+            for cap in (default_column_cap(m), 2 * m + 4, 64):
+                mc = build_multicomplex(morse_to_flow(md, cap=cap))
+                outcome = verify_morse_mb(cm, mc)
+                assert matches_reference(outcome, mc), (seed, cap)
+                seen.add((outcome.ok, outcome.chain_map_exact,
+                          outcome.odd_components_zero, outcome.is_quasi_iso,
+                          tuple(outcome.morse_homology),
+                          tuple(outcome.mb_homology)))
+            assert len(seen) == 1, seed
+            assert seen.pop()[0], seed
