@@ -20,9 +20,8 @@ _HOME = {
                      "validate_multicomplex", "totalize"), "multicomplex"),
     "homology_table": "pipeline",
     **dict.fromkeys(("CritModel", "ModuliComponentModel", "FlowPresentation",
-                     "FlowDataError", "InconsistentFlowData", "fat_point_row",
-                     "build_multicomplex", "morse_to_flow",
-                     "default_column_cap"), "flowdata"),
+                     "FlowDataError", "fat_point_row", "build_multicomplex",
+                     "morse_to_flow", "default_column_cap"), "flowdata"),
     **dict.fromkeys(("MorseData", "InvalidMorseData", "morse_complex",
                      "phi_chain_map", "verify_morse_mb"), "morse"),
 }

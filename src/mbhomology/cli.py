@@ -12,7 +12,7 @@ import re
 import sys
 
 from .chain import HomologyGroup
-from .flowdata import InconsistentFlowData, build_multicomplex, morse_to_flow
+from .flowdata import build_multicomplex, morse_to_flow
 from .multicomplex import InvalidMulticomplex, validate_multicomplex
 from .pipeline import compare_tables, expected_mismatches, homology_table
 from .schema import (  # presentation_from_doc: kept importable from here
@@ -59,20 +59,6 @@ def validation_to_data(report):
     }
 
 
-def render_validation_text(data):
-    lines = []
-    if data["valid"]:
-        lines.append("multicomplex: valid")
-    else:
-        lines.append("multicomplex: INVALID")
-        lines.extend(f"  structural: {msg}" for msg in data["structural"])
-        for fail in data["identity_failures"]:
-            lines.append(
-                f"  anticommutation fails for j={fail['j']} at "
-                f"(p={fail['p']}, i={fail['i']}); residual {fail['residual']}")
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -96,10 +82,13 @@ def _input_failure(exc, path, err):
     return EXIT_INPUT
 
 
-def _invalid(report, err, as_json, heading=""):
-    data = validation_to_data(report)
-    _emit(err, data, heading + render_validation_text(data), as_json)
-    return EXIT_SEMANTIC
+def _report(report, stream, as_json, heading=""):
+    """Write a validation report and return its exit code."""
+    verdict = "valid" if report.ok else "INVALID"
+    text = "\n".join([f"{heading}multicomplex: {verdict}",
+                      *(f"  {line}" for line in report.describe())])
+    _emit(stream, validation_to_data(report), text, as_json)
+    return EXIT_OK if report.ok else EXIT_SEMANTIC
 
 
 def cmd_validate(path, as_json=False, out=None, err=None):
@@ -110,10 +99,7 @@ def cmd_validate(path, as_json=False, out=None, err=None):
         mc = build_multicomplex(fp, check=False)
     except ValueError as exc:
         return _input_failure(exc, path, err)
-    report = validate_multicomplex(mc)
-    data = validation_to_data(report)
-    _emit(out, data, render_validation_text(data), as_json)
-    return EXIT_OK if report.ok else EXIT_SEMANTIC
+    return _report(validate_multicomplex(mc), out, as_json)
 
 
 def parse_degree_range(text, default_hi):
@@ -150,7 +136,7 @@ def cmd_homology(path, degrees=None, as_json=False, out=None, err=None):
     try:
         groups = dict(zip(degree_range, homology_table(mc, degree_range)))
     except InvalidMulticomplex as exc:
-        return _invalid(exc.report, err, as_json)
+        return _report(exc.report, err, as_json)
     data = {
         "valid": True,
         "homology": [group_to_data(k, group, mc.ambient_dim)
@@ -190,11 +176,8 @@ def cmd_morse(path, as_json=False, out=None, err=None):
     except InvalidMorseData as exc:
         err.write(f"invalid Morse-Smale data: {exc}\n")
         return EXIT_SEMANTIC
-    try:
-        mc = build_multicomplex(morse_to_flow(md, cap=cap))
-    except InconsistentFlowData as exc:
-        err.write(f"invalid Morse-Smale data: {exc}\n")
-        return EXIT_SEMANTIC
+    try:  # verify_morse_mb validates the multicomplex
+        mc = build_multicomplex(morse_to_flow(md, cap=cap), check=False)
     except ValueError as exc:
         return _input_failure(exc, path, err)
     outcome = verify_morse_mb(cm, mc)
@@ -234,7 +217,7 @@ def cmd_compare(path_a, path_b, as_json=False, out=None, err=None):
         try:
             tables.append(homology_table(mc, range(0, mc.ambient_dim + 1)))
         except InvalidMulticomplex as exc:
-            return _invalid(exc.report, err, as_json, f"{path}:\n")
+            return _report(exc.report, err, as_json, f"{path}:\n")
     comparisons = compare_tables(*tables)
     all_iso = all(iso for *_, iso in comparisons)
     data = {

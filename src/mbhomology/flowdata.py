@@ -23,7 +23,11 @@ from functools import cached_property
 
 from .chain import ChainComplex
 from .exactalg import IntMatrix
-from .multicomplex import MBSMulticomplex, validate_multicomplex
+from .multicomplex import (
+    InvalidMulticomplex,
+    MBSMulticomplex,
+    validate_multicomplex,
+)
 from .simplicial import (
     CoveringError,
     SimplicialComplexData,
@@ -38,15 +42,6 @@ from .simplicial import (
 
 class FlowDataError(ValueError):
     """Malformed flow presentation."""
-
-
-class InconsistentFlowData(ValueError):
-    """The assembled multicomplex fails the anticommutation identity: the
-    finite analogue of inconsistent gluing/orientation data."""
-
-    def __init__(self, report):
-        super().__init__("inconsistent flow data:\n" + report.describe())
-        self.report = report
 
 
 class CritModel:
@@ -268,8 +263,9 @@ def build_multicomplex(fp, check=True):
     """Assemble the bigraded complex of a flow presentation.
 
     Raises FlowDataError for malformed input, CoveringError when ev_minus of
-    a positive-dimensional source fails the covering check, and
-    InconsistentFlowData when the assembled maps fail anticommutation.
+    a positive-dimensional source fails the covering check, and, with
+    `check`, InvalidMulticomplex when the assembled maps fail
+    anticommutation.
     """
     problems = fp.validate()
     if problems:
@@ -360,7 +356,7 @@ def build_multicomplex(fp, check=True):
     if check:
         report = validate_multicomplex(mc)
         if not report.ok:
-            raise InconsistentFlowData(report)
+            raise InvalidMulticomplex(report)
     return mc
 
 

@@ -22,23 +22,22 @@ from .chain import (
     validate_complex,
 )
 from .exactalg import IntMatrix
-from .multicomplex import totalize
+from .pipeline import validated_total
 
 
 class InvalidMorseData(ValueError):
-    """The flow-line counts do not square to zero."""
+    """Critical points and flow-line counts that do not form a complex."""
 
 
 class MorseData:
     """Critical points by index and signed flow-line counts n(q, p) for
-    index(q) = index(p) + 1."""
+    index(q) = index(p) + 1; raises InvalidMorseData, naming every point
+    listed twice and every other count, as soon as it is constructed."""
 
     def __init__(self, crit_by_index, counts):
         self.crit_by_index = {int(k): tuple(v)
                               for k, v in crit_by_index.items() if v}
         self.counts = {(q, p): int(n) for (q, p), n in counts.items()}
-
-    def validate(self):
         report = []
         seen = {}
         for k, names in self.crit_by_index.items():
@@ -54,7 +53,8 @@ class MorseData:
                 report.append(f"count n({q},{p}) uses unknown points")
             elif seen[q] != seen[p] + 1:
                 report.append(f"count n({q},{p}) does not drop index by one")
-        return report
+        if report:
+            raise InvalidMorseData("; ".join(report))
 
 
 def morse_complex(md):
@@ -62,9 +62,6 @@ def morse_complex(md):
 
     Raises InvalidMorseData when the boundary does not square to zero.
     """
-    problems = md.validate()
-    if problems:
-        raise InvalidMorseData("; ".join(problems))
     ranks = {}
     labels = {}
     position = {}  # point name -> (index, place within its index)
@@ -111,16 +108,15 @@ def _check_morse_shaped(mc):
                     "needs full point rows")
 
 
-def phi_chain_map(cm, mc, view=None):
+def phi_chain_map(cm, view):
     """The embedding as a chain map from the critical-point complex
-    cm = morse_complex(md) into the totalization.
+    cm = morse_complex(md) into the totalization `view` of a multicomplex.
 
     Row k lifts all at once: C_0 = I, the odd C_i are zero, and since d[0]
     is eps * I at each even bidegree (i, k - i),
     C_i = -eps * sum over even t < i of d[i - t] C_t.  An absent row gives
     an empty slot."""
-    if view is None:
-        view = totalize(mc)
+    mc = view.mc
     for k in cm.degrees():
         if cm.rank(k) and mc.labels(0, k) != cm.label(k):
             raise ValueError(
@@ -177,9 +173,12 @@ def verify_morse_mb(cm, mc):
     cm = morse_complex(md) once: the residuals d phi - phi d per degree,
     zero odd columns, the mapping-cone verdict on an exact phi, and both
     homology tables in degrees 0..ambient_dim.  The embedding is kept on
-    the outcome."""
-    view = totalize(mc)
-    phi = phi_chain_map(cm, mc, view=view)
+    the outcome.
+
+    Raises InvalidMulticomplex when `mc` fails `validate_multicomplex`.
+    """
+    view = validated_total(mc)
+    phi = phi_chain_map(cm, view)
     total = view.complex
     residuals = chain_map_residuals(phi)
 

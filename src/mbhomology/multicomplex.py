@@ -16,7 +16,8 @@ from .exactalg import IntMatrix
 
 class InvalidMulticomplex(ValueError):
     def __init__(self, report):
-        super().__init__("invalid multicomplex:\n" + report.describe())
+        super().__init__("\n".join(["invalid multicomplex:",
+                                    *report.describe()]))
         self.report = report
 
 
@@ -85,12 +86,11 @@ class MulticomplexReport:
         return not self.structural and not self.identity_failures
 
     def describe(self):
-        lines = list(self.structural)
-        for (j, p, i, residual) in self.identity_failures:
-            lines.append(
-                f"anticommutation fails for j={j} at bidegree (p={p}, i={i}); "
-                f"residual {residual.shape}: {list(list(r) for r in residual.data)}")
-        return "\n".join(lines) if lines else "valid"
+        """One line per failure; none when the multicomplex is valid."""
+        return [*(f"structural: {msg}" for msg in self.structural),
+                *(f"anticommutation fails for j={j} at (p={p}, i={i}); "
+                  f"residual {[list(r) for r in residual.data]}"
+                  for (j, p, i, residual) in self.identity_failures)]
 
 
 def validate_multicomplex(mc):

@@ -1,12 +1,21 @@
 """One path from a multicomplex to its homology table.
 
-The command line and the corpus both go through here: the multicomplex is
-validated once, totalized, and its homology computed in one pass over the
-degrees; the table is then checked against expected values or a second one.
+The command line, the corpus and the Morse check go through here: the
+multicomplex is validated once, totalized, and its homology computed in one
+pass; the table is then checked against expected values or a second one.
 """
 
 from .chain import homology_at
 from .multicomplex import InvalidMulticomplex, totalize, validate_multicomplex
+
+
+def validated_total(mc):
+    """totalize(mc) once `mc` passes validate_multicomplex; otherwise
+    raises InvalidMulticomplex, carrying the validator's report."""
+    report = validate_multicomplex(mc)
+    if not report.ok:
+        raise InvalidMulticomplex(report)
+    return totalize(mc)
 
 
 def homology_table(mc, degrees=None):
@@ -19,10 +28,7 @@ def homology_table(mc, degrees=None):
     truncation-sensitive: they are reported, but only degrees <= ambient_dim
     are stable under raising the column cap.
     """
-    report = validate_multicomplex(mc)
-    if not report.ok:
-        raise InvalidMulticomplex(report)
-    view = totalize(mc)
+    view = validated_total(mc)
     if degrees is None:
         degrees = range(0, mc.column_cap)
     return homology_at(view.complex, degrees)

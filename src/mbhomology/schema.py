@@ -183,7 +183,7 @@ def presentation_to_doc(fp, meta=None):
 
 
 def morse_from_doc(doc, where="morse data"):
-    from .morse import MorseData  # only the morse command needs the module
+    from .morse import InvalidMorseData, MorseData  # Morse documents only
 
     crit = {}
     for key, names in _require(doc, "critical", dict, where).items():
@@ -207,11 +207,10 @@ def morse_from_doc(doc, where="morse data"):
             _typed(item[s], kind, spot, t, s)
         q, p, n = item
         counts[(q, p)] = counts.get((q, p), 0) + n
-    md = MorseData(crit_by_index=crit, counts=counts)
-    problems = md.validate()
-    if problems:
-        raise SchemaError(f"{where}: " + "; ".join(problems))
-    return md
+    try:
+        return MorseData(crit_by_index=crit, counts=counts)
+    except InvalidMorseData as err:
+        raise SchemaError(f"{where}: {err}") from err
 
 
 def morse_to_doc(md, meta=None):
@@ -227,13 +226,16 @@ def morse_to_doc(md, meta=None):
 
 
 def expected_from_doc(doc, where="document"):
-    """Optional expected homology: {degree: (betti, torsion tuple)}."""
+    """Optional expected homology: {degree: (betti, torsion tuple)}, each
+    degree given once."""
     if "expected" not in doc:
         return None
     out = {}
     for t, entry in enumerate(_require(doc, "expected", list, where)):
         spot = f"{where}.expected[{t}]"
         degree = _require(entry, "degree", int, spot)
+        if degree in out:
+            raise SchemaError(f"{spot}: degree {degree} is given twice")
         betti = _require(entry, "betti", int, spot)
         torsion = tuple(_each(_optional(entry, "torsion", list, spot, []),
                               int, f"{spot}.torsion"))

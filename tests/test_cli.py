@@ -48,8 +48,12 @@ class TestValidate:
         arc["sign"] = -arc["sign"]
         path = write_doc(tmp_path, doc)
         assert main(["validate", path]) == EXIT_SEMANTIC
-        out = capsys.readouterr().out
-        assert "INVALID" in out and "j=2" in out
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "multicomplex: INVALID\n"
+            "  anticommutation fails for j=2 at (p=0, i=2); "
+            "residual [[0, 0], [-2, 0], [2, 0], [0, 0]]\n")
+        assert captured.err == ""
 
     def test_json_report(self, tmp_path, capsys):
         doc = load_corpus_doc("t2-deformed")
@@ -342,6 +346,10 @@ MALFORMED = {
     "expected-entry-not-an-object": (
         "homology", "s2-z2", set_key("expected", [5]),
         ".expected[0]: expected an object, got int"),
+    "expected-degree-twice": (
+        "homology", "s2-z2", set_key("expected", [{"degree": 0, "betti": 7},
+                                                  {"degree": 0, "betti": 1}]),
+        ".expected[1]: degree 0 is given twice"),
     "expected-torsion-not-a-list": (
         "homology", "s2-z2", set_in(lambda d: d["expected"][0], "torsion", 5),
         ".expected[0]: key 'torsion' has type int"),

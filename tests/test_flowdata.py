@@ -7,7 +7,6 @@ from mbhomology.flowdata import (
     CritModel,
     FlowDataError,
     FlowPresentation,
-    InconsistentFlowData,
     ModuliComponentModel,
     build_multicomplex,
     default_column_cap,
@@ -15,6 +14,7 @@ from mbhomology.flowdata import (
     morse_to_flow,
 )
 from mbhomology.morse import MorseData
+from mbhomology.multicomplex import InvalidMulticomplex
 from mbhomology.pipeline import homology_table
 from mbhomology.simplicial import (
     CoveringError,
@@ -298,7 +298,7 @@ class TestMorseToFlow:
         # j=2, (p,i)=(0,2) reduces to d[1] o d[1] = 0 and fails
         md = MorseData(crit_by_index={0: ("p",), 1: ("q",), 2: ("r",)},
                        counts={("r", "q"): 1, ("q", "p"): 1})
-        with pytest.raises(InconsistentFlowData) as err:
+        with pytest.raises(InvalidMulticomplex) as err:
             build_multicomplex(morse_to_flow(md))
         spots = [(j, p, i) for (j, p, i, _) in
                  err.value.report.identity_failures]

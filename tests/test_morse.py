@@ -25,7 +25,12 @@ from mbhomology.morse import (
     phi_chain_map,
     verify_morse_mb,
 )
-from mbhomology.multicomplex import MBSMulticomplex, totalize, validate_multicomplex
+from mbhomology.multicomplex import (
+    InvalidMulticomplex,
+    MBSMulticomplex,
+    totalize,
+    validate_multicomplex,
+)
 
 from support import brute_homology, forbid_dense_rows, phi_embed, random_complex
 
@@ -111,7 +116,7 @@ def lift(md, mc, k, c0):
     """phi_chain_map applied to a column-zero vector of row k, cut into its
     slots {i: c_i}; checked against the reference phi_embed."""
     view = totalize(mc)
-    phi = phi_chain_map(morse_complex(md), mc, view=view)
+    phi = phi_chain_map(morse_complex(md), view)
     image = phi.component(k).times_vector(c0)
     parts = {}
     for i in range(k + 1):
@@ -169,7 +174,7 @@ class TestPhiEmbed:
                        counts={})
         mc = synthetic_three_row()
         view = totalize(mc)
-        phi = phi_chain_map(morse_complex(md), mc, view=view)
+        phi = phi_chain_map(morse_complex(md), view)
         assert all(r.is_zero() for r in chain_map_residuals(phi).values())
         for k in range(0, 3):
             lhs = view.complex.boundary(k) @ phi.component(k)
@@ -221,7 +226,7 @@ class TestPhiEmbed:
         mc = build_multicomplex(s2_z2_presentation())
         empty = morse_complex(MorseData(crit_by_index={}, counts={}))
         with pytest.raises(ValueError, match="full point rows"):
-            phi_chain_map(empty, mc)
+            phi_chain_map(empty, totalize(mc))
 
     @pytest.mark.parametrize("d0", [[[0, 1], [1, 0]], [[1, 1], [0, 1]],
                                     [[1, 0], [0, -1]]],
@@ -238,7 +243,7 @@ class TestPhiEmbed:
         cm = morse_complex(MorseData(crit_by_index={0: ("a", "b")},
                                      counts={}))
         with pytest.raises(ValueError, match=r"d\[0\] at \(p=2, i=0\)"):
-            phi_chain_map(cm, mc)
+            phi_chain_map(cm, totalize(mc))
 
     @pytest.mark.parametrize("row", [0, 1, 2])
     def test_accepts_either_sign(self, row):
@@ -283,6 +288,22 @@ class TestVerify:
         assert outcome.chain_map_exact
         assert outcome.is_quasi_iso
         assert outcome.ok
+
+    def test_invalid_multicomplex_raises_with_report(self):
+        # d[1] o d[1] from row 2 to row 0 is 1, so the identity for j=2
+        # fails at (p=0, i=2) before any embedding is built
+        md = MorseData(crit_by_index={0: ("p",), 1: ("q",), 2: ("r",)},
+                       counts={})
+        mc = synthetic_three_row()
+        bad = MBSMulticomplex(
+            ambient_dim=2, column_cap=4, row_ranks=mc.row_ranks,
+            row_labels=mc.row_labels,
+            maps={**mc.maps, (1, 0, 2): IntMatrix.from_rows([[1]]),
+                  (1, 0, 1): IntMatrix.from_rows([[1]])})
+        with pytest.raises(InvalidMulticomplex) as err:
+            verify_morse_mb(morse_complex(md), bad)
+        assert (2, 0, 2) in [(j, p, i) for j, p, i, _ in
+                             err.value.report.identity_failures]
 
     def test_induced_maps_are_unimodular(self):
         # the embedding induces isomorphisms on homology exactly when its

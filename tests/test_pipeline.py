@@ -4,10 +4,11 @@ import sys
 import pytest
 
 import mbhomology.multicomplex as multicomplex
-from mbhomology.chain import HomologyGroup
+from mbhomology.chain import HomologyGroup, validate_complex
 from mbhomology.cli import EXIT_OK, main
 from mbhomology.corpus import (
     data_dir,
+    entry_names,
     independence_suite,
     load_entries,
     load_entry,
@@ -44,21 +45,44 @@ def relabeled_torus(n, seed):
     return FlowPresentation(dim=2, crit=(CritModel(index=0, complex=cx),))
 
 
-@pytest.fixture
-def validations(monkeypatch):
-    """Counts validate_multicomplex calls, wherever a module calls it."""
-    original = multicomplex.validate_multicomplex
+def count_calls(monkeypatch, original):
+    """Counts calls of a library function, wherever a module calls it."""
     calls = []
 
-    def counting(mc):
-        calls.append(mc)
-        return original(mc)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("mbhomology") and \
-                getattr(module, "validate_multicomplex", None) is original:
-            monkeypatch.setattr(module, "validate_multicomplex", counting)
+    name = original.__name__
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("mbhomology") and \
+                getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
     return calls
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    return count_calls(monkeypatch, multicomplex.validate_multicomplex)
+
+
+@pytest.fixture
+def reports(monkeypatch):
+    """Counts MulticomplexReport constructions: one per validation, by
+    whatever path it runs."""
+    made = []
+    original = multicomplex.MulticomplexReport.__init__
+
+    def counting(self, *args):
+        made.append(self)
+        original(self, *args)
+
+    monkeypatch.setattr(multicomplex.MulticomplexReport, "__init__", counting)
+    return made
+
+
+NAMES = entry_names()
+MORSE_NAMES = [name for name in NAMES if load_entry(name).kind == "morse"]
 
 
 class TestValidatedOnce:
@@ -76,11 +100,20 @@ class TestValidatedOnce:
         (["homology", "s2-z2"], 1),
         (["compare", "s2-z2", "s2-round"], 2),
         (["morse", "t2-morse-4pt"], 1),
+        *((["validate", name], 1) for name in NAMES),
+        *((["homology", name], 1) for name in NAMES),
+        *((["morse", name], 1) for name in MORSE_NAMES),
+        *((["compare", name, name], 2) for name in NAMES),
     ])
-    def test_cli(self, validations, capsys, argv, presentations):
+    def test_cli(self, monkeypatch, validations, reports, capsys, argv,
+                 presentations):
+        # one report per multicomplex, by whatever path it is validated,
+        # and for morse one check of the flow-line counts
+        complex_checks = count_calls(monkeypatch, validate_complex)
         paths = [str(data_dir() / f"{name}.json") for name in argv[1:]]
         assert main(argv[:1] + paths) == EXIT_OK
-        assert len(validations) == presentations
+        assert len(validations) == len(reports) == presentations
+        assert len(complex_checks) == (argv[0] == "morse")
 
 
 class TestHomologyTable:

@@ -28,8 +28,8 @@ PUBLIC = {
     "homology_table",
     # flowdata
     "CritModel", "ModuliComponentModel", "FlowPresentation", "FlowDataError",
-    "InconsistentFlowData", "fat_point_row", "build_multicomplex",
-    "morse_to_flow", "default_column_cap",
+    "fat_point_row", "build_multicomplex", "morse_to_flow",
+    "default_column_cap",
     # morse
     "MorseData", "InvalidMorseData", "morse_complex", "phi_chain_map",
     "verify_morse_mb",
