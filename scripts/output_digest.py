@@ -1,12 +1,15 @@
 """SHA-256 digests over what the CLI prints for fixed sets of calls.
 
-Three call sets, one digest line each:
+Four call sets, one digest line each:
 
 - documents: `validate`, `homology`, `morse` and `homology --degrees 0..5`,
   each as text and with `--json`, on the shipped corpus and on 20 seeded
   documents (seed 1, calls 0..19) of every benchmark workload;
 - compare: `compare` of each corpus file against the next one (the last
   against the first), as text and with `--json`;
+- failures: each corpus flow file with the sign of one moduli component
+  flipped, one component at a time, under `validate`, `homology` and
+  `compare` against the original file, as text and with `--json`;
 - refusals: the argument parser's refusals of no command, an unknown
   command and a command without its path.
 
@@ -83,6 +86,33 @@ def document_calls(scratch):
                        [path])
 
 
+def flipped(scratch):
+    """(name, path) of each corpus flow file and (name, path) of a copy
+    under `scratch` with one moduli component's sign flipped, for every
+    component in turn."""
+    for name in entry_names():
+        original = data_dir() / f"{name}.json"
+        doc = json.loads(original.read_text("utf-8"))
+        if doc.get("kind") != "flow":
+            continue
+        for t, component in enumerate(doc["moduli"]):
+            component["sign"] = -component["sign"]
+            path = Path(scratch) / f"{name}-flip{t}.json"
+            path.write_text(json.dumps(doc), "utf-8")
+            component["sign"] = -component["sign"]
+            yield (original.name, str(original)), (path.name, str(path))
+
+
+def failure_calls(scratch):
+    """(argv, names, paths) of the failures call set."""
+    for (name, original), (flip, path) in flipped(scratch):
+        for flags in ([], ["--json"]):
+            for command in ("validate", "homology"):
+                yield [command, path, *flags], [flip], [path]
+            yield (["compare", original, path, *flags], [name, flip],
+                   [original, path])
+
+
 def compare_calls():
     """(argv, names, paths) of the compare call set."""
     corpus = [(f"{name}.json", str(data_dir() / f"{name}.json"))
@@ -97,6 +127,7 @@ def main():
         for label, calls in (
                 ("documents", document_calls(scratch)),
                 ("compare", compare_calls()),
+                ("failures", failure_calls(scratch)),
                 ("refusals", ((argv, [], []) for argv in REFUSALS))):
             digest = hashlib.sha256()
             count = 0

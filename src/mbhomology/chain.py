@@ -10,12 +10,21 @@ from .exactalg import IntMatrix, invariant_factors
 
 
 class ChainComplex:
-    """Graded free Z-module with boundary maps d_k : C_k -> C_{k-1}."""
+    """Graded free Z-module with boundary maps d_k : C_k -> C_{k-1}; the
+    constructor refuses a negative rank or a mis-shaped boundary."""
 
     def __init__(self, ranks, boundaries, labels=None):
         self.ranks = ranks
         self.boundaries = boundaries
         self.labels = {} if labels is None else labels
+        for k, r in ranks.items():
+            if r < 0:
+                raise ValueError(f"degree {k}: negative rank {r}")
+        for k, d in boundaries.items():
+            want = (self.rank(k - 1), self.rank(k))
+            if d.shape != want:
+                raise ValueError(f"degree {k}: boundary shape {d.shape}, "
+                                 f"expected {want}")
 
     def rank(self, k):
         return self.ranks.get(k, 0)
@@ -43,27 +52,13 @@ class ChainComplex:
 
 
 def validate_complex(c):
-    """Report every degree where shapes mismatch or d o d != 0.
+    """Report every degree where d o d != 0.
 
     Returns a list of messages; empty means the complex is valid.
     """
-    report = []
-    for k, r in c.ranks.items():
-        if r < 0:
-            report.append(f"degree {k}: negative rank {r}")
-    for k in sorted(c.boundaries):
-        d = c.boundaries[k]
-        want = (c.rank(k - 1), c.rank(k))
-        if d.shape != want:
-            report.append(f"degree {k}: boundary shape {d.shape}, expected {want}")
-    if report:
-        return report
     lo, hi = c.degree_range
-    for k in range(lo + 1, hi + 1):
-        prod = c.boundary(k - 1) @ c.boundary(k)
-        if not prod.is_zero():
-            report.append(f"degree {k}: d o d != 0")
-    return report
+    return [f"degree {k}: d o d != 0" for k in range(lo + 1, hi + 1)
+            if not (c.boundary(k - 1) @ c.boundary(k)).is_zero()]
 
 
 class HomologyGroup:

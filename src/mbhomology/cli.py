@@ -50,7 +50,7 @@ def group_to_data(degree, group, ambient_dim):
 def validation_to_data(report):
     return {
         "valid": report.ok,
-        "structural": list(report.structural),
+        "structural": [],  # shapes are refused at construction
         "identity_failures": [
             {"j": j, "p": p, "i": i,
              "residual": [list(row) for row in residual.data]}
@@ -70,16 +70,25 @@ def _emit(out, json_doc, text, as_json):
         out.write(text + "\n")
 
 
-def _input_failure(exc, path, err):
+def _input_failure(exc, path):
     """Report an error raised while loading or building `path` and return
     the exit code: a failed covering check is inconsistent flow data,
     anything else is bad input."""
     if isinstance(exc, CoveringError):
-        err.write(f"inconsistent flow data: {path}: {exc}\n")
+        sys.stderr.write(f"inconsistent flow data: {path}: {exc}\n")
         return EXIT_SEMANTIC
     where = "" if isinstance(exc, SchemaError) else f"{path}: "
-    err.write(f"input error: {where}{exc}\n")
+    sys.stderr.write(f"input error: {where}{exc}\n")
     return EXIT_INPUT
+
+
+def _load(path):
+    """(multicomplex, expected table or None) of a flow or Morse document:
+    the presentation, then `expected`, then the build, so every command
+    refuses the same input with the same error.  Raises ValueError."""
+    fp, doc = presentation_from_file(path)
+    expected = expected_from_doc(doc, where=path)
+    return build_multicomplex(fp, check=False), expected
 
 
 def _report(report, stream, as_json, heading=""):
@@ -91,15 +100,12 @@ def _report(report, stream, as_json, heading=""):
     return EXIT_OK if report.ok else EXIT_SEMANTIC
 
 
-def cmd_validate(path, as_json=False, out=None, err=None):
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
+def cmd_validate(path, as_json=False):
     try:
-        fp, _ = presentation_from_file(path)
-        mc = build_multicomplex(fp, check=False)
+        mc, _ = _load(path)
     except ValueError as exc:
-        return _input_failure(exc, path, err)
-    return _report(validate_multicomplex(mc), out, as_json)
+        return _input_failure(exc, path)
+    return _report(validate_multicomplex(mc), sys.stdout, as_json)
 
 
 def parse_degree_range(text, default_hi):
@@ -119,24 +125,20 @@ def parse_degree_range(text, default_hi):
     return degrees
 
 
-def cmd_homology(path, degrees=None, as_json=False, out=None, err=None):
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
+def cmd_homology(path, degrees=None, as_json=False):
     try:
-        fp, doc = presentation_from_file(path)
-        expected = expected_from_doc(doc, where=path)
-        mc = build_multicomplex(fp, check=False)
+        mc, expected = _load(path)
     except ValueError as exc:
-        return _input_failure(exc, path, err)
+        return _input_failure(exc, path)
     try:
-        degree_range = parse_degree_range(degrees, fp.dim)
+        degree_range = parse_degree_range(degrees, mc.ambient_dim)
     except ValueError as exc:
-        err.write(f"input error: {exc}\n")
+        sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
     try:
         groups = dict(zip(degree_range, homology_table(mc, degree_range)))
     except InvalidMulticomplex as exc:
-        return _report(exc.report, err, as_json)
+        return _report(exc.report, sys.stderr, as_json)
     data = {
         "valid": True,
         "homology": [group_to_data(k, group, mc.ambient_dim)
@@ -152,34 +154,33 @@ def cmd_homology(path, degrees=None, as_json=False, out=None, err=None):
         if mismatches:
             code = EXIT_SEMANTIC
             for line in mismatches:
-                err.write(line + "\n")
-    _emit(out, data, text, as_json)
+                sys.stderr.write(line + "\n")
+    _emit(sys.stdout, data, text, as_json)
     return code
 
 
-def cmd_morse(path, as_json=False, out=None, err=None):
+def cmd_morse(path, as_json=False):
     # imported here: the other commands never need the module
     from .morse import InvalidMorseData, morse_complex, verify_morse_mb
 
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
     try:
         doc = load_document(path)
         if doc.get("kind") != "morse":
             raise SchemaError(f"{path}: expected a morse document")
         md = morse_from_doc(doc, where=path)
         cap = column_cap_from_doc(doc, path)
+        expected_from_doc(doc, where=path)  # read for its errors only
     except ValueError as exc:
-        return _input_failure(exc, path, err)
+        return _input_failure(exc, path)
     try:
         cm = morse_complex(md)
     except InvalidMorseData as exc:
-        err.write(f"invalid Morse-Smale data: {exc}\n")
+        sys.stderr.write(f"invalid Morse-Smale data: {exc}\n")
         return EXIT_SEMANTIC
     try:  # verify_morse_mb validates the multicomplex
         mc = build_multicomplex(morse_to_flow(md, cap=cap), check=False)
     except ValueError as exc:
-        return _input_failure(exc, path, err)
+        return _input_failure(exc, path)
     outcome = verify_morse_mb(cm, mc)
     dim = mc.ambient_dim
     data = {
@@ -200,24 +201,21 @@ def cmd_morse(path, as_json=False, out=None, err=None):
         f"chain map: {'exact' if outcome.chain_map_exact else 'BROKEN'}; "
         f"quasi-isomorphism: {'yes' if outcome.is_quasi_iso else 'NO'}",
     ]
-    _emit(out, data, "\n".join(lines), as_json)
+    _emit(sys.stdout, data, "\n".join(lines), as_json)
     return EXIT_OK if outcome.ok else EXIT_SEMANTIC
 
 
-def cmd_compare(path_a, path_b, as_json=False, out=None, err=None):
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
+def cmd_compare(path_a, path_b, as_json=False):
     tables = []
     for path in (path_a, path_b):
         try:
-            fp, _ = presentation_from_file(path)
-            mc = build_multicomplex(fp, check=False)
+            mc, _ = _load(path)
         except ValueError as exc:
-            return _input_failure(exc, path, err)
+            return _input_failure(exc, path)
         try:
             tables.append(homology_table(mc, range(0, mc.ambient_dim + 1)))
         except InvalidMulticomplex as exc:
-            return _report(exc.report, err, as_json, f"{path}:\n")
+            return _report(exc.report, sys.stderr, as_json, f"{path}:\n")
     comparisons = compare_tables(*tables)
     all_iso = all(iso for *_, iso in comparisons)
     data = {
@@ -234,7 +232,7 @@ def cmd_compare(path_a, path_b, as_json=False, out=None, err=None):
              for k, a, b, iso in comparisons]
     lines.append("comparison: " +
                  ("isomorphic" if all_iso else "NOT isomorphic"))
-    _emit(out, data, "\n".join(lines), as_json)
+    _emit(sys.stdout, data, "\n".join(lines), as_json)
     return EXIT_OK if all_iso else EXIT_SEMANTIC
 
 

@@ -143,8 +143,9 @@ class ModuliComponentModel:
 
 
 class FlowPresentation:
-    """Ambient dimension, critical models (at most one per index; absent
-    indices are empty), and moduli components."""
+    """Ambient dimension, critical models (at most one per index, of
+    dimension at most dim - index; absent indices are empty), and moduli
+    components."""
 
     def __init__(self, dim, crit, moduli=(), column_cap=None):
         self.dim = dim
@@ -172,6 +173,10 @@ class FlowPresentation:
             seen.add(model.index)
             if not (0 <= model.index <= self.dim):
                 report.append(f"index {model.index} outside 0..{self.dim}")
+            elif model.index + model.dimension > self.dim:
+                report.append(f"index {model.index}: model of dimension "
+                              f"{model.dimension} exceeds dim - index = "
+                              f"{self.dim - model.index}")
             report.extend(model.validate())
         for comp in self.moduli:
             source = self.crit_at(comp.from_index)

@@ -100,7 +100,7 @@ def _check_morse_shaped(mc):
                     "point rows")
         for p in range(2, mc.column_cap + 1, 2):
             d0 = mc.map(0, p, i)
-            eps = d0[0, 0] if d0.shape == (base, base) else None
+            eps = d0[0, 0]
             if eps not in (1, -1) or any(
                     col != {j: eps} for j, col in enumerate(d0.columns)):
                 raise ValueError(

@@ -26,7 +26,8 @@ class MBSMulticomplex:
 
     row_ranks and row_labels are keyed by bidegree (p, i); maps by
     (j, p, i).  Bidegrees outside 0 <= p <= column_cap, 0 <= i <=
-    ambient_dim have rank zero, and absent maps are zero.
+    ambient_dim have rank zero, and absent maps are zero.  The constructor
+    refuses a stored d[j] at (p, i) not of shape rank(p+j-1, i-j) x rank(p, i).
     """
 
     def __init__(self, ambient_dim, column_cap, row_ranks, row_labels=None,
@@ -43,12 +44,16 @@ class MBSMulticomplex:
         for (p, i), r in row_ranks.items():
             if r < 0 or not (0 <= p <= column_cap) or not (0 <= i <= m):
                 raise ValueError(f"bad bidegree ({p},{i}) with rank {r}")
-        for (j, p, i) in self.maps:
+        for (j, p, i), mat in self.maps.items():
             if j < 0 or j > m:
                 raise ValueError(f"map index j={j} outside 0..{m}")
             if j > i:
                 raise ValueError(f"d[{j}] stored on row {i} (must vanish "
                                  "for j > i)")
+            want = (self.rank(p + j - 1, i - j), self.rank(p, i))
+            if mat.shape != want:
+                raise ValueError(f"d[{j}] at (p={p}, i={i}) has shape "
+                                 f"{mat.shape}, expected {want}")
 
     def rank(self, p, i):
         if p < 0 or p > self.column_cap or i < 0 or i > self.ambient_dim:
@@ -76,38 +81,26 @@ class MBSMulticomplex:
 
 
 class MulticomplexReport:
-    def __init__(self, structural=None, identity_failures=None):
-        self.structural = [] if structural is None else structural
-        self.identity_failures = ([] if identity_failures is None
-                                  else identity_failures)
+    def __init__(self, identity_failures=()):
+        self.identity_failures = list(identity_failures)
 
     @property
     def ok(self):
-        return not self.structural and not self.identity_failures
+        return not self.identity_failures
 
     def describe(self):
         """One line per failure; none when the multicomplex is valid."""
-        return [*(f"structural: {msg}" for msg in self.structural),
-                *(f"anticommutation fails for j={j} at (p={p}, i={i}); "
-                  f"residual {[list(r) for r in residual.data]}"
-                  for (j, p, i, residual) in self.identity_failures)]
+        return [f"anticommutation fails for j={j} at (p={p}, i={i}); "
+                f"residual {[list(r) for r in residual.data]}"
+                for (j, p, i, residual) in self.identity_failures]
 
 
 def validate_multicomplex(mc):
-    """Check shapes and the anticommutation identity at every bidegree.
-
-    Shape problems are reported as structural failures; identity failures
-    carry the offending residual matrix.
+    """Check the anticommutation identity at every bidegree; each failure
+    carries its residual matrix.  Shapes need no check here: the
+    constructor has refused every mis-shaped map.
     """
     report = MulticomplexReport()
-    for (j, p, i), mat in sorted(mc.maps.items()):
-        want = (mc.rank(p + j - 1, i - j), mc.rank(p, i))
-        if mat.shape != want:
-            report.structural.append(
-                f"d[{j}] at (p={p}, i={i}) has shape {mat.shape}, "
-                f"expected {want}")
-    if report.structural:
-        return report
     # d[q] o d[a] from the bidegree (p, i) lands in (p+a+q-2, i-a-q) and
     # adds to the identity for j = a+q; absent maps are zero, so only
     # pairs of stored maps contribute
@@ -168,10 +161,6 @@ def totalize(mc):
         tgt = (p + j - 1, i - j)
         if tgt not in offsets or mat.is_zero():
             continue
-        want = (mc.rank(*tgt), mc.rank(p, i))
-        if mat.shape != want:
-            raise ValueError(f"d[{j}] at (p={p}, i={i}) has shape "
-                             f"{mat.shape}, expected {want}")
         k = p + i
         columns = entries.setdefault(k, [{} for _ in range(ranks[k])])
         r0, c0 = offsets[tgt], offsets[(p, i)]

@@ -48,10 +48,15 @@ class TestValidate:
         assert any("degree 2" in line for line in report)
 
     def test_shape_mismatch(self):
-        c = ChainComplex(ranks={0: 2, 1: 1},
-                         boundaries={1: IntMatrix.from_rows([[1]])})
-        report = validate_complex(c)
-        assert any("shape" in line for line in report)
+        # refused by the constructor: validate_complex checks only d o d
+        with pytest.raises(ValueError, match=r"^degree 1: boundary shape "
+                           r"\(1, 1\), expected \(2, 1\)$"):
+            ChainComplex(ranks={0: 2, 1: 1},
+                             boundaries={1: IntMatrix.from_rows([[1]])})
+
+    def test_negative_rank(self):
+        with pytest.raises(ValueError, match="^degree 1: negative rank -1$"):
+            ChainComplex(ranks={0: 1, 1: -1}, boundaries={})
 
 
 class TestHomologyGroup:

@@ -261,7 +261,7 @@ def non_covering_doc():
     return {
         "schema": 1,
         "kind": "flow",
-        "dim": 1,
+        "dim": 2,
         "critical": [
             {"index": 0, "kind": "points", "names": ["a"]},
             {"index": 1, "kind": "simplicial", "complex": circle},
@@ -290,6 +290,50 @@ class TestErrorExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"{prefix}{path}: ")
+
+    @pytest.mark.parametrize("command", ["validate", "homology", "compare"])
+    def test_model_too_big_for_dim(self, tmp_path, capsys, command):
+        # a 5-sphere at index 1 of a 1-dimensional presentation: before the
+        # presentation refused it, the builder stored d[1] outside the grid
+        sphere = {"vertices": 7, "simplices": [
+            [v for v in range(7) if v != gone] for gone in range(7)]}
+        path = write_doc(tmp_path, {
+            "schema": 1,
+            "kind": "flow",
+            "dim": 1,
+            "critical": [
+                {"index": 0, "kind": "points", "names": ["a"]},
+                {"index": 1, "kind": "simplicial", "complex": sphere},
+            ],
+            "moduli": [{"from": 1, "to": 0, "domain": sphere,
+                        "ev_minus": list(range(7)), "ev_plus": [0] * 7,
+                        "sign": 1}],
+        })
+        argv = [command, path]
+        if command == "compare":
+            argv = [command, corpus_path("s2-z2"), path]
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"input error: {path}: index 1: model of "
+                                "dimension 5 exceeds dim - index = 0\n")
+
+    @pytest.mark.parametrize("command, name", [
+        ("validate", "s2-z2"), ("homology", "s2-z2"), ("compare", "s2-z2"),
+        ("morse", "t2-morse-4pt")])
+    def test_every_command_reads_expected(self, tmp_path, capsys, command,
+                                          name):
+        doc = load_corpus_doc(name)
+        doc["expected"] = 5
+        path = write_doc(tmp_path, doc)
+        argv = [command, path]
+        if command == "compare":
+            argv = [command, corpus_path(name), path]
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"input error: {path}: key 'expected' has type int\n"
 
     @pytest.mark.parametrize("degrees", [
         "1..x", "..", "x", "3..1", "0..1_0", " 1", "+1", "\u0662", "1..\u0662",

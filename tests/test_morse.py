@@ -499,3 +499,45 @@ class TestRandomMorseData:
                           tuple(outcome.mb_homology)))
             assert len(seen) == 1, seed
             assert seen.pop()[0], seed
+
+    def test_lift_recursion_with_higher_maps(self):
+        # flow-line counts store only d[1], so every even slot C_i of the
+        # embedding is zero; a d[2] = Y d[1] at column 0 keeps the identity,
+        # since d[2] d[1] = Y d[1] d[1] = 0, and makes C_2 = -eps d[2] the
+        # lift of a nonzero right-hand side
+        possible, lifted = 0, []
+        for seed in range(60):
+            rng = random.Random(7000 + seed)
+            c = random_complex(rng, max_total_rank=10)
+            md, lo = morse_data_of(c)
+            flat = build_multicomplex(morse_to_flow(md))
+            maps = dict(flat.maps)
+            for i in range(2, flat.ambient_dim + 1):
+                rows, cols = flat.rank(1, i - 2), flat.rank(0, i - 1)
+                y = IntMatrix(rows, cols, [[rng.randint(-2, 2)
+                                            for _ in range(cols)]
+                                           for _ in range(rows)])
+                d2 = y @ flat.map(1, 0, i)
+                if not d2.is_zero():
+                    maps[(2, 0, i)] = d2
+            possible += any(not flat.map(1, 0, i).is_zero()
+                            for i in range(2, flat.ambient_dim + 1))
+            mc = MBSMulticomplex(
+                ambient_dim=flat.ambient_dim, column_cap=flat.column_cap,
+                row_ranks=flat.row_ranks, row_labels=flat.row_labels,
+                maps=maps)
+            assert validate_multicomplex(mc).ok, seed
+            outcome = verify_morse_mb(morse_complex(md), mc)
+            assert outcome.ok, seed
+            assert matches_reference(outcome, mc), seed
+            offsets = totalize(mc).block_offsets
+            phi = outcome.embedding
+            lifted.extend(
+                (seed, k) for k in phi.source.degrees()
+                if (2, k - 2) in offsets
+                and any(0 <= r - offsets[(2, k - 2)] < mc.rank(2, k - 2)
+                        for col in phi.component(k).columns for r in col))
+        # C_2 is nonzero on most seeds where a row i >= 2 has a nonzero
+        # d[1], including rows where the checkerboard makes eps = -1
+        assert len({seed for seed, _ in lifted}) > 0.75 * possible > 15
+        assert any(k % 2 for _, k in lifted)

@@ -97,15 +97,17 @@ class TestValidate:
         expected = mutated.map(0, 1, 0) @ mutated.map(2, 0, 2)
         assert residual == expected
 
-    def test_shape_problem_is_structural(self):
+    def test_shape_problem_refused_at_construction(self):
+        # a mis-shaped map never reaches the validator, which checks only
+        # the anticommutation identity
         mc = build_multicomplex(s2_z2_presentation())
-        bad = MBSMulticomplex(
-            ambient_dim=mc.ambient_dim, column_cap=mc.column_cap,
-            row_ranks=dict(mc.row_ranks), row_labels=dict(mc.row_labels),
-            maps={**mc.maps, (2, 0, 2): IntMatrix.zeros(1, 1)},
-        )
-        report = validate_multicomplex(bad)
-        assert report.structural and not report.identity_failures
+        with pytest.raises(ValueError, match=r"^d\[2\] at \(p=0, i=2\) has "
+                           r"shape \(1, 1\), expected \(3, 2\)$"):
+            MBSMulticomplex(
+                ambient_dim=mc.ambient_dim, column_cap=mc.column_cap,
+                row_ranks=dict(mc.row_ranks), row_labels=dict(mc.row_labels),
+                maps={**mc.maps, (2, 0, 2): IntMatrix.zeros(1, 1)},
+            )
 
     def test_rejects_j_above_row(self):
         with pytest.raises(ValueError):
