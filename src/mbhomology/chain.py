@@ -6,7 +6,7 @@ from the ranks and invariant factors of the two adjacent boundaries; a chain
 map is judged by whether its mapping cone is acyclic.
 """
 
-from .exactalg import IntMatrix, invariant_factors
+from .exactalg import IntMatrix, _reduce
 
 
 class ChainComplex:
@@ -114,14 +114,28 @@ def homology_at(c, degrees):
     chain complex: d o d is not checked here, and `validate_complex` is the
     check for a hand-built one.
 
+    The boundaries are reduced from the highest degree down, with clearing
+    (Chen and Kerber's twist): the columns of d_k at the rows of the +-1
+    pivots of d_{k+1} are left out of d_k.  This changes no invariant
+    factor.  The pivot column of step t of d_{k+1} is a boundary z_t with
+    +-1 at its pivot row r_t and zeros at r_1 .. r_{t-1}.  As d_k z_t = 0,
+    column r_t of d_k is, up to sign, a Z-combination of the columns of d_k
+    at the rows where z_t is nonzero: kept columns and r_{t+1}, r_{t+2},
+    ....  Going back from the last step, every cleared column lies in the
+    Z-span of the kept ones, so the kept columns have the same image, and
+    the image fixes the nonzero invariant factors.  Pivots of the dense
+    core are not units and clear nothing.
+
     >>> c = ChainComplex({0: 1, 1: 1}, {1: IntMatrix.from_rows([[2]])})
     >>> [str(h) for h in homology_at(c, range(2))]
     ['Z/2', '0']
     """
     degrees = list(degrees)
-    d = {k: c.boundary(k)
-         for k in sorted({*degrees, *(k + 1 for k in degrees)})}
-    factors = {k: invariant_factors(m) for k, m in d.items()}
+    factors = {}
+    pivots = ()
+    for k in sorted({*degrees, *(k + 1 for k in degrees)}, reverse=True):
+        cleared = set(pivots) if pivots and k + 1 in factors else ()
+        factors[k], pivots = _reduce(c.boundary(k), cleared)
     return [HomologyGroup(
         betti=c.rank(k) - len(factors[k]) - len(factors[k + 1]),
         torsion=tuple(x for x in factors[k + 1] if x > 1)) for k in degrees]

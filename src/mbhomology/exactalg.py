@@ -344,7 +344,29 @@ def invariant_factors(a):
     >>> invariant_factors(IntMatrix.from_rows([[1, 1, 0], [-1, 0, 2]]))
     (1, 1)
     """
-    cols = [dict(col) for col in a.columns]
+    return _reduce(a)[0]
+
+
+def _reduce(a, cleared=()):
+    """(invariant factors, unit pivot rows) of `a` with the columns in
+    `cleared` left out, by the elimination `invariant_factors` describes.
+
+    The pivot rows are listed in elimination order.  The pivot column at
+    step t, a combination of the columns of `a`, has +-1 at the row of
+    step t and zeros at the rows of the earlier steps.
+
+    >>> _reduce(IntMatrix.from_rows([[1, 1, 0], [-1, 0, 2]]))
+    ((1, 1), [0, 1])
+    >>> _reduce(IntMatrix.from_rows([[1, 1, 0], [-1, 0, 2]]), cleared={0})
+    ((1, 2), [0])
+    """
+    if not any(a.columns):
+        return (), []
+    if cleared:
+        cols = [{} if j in cleared else dict(col)
+                for j, col in enumerate(a.columns)]
+    else:
+        cols = [dict(col) for col in a.columns]
     rows = [set() for _ in range(a.rows)]
     for j, col in enumerate(cols):
         for i in col:
@@ -358,7 +380,7 @@ def invariant_factors(a):
     queue = [(fill(i, j), j, i) for j, col in enumerate(cols)
              for i, x in col.items() if x in (1, -1)]
     heapify(queue)
-    units = 0
+    pivots = []
     while queue:
         cost, c, r = heappop(queue)
         pivot_col = cols[c]
@@ -369,7 +391,7 @@ def invariant_factors(a):
         if now > cost:
             heappush(queue, (now, c, r))
             continue
-        units += 1
+        pivots.append(r)
         del pivot_col[r]
         cols[c] = {}
         for i in pivot_col:
@@ -392,15 +414,16 @@ def invariant_factors(a):
                     del col[i]
                     rows[i].discard(j)
 
+    units = (1,) * len(pivots)
     core_cols = [col for col in cols if col]
     core_rows = sorted({i for col in core_cols for i in col})
     if not core_rows:
-        return (1,) * units
+        return units, pivots
     place = {i: t for t, i in enumerate(core_rows)}
     core = IntMatrix._of(len(core_rows), len(core_cols),
                          ({place[i]: x for i, x in col.items()}
                           for col in core_cols))
-    return (1,) * units + snf(core).invariant_factors
+    return units + snf(core).invariant_factors, pivots
 
 
 def rank(a):

@@ -71,20 +71,37 @@ def column_cap_from_doc(doc, where="document"):
     return _optional(doc, "column_cap", (int, type(None)), where, None)
 
 
-def complex_from_data(entry, key, where):
-    """The simplicial complex stored under `key` of the object at
-    `where`."""
+def complex_from_data(entry, key, where, dim, built):
+    """The simplicial complex stored under `key` of the object at `where`.
+
+    A listed simplex of dimension above `dim` is refused before the
+    closure, which would cost 2^n faces for n vertices: no accepted
+    document holds one.  `built` maps the (vertices, simplices) of every
+    complex read so far to its complex, so the same data gives the same
+    object.
+    """
     data = _require(entry, key, dict, where)
     vertices = _require(data, "vertices", int, where)
     simplices = _require(data, "simplices", list, where)
     spot = f"{where}.{key}.simplices"
+    # exact types pass at once; the loop names the first wrong element
+    if any(type(s) is not list for s in simplices) or any(
+            type(v) is not int for s in simplices for v in s):
+        for t, simplex in enumerate(simplices):
+            _each(_typed(simplex, list, spot, t), int, spot, t)
+    seen = (vertices, tuple(tuple(s) for s in simplices))
+    if seen in built:
+        return built[seen]
     for t, simplex in enumerate(simplices):
-        _each(_typed(simplex, list, spot, t), int, spot, t)
+        if len(simplex) > dim + 1 and len(set(simplex)) > dim + 1:
+            raise SchemaError(f"{spot}[{t}] has dimension "
+                              f"{len(set(simplex)) - 1}, above dim {dim}")
     try:
-        return SimplicialComplexData.from_simplices(
-            [tuple(s) for s in simplices], vertex_count=vertices)
+        built[seen] = SimplicialComplexData.from_simplices(
+            seen[1], vertex_count=vertices)
     except (TypeError, ValueError) as err:
         raise SchemaError(f"{where}: {err}") from err
+    return built[seen]
 
 
 def complex_to_data(k):
@@ -98,6 +115,7 @@ def presentation_from_doc(doc, where="presentation"):
     dim = _require(doc, "dim", int, where)
     crit = []
     models = {}
+    built = {}
     for t, entry in enumerate(_require(doc, "critical", list, where)):
         spot = f"{where}.critical[{t}]"
         index = _require(entry, "index", int, spot)
@@ -107,7 +125,7 @@ def presentation_from_doc(doc, where="presentation"):
                                 f"{spot}.names"))
             model = CritModel(index=index, names=names)
         elif kind == "simplicial":
-            cx = complex_from_data(entry, "complex", spot)
+            cx = complex_from_data(entry, "complex", spot, dim, built)
             model = CritModel(index=index, complex=cx)
         else:
             raise SchemaError(f"{spot}: unknown kind '{kind}'")
@@ -118,7 +136,7 @@ def presentation_from_doc(doc, where="presentation"):
         spot = f"{where}.moduli[{t}]"
         src = _require(entry, "from", int, spot)
         tgt = _require(entry, "to", int, spot)
-        domain = complex_from_data(entry, "domain", spot)
+        domain = complex_from_data(entry, "domain", spot, dim, built)
         sign = _require(entry, "sign", int, spot)
         if src not in models or tgt not in models:
             raise SchemaError(f"{spot}: endpoints {src}->{tgt} not among "

@@ -7,8 +7,6 @@ along simplicial coverings realizes the fibered product with a space whose
 projection restricts to sheeted isomorphisms.
 """
 
-from itertools import combinations
-
 from .chain import ChainComplex
 from .exactalg import IntMatrix
 
@@ -33,9 +31,12 @@ class SimplicialComplexData:
     dimension is lexicographic, so chain-level constructions downstream are
     deterministic.  The constructor checks all of this once and raises
     ValueError on a malformed complex, so every instance is well formed.
+    On the way it fills the facet table: `_facets[d][t]` holds the indices,
+    in dimension d - 1, of the facets of simplex t of dimension d, facet i
+    omitting vertex i.
     """
 
-    __slots__ = ("vertex_count", "simplices_by_dim", "_index")
+    __slots__ = ("vertex_count", "simplices_by_dim", "_index", "_facets")
 
     def __init__(self, vertex_count, simplices_by_dim):
         self.vertex_count = vertex_count
@@ -44,28 +45,43 @@ class SimplicialComplexData:
             for d, simplices in simplices_by_dim.items() if simplices
         }
         self._index = {}
-        for d, simplices in self.simplices_by_dim.items():
+        for simplices in self.simplices_by_dim.values():
             for i, s in enumerate(simplices):
-                self._index[s] = (d, i)
+                self._index[s] = i
+        self._facets = {}
         problem = self._first_problem()
         if problem:
             raise ValueError(f"malformed complex: {problem}")
 
     @classmethod
     def from_simplices(cls, simplices, vertex_count=None):
-        """Build from any iterable of simplices, closing under faces."""
-        closed = set()
+        """Build from any iterable of simplices, closing under faces.
+
+        Vertices outside 0 .. vertex_count - 1 are refused before the
+        closure, naming the lowest of them as the constructor would: an
+        n-vertex simplex has 2^n - 1 faces.
+        """
+        by_dim = {}
         for s in simplices:
-            s = tuple(sorted(set(int(v) for v in s)))
+            s = tuple(sorted(set(map(int, s))))
             if not s:
                 raise ValueError("empty simplex")
-            for size in range(1, len(s) + 1):
-                closed.update(combinations(s, size))
-        by_dim = {}
-        for s in closed:
-            by_dim.setdefault(len(s) - 1, []).append(s)
+            by_dim.setdefault(len(s) - 1, set()).add(s)
+        listed = [s for level in by_dim.values() for s in level]
+        lo = min((s[0] for s in listed), default=0)
+        hi = max((s[-1] for s in listed), default=-1)
         if vertex_count is None:
-            vertex_count = 1 + max((s[-1] for s in closed), default=-1)
+            vertex_count = hi + 1
+        if lo < 0 or hi >= vertex_count:
+            v = lo if lo < 0 else min(v for s in listed for v in s
+                                      if v >= vertex_count)
+            raise ValueError(f"malformed complex: {(v,)} uses vertices "
+                             "outside range")
+        for d in range(max(by_dim, default=0), 0, -1):
+            faces = by_dim.setdefault(d - 1, set())
+            for s in by_dim.get(d, ()):
+                for i in range(d + 1):
+                    faces.add(s[:i] + s[i + 1:])
         return cls(vertex_count, by_dim)
 
     @property
@@ -79,15 +95,18 @@ class SimplicialComplexData:
         return tuple(simplex) in self._index
 
     def index_of(self, simplex):
-        return self._index[tuple(simplex)][1]
+        return self._index[tuple(simplex)]
 
     def all_simplices(self):
         for d in sorted(self.simplices_by_dim):
             yield from self.simplices_by_dim[d]
 
     def _first_problem(self):
-        """What is wrong with the lowest malformed simplex, or None."""
+        """What is wrong with the lowest malformed simplex, or None; fills
+        `_facets` up to the dimension below it."""
+        index = self._index
         for d in sorted(self.simplices_by_dim):
+            table = []
             for s in self.simplices_by_dim[d]:
                 if len(s) != d + 1:
                     return f"{s} listed at dimension {d}"
@@ -96,9 +115,15 @@ class SimplicialComplexData:
                 if s and (s[0] < 0 or s[-1] >= self.vertex_count):
                     return f"{s} uses vertices outside range"
                 if d > 0:
-                    for face in combinations(s, d):
-                        if face not in self._index:
-                            return f"face {face} of {s} is missing"
+                    facets = tuple(index.get(s[:i] + s[i + 1:])
+                                   for i in range(d + 1))
+                    if None in facets:
+                        # lexicographically first: omit the last vertex
+                        i = max(i for i, t in enumerate(facets) if t is None)
+                        return f"face {s[:i] + s[i + 1:]} of {s} is missing"
+                    table.append(facets)
+            if d > 0:
+                self._facets[d] = tuple(table)
         return None
 
     def __eq__(self, other):
@@ -117,7 +142,12 @@ class SimplicialComplexData:
 
 class SimplicialMap:
     """Vertex map whose image of every simplex spans a simplex of the
-    target (possibly of lower dimension)."""
+    target (possibly of lower dimension).
+
+    The constructor checks every source simplex and keeps its image and
+    orientation sign, which `image_simplex`, `pushforward` and
+    `covering_lifts` read.
+    """
 
     def __init__(self, source, target, vertex_image):
         self.source = source
@@ -130,28 +160,28 @@ class SimplicialMap:
         for v in self.vertex_image:
             if not (0 <= v < self.target.vertex_count):
                 raise ValueError(f"image vertex {v} outside target")
+        self._images = {}
         for s in self.source.all_simplices():
-            image = tuple(sorted(set(self.vertex_image[v] for v in s)))
-            if not self.target.has(image):
-                raise ValueError(f"image {image} of {s} is not a simplex "
+            image = [self.vertex_image[v] for v in s]
+            spanned = tuple(sorted(set(image)))
+            if not self.target.has(spanned):
+                raise ValueError(f"image {spanned} of {s} is not a simplex "
                                  "of the target")
+            self._images[s] = ((spanned, _sort_sign(image))
+                               if len(spanned) == len(s) else (None, 0))
 
     def image_simplex(self, simplex):
         """(target simplex, sign) of a source simplex, or (None, 0) when the
         image is degenerate."""
-        image = [self.vertex_image[v] for v in simplex]
-        if len(set(image)) < len(image):
-            return None, 0
-        sign = _sort_sign(image)
-        return tuple(sorted(image)), sign
+        return self._images[tuple(simplex)]
 
 
 def _sort_sign(values):
+    """Sign of the permutation that sorts a list of distinct values."""
     sign = 1
-    vals = list(values)
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if vals[i] > vals[j]:
+    for i, a in enumerate(values):
+        for b in values[i + 1:]:
+            if a > b:
                 sign = -sign
     return sign
 
@@ -192,11 +222,9 @@ def chain_complex_of(k):
         ranks[d] = len(simplices)
         labels[d] = tuple(".".join(str(v) for v in s) for s in simplices)
     for d in range(1, k.top_dim + 1):
-        # the faces of a simplex are distinct, so each gets one entry
-        columns = [{k.index_of(s[:i] + s[i + 1:]): (-1) ** i
-                    for i in range(len(s))}
-                   for s in k.simplices_of_dim(d)]
-        boundaries[d] = IntMatrix.from_columns(ranks.get(d - 1, 0), ranks[d],
+        signs = [(-1) ** i for i in range(d + 1)]
+        columns = [dict(zip(facets, signs)) for facets in k._facets[d]]
+        boundaries[d] = IntMatrix.from_columns(ranks[d - 1], ranks[d],
                                                columns)
     return ChainComplex(ranks=ranks, boundaries=boundaries, labels=labels)
 
@@ -230,62 +258,63 @@ def fundamental_cycle(k):
     if d == 0:
         return OrientedCycle(k, {s: 1 for s in tops})
 
-    # purity: every simplex is a face of some top simplex
-    covered = set()
-    for s in tops:
-        for size in range(1, d + 1):
-            covered.update(combinations(s, size))
-    for dim, simplices in k.simplices_by_dim.items():
-        if dim < d:
-            for s in simplices:
-                if s not in covered:
-                    raise NoFundamentalCycle(
-                        f"not a pseudomanifold: {s} is maximal below "
-                        f"dimension {d}")
+    # purity: every simplex is a face of some top simplex.  Going down
+    # from the top, the first dimension with a simplex outside the faces of
+    # the dimension above holds a maximal one
+    facets = k._facets
+    covered = range(len(tops))
+    for dim in range(d, 0, -1):
+        below = {f for t in covered for f in facets[dim][t]}
+        simplices = k.simplices_of_dim(dim - 1)
+        if len(below) < len(simplices):
+            first = next(t for t in range(len(simplices)) if t not in below)
+            raise NoFundamentalCycle(
+                f"not a pseudomanifold: {simplices[first]} is maximal below "
+                f"dimension {d}")
+        covered = below
 
     # ridge incidences: (top simplex index, sign of the omitted vertex)
+    ridges = k.simplices_of_dim(d - 1)
     incidence = {}
-    for t, s in enumerate(tops):
-        for i in range(d + 1):
-            ridge = s[:i] + s[i + 1:]
+    for t, row in enumerate(facets[d]):
+        for i, ridge in enumerate(row):
             incidence.setdefault(ridge, []).append((t, (-1) ** i))
     boundary_ridges = []
     for ridge, hits in incidence.items():
         if len(hits) > 2:
             raise NoFundamentalCycle(
-                f"not a pseudomanifold: ridge {ridge} lies in "
+                f"not a pseudomanifold: ridge {ridges[ridge]} lies in "
                 f"{len(hits)} top simplices")
         if len(hits) == 1:
             boundary_ridges.append(ridge)
 
-    coeff = {}
+    coeff = {}  # top simplex index -> +-1
     for start in range(len(tops)):
-        if tops[start] in coeff:
+        if start in coeff:
             continue
-        coeff[tops[start]] = 1
+        coeff[start] = 1
         stack = [start]
         while stack:
             t = stack.pop()
-            s = tops[t]
-            for i in range(d + 1):
-                ridge = s[:i] + s[i + 1:]
+            for ridge in facets[d][t]:
                 hits = incidence[ridge]
                 if len(hits) != 2:
                     continue
                 (t1, s1), (t2, s2) = hits
                 other, osign, msign = (t2, s2, s1) if t1 == t else (t1, s1, s2)
                 # coherent orientation: the two induced signs must cancel
-                needed = -coeff[s] * msign * osign
-                previous = coeff.get(tops[other])
+                needed = -coeff[t] * msign * osign
+                previous = coeff.get(other)
                 if previous is None:
-                    coeff[tops[other]] = needed
+                    coeff[other] = needed
                     stack.append(other)
                 elif previous != needed:
                     raise NoFundamentalCycle(
                         f"not orientable: conflicting orientation at "
-                        f"ridge {ridge}")
-    return OrientedCycle(k, coeff,
-                         boundary_simplices=tuple(sorted(boundary_ridges)))
+                        f"ridge {ridges[ridge]}")
+    return OrientedCycle(
+        k, {tops[t]: c for t, c in coeff.items()},
+        boundary_simplices=tuple(ridges[r] for r in sorted(boundary_ridges)))
 
 
 def pushforward(f, chain):
@@ -312,8 +341,7 @@ def covering_lifts(f):
     must be the same over every target simplex.
     """
     lifts = {}
-    for s in f.source.all_simplices():
-        image, sign = f.image_simplex(s)
+    for s, (image, sign) in f._images.items():
         if image is None:
             raise CoveringError(f"simplex {s} collapses under the map",
                                 witness=s)
@@ -329,20 +357,26 @@ def covering_lifts(f):
             f"target simplex {offending} has {len(lifts.get(offending, []))} "
             f"lifts while others have {max(counts)}", witness=offending)
 
-    # unique lifting: a lift of a face extends to exactly one lift per coface
+    # unique lifting: a lift of a face extends to exactly one lift per
+    # coface, that is, it is a facet of exactly one lift of the coface
+    source = f.source
     for d in sorted(f.target.simplices_by_dim):
         if d == 0:
             continue
+        facets = source._facets.get(d, ())
         for s in f.target.simplices_of_dim(d):
+            extensions = {}
+            for up, _ in lifts.get(s, []):
+                for face_lift in facets[source.index_of(up)]:
+                    extensions[face_lift] = extensions.get(face_lift, 0) + 1
             for i in range(len(s)):
                 face = s[:i] + s[i + 1:]
                 for face_lift, _ in lifts.get(face, []):
-                    extensions = [up for up, _ in lifts.get(s, [])
-                                  if set(face_lift) <= set(up)]
-                    if len(extensions) != 1:
+                    n = extensions.get(source.index_of(face_lift), 0)
+                    if n != 1:
                         raise CoveringError(
                             f"lift {face_lift} of {face} extends to "
-                            f"{len(extensions)} lifts of {s}", witness=face)
+                            f"{n} lifts of {s}", witness=face)
     return lifts
 
 

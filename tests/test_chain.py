@@ -13,7 +13,8 @@ from mbhomology.chain import (
     quasi_iso,
     validate_complex,
 )
-from mbhomology.exactalg import IntMatrix, invariant_factors
+from mbhomology.exactalg import IntMatrix, _reduce, invariant_factors
+from mbhomology.simplicial import SimplicialComplexData, chain_complex_of
 
 from support import brute_homology, random_complex
 
@@ -164,21 +165,67 @@ class TestHomology:
     def test_groups_take_two_smith_forms(self, monkeypatch):
         # each group reads the invariant factors of d_k and d_{k+1}, and
         # nothing else: chain does not import snf at all.  Over a degree
-        # range the groups share them, so d_lo .. d_{hi+1} are each
-        # reduced exactly once
+        # range the groups share them, so d_{hi+1} .. d_lo are each
+        # reduced exactly once, from the top down, each d_k without the
+        # columns that the unit pivots of d_{k+1} cleared
         seen = []
 
-        def counted(a):
-            seen.append(a)
-            return invariant_factors(a)
+        def counted(a, cleared=()):
+            seen.append((a, set(cleared)))
+            return _reduce(a, cleared)
 
-        monkeypatch.setattr(chain, "invariant_factors", counted)
+        monkeypatch.setattr(chain, "_reduce", counted)
         assert not hasattr(chain, "snf")
         c = random_complex(random.Random(3), max_total_rank=20)
         lo, hi = c.degree_range
         assert hi > lo
         homology_at(c, c.degrees())
-        assert seen == [c.boundary(k) for k in range(lo, hi + 2)]
+        assert [a for a, _ in seen] == [c.boundary(k)
+                                        for k in range(hi + 1, lo - 1, -1)]
+        for (above, _), (_, cleared) in zip(seen, seen[1:]):
+            assert cleared == set(_reduce(above)[1])
+        assert any(cleared for _, cleared in seen)
+
+    def test_torus_d1_sees_only_uncleared_columns(self, monkeypatch):
+        # every pivot of the torus d_2 is a unit, one per triangle but one:
+        # d_1 is reduced on the edges those pivots did not clear
+        n = 4
+        tris = []
+        for i in range(n):
+            for j in range(n):
+                a, b = i * n + j, ((i + 1) % n) * n + j
+                c, d = i * n + (j + 1) % n, ((i + 1) % n) * n + (j + 1) % n
+                tris += [(a, b, d), (a, c, d)]
+        c = chain_complex_of(SimplicialComplexData.from_simplices(tris))
+        seen = {}
+
+        def counted(a, cleared=()):
+            seen[a.cols] = set(cleared)
+            return _reduce(a, cleared)
+
+        monkeypatch.setattr(chain, "_reduce", counted)
+        groups = homology_at(c, range(3))
+        assert [str(h) for h in groups] == ["Z", "Z^2", "Z"]
+        factors, pivots = _reduce(c.boundary(2))
+        assert factors == (1,) * (2 * n * n - 1) == (1,) * len(pivots)
+        cleared = seen[c.rank(1)]
+        assert cleared == set(pivots)
+        assert c.rank(1) - len(cleared) == n * n + 1
+
+    def test_clearing_changes_no_invariant_factor(self):
+        # each d_k without the columns cleared by d_{k+1} has the invariant
+        # factors of the whole d_k, and the groups match the oracle
+        for seed in range(300):
+            c = random_complex(random.Random(5000 + seed),
+                               max_total_rank=12 if seed % 2 else 24)
+            lo, hi = c.degree_range
+            for k in range(lo, hi + 1):
+                _, pivots = _reduce(c.boundary(k + 1))
+                assert _reduce(c.boundary(k), set(pivots))[0] == \
+                    invariant_factors(c.boundary(k)), (seed, k)
+            degrees = range(lo - 1, hi + 2)
+            for k, h in zip(degrees, homology_at(c, degrees), strict=True):
+                assert (h.betti, h.torsion) == brute_homology(c, k), (seed, k)
 
     def test_matches_presentation_randomized(self):
         # the groups path against the sympy oracle; every other seed draws

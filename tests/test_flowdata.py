@@ -16,6 +16,7 @@ from mbhomology.flowdata import (
 from mbhomology.morse import MorseData
 from mbhomology.multicomplex import InvalidMulticomplex
 from mbhomology.pipeline import homology_table
+from mbhomology.schema import presentation_from_doc
 from mbhomology.simplicial import (
     CoveringError,
     SimplicialComplexData,
@@ -303,3 +304,58 @@ class TestMorseToFlow:
         spots = [(j, p, i) for (j, p, i, _) in
                  err.value.report.identity_failures]
         assert (2, 0, 2) in spots
+
+
+def bott_twist_doc(domain_vertices=None):
+    """Tori A (index 0) and B (index 1) on the 3 x 3 grid, with two
+    components from B to A whose domains repeat B's data, the second with
+    `vertices` replaced when `domain_vertices` is given."""
+    def v(i, j):
+        return (i % 3) * 3 + j % 3
+
+    tris = [t for i in range(3) for j in range(3)
+            for t in ([v(i, j), v(i + 1, j), v(i + 1, j + 1)],
+                      [v(i, j), v(i, j + 1), v(i + 1, j + 1)])]
+    torus = {"vertices": 9, "simplices": [sorted(t) for t in tris]}
+    other = dict(torus)
+    if domain_vertices is not None:
+        other["vertices"] = domain_vertices
+    swap = [3 * (x % 3) + x // 3 for x in range(9)]
+    return {"dim": 3, "critical": [
+        {"index": 0, "kind": "simplicial", "complex": dict(torus)},
+        {"index": 1, "kind": "simplicial", "complex": dict(torus)}],
+        "moduli": [
+            {"from": 1, "to": 0, "domain": dict(torus),
+             "ev_minus": list(range(9)), "ev_plus": list(range(9)),
+             "sign": 1},
+            {"from": 1, "to": 0, "domain": other,
+             "ev_minus": (list(range(9)) + [0])[:other["vertices"]],
+             "ev_plus": (swap + [0])[:other["vertices"]],
+             "sign": -1}]}
+
+
+class TestSharedComplexes:
+    def test_equal_data_is_one_object(self):
+        # all four complexes of the mapping torus hold the same data: one
+        # complex serves both models and both domains, so the endpoint
+        # checks of validate meet the same object
+        fp = presentation_from_doc(bott_twist_doc())
+        a, b = fp.crit_at(0).complex, fp.crit_at(1).complex
+        assert a is b
+        for comp in fp.moduli:
+            assert comp.domain is b
+            assert comp.ev_minus.source is comp.domain
+            assert comp.ev_minus.target is b
+        assert fp.validate() == []
+        assert [str(h) for h in homology_table(
+            build_multicomplex(fp, check=False), range(4))] == \
+            ["Z", "Z^2", "Z ⊕ Z/2", "0"]
+
+    def test_other_vertex_count_is_not_shared(self):
+        # the same simplices with one more vertex make another complex
+        fp = presentation_from_doc(bott_twist_doc(domain_vertices=10))
+        first, second = (comp.domain for comp in fp.moduli)
+        assert first is fp.crit_at(1).complex
+        assert second is not first and second != first
+        assert second.vertex_count == 10
+        assert list(second.all_simplices()) == list(first.all_simplices())

@@ -321,7 +321,7 @@ class TestVerify:
         # the chain-map identity is evaluated once, for the residuals; the
         # cone is built only after they are all zero, without a second
         # check; the embedding takes no Smith form, so snf runs only on
-        # the cores that invariant_factors leaves
+        # the cores that the unit-pivot elimination leaves
         residual_calls = []
         smith_callers = []
         real_residuals, real_snf = chain.chain_map_residuals, exactalg.snf
@@ -348,7 +348,7 @@ class TestVerify:
         assert len(residual_calls) == 1
         assert not hasattr(morse, "snf")
         # the torsion leaves a core, so snf does run, from one caller
-        assert set(smith_callers) == {exactalg.invariant_factors.__code__}
+        assert set(smith_callers) == {exactalg._reduce.__code__}
 
     def test_cmd_morse_builds_one_morse_complex(self, monkeypatch, capsys):
         built = []
@@ -441,18 +441,19 @@ class TestRandomMorseData:
     def test_each_boundary_is_reduced_once(self, monkeypatch):
         # one homology pass per complex: the cone verdict, the
         # critical-point table and the total table each reduce every
-        # boundary they read exactly once, in that order
+        # boundary they read exactly once, in that order, each from the
+        # top degree down
         c = random_complex(random.Random(7003), max_total_rank=10)
         md, lo = morse_data_of(c)
         mc = build_multicomplex(morse_to_flow(md))
         seen = []
-        real = chain.invariant_factors
+        real = chain._reduce
 
-        def counted(a):
+        def counted(a, cleared=()):
             seen.append(a)
-            return real(a)
+            return real(a, cleared)
 
-        monkeypatch.setattr(chain, "invariant_factors", counted)
+        monkeypatch.setattr(chain, "_reduce", counted)
         outcome = verify_morse_mb(morse_complex(md), mc)
         assert outcome.ok
         cm, total = outcome.embedding.source, outcome.embedding.target
@@ -460,9 +461,33 @@ class TestRandomMorseData:
         c_lo, c_hi = cone.degree_range
         table = range(mc.ambient_dim + 2)
         assert cm.rank(1) and mc.ambient_dim >= 1
-        assert seen == ([cone.boundary(k) for k in range(c_lo, c_hi + 3)]
-                        + [cm.boundary(k) for k in table]
-                        + [total.boundary(k) for k in table])
+        down = range(c_hi + 2, c_lo - 1, -1)
+        assert seen == ([cone.boundary(k) for k in down]
+                        + [cm.boundary(k) for k in reversed(table)]
+                        + [total.boundary(k) for k in reversed(table)])
+
+    def test_clearing_on_the_cones(self):
+        # on the mapping cones of the random embeddings, each boundary
+        # without the columns cleared by the one above has the invariant
+        # factors of the whole boundary, and the groups match the oracle
+        cleared_any = False
+        for seed in range(30):
+            c = random_complex(random.Random(7000 + seed), max_total_rank=10)
+            md, lo = morse_data_of(c)
+            outcome = verify_morse_mb(morse_complex(md),
+                                      build_multicomplex(morse_to_flow(md)))
+            cone = mapping_cone(outcome.embedding)
+            c_lo, c_hi = cone.degree_range
+            for k in range(c_lo, c_hi + 2):
+                _, pivots = exactalg._reduce(cone.boundary(k + 1))
+                cleared_any |= bool(pivots)
+                assert exactalg._reduce(cone.boundary(k), set(pivots))[0] \
+                    == exactalg.invariant_factors(cone.boundary(k)), (seed, k)
+            degrees = range(c_lo - 1, c_hi + 2)
+            for k, h in zip(degrees, homology_at(cone, degrees), strict=True):
+                assert (h.betti, h.torsion) == brute_homology(cone, k) \
+                    == (0, ()), (seed, k)
+        assert cleared_any
 
     def test_embedding_is_a_quasi_iso(self):
         # the paper's Morse embedding on scrambled complexes with torsion:
@@ -541,3 +566,78 @@ class TestRandomMorseData:
         # d[1], including rows where the checkerboard makes eps = -1
         assert len({seed for seed, _ in lifted}) > 0.75 * possible > 15
         assert any(k % 2 for _, k in lifted)
+
+
+def conjugated(flat, rng):
+    """`flat` with its total boundary D replaced by g D g^-1, where
+    g = I + h and h is a random map of bidegree (1, -1).
+
+    g D g^-1 squares to zero, and each of its blocks runs from (p, i) to
+    some (p + j - 1, i - j) with j >= 0, so the blocks are the maps d[j]
+    of a multicomplex.  d[0] stays as it was, and so does d[1] on column
+    0, since d[0] vanishes on the odd columns of point rows.
+    """
+    view = totalize(flat)
+    total = view.complex
+    at = {}  # total degree -> [(p, i, offset)]
+    for (p, i), off in view.block_offsets.items():
+        at.setdefault(p + i, []).append((p, i, off))
+
+    def g_and_inverse(k):
+        cols = [{} for _ in range(total.rank(k))]
+        for p, i, off in at.get(k, ()):
+            if (p + 1, i - 1) in view.block_offsets:
+                r0 = view.block_offsets[(p + 1, i - 1)]
+                for s in range(flat.rank(p, i)):
+                    for t in range(flat.rank(p + 1, i - 1)):
+                        cols[off + s][r0 + t] = rng.randint(-2, 2)
+        h = IntMatrix.from_columns(total.rank(k), total.rank(k), cols)
+        inverse, power = IntMatrix.identity(total.rank(k)), -h
+        while not power.is_zero():
+            inverse, power = inverse + power, power @ -h
+        return IntMatrix.identity(total.rank(k)) + h, inverse
+
+    gs = {k: g_and_inverse(k) for k in at}
+    maps = {}
+    for k in at:
+        if k - 1 not in at:
+            continue
+        d = gs[k - 1][0] @ total.boundary(k) @ gs[k][1]
+        for p, i, off in at[k]:
+            for q, r, row0 in at[k - 1]:
+                block = IntMatrix.from_columns(
+                    flat.rank(q, r), flat.rank(p, i),
+                    [{x - row0: y for x, y in col.items()
+                      if row0 <= x < row0 + flat.rank(q, r)}
+                     for col in d.columns[off:off + flat.rank(p, i)]])
+                if not block.is_zero():
+                    assert r <= i
+                    maps[(i - r, p, i)] = block
+    return MBSMulticomplex(ambient_dim=flat.ambient_dim,
+                           column_cap=flat.column_cap,
+                           row_ranks=flat.row_ranks,
+                           row_labels=flat.row_labels, maps=maps)
+
+
+class TestConjugatedMulticomplex:
+    def test_lift_recursion_reaches_later_terms(self):
+        # the embedding of a multicomplex with d[j] on every column: C_4 =
+        # -eps (d[4] C_0 + d[2] C_2) has its t = 2 term d[2] C_2, with d[2]
+        # at column 2, nonzero, and phi_chain_map matches phi_embed
+        md = MorseData(
+            crit_by_index={0: ("a",), 1: ("b", "b'"), 2: ("c", "c'"),
+                           3: ("e",), 4: ("f",)},
+            counts={("c", "b"): 2, ("e", "c'"): 1})
+        flat = build_multicomplex(morse_to_flow(md))
+        later = 0
+        for seed in range(12):
+            mc = conjugated(flat, random.Random(seed))
+            assert validate_multicomplex(mc).ok, seed
+            assert mc.map(0, 2, 2) == flat.map(0, 2, 2)
+            assert mc.map(1, 0, 2) == flat.map(1, 0, 2)
+            outcome = verify_morse_mb(morse_complex(md), mc)
+            assert outcome.ok, seed
+            assert matches_reference(outcome, mc), seed
+            c2 = phi_embed(mc, 4, (1,))[2]
+            later += any(mc.map(2, 2, 2).times_vector(c2))
+        assert later > 6

@@ -1,4 +1,6 @@
 import random
+import time
+from itertools import combinations
 
 import pytest
 
@@ -318,3 +320,141 @@ class TestVectorHelpers:
         assert m.shape == (3, 6)
         m = matrix_of_pullback(f, 1)
         assert m.shape == (6, 3)
+
+
+def random_listed(rng, max_vertices=7):
+    """Random simplices of up to four vertices on 0..n-1, at least one."""
+    n = rng.randint(1, max_vertices)
+    picked = [s for size in (1, 2, 3, 4) for s in combinations(range(n), size)
+              if rng.random() < 0.15]
+    return picked or [(0,)]
+
+
+class TestFacetTable:
+    def test_closure_and_facets_match_combinations(self):
+        # the complex holds every face of every listed simplex, and facet i
+        # of a simplex omits vertex i: combinations lists the same faces,
+        # omitting the last vertex first
+        for seed in range(300):
+            listed = random_listed(random.Random(seed))
+            k = SimplicialComplexData.from_simplices(listed)
+            assert set(k.all_simplices()) == {
+                face for s in listed for size in range(1, len(s) + 1)
+                for face in combinations(s, size)}, seed
+            assert set(k._facets) == set(range(1, k.top_dim + 1))
+            for d, table in k._facets.items():
+                below = k.simplices_of_dim(d - 1)
+                for s, facets in zip(k.simplices_of_dim(d), table,
+                                     strict=True):
+                    assert [below[f] for f in facets] == \
+                        list(combinations(s, d))[::-1], (seed, s)
+
+    def test_chain_complex_matches_brute_force(self):
+        # the boundary read from the facet table against one summed face
+        # by face, with the sign of the omitted vertex's position
+        for seed in range(300):
+            k = SimplicialComplexData.from_simplices(
+                random_listed(random.Random(seed)))
+            c = chain_complex_of(k)
+            for d in range(1, k.top_dim + 1):
+                below = list(k.simplices_of_dim(d - 1))
+                rows = [[0] * c.rank(d) for _ in below]
+                for j, s in enumerate(k.simplices_of_dim(d)):
+                    for i in range(d + 1):
+                        face = tuple(v for t, v in enumerate(s) if t != i)
+                        rows[below.index(face)][j] += (-1) ** i
+                assert c.boundary(d) == IntMatrix(len(below), c.rank(d),
+                                                  rows), (seed, d)
+
+    @pytest.mark.parametrize("size", [20, 40])
+    def test_vertices_outside_range_refused_before_closing(self, size):
+        # closing an n-vertex simplex makes 2^n - 1 faces; the lowest
+        # vertex outside the range is named, as the constructor names it
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as err:
+            SimplicialComplexData.from_simplices([range(size)],
+                                                 vertex_count=3)
+        assert str(err.value) == ("malformed complex: (3,) uses vertices "
+                                  "outside range")
+        with pytest.raises(ValueError) as err:
+            SimplicialComplexData.from_simplices(
+                [(0, 1), range(-2, size - 2)], vertex_count=3)
+        assert str(err.value) == ("malformed complex: (-2,) uses vertices "
+                                  "outside range")
+        assert time.perf_counter() - start < 1
+
+    def test_names_a_maximal_simplex(self):
+        # of the simplices outside the faces of the tops, the first one in
+        # the highest dimension is named, and it is maximal
+        k = SimplicialComplexData.from_simplices(
+            [(0, 1, 2, 3), (4, 5, 6), (7, 8)])
+        with pytest.raises(NoFundamentalCycle, match=r"\(4, 5, 6\) is "
+                           "maximal below dimension 3"):
+            fundamental_cycle(k)
+
+
+def reference_lifts(f):
+    """covering_lifts by the definition: images computed from the vertex
+    map, and unique lifting judged by vertex sets."""
+    lifts = {}
+    for s in f.source.all_simplices():
+        image = [f.vertex_image[v] for v in s]
+        if len(set(image)) < len(image):
+            return f"simplex {s} collapses under the map", s
+        sign = (-1) ** sum(a > b for i, a in enumerate(image)
+                           for b in image[i + 1:])
+        lifts.setdefault(tuple(sorted(image)), []).append((s, sign))
+    counts = [len(lifts.get(s, [])) for s in f.target.all_simplices()]
+    for s, n in zip(f.target.all_simplices(), counts):
+        if n != max(counts):
+            return (f"target simplex {s} has {n} lifts while others have "
+                    f"{max(counts)}", s)
+    for s in f.target.all_simplices():
+        for face in reversed(list(combinations(s, len(s) - 1))):
+            for face_lift, _ in lifts.get(face, []) if face else ():
+                n = sum(set(face_lift) <= set(up) for up, _ in lifts[s])
+                if n != 1:
+                    return (f"lift {face_lift} of {face} extends to {n} "
+                            f"lifts of {s}", face)
+    return lifts
+
+
+class TestCoveringLiftsReference:
+    def test_random_sheets_match_the_definition(self):
+        # k copies of a random complex, some simplices lifted across the
+        # copies, and now and then a vertex sent elsewhere: covering_lifts
+        # gives the lifts, or the first failure and its witness, that the
+        # definition gives
+        outcomes = set()
+        for seed in range(600):
+            rng = random.Random(seed)
+            n = rng.randint(2, 6)
+            target = SimplicialComplexData.from_simplices(
+                [(v,) for v in range(n)]
+                + [s for size in (2, 3) for s in combinations(range(n), size)
+                   if rng.random() < 0.4])
+            k = rng.randint(1, 3)
+            listed = [tuple(sorted(v + (rng.randrange(k) if rng.random() < 0.2
+                                        else c) * n for v in s))
+                      for s in target.all_simplices() for c in range(k)]
+            source = SimplicialComplexData.from_simplices(listed,
+                                                          vertex_count=k * n)
+            image = [v % n for v in range(k * n)]
+            if rng.random() < 0.1:
+                image[rng.randrange(k * n)] = rng.randrange(n)
+            try:
+                f = SimplicialMap(source, target, image)
+            except ValueError:
+                continue
+            want = reference_lifts(f)
+            try:
+                got = covering_lifts(f)
+            except CoveringError as err:
+                got = (str(err), err.witness)
+                outcomes.update(word for word in ("collapses", "while",
+                                                   "extends")
+                                if word in str(err))
+            else:
+                outcomes.add("covering")
+            assert got == want, seed
+        assert outcomes == {"covering", "collapses", "while", "extends"}
