@@ -362,11 +362,8 @@ def _reduce(a, cleared=()):
     """
     if not any(a.columns):
         return (), []
-    if cleared:
-        cols = [{} if j in cleared else dict(col)
-                for j, col in enumerate(a.columns)]
-    else:
-        cols = [dict(col) for col in a.columns]
+    cols = [{} if j in cleared else dict(col)
+            for j, col in enumerate(a.columns)]
     rows = [set() for _ in range(a.rows)]
     for j, col in enumerate(cols):
         for i in col:

@@ -84,11 +84,8 @@ def complex_from_data(entry, key, where, dim, built):
     vertices = _require(data, "vertices", int, where)
     simplices = _require(data, "simplices", list, where)
     spot = f"{where}.{key}.simplices"
-    # exact types pass at once; the loop names the first wrong element
-    if any(type(s) is not list for s in simplices) or any(
-            type(v) is not int for s in simplices for v in s):
-        for t, simplex in enumerate(simplices):
-            _each(_typed(simplex, list, spot, t), int, spot, t)
+    for t, simplex in enumerate(simplices):
+        _each(_typed(simplex, list, spot, t), int, spot, t)
     seen = (vertices, tuple(tuple(s) for s in simplices))
     if seen in built:
         return built[seen]

@@ -24,6 +24,16 @@ class CoveringError(ValueError):
         self.witness = witness
 
 
+def _close(by_dim):
+    """Add to `by_dim`, {dimension: set of simplices}, the facets of each
+    simplex, from the top dimension down, so it is closed under faces."""
+    for d in range(max(by_dim, default=0), 0, -1):
+        faces = by_dim.setdefault(d - 1, set())
+        for s in by_dim.get(d, ()):
+            for i in range(d + 1):
+                faces.add(s[:i] + s[i + 1:])
+
+
 class SimplicialComplexData:
     """Simplices as strictly increasing vertex tuples, closed under faces.
 
@@ -58,8 +68,8 @@ class SimplicialComplexData:
         """Build from any iterable of simplices, closing under faces.
 
         Vertices outside 0 .. vertex_count - 1 are refused before the
-        closure, naming the lowest of them as the constructor would: an
-        n-vertex simplex has 2^n - 1 faces.
+        closure, by the constructor's check of the 0-skeleton, which names
+        the lowest of them: an n-vertex simplex has 2^n - 1 faces.
         """
         by_dim = {}
         for s in simplices:
@@ -73,15 +83,9 @@ class SimplicialComplexData:
         if vertex_count is None:
             vertex_count = hi + 1
         if lo < 0 or hi >= vertex_count:
-            v = lo if lo < 0 else min(v for s in listed for v in s
-                                      if v >= vertex_count)
-            raise ValueError(f"malformed complex: {(v,)} uses vertices "
-                             "outside range")
-        for d in range(max(by_dim, default=0), 0, -1):
-            faces = by_dim.setdefault(d - 1, set())
-            for s in by_dim.get(d, ()):
-                for i in range(d + 1):
-                    faces.add(s[:i] + s[i + 1:])
+            # raises, naming the lowest vertex outside the range
+            cls(vertex_count, {0: {(v,) for s in listed for v in s}})
+        _close(by_dim)
         return cls(vertex_count, by_dim)
 
     @property

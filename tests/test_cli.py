@@ -3,14 +3,13 @@ import json
 import os
 import subprocess
 import sys
-import time
 import types
 from pathlib import Path
 
 import pytest
 
 import mbhomology
-from mbhomology import cli
+from mbhomology import cli, simplicial
 from mbhomology.cli import EXIT_INPUT, EXIT_OK, EXIT_SEMANTIC, main
 from mbhomology.schema import (
     canonical_json,
@@ -564,16 +563,24 @@ class TestClosureBound:
         return write_doc(tmp_path, doc)
 
     @staticmethod
-    def timed_homology(path):
-        start = time.perf_counter()
-        code = main(["homology", path])
-        return code, time.perf_counter() - start
+    def homology_unclosed(monkeypatch, path):
+        """`homology` on `path`, failing at once if the closure is handed
+        a simplex above dimension 2, the top of every model of the
+        document."""
+        real = simplicial._close
+
+        def guarded(by_dim):
+            assert max(by_dim, default=0) <= 2, "a large simplex was closed"
+            real(by_dim)
+
+        monkeypatch.setattr(simplicial, "_close", guarded)
+        return main(["homology", path])
 
     @pytest.mark.parametrize("vertices", [20, 40])
-    def test_simplex_above_dim(self, tmp_path, capsys, vertices):
+    def test_simplex_above_dim(self, tmp_path, capsys, monkeypatch,
+                               vertices):
         path = self.big_simplex_doc(tmp_path, vertices, 2)
-        code, seconds = self.timed_homology(path)
-        assert code == EXIT_INPUT and seconds < 1
+        assert self.homology_unclosed(monkeypatch, path) == EXIT_INPUT
         n = len(load_corpus_doc("t2-height")["critical"][0]["complex"][
             "simplices"])
         assert capsys.readouterr().err == (
@@ -581,13 +588,13 @@ class TestClosureBound:
             f"dimension {vertices - 1}, above dim 2\n")
 
     @pytest.mark.parametrize("vertices", [20, 40])
-    def test_vertices_outside_range(self, tmp_path, capsys, vertices):
+    def test_vertices_outside_range(self, tmp_path, capsys, monkeypatch,
+                                    vertices):
         # with dim raised past the simplex, the range check refuses it
         # with the message the constructor gives, naming the lowest vertex
         # outside the model's 3
         path = self.big_simplex_doc(tmp_path, vertices, 60)
-        code, seconds = self.timed_homology(path)
-        assert code == EXIT_INPUT and seconds < 1
+        assert self.homology_unclosed(monkeypatch, path) == EXIT_INPUT
         assert capsys.readouterr().err == (
             f"input error: {path}.critical[0]: malformed complex: (3,) uses "
             "vertices outside range\n")
