@@ -16,8 +16,8 @@ _HOME = {
                      "chain_complex_of", "fundamental_cycle", "pushforward"),
                     "simplicial"),
     **dict.fromkeys(("MBSMulticomplex", "MulticomplexReport",
-                     "TotalComplexView", "InvalidMulticomplex",
-                     "validate_multicomplex", "totalize"), "multicomplex"),
+                     "InvalidMulticomplex", "validate_multicomplex",
+                     "totalize"), "multicomplex"),
     "homology_table": "pipeline",
     **dict.fromkeys(("CritModel", "ModuliComponentModel", "FlowPresentation",
                      "FlowDataError", "fat_point_row", "build_multicomplex",

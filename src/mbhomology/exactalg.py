@@ -165,7 +165,7 @@ class IntMatrix:
             for k, b in theirs.items():
                 for i, a in mine[k].items():
                     acc[i] = acc.get(i, 0) + a * b
-            out.append({i: x for i, x in acc.items() if x})
+            out.append({i: x for i, x in acc.items() if x} if acc else acc)
         return IntMatrix._of(self.rows, other.cols, out)
 
     def times_vector(self, v):

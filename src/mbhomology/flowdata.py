@@ -287,7 +287,9 @@ def build_multicomplex(fp, check=True):
             r = row.rank(p)
             if r:
                 row_ranks[(p, i)] = r
-                row_labels[(p, i)] = row.label(p)
+        if model.is_points:
+            row_labels.update(dict.fromkeys(
+                ((p, i) for p in range(cap + 1)), tuple(model.names)))
         for p in range(1, cap + 1):
             d = row.boundary(p)
             if not d.is_zero():

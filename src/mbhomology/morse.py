@@ -108,15 +108,14 @@ def _check_morse_shaped(mc):
                     "needs full point rows")
 
 
-def phi_chain_map(cm, view):
+def phi_chain_map(cm, mc):
     """The embedding as a chain map from the critical-point complex
-    cm = morse_complex(md) into the totalization `view` of a multicomplex.
+    cm = morse_complex(md) into `mc.complex`, the total complex of `mc`.
 
     Row k lifts all at once: C_0 = I, the odd C_i are zero, and since d[0]
     is eps * I at each even bidegree (i, k - i),
     C_i = -eps * sum over even t < i of d[i - t] C_t.  An absent row gives
     an empty slot."""
-    mc = view.mc
     for k in cm.degrees():
         if cm.rank(k) and mc.labels(0, k) != cm.label(k):
             raise ValueError(
@@ -137,11 +136,11 @@ def phi_chain_map(cm, view):
             parts[i] = acc
         cols = [{} for _ in range(n)]
         for i, part in parts.items():
-            off = view.block_offsets.get((i, k - i))
+            off = mc.block_offsets.get((i, k - i))
             for col, entries in zip(cols, part.columns):
                 col.update((off + s, x) for s, x in entries.items())
-        components[k] = IntMatrix.from_columns(view.complex.rank(k), n, cols)
-    return ChainMap(source=cm, target=view.complex, components=components)
+        components[k] = IntMatrix.from_columns(mc.complex.rank(k), n, cols)
+    return ChainMap(source=cm, target=mc.complex, components=components)
 
 
 class MorseVerification:
@@ -177,14 +176,13 @@ def verify_morse_mb(cm, mc):
 
     Raises InvalidMulticomplex when `mc` fails `validate_multicomplex`.
     """
-    view = validated_total(mc)
-    phi = phi_chain_map(cm, view)
-    total = view.complex
+    total = validated_total(mc)
+    phi = phi_chain_map(cm, mc)
     residuals = chain_map_residuals(phi)
 
     odd_zero = not any(
         off <= r < off + mc.rank(i, j)
-        for (i, j), off in view.block_offsets.items() if i % 2
+        for (i, j), off in mc.block_offsets.items() if i % 2
         for col in phi.component(i + j).columns for r in col)
     exact = all(r.is_zero() for r in residuals.values())
     return MorseVerification(

@@ -1,8 +1,9 @@
 """One path from a multicomplex to its homology table.
 
 The command line, the corpus and the Morse check go through here: the
-multicomplex is validated once, totalized, and its homology computed in one
-pass; the table is then checked against expected values or a second one.
+multicomplex is validated once and the homology of its total complex is
+computed in one pass; the table is then checked against expected values or
+a second one.
 """
 
 from .chain import homology_at
@@ -10,12 +11,13 @@ from .multicomplex import InvalidMulticomplex, totalize, validate_multicomplex
 
 
 def validated_total(mc):
-    """totalize(mc) once `mc` passes validate_multicomplex; otherwise
-    raises InvalidMulticomplex, carrying the validator's report."""
+    """The total complex `mc.complex`, which `mc` laid out when it was
+    built, once `mc` passes validate_multicomplex; otherwise raises
+    InvalidMulticomplex, carrying the validator's report."""
     report = validate_multicomplex(mc)
     if not report.ok:
         raise InvalidMulticomplex(report)
-    return totalize(mc)
+    return totalize(mc).complex
 
 
 def homology_table(mc, degrees=None):
@@ -28,10 +30,10 @@ def homology_table(mc, degrees=None):
     truncation-sensitive: they are reported, but only degrees <= ambient_dim
     are stable under raising the column cap.
     """
-    view = validated_total(mc)
+    total = validated_total(mc)
     if degrees is None:
         degrees = range(0, mc.column_cap)
-    return homology_at(view.complex, degrees)
+    return homology_at(total, degrees)
 
 
 def expected_mismatches(groups, expected):

@@ -218,19 +218,14 @@ def chain_complex_of(k):
     >>> [c.rank(0), c.rank(1)]
     [3, 3]
     """
-    ranks = {}
+    ranks = {d: len(k.simplices_of_dim(d)) for d in range(k.top_dim + 1)}
     boundaries = {}
-    labels = {}
-    for d in range(0, k.top_dim + 1):
-        simplices = k.simplices_of_dim(d)
-        ranks[d] = len(simplices)
-        labels[d] = tuple(".".join(str(v) for v in s) for s in simplices)
     for d in range(1, k.top_dim + 1):
         signs = [(-1) ** i for i in range(d + 1)]
         columns = [dict(zip(facets, signs)) for facets in k._facets[d]]
         boundaries[d] = IntMatrix.from_columns(ranks[d - 1], ranks[d],
                                                columns)
-    return ChainComplex(ranks=ranks, boundaries=boundaries, labels=labels)
+    return ChainComplex(ranks=ranks, boundaries=boundaries)
 
 
 def boundary_of_chain(chain):

@@ -228,3 +228,27 @@ def phi_embed(mc, k, c0):
             raise ValueError(f"no integer solution at (p={i}, i={k - i})")
         parts[i] = tuple(int(x) for x in solution)
     return parts
+
+
+def pairwise_residuals(mc):
+    """The anticommutation failures of a multicomplex, summed pair by pair
+    over its stored maps: d[q] o d[a] from (p, i) lands in
+    (p+a+q-2, i-a-q) and adds to the residual for j = a+q.  Absent maps
+    are zero, so only pairs of stored maps contribute.  Returns
+    [(j, p, i, residual)] for every nonzero residual, by source (i, p),
+    then j: the reference for validate_multicomplex's read-back of
+    D o D by block."""
+    by_source = {}
+    for (j, p, i), mat in mc.maps.items():
+        by_source.setdefault((p, i), []).append((j, mat))
+    failures = []
+    for p, i in sorted(by_source, key=lambda b: (b[1], b[0])):
+        residuals = {}
+        for a, first in by_source[(p, i)]:
+            for q, second in by_source.get((p + a - 1, i - a), ()):
+                j = a + q
+                term = second @ first
+                residuals[j] = residuals[j] + term if j in residuals else term
+        failures.extend((j, p, i, residuals[j]) for j in sorted(residuals)
+                        if not residuals[j].is_zero())
+    return failures

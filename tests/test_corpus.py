@@ -114,13 +114,15 @@ class TestIntermediateChains:
         mc = entry.build()
         mid_names = mc.labels(0, 1)
         top_names = mc.labels(0, 2)
-        base_vertices = mc.labels(0, 0)
+        # rows of the base circle's column 0 are its vertices, in order
+        base_vertices = [v for (v,) in
+                         entry.flow.crit_at(0).complex.simplices_of_dim(0)]
         d1_mid = mc.map(1, 0, 1)
         # d[1](p1) = p0 - p0' and d[1](q1) = q0 - q0'
         p1_img = dict(zip(base_vertices, d1_mid.col(mid_names.index("p1"))))
         q1_img = dict(zip(base_vertices, d1_mid.col(mid_names.index("q1"))))
-        assert p1_img == {"0": 1, "1": -1, "2": 0, "3": 0}
-        assert q1_img == {"0": 0, "1": 0, "2": -1, "3": 1}
+        assert p1_img == {0: 1, 1: -1, 2: 0, 3: 0}
+        assert q1_img == {0: 0, 1: 0, 2: -1, 3: 1}
         # d[1](p2 + q2) = 0, each summand a generator of Z(p1 - q1)
         d1_top = mc.map(1, 0, 2)
         p2 = d1_top.col(top_names.index("p2"))

@@ -126,9 +126,8 @@ def lift(md, mc, k, c0):
     return parts
 
 
-def reference_components(cm, view):
+def reference_components(cm, mc):
     """phi_embed of every basis vector of cm, as one matrix per degree."""
-    mc = view.mc
     components = {}
     for k in cm.degrees():
         n = cm.rank(k)
@@ -138,16 +137,16 @@ def reference_components(cm, view):
             parts = phi_embed(mc, k, [int(s == t) for s in range(n)])
             for i, vec in parts.items():
                 if vec:
-                    off = view.block_offsets[(i, k - i)]
+                    off = mc.block_offsets[(i, k - i)]
                     col.update((off + s, x) for s, x in enumerate(vec))
             cols.append(col)
-        components[k] = IntMatrix.from_columns(view.complex.rank(k), n, cols)
+        components[k] = IntMatrix.from_columns(mc.complex.rank(k), n, cols)
     return components
 
 
 def matches_reference(outcome, mc):
     phi = outcome.embedding
-    want = reference_components(phi.source, totalize(mc))
+    want = reference_components(phi.source, mc)
     return {k: phi.component(k) for k in want} == want
 
 

@@ -1,14 +1,19 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from mbhomology.chain import HomologyGroup, homology_at, validate_complex
+from mbhomology.cli import morse_from_doc, presentation_from_doc
+from mbhomology.corpus import load_entries
 from mbhomology.exactalg import IntMatrix
 from mbhomology.flowdata import (
     CritModel,
     FlowPresentation,
     ModuliComponentModel,
     build_multicomplex,
+    morse_to_flow,
 )
 from mbhomology.multicomplex import (
     InvalidMulticomplex,
@@ -22,6 +27,11 @@ from mbhomology.simplicial import (
     SimplicialMap,
     chain_complex_of,
 )
+
+from support import pairwise_residuals
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 def triangle():
@@ -109,11 +119,103 @@ class TestValidate:
                 maps={**mc.maps, (2, 0, 2): IntMatrix.zeros(1, 1)},
             )
 
+    def test_maps_and_ranks_are_read_only_copies(self):
+        # the total complex is laid out once, so what it was built from
+        # cannot change under it
+        ranks = {(0, 0): 1, (0, 1): 1}
+        maps = {(1, 0, 1): IntMatrix.from_rows([[2]])}
+        mc = MBSMulticomplex(ambient_dim=1, column_cap=4, row_ranks=ranks,
+                             maps=maps)
+        with pytest.raises(TypeError):
+            mc.maps[(1, 0, 1)] = IntMatrix.from_rows([[3]])
+        with pytest.raises(TypeError):
+            mc.row_ranks[(1, 0)] = 1
+        maps[(1, 0, 1)] = IntMatrix.from_rows([[3]])
+        ranks[(1, 0)] = 1
+        assert mc.map(1, 0, 1) == IntMatrix.from_rows([[2]])
+        assert mc.complex.ranks == {0: 1, 1: 1}
+        assert mc.complex.boundary(1) == IntMatrix.from_rows([[2]])
+
     def test_rejects_j_above_row(self):
         with pytest.raises(ValueError):
             MBSMulticomplex(ambient_dim=2, column_cap=4,
                             row_ranks={(0, 0): 1},
                             maps={(1, 0, 0): IntMatrix.zeros(0, 1)})
+
+
+def perturbed(mc, rng):
+    """`mc` with one or two of its stored d[0], d[1] or d[2] blocks
+    changed: one entry set to another value in -2..2, or, one time in four,
+    the whole block made zero."""
+    maps = dict(mc.maps)
+    keys = sorted(k for k in maps if k[0] <= 2)
+    for key in rng.sample(keys, rng.choice((1, 1, 2))):
+        mat = maps[key]
+        if rng.random() < 0.25:
+            maps[key] = IntMatrix.zeros(*mat.shape)
+            continue
+        r, c = rng.randrange(mat.rows), rng.randrange(mat.cols)
+        cols = [dict(col) for col in mat.columns]
+        cols[c][r] = rng.choice([x for x in range(-2, 3) if x != mat[r, c]])
+        maps[key] = IntMatrix.from_columns(mat.rows, mat.cols, cols)
+    return MBSMulticomplex(ambient_dim=mc.ambient_dim,
+                           column_cap=mc.column_cap, row_ranks=mc.row_ranks,
+                           row_labels=mc.row_labels, maps=maps)
+
+
+class TestReadBack:
+    """validate_multicomplex reads D o D back by block; the reference sums
+    the identities pair by pair over the stored maps.  Both must give the
+    same failures, in the same order, with equal residual matrices."""
+
+    def test_corpus_with_each_sign_flipped(self):
+        failing = 0
+        for entry in load_entries():
+            if entry.kind != "flow":
+                continue
+            fp = entry.flow
+            for t, comp in enumerate(fp.moduli):
+                flip = ModuliComponentModel(
+                    comp.from_index, comp.to_index, comp.domain,
+                    comp.ev_minus, comp.ev_plus, sign=-comp.sign,
+                    multiplicity=comp.multiplicity)
+                moduli = fp.moduli[:t] + (flip,) + fp.moduli[t + 1:]
+                mc = build_multicomplex(
+                    FlowPresentation(fp.dim, fp.crit, moduli, fp.column_cap),
+                    check=False)
+                want = pairwise_residuals(mc)
+                assert validate_multicomplex(mc).identity_failures == want, \
+                    (entry.name, t)
+                failing += bool(want)
+        assert failing > 5
+
+    def test_perturbed_workload_documents(self):
+        seen = {"cases": 0, "failing": 0, "several": 0, "absent": 0,
+                "zeroed": 0}
+        for workload in ("bott-twist", "morse-random"):
+            for call in range(6):
+                doc, _, _ = workloads.make(workload, 5, call)
+                fp = morse_to_flow(morse_from_doc(doc)) \
+                    if doc["kind"] == "morse" else presentation_from_doc(doc)
+                mc = build_multicomplex(fp, check=False)
+                assert validate_multicomplex(mc).ok
+                rng = random.Random(f"{workload}:{call}")
+                for _ in range(10):
+                    bad = perturbed(mc, rng)
+                    want = pairwise_residuals(bad)
+                    got = validate_multicomplex(bad).identity_failures
+                    assert got == want, (workload, call)
+                    seen["cases"] += 1
+                    seen["failing"] += bool(want)
+                    seen["several"] += len(want) > 1
+                    # a failing identity whose own d[j] is an empty block
+                    seen["absent"] += any(
+                        (j, p, i) not in bad.maps or bad.maps[j, p, i]
+                        .is_zero() for j, p, i, _ in want)
+                    seen["zeroed"] += any(m.is_zero()
+                                          for m in bad.maps.values())
+        assert seen["cases"] == 120
+        assert min(seen.values()) > 10, seen
 
 
 class TestTotalize:

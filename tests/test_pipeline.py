@@ -16,7 +16,7 @@ from mbhomology.corpus import (
 )
 from mbhomology.exactalg import IntMatrix
 from mbhomology.flowdata import CritModel, FlowPresentation, build_multicomplex
-from mbhomology.multicomplex import InvalidMulticomplex
+from mbhomology.multicomplex import InvalidMulticomplex, MBSMulticomplex
 from mbhomology.pipeline import (
     compare_tables,
     expected_mismatches,
@@ -147,9 +147,12 @@ class TestHomologyTable:
         assert all(caller == "snf" for _, caller in built)
 
     def test_invalid_raises_with_report(self):
-        mc = load_entry("t2-deformed").build()
-        key = next(k for k in mc.maps if k[0] == 2)
-        mc.maps[key] = mc.maps[key].scaled(-1)
+        built = load_entry("t2-deformed").build()
+        key = next(k for k in built.maps if k[0] == 2)
+        mc = MBSMulticomplex(
+            ambient_dim=built.ambient_dim, column_cap=built.column_cap,
+            row_ranks=built.row_ranks, row_labels=built.row_labels,
+            maps={**built.maps, key: built.maps[key].scaled(-1)})
         with pytest.raises(InvalidMulticomplex) as info:
             homology_table(mc)
         assert not info.value.report.ok

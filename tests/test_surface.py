@@ -23,9 +23,8 @@ PUBLIC = {
     "NoFundamentalCycle", "CoveringError", "chain_complex_of",
     "fundamental_cycle", "pushforward",
     # multicomplex and pipeline
-    "MBSMulticomplex", "MulticomplexReport", "TotalComplexView",
-    "InvalidMulticomplex", "validate_multicomplex", "totalize",
-    "homology_table",
+    "MBSMulticomplex", "MulticomplexReport", "InvalidMulticomplex",
+    "validate_multicomplex", "totalize", "homology_table",
     # flowdata
     "CritModel", "ModuliComponentModel", "FlowPresentation", "FlowDataError",
     "fat_point_row", "build_multicomplex", "morse_to_flow",
