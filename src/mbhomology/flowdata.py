@@ -68,7 +68,7 @@ class CritModel:
     @cached_property
     def _points(self):
         n = len(self.names)
-        return SimplicialComplexData(n, {0: [(v,) for v in range(n)]})
+        return SimplicialComplexData(n, [(v,) for v in range(n)])
 
     def validate(self):
         report = []
@@ -376,7 +376,7 @@ def morse_to_flow(md, cap=None):
         names = tuple(md.crit_by_index[k])
         if names:
             crit.append(CritModel(index=k, names=names))
-    point = SimplicialComplexData(1, {0: [(0,)]})
+    point = SimplicialComplexData(1, [(0,)])
     # point name -> (index, map onto its vertex), one map per critical
     # point, shared by all of the point's components
     at_point = {}

@@ -94,8 +94,7 @@ def complex_from_data(entry, key, where, dim, built):
             raise SchemaError(f"{spot}[{t}] has dimension "
                               f"{len(set(simplex)) - 1}, above dim {dim}")
     try:
-        built[seen] = SimplicialComplexData.from_simplices(
-            seen[1], vertex_count=vertices)
+        built[seen] = SimplicialComplexData(vertices, seen[1])
     except (TypeError, ValueError) as err:
         raise SchemaError(f"{where}: {err}") from err
     return built[seen]

@@ -1,10 +1,11 @@
 """Finite ordered simplicial complexes and the maps between them.
 
-These model critical submanifolds and moduli components: oriented
-fundamental cycles stand in for representing chains, pushforward along
-simplicial maps realizes composition with evaluation maps, and pullback
-along simplicial coverings realizes the fibered product with a space whose
-projection restricts to sheeted isomorphisms.
+A complex is the face closure of the simplices it is given.  Complexes
+model critical submanifolds and moduli components: oriented fundamental
+cycles stand in for representing chains, pushforward along simplicial maps
+realizes composition with evaluation maps, and pullback along simplicial
+coverings realizes the fibered product with a space whose projection
+restricts to sheeted isomorphisms.
 """
 
 from .chain import ChainComplex
@@ -35,58 +36,63 @@ def _close(by_dim):
 
 
 class SimplicialComplexData:
-    """Simplices as strictly increasing vertex tuples, closed under faces.
+    """The face closure of the listed simplices, as strictly increasing
+    vertex tuples.
 
     The vertex order provides orientations.  Basis order within each
     dimension is lexicographic, so chain-level constructions downstream are
-    deterministic.  The constructor checks all of this once and raises
-    ValueError on a malformed complex, so every instance is well formed.
-    On the way it fills the facet table: `_facets[d][t]` holds the indices,
-    in dimension d - 1, of the facets of simplex t of dimension d, facet i
-    omitting vertex i.
+    deterministic.  The constructor takes simplices in any vertex order,
+    repeats allowed.  It refuses an empty simplex, then a vertex outside
+    0 .. vertex_count - 1 before the closure (an n-vertex simplex has
+    2^n - 1 faces), naming the lowest.  It closes the listing and fills the
+    facet table: `_facets[d][t]` holds the indices, in dimension d - 1, of
+    the facets of simplex t of dimension d, facet i omitting vertex i.
+
+    >>> k = SimplicialComplexData(3, [(0, 2, 1)])
+    >>> len(list(k.all_simplices())), k._facets[2]
+    (7, ((2, 1, 0),))
+    >>> SimplicialComplexData(3, [(0, 5), (-1, 1)])
+    Traceback (most recent call last):
+    ...
+    ValueError: malformed complex: (-1,) uses vertices outside range
     """
 
     __slots__ = ("vertex_count", "simplices_by_dim", "_index", "_facets")
 
-    def __init__(self, vertex_count, simplices_by_dim):
+    def __init__(self, vertex_count, simplices):
         self.vertex_count = vertex_count
-        self.simplices_by_dim = {
-            d: tuple(sorted(tuple(s) for s in simplices))
-            for d, simplices in simplices_by_dim.items() if simplices
-        }
-        self._index = {}
-        for simplices in self.simplices_by_dim.values():
-            for i, s in enumerate(simplices):
-                self._index[s] = i
-        self._facets = {}
-        problem = self._first_problem()
-        if problem:
-            raise ValueError(f"malformed complex: {problem}")
-
-    @classmethod
-    def from_simplices(cls, simplices, vertex_count=None):
-        """Build from any iterable of simplices, closing under faces.
-
-        Vertices outside 0 .. vertex_count - 1 are refused before the
-        closure, by the constructor's check of the 0-skeleton, which names
-        the lowest of them: an n-vertex simplex has 2^n - 1 faces.
-        """
         by_dim = {}
         for s in simplices:
             s = tuple(sorted(set(map(int, s))))
             if not s:
                 raise ValueError("empty simplex")
             by_dim.setdefault(len(s) - 1, set()).add(s)
-        listed = [s for level in by_dim.values() for s in level]
-        lo = min((s[0] for s in listed), default=0)
-        hi = max((s[-1] for s in listed), default=-1)
-        if vertex_count is None:
-            vertex_count = hi + 1
-        if lo < 0 or hi >= vertex_count:
-            # raises, naming the lowest vertex outside the range
-            cls(vertex_count, {0: {(v,) for s in listed for v in s}})
+        outside = [v for level in by_dim.values() for s in level for v in s
+                   if not 0 <= v < vertex_count]
+        if outside:
+            raise ValueError(f"malformed complex: {(min(outside),)} uses "
+                             "vertices outside range")
         _close(by_dim)
-        return cls(vertex_count, by_dim)
+        self.simplices_by_dim = {d: tuple(sorted(by_dim[d]))
+                                 for d in sorted(by_dim)}
+        index = self._index = {}
+        self._facets = {}
+        for d, level in self.simplices_by_dim.items():
+            for t, s in enumerate(level):
+                index[s] = t
+            if d > 0:
+                self._facets[d] = tuple(
+                    tuple(index[s[:i] + s[i + 1:]] for i in range(d + 1))
+                    for s in level)
+
+    @classmethod
+    def from_simplices(cls, simplices, vertex_count=None):
+        """The constructor, with `vertex_count` one past the highest listed
+        vertex unless given."""
+        if vertex_count is None:
+            simplices = [tuple(map(int, s)) for s in simplices]
+            vertex_count = max([v + 1 for s in simplices for v in s] or [0])
+        return cls(vertex_count, simplices)
 
     @property
     def top_dim(self):
@@ -105,31 +111,6 @@ class SimplicialComplexData:
         for d in sorted(self.simplices_by_dim):
             yield from self.simplices_by_dim[d]
 
-    def _first_problem(self):
-        """What is wrong with the lowest malformed simplex, or None; fills
-        `_facets` up to the dimension below it."""
-        index = self._index
-        for d in sorted(self.simplices_by_dim):
-            table = []
-            for s in self.simplices_by_dim[d]:
-                if len(s) != d + 1:
-                    return f"{s} listed at dimension {d}"
-                if list(s) != sorted(set(s)):
-                    return f"{s} is not strictly increasing"
-                if s and (s[0] < 0 or s[-1] >= self.vertex_count):
-                    return f"{s} uses vertices outside range"
-                if d > 0:
-                    facets = tuple(index.get(s[:i] + s[i + 1:])
-                                   for i in range(d + 1))
-                    if None in facets:
-                        # lexicographically first: omit the last vertex
-                        i = max(i for i, t in enumerate(facets) if t is None)
-                        return f"face {s[:i] + s[i + 1:]} of {s} is missing"
-                    table.append(facets)
-            if d > 0:
-                self._facets[d] = tuple(table)
-        return None
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -139,9 +120,8 @@ class SimplicialComplexData:
                 and self.simplices_by_dim == other.simplices_by_dim)
 
     def __repr__(self):
-        tops = [s for s in self.all_simplices()]
         return (f"SimplicialComplexData(vertices={self.vertex_count}, "
-                f"simplices={tops})")
+                f"simplices={list(self.all_simplices())})")
 
 
 class SimplicialMap:

@@ -83,11 +83,16 @@ class TestChainComplexOf:
         assert h2.iso(HomologyGroup(1, ()))
 
     def test_rejects_malformed(self):
-        # the constructor checks the complex, so no malformed one reaches
-        # chain_complex_of
-        with pytest.raises(ValueError, match="malformed complex: face"):
-            SimplicialComplexData(3, {1: [(0, 1)]})  # missing vertices
+        # the constructor closes the listing under faces, so no complex
+        # that reaches chain_complex_of misses a face; a vertex outside the
+        # range is refused
+        k = SimplicialComplexData(3, [(0, 1)])
+        assert list(k.all_simplices()) == [(0,), (1,), (0, 1)]
+        assert k == SimplicialComplexData.from_simplices([(0, 1)],
+                                                         vertex_count=3)
         for vertex in (3, -1):
+            with pytest.raises(ValueError, match="outside range"):
+                SimplicialComplexData(3, [(0, vertex)])
             with pytest.raises(ValueError, match="outside range"):
                 SimplicialComplexData.from_simplices([(0, vertex)],
                                                      vertex_count=3)
@@ -334,13 +339,16 @@ class TestFacetTable:
     def test_closure_and_facets_match_combinations(self):
         # the complex holds every face of every listed simplex, and facet i
         # of a simplex omits vertex i: combinations lists the same faces,
-        # omitting the last vertex first
+        # omitting the last vertex first.  The same complex, index and facet
+        # table come from the listing shuffled, with each simplex reversed,
+        # with repeats, or with every face listed
         for seed in range(300):
-            listed = random_listed(random.Random(seed))
+            rng = random.Random(seed)
+            listed = random_listed(rng)
             k = SimplicialComplexData.from_simplices(listed)
-            assert set(k.all_simplices()) == {
-                face for s in listed for size in range(1, len(s) + 1)
-                for face in combinations(s, size)}, seed
+            faces = {face for s in listed for size in range(1, len(s) + 1)
+                     for face in combinations(s, size)}
+            assert set(k.all_simplices()) == faces, seed
             assert set(k._facets) == set(range(1, k.top_dim + 1))
             for d, table in k._facets.items():
                 below = k.simplices_of_dim(d - 1)
@@ -348,6 +356,14 @@ class TestFacetTable:
                                      strict=True):
                     assert [below[f] for f in facets] == \
                         list(combinations(s, d))[::-1], (seed, s)
+            shuffled = rng.sample(listed, len(listed))
+            repeated = listed + rng.choices(listed, k=len(listed))
+            for variant in (shuffled, [s[::-1] for s in listed], repeated,
+                             sorted(faces)):
+                other = SimplicialComplexData(k.vertex_count, variant)
+                assert other == k, (seed, variant)
+                assert other._index == k._index, (seed, variant)
+                assert other._facets == k._facets, (seed, variant)
 
     def test_chain_complex_matches_brute_force(self):
         # the boundary read from the facet table against one summed face
@@ -375,16 +391,17 @@ class TestFacetTable:
             raise AssertionError("closed before the range check")
 
         monkeypatch.setattr(simplicial, "_close", refuse)
-        with pytest.raises(ValueError) as err:
-            SimplicialComplexData.from_simplices([range(size)],
-                                                 vertex_count=3)
-        assert str(err.value) == ("malformed complex: (3,) uses vertices "
-                                  "outside range")
-        with pytest.raises(ValueError) as err:
-            SimplicialComplexData.from_simplices(
-                [(0, 1), range(-2, size - 2)], vertex_count=3)
-        assert str(err.value) == ("malformed complex: (-2,) uses vertices "
-                                  "outside range")
+        for build in (SimplicialComplexData,
+                      lambda n, listed: SimplicialComplexData.from_simplices(
+                          listed, vertex_count=n)):
+            with pytest.raises(ValueError) as err:
+                build(3, [range(size)])
+            assert str(err.value) == ("malformed complex: (3,) uses "
+                                      "vertices outside range")
+            with pytest.raises(ValueError) as err:
+                build(3, [(0, 1), range(-2, size - 2)])
+            assert str(err.value) == ("malformed complex: (-2,) uses "
+                                      "vertices outside range")
 
     def test_names_a_maximal_simplex(self):
         # of the simplices outside the faces of the tops, the first one in
