@@ -110,7 +110,8 @@ def homology_at(c, degrees):
 
     betti_k = rank C_k - rank d_k - rank d_{k+1}; the torsion is the
     invariant factors above 1 of d_{k+1}, since C_k / ker d_k is free.  Each
-    boundary is reduced once, however many degrees read it.  `c` must be a
+    stored boundary is reduced once, however many degrees read it; an
+    absent one is zero and has no invariant factors.  `c` must be a
     chain complex: d o d is not checked here, and `validate_complex` is the
     check for a hand-built one.
 
@@ -134,8 +135,11 @@ def homology_at(c, degrees):
     factors = {}
     pivots = ()
     for k in sorted({*degrees, *(k + 1 for k in degrees)}, reverse=True):
+        if k not in c.boundaries:  # a zero map has no invariant factors
+            factors[k], pivots = (), ()
+            continue
         cleared = set(pivots) if pivots and k + 1 in factors else ()
-        factors[k], pivots = _reduce(c.boundary(k), cleared)
+        factors[k], pivots = _reduce(c.boundaries[k], cleared)
     return [HomologyGroup(
         betti=c.rank(k) - len(factors[k]) - len(factors[k + 1]),
         torsion=tuple(x for x in factors[k + 1] if x > 1)) for k in degrees]

@@ -28,8 +28,11 @@ class CorpusEntry:
         return self.flow
 
     def build(self):
-        """The multicomplex, not yet validated: homology_table does that."""
-        return build_multicomplex(self.presentation(), check=False)
+        """The multicomplex, not yet validated: homology_table does that.
+        Point rows reach only as far as a flow line, as in the command
+        line; the tables are the same."""
+        return build_multicomplex(self.presentation(), check=False,
+                                  full_point_rows=False)
 
 
 class EntryReport:

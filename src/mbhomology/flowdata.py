@@ -223,19 +223,15 @@ def fat_point_row(cap):
 
 
 def _fat_rows(cap, names):
-    """Direct sum of fat point rows, one per named point."""
+    """Direct sum of fat point rows, one per named point, through column
+    `cap`: the identity at even positive columns, zero (not stored) at odd
+    ones."""
     n = len(names)
     ranks = {p: n for p in range(cap + 1)}
     labels = {p: tuple(names) for p in range(cap + 1)}
-    eye, zero = IntMatrix.identity(n), IntMatrix.zeros(n, n)
-    boundaries = {p: zero if p % 2 else eye for p in range(1, cap + 1)}
+    eye = IntMatrix.identity(n)
+    boundaries = {p: eye for p in range(2, cap + 1, 2)}
     return ChainComplex(ranks=ranks, boundaries=boundaries, labels=labels)
-
-
-def _row_complex(model, cap):
-    if model.is_points:
-        return _fat_rows(cap, model.names)
-    return chain_complex_of(model.complex)
 
 
 def _model_rank(model, degree):
@@ -264,34 +260,53 @@ def _target_column(target, ev_plus, chain, degree):
     return chain_to_column(target.complex, degree, pushed)
 
 
-def build_multicomplex(fp, check=True):
+def build_multicomplex(fp, check=True, full_point_rows=True):
     """Assemble the bigraded complex of a flow presentation.
 
     Raises FlowDataError for malformed input, CoveringError when ev_minus of
     a positive-dimensional source fails the covering check, and, with
     `check`, InvalidMulticomplex when the assembled maps fail
     anticommutation.
+
+    With `full_point_rows` false, point row i is laid out through column c_i
+    only: h_i is the highest column a moduli component lands on in row i
+    (its domain's dimension: j - 1 for a point source of index drop j, the
+    source model's dimension for a simplicial one; 0 when none lands), and
+    c_i is h_i rounded up to even.  This changes no answer.  The generators
+    left out, e_{c+1} .. e_cap of each point, form the pairs (e_{2m-1},
+    e_{2m}) with D e_{2m} = +-e_{2m-1} and D e_{2m-1} = 0.  No component
+    lands above column c_i, and point sources leave only column 0, so no
+    entry of D joins the pairs to the rest: they span a direct summand of
+    the total complex.  On it D o D = 0, so validate_multicomplex, which
+    reports the nonzero entries of D o D, gives the same report; and it is
+    acyclic, so the homology is the same in every degree.  The Morse
+    embedding reads the full rows, so they stay the default.
     """
     problems = fp.validate()
     if problems:
         raise FlowDataError("; ".join(problems))
     cap = fp.cap()
 
+    reach = {}
+    for comp in fp.moduli:
+        i = comp.to_index
+        reach[i] = max(reach.get(i, 0), comp.domain.top_dim)
     row_ranks = {}
     row_labels = {}
     maps = {}
     for model in fp.crit:
         i = model.index
-        row = _row_complex(model, cap)
-        for p in range(0, cap + 1):
-            r = row.rank(p)
+        if model.is_points:
+            h = cap if full_point_rows else reach.get(i, 0)
+            row = _fat_rows(h + h % 2, model.names)
+            row_labels.update(dict.fromkeys(
+                ((p, i) for p in row.ranks), tuple(model.names)))
+        else:
+            row = chain_complex_of(model.complex)
+        for p, r in row.ranks.items():
             if r:
                 row_ranks[(p, i)] = r
-        if model.is_points:
-            row_labels.update(dict.fromkeys(
-                ((p, i) for p in range(cap + 1)), tuple(model.names)))
-        for p in range(1, cap + 1):
-            d = row.boundary(p)
+        for p, d in row.boundaries.items():
             if not d.is_zero():
                 sign = -1 if (p + i) % 2 else 1
                 maps[(0, p, i)] = d.scaled(sign)

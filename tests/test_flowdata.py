@@ -1,6 +1,10 @@
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
-from mbhomology import flowdata
+from mbhomology import cli, flowdata
 from mbhomology.chain import HomologyGroup, homology_at, validate_complex
 from mbhomology.exactalg import IntMatrix
 from mbhomology.flowdata import (
@@ -13,10 +17,11 @@ from mbhomology.flowdata import (
     fat_point_row,
     morse_to_flow,
 )
+from mbhomology.corpus import data_dir, load_entries
 from mbhomology.morse import MorseData
-from mbhomology.multicomplex import InvalidMulticomplex
+from mbhomology.multicomplex import InvalidMulticomplex, validate_multicomplex
 from mbhomology.pipeline import homology_table
-from mbhomology.schema import presentation_from_doc
+from mbhomology.schema import morse_from_doc, presentation_from_doc
 from mbhomology.simplicial import (
     CoveringError,
     SimplicialComplexData,
@@ -26,6 +31,9 @@ from mbhomology.simplicial import (
 )
 
 from support import chain_to_vector
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 def triangle():
@@ -359,3 +367,71 @@ class TestSharedComplexes:
         assert second is not first and second != first
         assert second.vertex_count == 10
         assert list(second.all_simplices()) == list(first.all_simplices())
+
+
+def seeded_presentations(calls=20):
+    """The corpus, then seeded documents of every benchmark workload."""
+    for entry in load_entries():
+        yield entry.name, entry.presentation()
+    for workload in sorted(workloads.WORKLOADS):
+        for call in range(calls):
+            doc, _, _ = workloads.make(workload, 11, call)
+            fp = morse_to_flow(morse_from_doc(doc)) \
+                if doc["kind"] == "morse" else presentation_from_doc(doc)
+            yield f"{workload}:{call}", fp
+
+
+def corpus_mutants():
+    """Each corpus flow presentation with the sign of one component
+    flipped, and with its multiplicity raised by one."""
+    for entry in load_entries():
+        if entry.kind != "flow":
+            continue
+        fp = entry.flow
+        for t, comp in enumerate(fp.moduli):
+            for bad in (ModuliComponentModel(
+                    comp.from_index, comp.to_index, comp.domain,
+                    comp.ev_minus, comp.ev_plus, sign=-comp.sign,
+                    multiplicity=comp.multiplicity),
+                    with_multiplicity(comp, comp.multiplicity + 1)):
+                moduli = fp.moduli[:t] + (bad,) + fp.moduli[t + 1:]
+                yield f"{entry.name}:{t}", with_moduli(fp, moduli)
+
+
+class TestTrimmedPointRows:
+    def test_same_report_and_homology_as_full_rows(self):
+        # the generators past the reach of every flow line are a direct
+        # summand with D o D = 0 and no homology: leaving them out keeps
+        # the validation report and every homology group
+        seen = {"valid": 0, "invalid": 0, "smaller": 0}
+        for name, fp in [*seeded_presentations(), *corpus_mutants()]:
+            full = build_multicomplex(fp, check=False)
+            trimmed = build_multicomplex(fp, check=False,
+                                         full_point_rows=False)
+            report = validate_multicomplex(full)
+            assert validate_multicomplex(trimmed).describe() == \
+                report.describe(), name
+            seen["valid" if report.ok else "invalid"] += 1
+            seen["smaller"] += (sum(trimmed.complex.ranks.values())
+                                < sum(full.complex.ranks.values()))
+            if report.ok:
+                degrees = range(full.column_cap + full.ambient_dim + 1)
+                assert homology_at(trimmed.complex, degrees) == \
+                    homology_at(full.complex, degrees), name
+        assert min(seen.values()) > 20, seen
+
+    def test_cost_follows_the_data(self, tmp_path):
+        # the command line's total complex is the same however large the
+        # declared column_cap or dim
+        def total(name, **changes):
+            doc = json.loads((data_dir() / f"{name}.json").read_text("utf-8"))
+            doc.update(changes)
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc), "utf-8")
+            mc, _ = cli._load(str(path))
+            return mc.complex.ranks, mc.complex.boundaries
+
+        assert total("s2-z2", column_cap=6) == \
+            total("s2-z2", column_cap=2000) == \
+            total("s2-z2", column_cap=20000)
+        assert total("s2-round", dim=2) == total("s2-round", dim=55)
