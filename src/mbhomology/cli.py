@@ -85,12 +85,11 @@ def _input_failure(exc, path):
 def _load(path):
     """(multicomplex, expected table or None) of a flow or Morse document:
     the presentation, then `expected`, then the build, so every command
-    refuses the same input with the same error.  Point rows are laid out
-    only as far as a flow line reaches, which changes no report or table.
-    Raises ValueError."""
+    refuses the same input with the same error.  The build is the one
+    every command and the corpus make.  Raises ValueError."""
     fp, doc = presentation_from_file(path)
     expected = expected_from_doc(doc, where=path)
-    return build_multicomplex(fp, check=False, full_point_rows=False), expected
+    return build_multicomplex(fp, check=False), expected
 
 
 def _report(report, stream, as_json, heading=""):

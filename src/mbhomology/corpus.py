@@ -29,10 +29,8 @@ class CorpusEntry:
 
     def build(self):
         """The multicomplex, not yet validated: homology_table does that.
-        Point rows reach only as far as a flow line, as in the command
-        line; the tables are the same."""
-        return build_multicomplex(self.presentation(), check=False,
-                                  full_point_rows=False)
+        The build is the command line's."""
+        return build_multicomplex(self.presentation(), check=False)
 
 
 class EntryReport:

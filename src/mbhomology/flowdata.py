@@ -260,7 +260,7 @@ def _target_column(target, ev_plus, chain, degree):
     return chain_to_column(target.complex, degree, pushed)
 
 
-def build_multicomplex(fp, check=True, full_point_rows=True):
+def build_multicomplex(fp, check=True):
     """Assemble the bigraded complex of a flow presentation.
 
     Raises FlowDataError for malformed input, CoveringError when ev_minus of
@@ -268,24 +268,20 @@ def build_multicomplex(fp, check=True, full_point_rows=True):
     `check`, InvalidMulticomplex when the assembled maps fail
     anticommutation.
 
-    With `full_point_rows` false, point row i is laid out through column c_i
-    only: h_i is the highest column a moduli component lands on in row i
-    (its domain's dimension: j - 1 for a point source of index drop j, the
-    source model's dimension for a simplicial one; 0 when none lands), and
-    c_i is h_i rounded up to even.  This changes no answer.  The generators
-    left out, e_{c+1} .. e_cap of each point, form the pairs (e_{2m-1},
-    e_{2m}) with D e_{2m} = +-e_{2m-1} and D e_{2m-1} = 0.  No component
-    lands above column c_i, and point sources leave only column 0, so no
-    entry of D joins the pairs to the rest: they span a direct summand of
-    the total complex.  On it D o D = 0, so validate_multicomplex, which
-    reports the nonzero entries of D o D, gives the same report; and it is
-    acyclic, so the homology is the same in every degree.  The Morse
-    embedding reads the full rows, so they stay the default.
+    Each simplicial row runs over its own degrees.  Point row i is the fat
+    row e_0 .. e_c of each point, d[0] e_{2m} = +-e_{2m-1}, through c = c_i:
+    the highest column a moduli component lands on in row i (its domain's
+    dimension: j - 1 for a point source of index drop j, the source model's
+    for a simplicial one; 0 when none lands), rounded up to even.  Running
+    the row on to `column_cap` would add pairs (e_{2m-1}, e_{2m}) that no
+    other entry of D touches, since no component lands past c_i and point
+    sources leave only column 0: an acyclic direct summand with D o D = 0.
+    So the validation report, the homology in every degree and the Morse
+    verdict (morse.verify_morse_mb) are the same without them.
     """
     problems = fp.validate()
     if problems:
         raise FlowDataError("; ".join(problems))
-    cap = fp.cap()
 
     reach = {}
     for comp in fp.moduli:
@@ -297,7 +293,7 @@ def build_multicomplex(fp, check=True, full_point_rows=True):
     for model in fp.crit:
         i = model.index
         if model.is_points:
-            h = cap if full_point_rows else reach.get(i, 0)
+            h = reach.get(i, 0)
             row = _fat_rows(h + h % 2, model.names)
             row_labels.update(dict.fromkeys(
                 ((p, i) for p in row.ranks), tuple(model.names)))
@@ -370,7 +366,7 @@ def build_multicomplex(fp, check=True, full_point_rows=True):
 
     mc = MBSMulticomplex(
         ambient_dim=fp.dim,
-        column_cap=cap,
+        column_cap=fp.cap(),
         row_ranks=row_ranks,
         row_labels=row_labels,
         maps=maps,

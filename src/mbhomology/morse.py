@@ -6,10 +6,10 @@ the even columns by the recursion
 
     c_i = -d[0]^{-1} ( d[i] c_0 + d[i-2] c_2 + ... + d[2] c_{i-2} ),
 
-odd columns staying zero; every row is a full point row, so d[0] is
-eps * I there with eps = +1 or -1, and d[0]^{-1} = eps.  The result is a
-chain map into the total complex and a quasi-isomorphism, which is verified
-here matrix-exactly.
+odd columns staying zero; every row is a point row, ending at an even
+column, so d[0] is eps * I at each even positive column with eps = +1 or
+-1, and d[0]^{-1} = eps.  The result is a chain map into the total complex
+and a quasi-isomorphism, which is verified here matrix-exactly.
 """
 
 from .chain import (
@@ -86,26 +86,25 @@ def morse_complex(md):
 
 
 def _check_morse_shaped(mc):
-    """Every present row must be a full point row: constant rank across all
-    columns, and at every even positive column a d[0] block eps * I with
-    eps = +1 or -1 read from the block.  Raises ValueError otherwise."""
-    for i in range(0, mc.ambient_dim + 1):
-        if not mc.row_present(i):
-            continue
-        base = mc.rank(0, i)
-        for p in range(0, mc.column_cap + 1):
-            if mc.rank(p, i) != base:
-                raise ValueError(
-                    f"row {i} has varying rank; the embedding needs full "
-                    "point rows")
-        for p in range(2, mc.column_cap + 1, 2):
+    """Every present row must be a point row: one rank in each of its
+    columns 0..c, c even, and at every even positive column a d[0] block
+    eps * I with eps = +1 or -1 read from the block.  Rows are walked over
+    their own columns.  Raises ValueError otherwise."""
+    # by increasing p, so each row keeps its last column
+    ends = {i: p for (p, i), r in sorted(mc.row_ranks.items()) if r}
+    for i, end in sorted(ends.items()):
+        if end % 2 or any(mc.rank(p, i) != mc.rank(0, i)
+                          for p in range(1, end + 1)):
+            raise ValueError(f"row {i} has varying rank or ends at odd "
+                             f"column {end}; the embedding needs point rows")
+        for p in range(2, end + 1, 2):
             d0 = mc.map(0, p, i)
             eps = d0[0, 0]
             if eps not in (1, -1) or any(
                     col != {j: eps} for j, col in enumerate(d0.columns)):
                 raise ValueError(
                     f"d[0] at (p={p}, i={i}) is not +-I; the embedding "
-                    "needs full point rows")
+                    "needs point rows")
 
 
 def phi_chain_map(cm, mc):
@@ -114,8 +113,8 @@ def phi_chain_map(cm, mc):
 
     Row k lifts all at once: C_0 = I, the odd C_i are zero, and since d[0]
     is eps * I at each even bidegree (i, k - i),
-    C_i = -eps * sum over even t < i of d[i - t] C_t.  An absent row gives
-    an empty slot."""
+    C_i = -eps * sum over even t < i of d[i - t] C_t.  An absent row, or a
+    column past the end of a row, gives an empty slot (see verify_morse_mb)."""
     for k in cm.degrees():
         if cm.rank(k) and mc.labels(0, k) != cm.label(k):
             raise ValueError(
@@ -173,6 +172,14 @@ def verify_morse_mb(cm, mc):
     zero odd columns, the mapping-cone verdict on an exact phi, and both
     homology tables in degrees 0..ambient_dim.  The embedding is kept on
     the outcome.
+
+    On a build of flow data the outcome is the one the fat rows, run on to
+    column_cap, would give.  Point sources land only at column 0, so each
+    lift term C_i = -eps d[i] C_0 lies at column i <= c_{k-i}, where point
+    row k - i stops (flowdata.build_multicomplex): the fat embedding lands
+    in the kept total complex T and is phi.  The fat total complex is T + A
+    with A acyclic, so cone(phi_fat) = cone(phi) + A, and the residuals,
+    the quasi-isomorphism verdict and both tables are unchanged.
 
     Raises InvalidMulticomplex when `mc` fails `validate_multicomplex`.
     """

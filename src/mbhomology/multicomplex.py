@@ -100,9 +100,6 @@ class MBSMulticomplex:
             return got
         return IntMatrix.zeros(self.rank(p + j - 1, i - j), self.rank(p, i))
 
-    def row_present(self, i):
-        return any(self.rank(p, i) > 0 for p in range(self.column_cap + 1))
-
 
 class MulticomplexReport:
     def __init__(self, identity_failures=()):

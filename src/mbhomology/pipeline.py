@@ -26,9 +26,9 @@ def homology_table(mc, degrees=None):
     boundary is reduced once.
 
     Raises InvalidMulticomplex, carrying the validator's report, before any
-    homology is computed.  Degrees above the ambient dimension are
-    truncation-sensitive: they are reported, but only degrees <= ambient_dim
-    are stable under raising the column cap.
+    homology is computed.  Every degree is the same at every (even) column
+    cap: a larger cap adds only acyclic pairs to a point row, and the
+    builder adds none (flowdata.build_multicomplex).
     """
     total = validated_total(mc)
     if degrees is None:

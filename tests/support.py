@@ -10,7 +10,7 @@ from sympy.matrices.normalforms import invariant_factors as sym_invariant_factor
 from mbhomology import exactalg
 from mbhomology.chain import ChainComplex
 from mbhomology.exactalg import IntMatrix
-from mbhomology.multicomplex import MulticomplexReport
+from mbhomology.multicomplex import MBSMulticomplex, MulticomplexReport
 from mbhomology.simplicial import chain_to_column, covering_lifts, pushforward
 
 
@@ -194,6 +194,32 @@ def matrix_of_pullback(f, d):
         len(f.source.simplices_of_dim(d)), len(tgt),
         [chain_to_column(f.source, d, covering_pullback(f, {s: 1}))
          for s in tgt])
+
+
+def full_point_rows(mc):
+    """`mc` with every labelled point row run on to `mc.column_cap`: each
+    point gets e_0 .. e_cap, with d[0] = (-1)^(p+i) I at every even
+    positive column past the row's own end.  This is the fat-row layout
+    that `build_multicomplex` leaves out; the pairs it adds are an acyclic
+    direct summand, so it serves as a reference for the one build."""
+    ends = {}
+    for (p, i), r in mc.row_ranks.items():
+        if r:
+            ends[i] = max(ends.get(i, 0), p)
+    ranks, labels = dict(mc.row_ranks), dict(mc.row_labels)
+    maps = dict(mc.maps)
+    for (p, i), names in mc.row_labels.items():
+        if p:
+            continue
+        eye = IntMatrix.identity(len(names))
+        for q in range(ends[i] + 1, mc.column_cap + 1):
+            ranks[(q, i)] = len(names)
+            labels[(q, i)] = names
+            if q % 2 == 0:
+                maps[(0, q, i)] = eye.scaled(-1 if (q + i) % 2 else 1)
+    return MBSMulticomplex(ambient_dim=mc.ambient_dim,
+                           column_cap=mc.column_cap, row_ranks=ranks,
+                           row_labels=labels, maps=maps)
 
 
 def phi_embed(mc, k, c0):

@@ -18,7 +18,7 @@ from mbhomology.schema import (
     presentation_from_doc,
     presentation_to_doc,
 )
-from mbhomology.corpus import data_dir
+from mbhomology.corpus import data_dir, entry_names
 from mbhomology.flowdata import morse_to_flow
 
 
@@ -241,6 +241,27 @@ class TestHomologyBytes:
         captured = capsys.readouterr()
         assert captured.out == want
         assert captured.err == ""
+
+
+class TestColumnCap:
+    """A larger `column_cap` adds nothing that a command reads."""
+
+    @pytest.mark.parametrize("name", entry_names())
+    def test_same_output_at_every_cap(self, name, tmp_path, capsys):
+        doc = load_corpus_doc(name)
+        path = tmp_path / f"{name}.json"
+        first = None
+        for cap in (None, 2000, 20000):  # None: the default cap
+            if cap is not None:
+                doc["column_cap"] = cap
+            path.write_text(canonical_json(doc), "utf-8")
+            runs = []
+            for command in ("validate", "homology", "morse"):
+                for extra in ([], ["--json"]):
+                    code = main([command, str(path), *extra])
+                    runs.append((command, extra, code, capsys.readouterr()))
+            first = first or runs
+            assert runs == first, cap
 
 
 def branching_domain_doc():

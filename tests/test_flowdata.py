@@ -30,7 +30,7 @@ from mbhomology.simplicial import (
     fundamental_cycle,
 )
 
-from support import chain_to_vector
+from support import chain_to_vector, full_point_rows
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -402,12 +402,11 @@ class TestTrimmedPointRows:
     def test_same_report_and_homology_as_full_rows(self):
         # the generators past the reach of every flow line are a direct
         # summand with D o D = 0 and no homology: leaving them out keeps
-        # the validation report and every homology group
+        # the validation report and every homology group of the fat rows
         seen = {"valid": 0, "invalid": 0, "smaller": 0}
         for name, fp in [*seeded_presentations(), *corpus_mutants()]:
-            full = build_multicomplex(fp, check=False)
-            trimmed = build_multicomplex(fp, check=False,
-                                         full_point_rows=False)
+            trimmed = build_multicomplex(fp, check=False)
+            full = full_point_rows(trimmed)
             report = validate_multicomplex(full)
             assert validate_multicomplex(trimmed).describe() == \
                 report.describe(), name
@@ -420,18 +419,36 @@ class TestTrimmedPointRows:
                     homology_at(full.complex, degrees), name
         assert min(seen.values()) > 20, seen
 
-    def test_cost_follows_the_data(self, tmp_path):
+    def test_cost_follows_the_data(self, tmp_path, monkeypatch):
         # the command line's total complex is the same however large the
-        # declared column_cap or dim
-        def total(name, **changes):
+        # declared column_cap or dim, for `morse` as for the others
+        def written(name, **changes):
             doc = json.loads((data_dir() / f"{name}.json").read_text("utf-8"))
             doc.update(changes)
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(doc), "utf-8")
-            mc, _ = cli._load(str(path))
+            return str(path)
+
+        def total(name, **changes):
+            mc, _ = cli._load(written(name, **changes))
+            return mc.complex.ranks, mc.complex.boundaries
+
+        built = []
+
+        def recorded(fp, check=True):
+            built.append(flowdata.build_multicomplex(fp, check))
+            return built[-1]
+
+        def morse_total(cap):
+            built.clear()
+            path = written("t2-morse-4pt", column_cap=cap)
+            assert cli.main(["morse", path]) == cli.EXIT_OK
+            [mc] = built
             return mc.complex.ranks, mc.complex.boundaries
 
         assert total("s2-z2", column_cap=6) == \
             total("s2-z2", column_cap=2000) == \
             total("s2-z2", column_cap=20000)
         assert total("s2-round", dim=2) == total("s2-round", dim=55)
+        monkeypatch.setattr(cli, "build_multicomplex", recorded)
+        assert morse_total(6) == morse_total(2000) == morse_total(20000)

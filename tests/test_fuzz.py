@@ -2,10 +2,12 @@
 replaced or deleted, and every command must end with exit code 0, 1 or 2,
 never with an exception.
 
-Replacement integers stay small (-2..10): a large `dim` or `column_cap`
-makes work that grows with the number itself, which is a cost question and
-not what this test checks.  Small integers already reach every vertex,
-index and count check.
+Replacement integers stay small (-2..10): a large `dim` makes work that
+grows with the number itself, which is a cost question and not what this
+test checks.  Small integers already reach every vertex, index and count
+check.  `column_cap`, which no corpus document sets, is drawn as one more
+path, and it may also take a large even or odd value: no command's work
+grows with the cap.
 """
 
 import contextlib
@@ -29,6 +31,8 @@ VALUES = st.one_of(
     st.lists(st.integers(-2, 10), max_size=3),
     st.just({}),
 )
+# the large caps come first, so the simplest examples already try them
+CAPS = st.one_of(st.sampled_from([20000, 20001]), VALUES)
 
 
 def paths(doc, prefix=()):
@@ -46,7 +50,10 @@ def mutated(doc, path, value, delete):
     for key in path[:-1]:
         parent = parent[key]
     if delete:
-        del parent[path[-1]]
+        if isinstance(parent, dict):
+            parent.pop(path[-1], None)  # `column_cap` may be absent
+        else:
+            del parent[path[-1]]
     else:
         parent[path[-1]] = value
     return doc
@@ -64,9 +71,11 @@ def run(argv):
 def test_one_changed_value_never_escapes(name, data):
     original = data_dir() / f"{name}.json"
     doc = json.loads(original.read_text("utf-8"))
-    path = data.draw(st.sampled_from(sorted(paths(doc), key=repr)))
+    path = data.draw(st.sampled_from(
+        sorted({*paths(doc), ("column_cap",)}, key=repr)))
     delete = data.draw(st.booleans())
-    value = None if delete else data.draw(VALUES)
+    value = None if delete else data.draw(
+        CAPS if path == ("column_cap",) else VALUES)
     with tempfile.TemporaryDirectory() as tmp:
         target = Path(tmp) / "doc.json"
         target.write_text(json.dumps(mutated(doc, path, value, delete)),

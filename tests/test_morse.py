@@ -32,7 +32,13 @@ from mbhomology.multicomplex import (
     validate_multicomplex,
 )
 
-from support import brute_homology, forbid_dense_rows, phi_embed, random_complex
+from support import (
+    brute_homology,
+    forbid_dense_rows,
+    full_point_rows,
+    phi_embed,
+    random_complex,
+)
 
 
 def torus_md():
@@ -153,7 +159,8 @@ def matches_reference(outcome, mc):
 class TestPhiEmbed:
     def test_zero_interaction_gives_inclusion(self):
         md = torus_md()
-        parts = lift(md, build_multicomplex(morse_to_flow(md)), 2, (1,))
+        mc = full_point_rows(build_multicomplex(morse_to_flow(md)))
+        parts = lift(md, mc, 2, (1,))
         assert parts[0] == (1,)
         assert parts[1] == (0, 0)
         assert parts[2] == (0,)
@@ -194,7 +201,7 @@ class TestPhiEmbed:
         # permuting the point basis and lifting again gives the same
         # embedding after undoing the permutation
         md = sphere4_md()
-        mc = build_multicomplex(morse_to_flow(md))
+        mc = full_point_rows(build_multicomplex(morse_to_flow(md)))
         perm = [1, 0]
         ranks = dict(mc.row_ranks)
         labels = {k: v for k, v in mc.row_labels.items()}
@@ -224,7 +231,11 @@ class TestPhiEmbed:
         from test_multicomplex import s2_z2_presentation
         mc = build_multicomplex(s2_z2_presentation())
         empty = morse_complex(MorseData(crit_by_index={}, counts={}))
-        with pytest.raises(ValueError, match="full point rows"):
+        # the circle row has rank 3 at columns 0 and 1: constant, but it
+        # ends at an odd column
+        with pytest.raises(ValueError,
+                           match="row 0 has varying rank or ends at odd "
+                                 "column 1"):
             phi_chain_map(empty, totalize(mc))
 
     @pytest.mark.parametrize("d0", [[[0, 1], [1, 0]], [[1, 1], [0, 1]],
@@ -510,8 +521,9 @@ class TestRandomMorseData:
 
     def test_embedding_matches_reference_at_every_cap(self):
         # truncation stability: at the smallest even cap >= m + 2, at
-        # 2m + 4 and at 64 every column of the embedding equals the
-        # reference lift, and the verdicts and both tables agree
+        # 2m + 4 and at 64, on the build and on its fat rows, every column
+        # of the embedding equals the reference lift, and the verdicts and
+        # both tables agree
         for seed in range(60):
             c = random_complex(random.Random(7000 + seed), max_total_rank=10)
             md, lo = morse_data_of(c)
@@ -519,13 +531,15 @@ class TestRandomMorseData:
             m = max(md.crit_by_index)
             seen = set()
             for cap in (default_column_cap(m), 2 * m + 4, 64):
-                mc = build_multicomplex(morse_to_flow(md, cap=cap))
-                outcome = verify_morse_mb(cm, mc)
-                assert matches_reference(outcome, mc), (seed, cap)
-                seen.add((outcome.ok, outcome.chain_map_exact,
-                          outcome.odd_components_zero, outcome.is_quasi_iso,
-                          tuple(outcome.morse_homology),
-                          tuple(outcome.mb_homology)))
+                built = build_multicomplex(morse_to_flow(md, cap=cap))
+                for mc in (built, full_point_rows(built)):
+                    outcome = verify_morse_mb(cm, mc)
+                    assert matches_reference(outcome, mc), (seed, cap)
+                    seen.add((outcome.ok, outcome.chain_map_exact,
+                              outcome.odd_components_zero,
+                              outcome.is_quasi_iso,
+                              tuple(outcome.morse_homology),
+                              tuple(outcome.mb_homology)))
             assert len(seen) == 1, seed
             assert seen.pop()[0], seed
 
@@ -539,7 +553,7 @@ class TestRandomMorseData:
             rng = random.Random(7000 + seed)
             c = random_complex(rng, max_total_rank=10)
             md, lo = morse_data_of(c)
-            flat = build_multicomplex(morse_to_flow(md))
+            flat = full_point_rows(build_multicomplex(morse_to_flow(md)))
             maps = dict(flat.maps)
             for i in range(2, flat.ambient_dim + 1):
                 rows, cols = flat.rank(1, i - 2), flat.rank(0, i - 1)
@@ -632,7 +646,7 @@ class TestConjugatedMulticomplex:
             crit_by_index={0: ("a",), 1: ("b", "b'"), 2: ("c", "c'"),
                            3: ("e",), 4: ("f",)},
             counts={("c", "b"): 2, ("e", "c'"): 1})
-        flat = build_multicomplex(morse_to_flow(md))
+        flat = full_point_rows(build_multicomplex(morse_to_flow(md)))
         later = 0
         for seed in range(12):
             mc = conjugated(flat, random.Random(seed))

@@ -28,7 +28,7 @@ from mbhomology.simplicial import (
     chain_complex_of,
 )
 
-from support import pairwise_residuals
+from support import full_point_rows, pairwise_residuals
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -318,7 +318,8 @@ class TestInvariants:
             assert validate_complex(view.complex) == []
 
     def test_label_permutation_invariance(self):
-        base = build_multicomplex(s2_z2_presentation())
+        # the fat rows reach column 4, where row 2's d[0] is permuted too
+        base = full_point_rows(build_multicomplex(s2_z2_presentation()))
         rng = random.Random(11)
         perm = [1, 0]  # swap the two poles in every column of row 2
         maps = dict(base.maps)
