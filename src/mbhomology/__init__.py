@@ -6,8 +6,7 @@ The public names below resolve on first access, so importing one submodule
 
 # public name -> the submodule that defines it
 _HOME = {
-    **dict.fromkeys(("IntMatrix", "SmithDecomposition", "snf", "rank"),
-                    "exactalg"),
+    **dict.fromkeys(("IntMatrix", "SmithDecomposition", "snf"), "exactalg"),
     **dict.fromkeys(("ChainComplex", "ChainMap", "HomologyGroup",
                      "validate_complex", "homology_at", "mapping_cone",
                      "quasi_iso"), "chain"),
@@ -20,7 +19,7 @@ _HOME = {
                      "totalize"), "multicomplex"),
     "homology_table": "pipeline",
     **dict.fromkeys(("CritModel", "ModuliComponentModel", "FlowPresentation",
-                     "FlowDataError", "fat_point_row", "build_multicomplex",
+                     "FlowDataError", "build_multicomplex",
                      "morse_to_flow", "default_column_cap"), "flowdata"),
     **dict.fromkeys(("MorseData", "InvalidMorseData", "morse_complex",
                      "phi_chain_map", "verify_morse_mb"), "morse"),

@@ -12,13 +12,15 @@ import re
 import sys
 
 from .chain import HomologyGroup
-from .flowdata import build_multicomplex, morse_to_flow
+from .flowdata import build_multicomplex
 from .multicomplex import InvalidMulticomplex, validate_multicomplex
 from .pipeline import compare_tables, expected_mismatches, homology_table
-from .schema import (  # presentation_from_doc: kept importable from here
+# load_document, morse_from_doc and presentation_from_doc run only inside
+# presentation_from_file; they stay importable from here, where the
+# benchmark's tracer finds them
+from .schema import (
     SchemaError,
     canonical_json,
-    column_cap_from_doc,
     expected_from_doc,
     load_document,
     morse_from_doc,
@@ -84,10 +86,11 @@ def _input_failure(exc, path):
 
 def _load(path):
     """(multicomplex, expected table or None) of a flow or Morse document:
-    the presentation, then `expected`, then the build, so every command
-    refuses the same input with the same error.  The build is the one
-    every command and the corpus make.  Raises ValueError."""
-    fp, doc = presentation_from_file(path)
+    the presentation from schema.presentation_from_file, then `expected`,
+    then the build, so every command refuses the same input with the same
+    error.  The reader and the build are the ones every command and the
+    corpus use.  Raises ValueError."""
+    fp, _, doc = presentation_from_file(path)
     expected = expected_from_doc(doc, where=path)
     return build_multicomplex(fp, check=False), expected
 
@@ -161,15 +164,20 @@ def cmd_homology(path, degrees=None, as_json=False):
 
 
 def cmd_morse(path, as_json=False):
+    """Check the embedding of a Morse document's critical-point complex.
+
+    The document is read as every command reads it, so a malformed one of
+    any kind exits 2 naming its JSON path; a well-formed flow document is
+    refused as not a Morse one.  Then `expected` is read for its errors,
+    the flow-line counts must square to zero, and the build is the one
+    every command makes."""
     # imported here: the other commands never need the module
     from .morse import InvalidMorseData, morse_complex, verify_morse_mb
 
     try:
-        doc = load_document(path)
-        if doc.get("kind") != "morse":
+        fp, md, doc = presentation_from_file(path)
+        if md is None:
             raise SchemaError(f"{path}: expected a morse document")
-        md = morse_from_doc(doc, where=path)
-        cap = column_cap_from_doc(doc, path)
         expected_from_doc(doc, where=path)  # read for its errors only
     except ValueError as exc:
         return _input_failure(exc, path)
@@ -179,7 +187,7 @@ def cmd_morse(path, as_json=False):
         sys.stderr.write(f"invalid Morse-Smale data: {exc}\n")
         return EXIT_SEMANTIC
     try:  # verify_morse_mb validates the multicomplex
-        mc = build_multicomplex(morse_to_flow(md, cap=cap), check=False)
+        mc = build_multicomplex(fp, check=False)
     except ValueError as exc:
         return _input_failure(exc, path)
     outcome = verify_morse_mb(cm, mc)

@@ -2,35 +2,33 @@
 homology, plus the independence checks across presentations of the same
 manifold."""
 
-import json
 from importlib import resources
 
 from .chain import HomologyGroup
-from .flowdata import build_multicomplex, morse_to_flow
+from .flowdata import build_multicomplex
 from .pipeline import compare_tables, expected_mismatches, homology_table
-from .schema import expected_from_doc, morse_from_doc, presentation_from_doc
+from .schema import expected_from_doc, presentation_from_file
 
 
 class CorpusEntry:
-    def __init__(self, name, manifold, kind, expected, notes="", flow=None,
-                 morse=None):
+    """A shipped example as the command line reads it: `presentation` is
+    the flow presentation of the document, and `morse` its Morse data, or
+    None for a flow document."""
+
+    def __init__(self, name, manifold, kind, expected, presentation,
+                 morse=None, notes=""):
         self.name = name
         self.manifold = manifold
         self.kind = kind
         self.expected = expected
-        self.notes = notes
-        self.flow = flow
+        self.presentation = presentation
         self.morse = morse
-
-    def presentation(self):
-        if self.kind == "morse":
-            return morse_to_flow(self.morse)
-        return self.flow
+        self.notes = notes
 
     def build(self):
         """The multicomplex, not yet validated: homology_table does that.
-        The build is the command line's."""
-        return build_multicomplex(self.presentation(), check=False)
+        The reader and the build are the command line's (cli._load)."""
+        return build_multicomplex(self.presentation, check=False)
 
 
 class EntryReport:
@@ -67,20 +65,20 @@ def entry_names():
 
 
 def load_entry(name):
-    doc = json.loads((data_dir() / f"{name}.json").read_text("utf-8"))
-    expected = expected_from_doc(doc, where=name) or {}
-    entry = CorpusEntry(
+    """The shipped file `name`.json, read by schema.presentation_from_file.
+    Raises SchemaError for a document the command line refuses."""
+    with resources.as_file(data_dir() / f"{name}.json") as path:
+        fp, md, doc = presentation_from_file(str(path))
+        expected = expected_from_doc(doc, where=str(path)) or {}
+    return CorpusEntry(
         name=doc.get("name", name),
         manifold=doc.get("manifold", ""),
         kind=doc.get("kind", "flow"),
         expected={k: HomologyGroup(b, t) for k, (b, t) in expected.items()},
+        presentation=fp,
+        morse=md,
         notes=doc.get("notes", ""),
     )
-    if entry.kind == "morse":
-        entry.morse = morse_from_doc(doc, where=name)
-    else:
-        entry.flow = presentation_from_doc(doc, where=name)
-    return entry
 
 
 def load_entries():

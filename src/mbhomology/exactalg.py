@@ -421,9 +421,3 @@ def _reduce(a, cleared=()):
                          ({place[i]: x for i, x in col.items()}
                           for col in core_cols))
     return units + snf(core).invariant_factors, pivots
-
-
-def rank(a):
-    """Rank of an integer matrix (number of nonzero invariant factors)."""
-    return len(invariant_factors(a))
-

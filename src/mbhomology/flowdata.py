@@ -21,7 +21,6 @@ degree p is the degree-p generator of that point's row, not zero.
 
 from functools import cached_property
 
-from .chain import ChainComplex
 from .exactalg import IntMatrix
 from .multicomplex import (
     InvalidMulticomplex,
@@ -200,46 +199,12 @@ def default_column_cap(ambient_dim):
     Degrees <= ambient_dim only involve columns p <= ambient_dim + 1, and an
     even cap cuts each point row just after an isomorphism differential, so
     no spurious homology appears in the visible range.
+
+    >>> default_column_cap(2), default_column_cap(3)
+    (4, 6)
     """
     cap = ambient_dim + 2
     return cap if cap % 2 == 0 else cap + 1
-
-
-def fat_point_row(cap):
-    """Chain complex of a single point with all degenerate degrees kept.
-
-    Rank one in degrees 0..cap; the boundary is the identity at even
-    positive degrees and zero at odd ones, so the homology is Z, 0, 0, ...
-
-    >>> row = fat_point_row(2)
-    >>> [row.rank(0), row.rank(1), row.rank(2)]
-    [1, 1, 1]
-    >>> row.boundary(1).is_zero(), row.boundary(2)[0, 0]
-    (True, 1)
-    """
-    if cap % 2 or cap < 2:
-        raise ValueError(f"cap {cap} must be even and at least 2")
-    return _fat_rows(cap, ("pt",))
-
-
-def _fat_rows(cap, names):
-    """Direct sum of fat point rows, one per named point, through column
-    `cap`: the identity at even positive columns, zero (not stored) at odd
-    ones."""
-    n = len(names)
-    ranks = {p: n for p in range(cap + 1)}
-    labels = {p: tuple(names) for p in range(cap + 1)}
-    eye = IntMatrix.identity(n)
-    boundaries = {p: eye for p in range(2, cap + 1, 2)}
-    return ChainComplex(ranks=ranks, boundaries=boundaries, labels=labels)
-
-
-def _model_rank(model, degree):
-    """Rank of a model's row at a column: every column of a point row has
-    one generator per point."""
-    if model.is_points:
-        return len(model.names)
-    return len(model.complex.simplices_of_dim(degree))
 
 
 def _target_column(target, ev_plus, chain, degree):
@@ -268,8 +233,9 @@ def build_multicomplex(fp, check=True):
     `check`, InvalidMulticomplex when the assembled maps fail
     anticommutation.
 
-    Each simplicial row runs over its own degrees.  Point row i is the fat
-    row e_0 .. e_c of each point, d[0] e_{2m} = +-e_{2m-1}, through c = c_i:
+    Each simplicial row runs over its own degrees.  Point row i holds one
+    generator per point in each column 0 .. c, d[0] = (-1)^i I at every even
+    positive column and zero at odd ones, through c = c_i:
     the highest column a moduli component lands on in row i (its domain's
     dimension: j - 1 for a point source of index drop j, the source model's
     for a simplicial one; 0 when none lands), rounded up to even.  Running
@@ -277,7 +243,8 @@ def build_multicomplex(fp, check=True):
     other entry of D touches, since no component lands past c_i and point
     sources leave only column 0: an acyclic direct summand with D o D = 0.
     So the validation report, the homology in every degree and the Morse
-    verdict (morse.verify_morse_mb) are the same without them.
+    verdict (morse.verify_morse_mb) are the same without them.  Each moduli
+    block is sized from the row ranks at its two ends.
     """
     problems = fp.validate()
     if problems:
@@ -293,12 +260,15 @@ def build_multicomplex(fp, check=True):
     for model in fp.crit:
         i = model.index
         if model.is_points:
-            h = reach.get(i, 0)
-            row = _fat_rows(h + h % 2, model.names)
-            row_labels.update(dict.fromkeys(
-                ((p, i) for p in row.ranks), tuple(model.names)))
-        else:
-            row = chain_complex_of(model.complex)
+            names, end = tuple(model.names), reach.get(i, 0)
+            eye = IntMatrix.identity(len(names)).scaled((-1) ** i)
+            for p in range(end + end % 2 + 1):
+                row_ranks[(p, i)] = len(names)
+                row_labels[(p, i)] = names
+                if p and p % 2 == 0:
+                    maps[(0, p, i)] = eye
+            continue
+        row = chain_complex_of(model.complex)
         for p, r in row.ranks.items():
             if r:
                 row_ranks[(p, i)] = r
@@ -314,8 +284,8 @@ def build_multicomplex(fp, check=True):
     def add_contribution(comp, p, col, entries, degree):
         key = (comp.relative_index, p, comp.from_index)
         if key not in pending:
-            n_rows = _model_rank(fp.crit_at(comp.to_index), degree)
-            n_cols = _model_rank(fp.crit_at(comp.from_index), p)
+            n_rows = row_ranks.get((degree, comp.to_index), 0)
+            n_cols = row_ranks.get((p, comp.from_index), 0)
             pending[key] = (n_rows, [{} for _ in range(n_cols)])
         weight = comp.sign * comp.multiplicity
         out = pending[key][1][col]

@@ -21,9 +21,10 @@ def validated_total(mc):
 
 
 def homology_table(mc, degrees=None):
-    """Homology of the totalization in `degrees` (default 0 .. column_cap - 1),
-    one group per degree in order, from one `homology_at` pass: each total
-    boundary is reduced once.
+    """Homology of the totalization in `degrees` (default 0 .. ambient_dim
+    + 1, so the cost does not grow with the column cap), one group per
+    degree in order, from one `homology_at` pass: each total boundary is
+    reduced once.
 
     Raises InvalidMulticomplex, carrying the validator's report, before any
     homology is computed.  Every degree is the same at every (even) column
@@ -32,7 +33,7 @@ def homology_table(mc, degrees=None):
     """
     total = validated_total(mc)
     if degrees is None:
-        degrees = range(0, mc.column_cap)
+        degrees = range(0, mc.ambient_dim + 2)
     return homology_at(total, degrees)
 
 

@@ -274,12 +274,16 @@ def load_document(path):
 
 
 def presentation_from_file(path):
-    """(FlowPresentation, document); Morse documents are converted."""
+    """(FlowPresentation, MorseData or None, document): the one reader that
+    tells a Morse document from a flow one.  A Morse document's data comes
+    second and is converted at its column cap; a flow document has None
+    there.  Raises SchemaError naming the file or JSON path at fault."""
     doc = load_document(path)
     kind = doc.get("kind", "flow")
     if kind == "morse":
         md = morse_from_doc(doc, where=path)
-        return morse_to_flow(md, cap=column_cap_from_doc(doc, path)), doc
+        cap = column_cap_from_doc(doc, path)
+        return morse_to_flow(md, cap=cap), md, doc
     if kind != "flow":
         raise SchemaError(f"{path}: unknown kind '{kind}'")
-    return presentation_from_doc(doc, where=path), doc
+    return presentation_from_doc(doc, where=path), None, doc

@@ -65,7 +65,7 @@ def test_criterion_2_z2():
     mc = entry.build()
     table = homology_table(mc)
     assert betti_row(table) == [(1, ()), (0, ()), (1, ())]
-    rim = entry.flow.crit_at(0).complex
+    rim = entry.presentation.crit_at(0).complex
     cycle = chain_to_vector(rim, 1, fundamental_cycle(rim).as_chain())
     d2 = mc.map(2, 0, 2)
     names = mc.labels(0, 2)
@@ -223,7 +223,7 @@ def test_criterion_9_property_suites():
 @criterion(10, "homology tables stable under raising the column cap")
 def test_criterion_10_truncation_stability():
     for entry in load_entries():
-        fp = entry.presentation()
+        fp = entry.presentation
         base_cap = fp.cap()
         low = homology_table(build_multicomplex(fp))
         raised = FlowPresentation(dim=fp.dim, crit=fp.crit, moduli=fp.moduli,

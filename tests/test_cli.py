@@ -143,7 +143,25 @@ class TestMorse:
         assert "invalid Morse-Smale data" in capsys.readouterr().err
 
     def test_flow_file_rejected(self, capsys):
-        assert main(["morse", corpus_path("s2-z2")]) == EXIT_INPUT
+        path = corpus_path("s2-z2")
+        assert main(["morse", path]) == EXIT_INPUT
+        assert capsys.readouterr().err == \
+            f"input error: {path}: expected a morse document\n"
+
+    @pytest.mark.parametrize("change, where", [
+        (lambda doc: doc["moduli"][0].update(sign="1"),
+         ".moduli[0]: key 'sign' has type str"),
+        (lambda doc: doc.update(kind="nosuch"), ": unknown kind 'nosuch'"),
+    ])
+    def test_other_documents_are_read_before_refusal(self, tmp_path, capsys,
+                                                     change, where):
+        # a malformed document of another kind gets the reader's message,
+        # which names its JSON path, as under every other command
+        doc = load_corpus_doc("s2-z2")
+        change(doc)
+        path = write_doc(tmp_path, doc)
+        assert main(["morse", path]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"input error: {path}{where}\n"
 
 
 class TestCompare:

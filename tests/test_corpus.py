@@ -1,9 +1,12 @@
+import json
 from math import gcd
 
 import pytest
 
+from mbhomology import corpus
 from mbhomology.chain import homology_at
 from mbhomology.corpus import (
+    data_dir,
     entry_names,
     independence_suite,
     load_entries,
@@ -12,6 +15,7 @@ from mbhomology.corpus import (
 )
 from mbhomology.exactalg import invariant_factors, snf
 from mbhomology.multicomplex import totalize
+from mbhomology.schema import SchemaError
 from mbhomology.simplicial import chain_complex_of, fundamental_cycle
 
 from support import chain_to_vector
@@ -38,6 +42,42 @@ class TestEntries:
         for entry in load_entries():
             assert entry.expected, entry.name
             assert entry.manifold in {"s2", "t2"}
+
+
+class TestRefusals:
+    """The corpus reads its files through the command line's reader, so
+    it refuses what the command line refuses."""
+
+    @pytest.fixture
+    def change(self, tmp_path, monkeypatch):
+        """Edits a copy of the shipped files that `corpus` then reads."""
+        for name in entry_names():
+            (tmp_path / f"{name}.json").write_text(
+                (data_dir() / f"{name}.json").read_text("utf-8"), "utf-8")
+        monkeypatch.setattr(corpus, "data_dir", lambda: tmp_path)
+
+        def edit(name, **keys):
+            path = tmp_path / f"{name}.json"
+            doc = json.loads(path.read_text("utf-8"))
+            doc.update(keys)
+            path.write_text(json.dumps(doc), "utf-8")
+        return edit
+
+    def test_unsupported_schema(self, change):
+        change("t2-morse-4pt", schema=99)
+        with pytest.raises(SchemaError, match="unsupported schema 99$"):
+            load_entry("t2-morse-4pt")
+
+    def test_unknown_kind(self, change):
+        change("s2-z2", kind="nosuch")
+        with pytest.raises(SchemaError, match="unknown kind 'nosuch'$"):
+            load_entry("s2-z2")
+
+    def test_morse_column_cap_is_kept(self, change):
+        change("t2-morse-4pt", column_cap=7)
+        report = run_entry(load_entry("t2-morse-4pt"))
+        assert not report.built
+        assert report.diagnostics == "column cap 7 must be even and at least 4"
 
 
 class TestTotalBoundaries:
@@ -76,7 +116,7 @@ class TestIntermediateChains:
     def test_z2_images_are_opposite_fundamental_cycles(self):
         entry = load_entry("s2-z2")
         mc = entry.build()
-        rim = entry.flow.crit_at(0).complex
+        rim = entry.presentation.crit_at(0).complex
         cycle = chain_to_vector(rim, 1, fundamental_cycle(rim).as_chain())
         d2 = mc.map(2, 0, 2)
         names = mc.labels(0, 2)
@@ -115,8 +155,8 @@ class TestIntermediateChains:
         mid_names = mc.labels(0, 1)
         top_names = mc.labels(0, 2)
         # rows of the base circle's column 0 are its vertices, in order
-        base_vertices = [v for (v,) in
-                         entry.flow.crit_at(0).complex.simplices_of_dim(0)]
+        base = entry.presentation.crit_at(0).complex
+        base_vertices = [v for (v,) in base.simplices_of_dim(0)]
         d1_mid = mc.map(1, 0, 1)
         # d[1](p1) = p0 - p0' and d[1](q1) = q0 - q0'
         p1_img = dict(zip(base_vertices, d1_mid.col(mid_names.index("p1"))))
@@ -137,4 +177,4 @@ class TestIntermediateChains:
     def test_deformed_base_vertex_labels(self):
         # the base circle is a square whose vertex labels are 0..3
         entry = load_entry("t2-deformed")
-        assert entry.flow.crit_at(0).complex.vertex_count == 4
+        assert entry.presentation.crit_at(0).complex.vertex_count == 4

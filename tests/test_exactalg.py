@@ -11,7 +11,6 @@ from mbhomology.exactalg import (
     IntMatrix,
     invariant_factors,
     snf,
-    rank,
 )
 
 
@@ -288,15 +287,3 @@ class TestInvariantFactors:
     @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (3, 5), (5, 3)])
     def test_empty_and_zero(self, shape):
         assert invariant_factors(IntMatrix.zeros(*shape)) == ()
-
-
-class TestRank:
-    def test_identity(self):
-        assert rank(IntMatrix.identity(4)) == 4
-
-    def test_zero(self):
-        assert rank(IntMatrix.zeros(3, 2)) == 0
-
-    def test_rank_one(self):
-        # all 2x2 minors vanish, some entry nonzero
-        assert rank(IntMatrix.from_rows([[1, 2], [2, 4]])) == 1

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from mbhomology import cli, flowdata
-from mbhomology.chain import HomologyGroup, homology_at, validate_complex
+from mbhomology.chain import homology_at
 from mbhomology.exactalg import IntMatrix
 from mbhomology.flowdata import (
     CritModel,
@@ -14,7 +14,6 @@ from mbhomology.flowdata import (
     ModuliComponentModel,
     build_multicomplex,
     default_column_cap,
-    fat_point_row,
     morse_to_flow,
 )
 from mbhomology.corpus import data_dir, load_entries
@@ -38,38 +37,6 @@ import workloads  # noqa: E402
 
 def triangle():
     return SimplicialComplexData.from_simplices([(0, 1), (1, 2), (0, 2)])
-
-
-class TestFatPointRow:
-    def test_cap_two(self):
-        row = fat_point_row(2)
-        assert [row.rank(p) for p in range(3)] == [1, 1, 1]
-        assert row.boundary(1).is_zero()
-        assert row.boundary(2) == IntMatrix.from_rows([[1]])
-
-    def test_cap_four_alternates(self):
-        row = fat_point_row(4)
-        assert validate_complex(row) == []
-        assert row.boundary(1).is_zero()
-        assert not row.boundary(2).is_zero()
-        assert row.boundary(3).is_zero()
-        assert not row.boundary(4).is_zero()
-
-    def test_homology_matches_point(self):
-        row = fat_point_row(4)
-        h0, *above = homology_at(row, range(4))
-        assert h0.iso(HomologyGroup(1, ()))
-        for h in above:
-            assert h.is_trivial()
-
-    def test_rejects_odd_cap(self):
-        with pytest.raises(ValueError):
-            fat_point_row(3)
-
-    def test_default_cap(self):
-        assert default_column_cap(2) == 4
-        assert default_column_cap(1) == 4
-        assert default_column_cap(4) == 6
 
 
 def with_moduli(fp, moduli):
@@ -128,6 +95,11 @@ class TestFlowPresentation:
         assert again.moduli == fp.moduli and isinstance(again.moduli, tuple)
         bare = FlowPresentation(dim=0, crit=[])
         assert (bare.crit, bare.moduli, bare.column_cap) == ((), (), None)
+
+    def test_default_cap(self):
+        assert default_column_cap(2) == 4
+        assert default_column_cap(1) == 4
+        assert default_column_cap(4) == 6
 
 
 class TestBuild:
@@ -372,7 +344,7 @@ class TestSharedComplexes:
 def seeded_presentations(calls=20):
     """The corpus, then seeded documents of every benchmark workload."""
     for entry in load_entries():
-        yield entry.name, entry.presentation()
+        yield entry.name, entry.presentation
     for workload in sorted(workloads.WORKLOADS):
         for call in range(calls):
             doc, _, _ = workloads.make(workload, 11, call)
@@ -387,7 +359,7 @@ def corpus_mutants():
     for entry in load_entries():
         if entry.kind != "flow":
             continue
-        fp = entry.flow
+        fp = entry.presentation
         for t, comp in enumerate(fp.moduli):
             for bad in (ModuliComponentModel(
                     comp.from_index, comp.to_index, comp.domain,

@@ -173,7 +173,7 @@ class TestReadBack:
         for entry in load_entries():
             if entry.kind != "flow":
                 continue
-            fp = entry.flow
+            fp = entry.presentation
             for t, comp in enumerate(fp.moduli):
                 flip = ModuliComponentModel(
                     comp.from_index, comp.to_index, comp.domain,

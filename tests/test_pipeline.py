@@ -120,7 +120,7 @@ class TestHomologyTable:
     def test_default_degrees_run_to_the_column_cap(self):
         mc = load_entry("s2-z2").build()
         table = homology_table(mc)
-        assert len(table) == mc.column_cap
+        assert len(table) == mc.ambient_dim + 2
         assert [g.iso(w) for g, w in zip(table, [Z, ZERO, Z])] == [True] * 3
 
     def test_degrees_argument(self):
