@@ -7,9 +7,8 @@ The public names below resolve on first access, so importing one submodule
 # public name -> the submodule that defines it
 _HOME = {
     **dict.fromkeys(("IntMatrix", "SmithDecomposition", "snf"), "exactalg"),
-    **dict.fromkeys(("ChainComplex", "ChainMap", "HomologyGroup",
-                     "validate_complex", "homology_at", "mapping_cone",
-                     "quasi_iso"), "chain"),
+    **dict.fromkeys(("ChainComplex", "HomologyGroup", "validate_complex",
+                     "homology_at"), "chain"),
     **dict.fromkeys(("SimplicialComplexData", "SimplicialMap",
                      "OrientedCycle", "NoFundamentalCycle", "CoveringError",
                      "chain_complex_of", "fundamental_cycle", "pushforward"),
@@ -21,8 +20,8 @@ _HOME = {
     **dict.fromkeys(("CritModel", "ModuliComponentModel", "FlowPresentation",
                      "FlowDataError", "build_multicomplex",
                      "morse_to_flow", "default_column_cap"), "flowdata"),
-    **dict.fromkeys(("MorseData", "InvalidMorseData", "morse_complex",
-                     "phi_chain_map", "verify_morse_mb"), "morse"),
+    **dict.fromkeys(("MorseData", "InvalidMorseData", "morse_complex"),
+                    "morse"),
 }
 
 __all__ = list(_HOME)

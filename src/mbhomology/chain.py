@@ -2,8 +2,9 @@
 
 A complex stores its ranks and boundary matrices by degree; degrees outside
 the stored range have rank zero.  Homology is computed exactly, as a group
-from the ranks and invariant factors of the two adjacent boundaries; a chain
-map is judged by whether its mapping cone is acyclic.
+from the ranks and invariant factors of the two adjacent boundaries.  Chain
+maps and mapping cones serve only the test reference of the Morse
+embedding, in tests/support.py.
 """
 
 from .exactalg import IntMatrix, _reduce
@@ -143,69 +144,3 @@ def homology_at(c, degrees):
     return [HomologyGroup(
         betti=c.rank(k) - len(factors[k]) - len(factors[k + 1]),
         torsion=tuple(x for x in factors[k + 1] if x > 1)) for k in degrees]
-
-
-class ChainMap:
-    """Degree-zero map of chain complexes, one matrix per degree."""
-
-    def __init__(self, source, target, components):
-        self.source = source
-        self.target = target
-        self.components = components
-
-    def component(self, k):
-        if k in self.components:
-            return self.components[k]
-        return IntMatrix.zeros(self.target.rank(k), self.source.rank(k))
-
-
-def chain_map_residuals(f):
-    """{k: d_k f_k - f_{k-1} d_k} over every degree where either complex is
-    nonzero, and the degree above each; all zero iff f is a chain map."""
-    degs = set(f.source.degrees()) | set(f.target.degrees())
-    return {k: f.target.boundary(k) @ f.component(k)
-            - f.component(k - 1) @ f.source.boundary(k)
-            for k in sorted(degs | {d + 1 for d in degs})}
-
-
-def mapping_cone(f):
-    """Cone(f)_k = source_{k-1} (+) target_k with the sign-twisted boundary.
-
-    Raises ValueError unless f commutes with the boundaries.
-    """
-    if not all(r.is_zero() for r in chain_map_residuals(f).values()):
-        raise ValueError("not a chain map")
-    return _cone(f)
-
-
-def _cone(f):
-    """mapping_cone(f) for an f the caller has found a chain map."""
-    src, tgt = f.source, f.target
-    degs = {k + 1 for k in src.degrees()} | set(tgt.degrees())
-    if not degs:
-        return ChainComplex(ranks={}, boundaries={})
-    ranks, boundaries = {}, {}
-    for k in range(min(degs), max(degs) + 1):
-        ranks[k] = src.rank(k - 1) + tgt.rank(k)
-        boundaries[k] = IntMatrix.from_blocks(
-            [[-src.boundary(k - 1), None],
-             [f.component(k - 1), tgt.boundary(k)]],
-            row_sizes=[src.rank(k - 2), tgt.rank(k - 1)],
-            col_sizes=[src.rank(k - 1), tgt.rank(k)],
-        )
-    return ChainComplex(ranks=ranks, boundaries=boundaries)
-
-
-def quasi_iso(f):
-    """True iff f induces isomorphisms on homology in every degree.
-
-    Criterion: the mapping cone is acyclic, read from one homology pass
-    over its degrees and the one above.
-    """
-    return _acyclic(mapping_cone(f))
-
-
-def _acyclic(cone):
-    """True iff `cone` has no homology in its degrees or the one above."""
-    lo, hi = cone.degree_range
-    return all(h.is_trivial() for h in homology_at(cone, range(lo, hi + 2)))

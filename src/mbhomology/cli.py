@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Documents are read through `schema`; every homology table comes from
-`pipeline`.  Exit codes are a stable contract: 0 for success/match, 1 for a
-semantic failure (invalid multicomplex, inconsistent flow data, mismatch,
-non-isomorphic comparison), 2 for unreadable or malformed input.
+Documents are read through `schema`; every multicomplex is validated
+through `pipeline` before its homology is computed.  Exit codes are a
+stable contract: 0 for success/match, 1 for a semantic failure (invalid
+multicomplex, inconsistent flow data, mismatch, non-isomorphic
+comparison, a Morse build that is not its critical-point complex), 2 for
+unreadable or malformed input.
 """
 
 import argparse
@@ -11,10 +13,15 @@ import functools
 import re
 import sys
 
-from .chain import HomologyGroup
+from .chain import HomologyGroup, homology_at
 from .flowdata import build_multicomplex
 from .multicomplex import InvalidMulticomplex, validate_multicomplex
-from .pipeline import compare_tables, expected_mismatches, homology_table
+from .pipeline import (
+    compare_tables,
+    expected_mismatches,
+    homology_table,
+    validated_total,
+)
 # load_document, morse_from_doc and presentation_from_doc run only inside
 # presentation_from_file; they stay importable from here, where the
 # benchmark's tracer finds them
@@ -164,15 +171,22 @@ def cmd_homology(path, degrees=None, as_json=False):
 
 
 def cmd_morse(path, as_json=False):
-    """Check the embedding of a Morse document's critical-point complex.
+    """Check that a Morse document's build is its critical-point complex.
 
     The document is read as every command reads it, so a malformed one of
     any kind exits 2 naming its JSON path; a well-formed flow document is
     refused as not a Morse one.  Then `expected` is read for its errors,
     the flow-line counts must square to zero, and the build is the one
-    every command makes."""
+    every command makes.  When the validated build equals the
+    critical-point complex (morse.is_critical_point_complex), its one
+    homology table is both tables and every verdict holds; otherwise the
+    program has a bug, the chain map is reported BROKEN and the exit is 1."""
     # imported here: the other commands never need the module
-    from .morse import InvalidMorseData, morse_complex, verify_morse_mb
+    from .morse import (
+        InvalidMorseData,
+        is_critical_point_complex,
+        morse_complex,
+    )
 
     try:
         fp, md, doc = presentation_from_file(path)
@@ -186,32 +200,39 @@ def cmd_morse(path, as_json=False):
     except InvalidMorseData as exc:
         sys.stderr.write(f"invalid Morse-Smale data: {exc}\n")
         return EXIT_SEMANTIC
-    try:  # verify_morse_mb validates the multicomplex
+    try:
         mc = build_multicomplex(fp, check=False)
     except ValueError as exc:
         return _input_failure(exc, path)
-    outcome = verify_morse_mb(cm, mc)
+    try:
+        total = validated_total(mc)
+    except InvalidMulticomplex as exc:
+        return _report(exc.report, sys.stderr, as_json)
     dim = mc.ambient_dim
+    degrees = range(dim + 1)
+    ok = is_critical_point_complex(cm, mc)
+    mb_homology = homology_at(total, degrees)
+    morse_homology = mb_homology if ok else homology_at(cm, degrees)
     data = {
-        "morse_homology": [group_to_data(k, outcome.morse_homology[k], dim)
-                           for k in range(dim + 1)],
-        "mb_homology": [group_to_data(k, outcome.mb_homology[k], dim)
-                        for k in range(dim + 1)],
-        "chain_map_exact": outcome.chain_map_exact,
-        "odd_components_zero": outcome.odd_components_zero,
-        "quasi_isomorphism": outcome.is_quasi_iso,
-        "ok": outcome.ok,
+        "morse_homology": [group_to_data(k, g, dim)
+                           for k, g in zip(degrees, morse_homology)],
+        "mb_homology": [group_to_data(k, g, dim)
+                        for k, g in zip(degrees, mb_homology)],
+        "chain_map_exact": ok,
+        "odd_components_zero": ok,
+        "quasi_isomorphism": ok,
+        "ok": ok,
     }
     lines = [
         "CM homology: " + ", ".join(
-            f"HM_{k}={outcome.morse_homology[k]}" for k in range(dim + 1)),
+            f"HM_{k}={g}" for k, g in zip(degrees, morse_homology)),
         "HB homology: " + ", ".join(
-            f"HB_{k}={outcome.mb_homology[k]}" for k in range(dim + 1)),
-        f"chain map: {'exact' if outcome.chain_map_exact else 'BROKEN'}; "
-        f"quasi-isomorphism: {'yes' if outcome.is_quasi_iso else 'NO'}",
+            f"HB_{k}={g}" for k, g in zip(degrees, mb_homology)),
+        f"chain map: {'exact' if ok else 'BROKEN'}; "
+        f"quasi-isomorphism: {'yes' if ok else 'NO'}",
     ]
     _emit(sys.stdout, data, "\n".join(lines), as_json)
-    return EXIT_OK if outcome.ok else EXIT_SEMANTIC
+    return EXIT_OK if ok else EXIT_SEMANTIC
 
 
 def cmd_compare(path_a, path_b, as_json=False):

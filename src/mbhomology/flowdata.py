@@ -242,9 +242,13 @@ def build_multicomplex(fp, check=True):
     the row on to `column_cap` would add pairs (e_{2m-1}, e_{2m}) that no
     other entry of D touches, since no component lands past c_i and point
     sources leave only column 0: an acyclic direct summand with D o D = 0.
-    So the validation report, the homology in every degree and the Morse
-    verdict (morse.verify_morse_mb) are the same without them.  Each moduli
-    block is sized from the row ranks at its two ends.
+    So the validation report and the homology in every degree are the same
+    without them.  On a Morse document every domain is a point, so every
+    point row stops at column 0 and the build is the critical-point
+    complex itself (morse.is_critical_point_complex); the embedding on
+    longer rows is the test reference in tests/support.py.
+    Each moduli block is sized from the row ranks at its two ends, and the
+    fundamental cycle of each distinct domain object is found once.
     """
     problems = fp.validate()
     if problems:
@@ -280,6 +284,9 @@ def build_multicomplex(fp, check=True):
     # accumulate moduli contributions into sparse columns, each scaled by
     # the component's sign and multiplicity
     pending = {}
+    # id(domain) -> its fundamental cycle as a chain: morse_to_flow and the
+    # reader share one domain object among many components
+    cycles = {}
 
     def add_contribution(comp, p, col, entries, degree):
         key = (comp.relative_index, p, comp.from_index)
@@ -303,11 +310,14 @@ def build_multicomplex(fp, check=True):
                 raise FlowDataError(
                     f"component {comp.from_index}->{comp.to_index}: "
                     "ev_minus of a point source must be constant")
-            cyc = fundamental_cycle(comp.domain)
-            degree = comp.domain.top_dim
+            domain = comp.domain
+            if id(domain) not in cycles:
+                cycles[id(domain)] = fundamental_cycle(domain).as_chain()
+            degree = domain.top_dim
             add_contribution(comp, 0, hit.pop(),
                              _target_column(target, comp.ev_plus,
-                                            cyc.as_chain(), degree), degree)
+                                            cycles[id(domain)], degree),
+                             degree)
         else:
             if j != 1:
                 raise FlowDataError(

@@ -1,5 +1,7 @@
 """Shared test helpers: random complexes, independent homology oracles,
-and chain-level views of simplicial maps that only tests need."""
+chain-level views of simplicial maps that only tests need, and the
+paper's comparison theorem checked on fat point rows (the embedding of the
+critical-point complex, chain maps and mapping cones)."""
 
 import random
 
@@ -8,9 +10,10 @@ from sympy import ZZ
 from sympy.matrices.normalforms import invariant_factors as sym_invariant_factors
 
 from mbhomology import exactalg
-from mbhomology.chain import ChainComplex
+from mbhomology.chain import ChainComplex, homology_at
 from mbhomology.exactalg import IntMatrix
 from mbhomology.multicomplex import MBSMulticomplex, MulticomplexReport
+from mbhomology.pipeline import validated_total
 from mbhomology.simplicial import chain_to_column, covering_lifts, pushforward
 
 
@@ -278,3 +281,192 @@ def pairwise_residuals(mc):
         failures.extend((j, p, i, residuals[j]) for j in sorted(residuals)
                         if not residuals[j].is_zero())
     return failures
+
+
+class ChainMap:
+    """Degree-zero map of chain complexes, one matrix per degree."""
+
+    def __init__(self, source, target, components):
+        self.source = source
+        self.target = target
+        self.components = components
+
+    def component(self, k):
+        if k in self.components:
+            return self.components[k]
+        return IntMatrix.zeros(self.target.rank(k), self.source.rank(k))
+
+
+def chain_map_residuals(f):
+    """{k: d_k f_k - f_{k-1} d_k} over every degree where either complex is
+    nonzero, and the degree above each; all zero iff f is a chain map."""
+    degs = set(f.source.degrees()) | set(f.target.degrees())
+    return {k: f.target.boundary(k) @ f.component(k)
+            - f.component(k - 1) @ f.source.boundary(k)
+            for k in sorted(degs | {d + 1 for d in degs})}
+
+
+def mapping_cone(f):
+    """Cone(f)_k = source_{k-1} (+) target_k with the sign-twisted boundary.
+
+    Raises ValueError unless f commutes with the boundaries.
+    """
+    if not all(r.is_zero() for r in chain_map_residuals(f).values()):
+        raise ValueError("not a chain map")
+    return _cone(f)
+
+
+def _cone(f):
+    """mapping_cone(f) for an f the caller has found a chain map."""
+    src, tgt = f.source, f.target
+    degs = {k + 1 for k in src.degrees()} | set(tgt.degrees())
+    if not degs:
+        return ChainComplex(ranks={}, boundaries={})
+    ranks, boundaries = {}, {}
+    for k in range(min(degs), max(degs) + 1):
+        ranks[k] = src.rank(k - 1) + tgt.rank(k)
+        boundaries[k] = IntMatrix.from_blocks(
+            [[-src.boundary(k - 1), None],
+             [f.component(k - 1), tgt.boundary(k)]],
+            row_sizes=[src.rank(k - 2), tgt.rank(k - 1)],
+            col_sizes=[src.rank(k - 1), tgt.rank(k)],
+        )
+    return ChainComplex(ranks=ranks, boundaries=boundaries)
+
+
+def quasi_iso(f):
+    """True iff f induces isomorphisms on homology in every degree.
+
+    Criterion: the mapping cone is acyclic, read from one homology pass
+    over its degrees and the one above.
+    """
+    return _acyclic(mapping_cone(f))
+
+
+def _acyclic(cone):
+    """True iff `cone` has no homology in its degrees or the one above."""
+    lo, hi = cone.degree_range
+    return all(h.is_trivial() for h in homology_at(cone, range(lo, hi + 2)))
+
+
+def _check_morse_shaped(mc):
+    """Every present row must be a point row: one rank in each of its
+    columns 0..c, c even, and at every even positive column a d[0] block
+    eps * I with eps = +1 or -1 read from the block.  Rows are walked over
+    their own columns.  Raises ValueError otherwise."""
+    # by increasing p, so each row keeps its last column
+    ends = {i: p for (p, i), r in sorted(mc.row_ranks.items()) if r}
+    for i, end in sorted(ends.items()):
+        if end % 2 or any(mc.rank(p, i) != mc.rank(0, i)
+                          for p in range(1, end + 1)):
+            raise ValueError(f"row {i} has varying rank or ends at odd "
+                             f"column {end}; the embedding needs point rows")
+        for p in range(2, end + 1, 2):
+            d0 = mc.map(0, p, i)
+            eps = d0[0, 0]
+            if eps not in (1, -1) or any(
+                    col != {j: eps} for j, col in enumerate(d0.columns)):
+                raise ValueError(
+                    f"d[0] at (p={p}, i={i}) is not +-I; the embedding "
+                    "needs point rows")
+
+
+def phi_chain_map(cm, mc):
+    """The paper's embedding as a chain map from the critical-point complex
+    cm = morse_complex(md) into `mc.complex`, the total complex of a
+    multicomplex of point rows.  The rows may run past column 0, as the fat
+    rows of full_point_rows do; on a Morse document's build they stop
+    there and the embedding is the identity.
+
+    Row k lifts all at once: C_0 = I, the odd C_i are zero, and since d[0]
+    is eps * I at each even bidegree (i, k - i),
+    C_i = -eps * sum over even t < i of d[i - t] C_t.  An absent row, or a
+    column past the end of a row, gives an empty slot (see verify_morse_mb).
+    phi_embed solves the same recursion one vector at a time."""
+    for k in cm.degrees():
+        if cm.rank(k) and mc.labels(0, k) != cm.label(k):
+            raise ValueError(
+                f"row {k} labels {mc.labels(0, k)} do not match critical "
+                f"points {cm.label(k)}")
+    _check_morse_shaped(mc)
+    components = {}
+    for k in cm.degrees():
+        n = cm.rank(k)
+        parts = {0: IntMatrix.identity(n)}
+        for i in range(2, k + 1, 2):
+            rows = mc.rank(i, k - i)
+            acc = IntMatrix.zeros(rows, n)
+            if rows:
+                for t in range(0, i, 2):
+                    acc = acc + mc.map(i - t, t, k - t) @ parts[t]
+                acc = acc.scaled(-mc.map(0, i, k - i)[0, 0])
+            parts[i] = acc
+        cols = [{} for _ in range(n)]
+        for i, part in parts.items():
+            off = mc.block_offsets.get((i, k - i))
+            for col, entries in zip(cols, part.columns):
+                col.update((off + s, x) for s, x in entries.items())
+        components[k] = IntMatrix.from_columns(mc.complex.rank(k), n, cols)
+    return ChainMap(source=cm, target=mc.complex, components=components)
+
+
+class MorseVerification:
+    """Outcome of checking the embedding against the multicomplex."""
+
+    def __init__(self, chain_map_residuals, odd_components_zero,
+                 is_quasi_iso, morse_homology, mb_homology, embedding=None):
+        self.chain_map_residuals = chain_map_residuals
+        self.odd_components_zero = odd_components_zero
+        self.is_quasi_iso = is_quasi_iso
+        self.morse_homology = morse_homology
+        self.mb_homology = mb_homology
+        self.embedding = embedding
+
+    @property
+    def chain_map_exact(self):
+        return all(r.is_zero() for r in self.chain_map_residuals.values())
+
+    @property
+    def ok(self):
+        return (self.chain_map_exact and self.odd_components_zero
+                and self.is_quasi_iso
+                and all(a.iso(b) for a, b in
+                        zip(self.morse_homology, self.mb_homology)))
+
+
+def verify_morse_mb(cm, mc):
+    """The paper's comparison theorem, checked on `mc`: the embedding phi
+    of the critical-point complex cm = morse_complex(md), its residuals
+    d phi - phi d per degree, zero odd columns, the mapping-cone verdict on
+    an exact phi, and both homology tables in degrees 0..ambient_dim.  The
+    embedding is kept on the outcome.
+
+    On a build of flow data the outcome is the one the fat rows, run on to
+    column_cap, would give.  Point sources land only at column 0, so each
+    lift term C_i = -eps d[i] C_0 lies at column i <= c_{k-i}, where point
+    row k - i stops (flowdata.build_multicomplex): the fat embedding lands
+    in the kept total complex T and is phi.  The fat total complex is T + A
+    with A acyclic, so cone(phi_fat) = cone(phi) + A, and the residuals,
+    the quasi-isomorphism verdict and both tables are unchanged.  On a
+    Morse document's build phi is the identity, and the `morse` command
+    checks that by one equality (morse.is_critical_point_complex).
+
+    Raises InvalidMulticomplex when `mc` fails `validate_multicomplex`.
+    """
+    total = validated_total(mc)
+    phi = phi_chain_map(cm, mc)
+    residuals = chain_map_residuals(phi)
+
+    odd_zero = not any(
+        off <= r < off + mc.rank(i, j)
+        for (i, j), off in mc.block_offsets.items() if i % 2
+        for col in phi.component(i + j).columns for r in col)
+    exact = all(r.is_zero() for r in residuals.values())
+    return MorseVerification(
+        chain_map_residuals=residuals,
+        odd_components_zero=odd_zero,
+        is_quasi_iso=exact and _acyclic(_cone(phi)),
+        morse_homology=homology_at(cm, range(mc.ambient_dim + 1)),
+        mb_homology=homology_at(total, range(mc.ambient_dim + 1)),
+        embedding=phi,
+    )

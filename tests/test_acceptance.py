@@ -14,7 +14,7 @@ from mbhomology.chain import homology_at, validate_complex
 from mbhomology.corpus import independence_suite, load_entries, load_entry, run_entry
 from mbhomology.exactalg import snf
 from mbhomology.flowdata import FlowPresentation, build_multicomplex, morse_to_flow
-from mbhomology.morse import MorseData, morse_complex, verify_morse_mb
+from mbhomology.morse import MorseData, morse_complex
 from mbhomology.multicomplex import totalize, validate_multicomplex
 from mbhomology.pipeline import homology_table
 from mbhomology.simplicial import (
@@ -30,6 +30,7 @@ from support import (
     matrix_of_pullback,
     matrix_of_pushforward,
     random_complex,
+    verify_morse_mb,
 )
 from test_exactalg import check_decomposition, gcd_of_k_minors, random_matrix
 from test_simplicial import random_subcomplex

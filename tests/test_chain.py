@@ -5,18 +5,21 @@ import pytest
 from mbhomology import chain
 from mbhomology.chain import (
     ChainComplex,
-    ChainMap,
     HomologyGroup,
-    chain_map_residuals,
     homology_at,
-    mapping_cone,
-    quasi_iso,
     validate_complex,
 )
 from mbhomology.exactalg import IntMatrix, _reduce, invariant_factors
 from mbhomology.simplicial import SimplicialComplexData, chain_complex_of
 
-from support import brute_homology, random_complex
+from support import (
+    ChainMap,
+    brute_homology,
+    chain_map_residuals,
+    mapping_cone,
+    quasi_iso,
+    random_complex,
+)
 
 
 def point_complex():

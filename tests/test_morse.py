@@ -1,16 +1,14 @@
+import io
 import json
 import random
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import support
 from mbhomology import chain, cli, exactalg, morse
-from mbhomology.chain import (
-    HomologyGroup,
-    chain_map_residuals,
-    homology_at,
-    mapping_cone,
-)
+from mbhomology.chain import HomologyGroup, homology_at
 from mbhomology.corpus import data_dir, entry_names, load_entry
 from mbhomology.exactalg import IntMatrix
 from mbhomology.flowdata import (
@@ -21,9 +19,8 @@ from mbhomology.flowdata import (
 from mbhomology.morse import (
     InvalidMorseData,
     MorseData,
+    is_critical_point_complex,
     morse_complex,
-    phi_chain_map,
-    verify_morse_mb,
 )
 from mbhomology.multicomplex import (
     InvalidMulticomplex,
@@ -31,13 +28,18 @@ from mbhomology.multicomplex import (
     totalize,
     validate_multicomplex,
 )
+from mbhomology.schema import morse_to_doc, presentation_from_file
 
 from support import (
     brute_homology,
+    chain_map_residuals,
     forbid_dense_rows,
     full_point_rows,
+    mapping_cone,
+    phi_chain_map,
     phi_embed,
     random_complex,
+    verify_morse_mb,
 )
 
 
@@ -334,7 +336,7 @@ class TestVerify:
         # the cores that the unit-pivot elimination leaves
         residual_calls = []
         smith_callers = []
-        real_residuals, real_snf = chain.chain_map_residuals, exactalg.snf
+        real_residuals, real_snf = support.chain_map_residuals, exactalg.snf
 
         def counted_residuals(f):
             residual_calls.append(f)
@@ -344,9 +346,8 @@ class TestVerify:
             smith_callers.append(sys._getframe(1).f_code)
             return real_snf(a)
 
-        for module in (chain, morse):
-            monkeypatch.setattr(module, "chain_map_residuals",
-                                counted_residuals)
+        monkeypatch.setattr(support, "chain_map_residuals",
+                            counted_residuals)
         monkeypatch.setattr(exactalg, "snf", counted_snf)
         # a projective plane: d(c) = 2 b, so H_1 = Z/2 is torsion
         md = MorseData(crit_by_index={0: ("a",), 1: ("b",), 2: ("c",)},
@@ -374,41 +375,6 @@ class TestVerify:
         assert "quasi-isomorphism: yes" in capsys.readouterr().out
         assert len(built) == 1
 
-    def test_smith_forms_do_not_grow_with_column_cap(self, monkeypatch,
-                                                     tmp_path, capsys):
-        # the d[0] blocks are +-I, so building the embedding takes no
-        # Smith form at all, however many blocks the cap adds
-        runs = []
-        inside = []
-        during = []
-        real_phi, real_snf = morse.phi_chain_map, exactalg.snf
-
-        def watched_phi(*args, **kwargs):
-            runs.append(True)
-            inside.append(True)
-            try:
-                return real_phi(*args, **kwargs)
-            finally:
-                inside.pop()
-
-        def watched_snf(a):
-            if inside:
-                during.append(a)
-            return real_snf(a)
-
-        monkeypatch.setattr(morse, "phi_chain_map", watched_phi)
-        monkeypatch.setattr(exactalg, "snf", watched_snf)
-        doc = json.loads((data_dir() / "t2-morse-4pt.json").read_text("utf-8"))
-        for cap in (8, 64):
-            doc["column_cap"] = cap
-            path = tmp_path / f"cap{cap}.json"
-            path.write_text(json.dumps(doc))
-            runs.clear()
-            assert cli.main(["morse", str(path)]) == cli.EXIT_OK
-            assert runs == [True], cap
-            assert during == [], cap
-        capsys.readouterr()
-
     def test_lone_top_row(self):
         # rows 0 and 1 are absent, so the column-2 slot of a row-2 lift is
         # empty and has no d[0] block to divide by
@@ -418,6 +384,210 @@ class TestVerify:
         assert outcome.ok
         assert [str(g) for g in outcome.morse_homology] == ["0", "0", "Z"]
         assert outcome.embedding.component(2) == IntMatrix.from_rows([[1]])
+
+
+def morse_files():
+    return [data_dir() / f"{n}.json" for n in entry_names()
+            if load_entry(n).kind == "morse"]
+
+
+def count_calls(monkeypatch, fn):
+    """Replace `fn` in every loaded mbhomology module that holds it with a
+    wrapper that records each call; returns the list of calls."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "mbhomology" or name.startswith("mbhomology."):
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def run_morse(path, *flags):
+    """(exit code, stdout, stderr) of one `morse` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["morse", str(path), *flags])
+    return code, out.getvalue(), err.getvalue()
+
+
+def with_map(mc, key, mat):
+    """`mc` with map `key` replaced by `mat`."""
+    return MBSMulticomplex(
+        ambient_dim=mc.ambient_dim, column_cap=mc.column_cap,
+        row_ranks=mc.row_ranks, row_labels=mc.row_labels,
+        maps={**mc.maps, key: mat})
+
+
+def assert_build_is_critical_point_complex(md, fp):
+    # the build has the critical-point complex's nonzero ranks and
+    # boundaries, and the reference embedding is the identity on it
+    cm = morse_complex(md)
+    mc = build_multicomplex(fp)
+    total = mc.complex
+    assert {k: r for k, r in total.ranks.items() if r} == cm.ranks
+    for k in {*total.boundaries, *cm.boundaries}:
+        assert total.boundary(k) == cm.boundary(k), k
+    phi = phi_chain_map(cm, mc)
+    for k, n in cm.ranks.items():
+        assert mc.labels(0, k) == cm.label(k)
+        assert phi.component(k) == IntMatrix.identity(n), k
+    assert is_critical_point_complex(cm, mc)
+
+
+class TestMorseCommand:
+    """`morse` checks the build against the critical-point complex by one
+    equality, and computes one homology table."""
+
+    @pytest.mark.parametrize("path", morse_files(), ids=lambda p: p.stem)
+    def test_shipped_builds_are_critical_point_complexes(self, path):
+        fp, md, _ = presentation_from_file(str(path))
+        assert_build_is_critical_point_complex(md, fp)
+
+    def test_random_builds_are_critical_point_complexes(self):
+        for seed in range(40):
+            c = random_complex(random.Random(7000 + seed), max_total_rank=10)
+            md, _ = morse_data_of(c)
+            m = max(md.crit_by_index)
+            for cap in (default_column_cap(m), 2 * m + 4, 64):
+                assert_build_is_critical_point_complex(
+                    md, morse_to_flow(md, cap=cap))
+
+    def test_lone_top_row_build(self):
+        md = MorseData({2: ("a",)}, {})
+        assert_build_is_critical_point_complex(md, morse_to_flow(md))
+
+    def test_other_complexes_are_refused(self):
+        md = sphere4_md()
+        cm = morse_complex(md)
+        mc = build_multicomplex(morse_to_flow(md))
+        assert is_critical_point_complex(cm, mc)
+        # a sign flipped, the names swapped, and rows run past column 0
+        flipped = with_map(mc, (1, 0, 2), mc.map(1, 0, 2).scaled(-1))
+        swapped = MBSMulticomplex(
+            ambient_dim=2, column_cap=mc.column_cap, row_ranks=mc.row_ranks,
+            row_labels={**mc.row_labels, (0, 2): ("west", "east")},
+            maps=mc.maps)
+        for other in (flipped, swapped, full_point_rows(mc)):
+            assert validate_multicomplex(other).ok
+            assert not is_critical_point_complex(cm, other)
+
+    def test_one_validation_and_one_table_per_call(self, monkeypatch):
+        # the chain-map verdicts follow from the equality, so a call
+        # validates the multicomplex once, checks d o d of the
+        # critical-point complex once and computes one homology table
+        counts = {fn.__name__: count_calls(monkeypatch, fn) for fn in (
+            validate_multicomplex, chain.validate_complex, homology_at)}
+        code, out, _ = run_morse(data_dir() / "s2-morse-4pt.json", "--json")
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["ok"] is True
+        assert {name: len(calls) for name, calls in counts.items()} == {
+            "validate_multicomplex": 1, "validate_complex": 1,
+            "homology_at": 1}
+
+    def test_reductions_do_not_grow_with_column_cap(self, monkeypatch,
+                                                    tmp_path):
+        # the build stops every point row at column 0, so a larger cap
+        # adds no boundary to reduce and no Smith form
+        reductions = count_calls(monkeypatch, exactalg._reduce)
+        smith_forms = count_calls(monkeypatch, exactalg.snf)
+        for name in ("t2-morse-4pt", "s2-morse-4pt"):
+            doc = json.loads((data_dir() / f"{name}.json").read_text("utf-8"))
+            seen = set()
+            for cap in (8, 64):
+                doc["column_cap"] = cap
+                path = tmp_path / f"{name}-cap{cap}.json"
+                path.write_text(json.dumps(doc))
+                reductions.clear()
+                smith_forms.clear()
+                assert run_morse(path)[0] == cli.EXIT_OK, (name, cap)
+                seen.add((len(reductions), len(smith_forms)))
+            assert len(seen) == 1, name
+        assert seen == {(1, 0)}  # s2-morse-4pt: d_2 = (1 -1), no core
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_broken_build_is_reported(self, monkeypatch, as_json):
+        # a build whose d_2 has the wrong sign is still a valid
+        # multicomplex with the same homology, but not the critical-point
+        # complex: every verdict is false and the exit is 1
+        real = cli.build_multicomplex
+
+        def flipped(fp, check=True):
+            mc = real(fp, check)
+            return with_map(mc, (1, 0, 2), mc.map(1, 0, 2).scaled(-1))
+
+        path = data_dir() / "s2-morse-4pt.json"
+        flags = ["--json"] if as_json else []
+        code, want, _ = run_morse(path, *flags)
+        assert code == cli.EXIT_OK
+        monkeypatch.setattr(cli, "build_multicomplex", flipped)
+        code, out, _ = run_morse(path, *flags)
+        assert code == cli.EXIT_SEMANTIC
+        if not as_json:
+            assert "chain map: BROKEN; quasi-isomorphism: NO" in out
+            assert out.splitlines()[:2] == want.splitlines()[:2]
+            return
+        data, good = json.loads(out), json.loads(want)
+        assert [data[key] for key in ("chain_map_exact",
+                                      "odd_components_zero",
+                                      "quasi_isomorphism", "ok")] == \
+            [False] * 4
+        assert data["morse_homology"] == good["morse_homology"]
+        assert data["mb_homology"] == good["mb_homology"]
+
+    def test_invalid_build_is_reported(self, monkeypatch):
+        # d[1] o d[1] from row 2 to row 0 is 2: the validation report, on
+        # standard error, and exit 1
+        real = cli.build_multicomplex
+
+        def broken(fp, check=True):
+            mc = real(fp, check)
+            return with_map(mc, (1, 0, 1), IntMatrix.from_rows([[1]]))
+
+        monkeypatch.setattr(cli, "build_multicomplex", broken)
+        code, out, err = run_morse(data_dir() / "s2-morse-4pt.json")
+        assert code == cli.EXIT_SEMANTIC
+        assert out == ""
+        assert err.startswith("multicomplex: INVALID\n")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_order_and_names_do_not_matter(self, seed, tmp_path):
+        # shuffling the counts, shuffling the points of each index and
+        # renaming every point leave the output of `morse` unchanged
+        rng = random.Random(9100 + seed)
+        paths = morse_files()
+        if seed < len(paths):
+            doc = json.loads(paths[seed].read_text("utf-8"))
+        else:
+            c = random_complex(rng, max_total_rank=10)
+            doc = morse_to_doc(morse_data_of(c)[0])
+        names = sorted({n for pts in doc["critical"].values() for n in pts})
+        fresh = [f"pt{t}" for t in range(len(names))]
+        rng.shuffle(fresh)
+        rename = dict(zip(names, fresh))
+        moved = dict(doc)
+        moved["critical"] = {}
+        for k, pts in doc["critical"].items():
+            pts = [rename[n] for n in pts]
+            rng.shuffle(pts)
+            moved["critical"][k] = pts
+        moved["counts"] = [[rename[q], rename[p], n]
+                           for q, p, n in doc["counts"]]
+        rng.shuffle(moved["counts"])
+        assert moved != doc
+        for flags in ([], ["--json"]):
+            outputs = []
+            for name, d in (("a", doc), ("b", moved)):
+                path = tmp_path / f"{name}.json"
+                path.write_text(json.dumps(d))
+                outputs.append(run_morse(path, *flags))
+            assert outputs[0] == outputs[1], flags
+            assert outputs[0][0] == cli.EXIT_OK
 
 
 def morse_data_of(c):

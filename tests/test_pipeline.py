@@ -117,7 +117,7 @@ class TestValidatedOnce:
 
 
 class TestHomologyTable:
-    def test_default_degrees_run_to_the_column_cap(self):
+    def test_default_degrees_run_to_one_above_dim(self):
         mc = load_entry("s2-z2").build()
         table = homology_table(mc)
         assert len(table) == mc.ambient_dim + 2

@@ -17,8 +17,7 @@ PUBLIC = {
     # exactalg
     "IntMatrix", "SmithDecomposition", "snf",
     # chain
-    "ChainComplex", "ChainMap", "HomologyGroup", "validate_complex",
-    "homology_at", "mapping_cone", "quasi_iso",
+    "ChainComplex", "HomologyGroup", "validate_complex", "homology_at",
     # simplicial
     "SimplicialComplexData", "SimplicialMap", "OrientedCycle",
     "NoFundamentalCycle", "CoveringError", "chain_complex_of",
@@ -30,8 +29,7 @@ PUBLIC = {
     "CritModel", "ModuliComponentModel", "FlowPresentation", "FlowDataError",
     "build_multicomplex", "morse_to_flow", "default_column_cap",
     # morse
-    "MorseData", "InvalidMorseData", "morse_complex", "phi_chain_map",
-    "verify_morse_mb",
+    "MorseData", "InvalidMorseData", "morse_complex",
 }
 
 
