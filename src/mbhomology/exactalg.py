@@ -183,30 +183,6 @@ class IntMatrix:
         out = [self.columns[j] for j in col_indices]
         return IntMatrix._of(self.rows, len(out), out)
 
-    @classmethod
-    def from_blocks(cls, blocks, row_sizes, col_sizes):
-        """Assemble a matrix from a 2d grid of blocks (None means zero)."""
-        for bi, rsize in enumerate(row_sizes):
-            for bj, csize in enumerate(col_sizes):
-                block = blocks[bi][bj]
-                if block is not None and block.shape != (rsize, csize):
-                    raise ValueError(
-                        f"block ({bi},{bj}) has shape {block.shape}, "
-                        f"expected ({rsize},{csize})")
-        columns = []
-        for bj, csize in enumerate(col_sizes):
-            out = [{} for _ in range(csize)]
-            r0 = 0
-            for bi, rsize in enumerate(row_sizes):
-                block = blocks[bi][bj]
-                if block is not None:
-                    for col, bcol in zip(out, block.columns):
-                        for i, x in bcol.items():
-                            col[r0 + i] = x
-                r0 += rsize
-            columns.extend(out)
-        return cls._of(sum(row_sizes), sum(col_sizes), columns)
-
 
 class SmithDecomposition:
     """U @ A @ V == S with U, V unimodular and S a nonnegative diagonal

@@ -19,8 +19,6 @@ Chains landing on a point-kind row keep their column: a constant chain of
 degree p is the degree-p generator of that point's row, not zero.
 """
 
-from functools import cached_property
-
 from .exactalg import IntMatrix
 from .multicomplex import (
     InvalidMulticomplex,
@@ -44,30 +42,28 @@ class FlowDataError(ValueError):
 
 
 class CritModel:
-    """Critical set of one index: named points, or a triangulated model."""
+    """Critical set of one index: named points, or a triangulated model.
+
+    The constructor settles what each moduli component reads: `is_points`,
+    `dimension` (0 for named points, the model's top dimension otherwise)
+    and the model complex, which for named points is built here, one
+    vertex per name, so `model_complex()` is the same object every call.
+    """
 
     def __init__(self, index, names=None, complex=None):
         self.index = index
         self.names = names
         self.complex = complex
-
-    @property
-    def is_points(self):
-        return self.names is not None
-
-    @property
-    def dimension(self):
-        """0 for named points, the model's top dimension otherwise."""
-        return 0 if self.complex is None else self.complex.top_dim
+        self.is_points = names is not None
+        self.dimension = 0 if complex is None else complex.top_dim
+        self._model = complex
+        if self.is_points:
+            n = len(names)
+            self._model = SimplicialComplexData(n, [(v,) for v in range(n)])
 
     def model_complex(self):
         """The model as a complex; named points are its vertices."""
-        return self._points if self.is_points else self.complex
-
-    @cached_property
-    def _points(self):
-        n = len(self.names)
-        return SimplicialComplexData(n, [(v,) for v in range(n)])
+        return self._model
 
     def validate(self):
         report = []
@@ -108,14 +104,11 @@ class ModuliComponentModel:
         self.ev_plus = ev_plus
         self.sign = sign
         self.multiplicity = multiplicity
-
-    @property
-    def relative_index(self):
-        return self.from_index - self.to_index
+        self.relative_index = from_index - to_index
 
     def validate(self, source, target):
         report = []
-        j = self.relative_index
+        j, domain = self.relative_index, self.domain
         if j <= 0:
             report.append(f"component {self.from_index}->{self.to_index}: "
                           "index must strictly decrease along flows")
@@ -126,15 +119,15 @@ class ModuliComponentModel:
             report.append(f"component {self.from_index}->{self.to_index}: "
                           f"multiplicity {self.multiplicity} is not positive")
         expected_dim = j + source.dimension - 1
-        if self.domain.top_dim != expected_dim:
+        if domain.top_dim != expected_dim:
             report.append(
                 f"component {self.from_index}->{self.to_index}: domain has "
-                f"dimension {self.domain.top_dim}, expected {expected_dim}")
-        if self.ev_minus.source != self.domain or \
+                f"dimension {domain.top_dim}, expected {expected_dim}")
+        if self.ev_minus.source != domain or \
                 self.ev_minus.target != source.model_complex():
             report.append(f"component {self.from_index}->{self.to_index}: "
                           "ev_minus endpoints do not match")
-        if self.ev_plus.source != self.domain or \
+        if self.ev_plus.source != domain or \
                 self.ev_plus.target != target.model_complex():
             report.append(f"component {self.from_index}->{self.to_index}: "
                           "ev_plus endpoints do not match")
@@ -144,19 +137,22 @@ class ModuliComponentModel:
 class FlowPresentation:
     """Ambient dimension, critical models (at most one per index, of
     dimension at most dim - index; absent indices are empty), and moduli
-    components."""
+    components.
+
+    The constructor indexes the models by critical index once, the first
+    model of an index winning (`validate` reports any second one), so
+    `crit_at`, which finds each component's two models, is a dict read.
+    """
 
     def __init__(self, dim, crit, moduli=(), column_cap=None):
         self.dim = dim
         self.crit = tuple(crit)
         self.moduli = tuple(moduli)
         self.column_cap = column_cap
+        self._by_index = {m.index: m for m in reversed(self.crit)}
 
     def crit_at(self, i):
-        for model in self.crit:
-            if model.index == i:
-                return model
-        return None
+        return self._by_index.get(i)
 
     def cap(self):
         if self.column_cap is not None:
@@ -248,7 +244,10 @@ def build_multicomplex(fp, check=True):
     complex itself (morse.is_critical_point_complex); the embedding on
     longer rows is the test reference in tests/support.py.
     Each moduli block is sized from the row ranks at its two ends, and the
-    fundamental cycle of each distinct domain object is found once.
+    fundamental cycle of each distinct domain object is found once.  The
+    rest of a component's cost is lookups in what the constructors built:
+    its two models in the presentation's index, a points model's complex
+    and every domain's top_dim.
     """
     problems = fp.validate()
     if problems:
@@ -300,12 +299,11 @@ def build_multicomplex(fp, check=True):
             out[r] = out.get(r, 0) + weight * x
 
     for comp in fp.moduli:
-        j = comp.relative_index
         source = fp.crit_at(comp.from_index)
         target = fp.crit_at(comp.to_index)
         if source.is_points:
-            hit = {comp.ev_minus.vertex_image[v]
-                   for v in range(comp.domain.vertex_count)}
+            # one image per domain vertex: SimplicialMap checks the length
+            hit = set(comp.ev_minus.vertex_image)
             if len(hit) != 1:
                 raise FlowDataError(
                     f"component {comp.from_index}->{comp.to_index}: "
@@ -319,7 +317,7 @@ def build_multicomplex(fp, check=True):
                                             cycles[id(domain)], degree),
                              degree)
         else:
-            if j != 1:
+            if comp.relative_index != 1:
                 raise FlowDataError(
                     f"component {comp.from_index}->{comp.to_index}: "
                     "positive-dimensional sources are supported only for "

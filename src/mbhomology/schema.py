@@ -217,9 +217,11 @@ def morse_from_doc(doc, where="morse data"):
     for t, item in enumerate(_optional(doc, "counts", list, where, [])):
         if not (isinstance(item, list) and len(item) == 3):
             raise SchemaError(f"{spot}[{t}]: expected [from, to, n]")
-        for s, kind in enumerate((str, str, int)):
-            _typed(item[s], kind, spot, t, s)
         q, p, n = item
+        # exact types pass at once; any other count gets _typed's verdict
+        if not (type(q) is str and type(p) is str and type(n) is int):
+            for s, kind in enumerate((str, str, int)):
+                _typed(item[s], kind, spot, t, s)
         counts[(q, p)] = counts.get((q, p), 0) + n
     try:
         return MorseData(crit_by_index=crit, counts=counts)

@@ -44,9 +44,10 @@ class SimplicialComplexData:
     deterministic.  The constructor takes simplices in any vertex order,
     repeats allowed.  It refuses an empty simplex, then a vertex outside
     0 .. vertex_count - 1 before the closure (an n-vertex simplex has
-    2^n - 1 faces), naming the lowest.  It closes the listing and fills the
-    facet table: `_facets[d][t]` holds the indices, in dimension d - 1, of
-    the facets of simplex t of dimension d, facet i omitting vertex i.
+    2^n - 1 faces), naming the lowest.  It closes the listing, stores
+    `top_dim` (-1 when empty) and fills the facet table: `_facets[d][t]`
+    holds the indices, in dimension d - 1, of the facets of simplex t of
+    dimension d, facet i omitting vertex i.
 
     >>> k = SimplicialComplexData(3, [(0, 2, 1)])
     >>> len(list(k.all_simplices())), k._facets[2]
@@ -57,7 +58,8 @@ class SimplicialComplexData:
     ValueError: malformed complex: (-1,) uses vertices outside range
     """
 
-    __slots__ = ("vertex_count", "simplices_by_dim", "_index", "_facets")
+    __slots__ = ("vertex_count", "simplices_by_dim", "top_dim", "_index",
+                 "_facets")
 
     def __init__(self, vertex_count, simplices):
         self.vertex_count = vertex_count
@@ -75,6 +77,7 @@ class SimplicialComplexData:
         _close(by_dim)
         self.simplices_by_dim = {d: tuple(sorted(by_dim[d]))
                                  for d in sorted(by_dim)}
+        self.top_dim = max(self.simplices_by_dim, default=-1)
         index = self._index = {}
         self._facets = {}
         for d, level in self.simplices_by_dim.items():
@@ -93,10 +96,6 @@ class SimplicialComplexData:
             simplices = [tuple(map(int, s)) for s in simplices]
             vertex_count = max([v + 1 for s in simplices for v in s] or [0])
         return cls(vertex_count, simplices)
-
-    @property
-    def top_dim(self):
-        return max(self.simplices_by_dim, default=-1)
 
     def simplices_of_dim(self, d):
         return self.simplices_by_dim.get(d, ())

@@ -316,6 +316,30 @@ def mapping_cone(f):
     return _cone(f)
 
 
+def from_blocks(blocks, row_sizes, col_sizes):
+    """Assemble a matrix from a 2d grid of blocks (None means zero)."""
+    for bi, rsize in enumerate(row_sizes):
+        for bj, csize in enumerate(col_sizes):
+            block = blocks[bi][bj]
+            if block is not None and block.shape != (rsize, csize):
+                raise ValueError(
+                    f"block ({bi},{bj}) has shape {block.shape}, "
+                    f"expected ({rsize},{csize})")
+    columns = []
+    for bj, csize in enumerate(col_sizes):
+        out = [{} for _ in range(csize)]
+        r0 = 0
+        for bi, rsize in enumerate(row_sizes):
+            block = blocks[bi][bj]
+            if block is not None:
+                for col, bcol in zip(out, block.columns):
+                    for i, x in bcol.items():
+                        col[r0 + i] = x
+            r0 += rsize
+        columns.extend(out)
+    return IntMatrix.from_columns(sum(row_sizes), sum(col_sizes), columns)
+
+
 def _cone(f):
     """mapping_cone(f) for an f the caller has found a chain map."""
     src, tgt = f.source, f.target
@@ -325,7 +349,7 @@ def _cone(f):
     ranks, boundaries = {}, {}
     for k in range(min(degs), max(degs) + 1):
         ranks[k] = src.rank(k - 1) + tgt.rank(k)
-        boundaries[k] = IntMatrix.from_blocks(
+        boundaries[k] = from_blocks(
             [[-src.boundary(k - 1), None],
              [f.component(k - 1), tgt.boundary(k)]],
             row_sizes=[src.rank(k - 2), tgt.rank(k - 1)],

@@ -16,6 +16,7 @@ from support import (
     ChainMap,
     brute_homology,
     chain_map_residuals,
+    from_blocks,
     mapping_cone,
     quasi_iso,
     random_complex,
@@ -308,6 +309,35 @@ class TestInducedMap:
 
 
 class TestCone:
+    def test_from_blocks_against_dense_reference(self):
+        # the block assembly behind every cone boundary, against plain
+        # nested lists
+        for seed in range(60):
+            rng = random.Random(6000 + seed)
+            row_sizes = [rng.randint(0, 3) for _ in range(2)]
+            col_sizes = [rng.randint(0, 3) for _ in range(3)]
+            blocks = [[None if rng.random() < 0.3 else
+                       [[rng.randint(-4, 4) if rng.random() < 0.5 else 0
+                         for _ in range(c)] for _ in range(r)]
+                       for c in col_sizes]
+                      for r in row_sizes]
+            want = [[0] * sum(col_sizes) for _ in range(sum(row_sizes))]
+            r0 = 0
+            for bi, r in enumerate(row_sizes):
+                c0 = 0
+                for bj, c in enumerate(col_sizes):
+                    for i, row in enumerate(blocks[bi][bj] or ()):
+                        want[r0 + i][c0:c0 + c] = row
+                    c0 += c
+                r0 += r
+            got = from_blocks(
+                [[None if blk is None else IntMatrix(len(blk), c, blk)
+                  for blk, c in zip(row, col_sizes)] for row in blocks],
+                row_sizes, col_sizes)
+            assert got.data == tuple(tuple(row) for row in want)
+            assert got == IntMatrix(sum(row_sizes), sum(col_sizes), want)
+            assert all(x for col in got.columns for x in col.values())
+
     def test_identity_cone_acyclic(self):
         c = circle_complex()
         assert quasi_iso(identity_map(c))

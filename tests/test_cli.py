@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mbhomology
-from mbhomology import cli, simplicial
+from mbhomology import cli, schema, simplicial
 from mbhomology.cli import EXIT_INPUT, EXIT_OK, EXIT_SEMANTIC, main
 from mbhomology.schema import (
     canonical_json,
@@ -585,6 +585,32 @@ class TestMalformedDocuments:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"input error: {path}{where}\n"
+
+    # a count [q, p, n] of exact types is taken at once; any other goes to
+    # the typed check, which names the first wrong slot as it always has
+    @pytest.mark.parametrize("item, slot, message", [
+        ([1, "a", 1], 0, "doc.json.counts[1][0] has type int"),
+        (["b", 2, 1], 1, "doc.json.counts[1][1] has type int"),
+        (["b", "a", 1.5], 2, "doc.json.counts[1][2] has type float"),
+        (["b", "a", True], 2, "doc.json.counts[1][2] has type bool"),
+    ])
+    def test_count_type_fault_in_each_slot(self, monkeypatch, item, slot,
+                                           message):
+        checked = []
+        typed = schema._typed
+
+        def recorded(value, kind, what, *idx):
+            if what == "doc.json.counts":
+                checked.append(idx)
+            return typed(value, kind, what, *idx)
+
+        monkeypatch.setattr(schema, "_typed", recorded)
+        doc = {"critical": {"0": ["a"], "1": ["b"]},
+               "counts": [["b", "a", 1], item]}
+        with pytest.raises(schema.SchemaError) as err:
+            morse_from_doc(doc, where="doc.json")
+        assert str(err.value) == message
+        assert checked == [(1, s) for s in range(slot + 1)]
 
 
 class TestClosureBound:

@@ -143,31 +143,6 @@ class TestIntMatrix:
                                               for r in ra)
         assert {(0, 3), (3, 0), (0, 0)} <= shapes
 
-    def test_from_blocks_against_dense_reference(self):
-        for seed in range(60):
-            rng = random.Random(6000 + seed)
-            row_sizes = [rng.randint(0, 3) for _ in range(2)]
-            col_sizes = [rng.randint(0, 3) for _ in range(3)]
-            blocks = [[None if rng.random() < 0.3 else
-                       dense(rng, r, c, 0.5) for c in col_sizes]
-                      for r in row_sizes]
-            want = [[0] * sum(col_sizes) for _ in range(sum(row_sizes))]
-            r0 = 0
-            for bi, r in enumerate(row_sizes):
-                c0 = 0
-                for bj, c in enumerate(col_sizes):
-                    for i, row in enumerate(blocks[bi][bj] or ()):
-                        want[r0 + i][c0:c0 + c] = row
-                    c0 += c
-                r0 += r
-            got = IntMatrix.from_blocks(
-                [[None if blk is None else IntMatrix(len(blk), c, blk)
-                  for blk, c in zip(row, col_sizes)] for row in blocks],
-                row_sizes, col_sizes)
-            assert got.data == as_tuples(want)
-            assert got == IntMatrix(sum(row_sizes), sum(col_sizes), want)
-            assert stores_no_zero(got)
-
     def test_explicit_zeros_are_not_stored(self):
         zero = IntMatrix.zeros(2, 3)
         full = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -95,6 +96,37 @@ class TestFlowPresentation:
         assert again.moduli == fp.moduli and isinstance(again.moduli, tuple)
         bare = FlowPresentation(dim=0, crit=[])
         assert (bare.crit, bare.moduli, bare.column_cap) == ((), (), None)
+
+    def test_first_model_of_an_index_wins(self):
+        # the index built by the constructor keeps the first model of an
+        # index, as a scan of `crit` would; validate still reports the
+        # second, and checks components against the first
+        first = CritModel(index=0, names=("a",))
+        second = CritModel(index=0, names=("b", "c"))
+        upper = CritModel(index=1, names=("u",))
+        fp = FlowPresentation(dim=1, crit=(first, upper, second))
+        assert fp.crit_at(0) is first and fp.crit_at(1) is upper
+        assert fp.crit_at(2) is None
+        assert fp.validate() == ["two models for index 0"]
+        point = SimplicialComplexData(1, [(0,)])
+        onto = {model: SimplicialMap(point, model.model_complex(), [0])
+                for model in (first, second, upper)}
+        flows = [ModuliComponentModel(1, 0, point, onto[upper], onto[model])
+                 for model in (first, second)]
+        assert FlowPresentation(1, fp.crit, flows).validate() == [
+            "two models for index 0",
+            "component 1->0: ev_plus endpoints do not match"]
+
+    def test_points_model_complex_is_built_once(self):
+        model = CritModel(index=2, names=("p", "q", "r"))
+        k = model.model_complex()
+        assert k is model.model_complex()
+        assert k == SimplicialComplexData(3, [(v,) for v in range(3)])
+        assert (model.is_points, model.dimension) == (True, 0)
+        tri = triangle()
+        rim = CritModel(index=0, complex=tri)
+        assert rim.model_complex() is tri
+        assert (rim.is_points, rim.dimension) == (False, 1)
 
     def test_default_cap(self):
         assert default_column_cap(2) == 4
@@ -312,6 +344,65 @@ def bott_twist_doc(domain_vertices=None):
              "ev_minus": (list(range(9)) + [0])[:other["vertices"]],
              "ev_plus": (swap + [0])[:other["vertices"]],
              "sign": -1}]}
+
+
+class TestCostPerCount:
+    def test_models_and_cycles_do_not_grow_with_the_counts(self,
+                                                          monkeypatch):
+        # a flow-line count costs lookups, not models: on the same critical
+        # points, documents with N and with 4N counts build the same
+        # complexes and maps, and the fundamental cycle of the one point
+        # domain that every component shares once
+        made = {"complexes": 0, "maps": 0}
+        cycles = []
+        complex_init = SimplicialComplexData.__init__
+        map_init = SimplicialMap.__init__
+
+        def counted_complex(self, *args, **kwargs):
+            made["complexes"] += 1
+            complex_init(self, *args, **kwargs)
+
+        def counted_map(self, *args, **kwargs):
+            made["maps"] += 1
+            map_init(self, *args, **kwargs)
+
+        def counted_cycle(k):
+            cycles.append(k)
+            return fundamental_cycle(k)
+
+        monkeypatch.setattr(SimplicialComplexData, "__init__",
+                            counted_complex)
+        monkeypatch.setattr(SimplicialMap, "__init__", counted_map)
+        monkeypatch.setattr(flowdata, "fundamental_cycle", counted_cycle)
+
+        def cost(doc):
+            md = morse_from_doc(doc)
+            made.update(complexes=0, maps=0)
+            cycles.clear()
+            fp = morse_to_flow(md)
+            mc = build_multicomplex(fp)
+            domains = {id(comp.domain) for comp in fp.moduli}
+            assert len(cycles) == len({id(k) for k in cycles}) == \
+                len(domains) == 1
+            # every count is one nonzero entry of d[1] at column 0
+            entries = sum(map(len, mc.map(1, 0, 1).columns))
+            return len(fp.moduli), entries, dict(made)
+
+        n = 16
+        upper = [f"b{t}" for t in range(8)]
+        lower = [f"a{t}" for t in range(8)]
+        pairs = [(q, p) for q in upper for p in lower]
+        for seed in range(5):
+            rng = random.Random(seed)
+
+            def doc(size):
+                return {"critical": {"0": lower, "1": upper},
+                        "counts": [[q, p, rng.choice((-2, -1, 1, 2))]
+                                   for q, p in rng.sample(pairs, size)]}
+
+            few, many = cost(doc(n)), cost(doc(4 * n))
+            assert few[:2] == (n, n) and many[:2] == (4 * n, 4 * n), seed
+            assert few[2] == many[2] == {"complexes": 3, "maps": 16}, seed
 
 
 class TestSharedComplexes:

@@ -365,6 +365,18 @@ class TestFacetTable:
                 assert other._index == k._index, (seed, variant)
                 assert other._facets == k._facets, (seed, variant)
 
+    def test_top_dim_is_stored_by_the_constructor(self):
+        # -1 for an empty complex, otherwise the highest dimension listed,
+        # held in a slot rather than derived on every read
+        assert "top_dim" in SimplicialComplexData.__slots__
+        assert SimplicialComplexData(0, []).top_dim == -1
+        assert SimplicialComplexData(4, []).top_dim == -1
+        for seed in range(100):
+            listed = random_listed(random.Random(seed))
+            k = SimplicialComplexData.from_simplices(listed)
+            assert k.top_dim == max(len(s) for s in listed) - 1, seed
+            assert k.top_dim == max(k.simplices_by_dim), seed
+
     def test_chain_complex_matches_brute_force(self):
         # the boundary read from the facet table against one summed face
         # by face, with the sign of the omitted vertex's position
