@@ -19,7 +19,7 @@ _HOME = {
     "homology_table": "pipeline",
     **dict.fromkeys(("CritModel", "ModuliComponentModel", "FlowPresentation",
                      "FlowDataError", "build_multicomplex",
-                     "morse_to_flow", "default_column_cap"), "flowdata"),
+                     "morse_to_flow"), "flowdata"),
     **dict.fromkeys(("MorseData", "InvalidMorseData", "morse_complex"),
                     "morse"),
 }

@@ -210,7 +210,7 @@ def cmd_morse(path, as_json=False):
         return _report(exc.report, sys.stderr, as_json)
     dim = mc.ambient_dim
     degrees = range(dim + 1)
-    ok = is_critical_point_complex(cm, mc)
+    ok = is_critical_point_complex(cm, fp, mc)
     mb_homology = homology_at(total, degrees)
     morse_homology = mb_homology if ok else homology_at(cm, degrees)
     data = {

@@ -154,12 +154,16 @@ class FlowPresentation:
     def crit_at(self, i):
         return self._by_index.get(i)
 
-    def cap(self):
-        if self.column_cap is not None:
-            return self.column_cap
-        return default_column_cap(self.dim)
-
     def validate(self):
+        """Problems with the presentation, one line each.  A column cap is
+        checked only when one is given; no build reads it.
+
+        >>> for cap in (None, 7, 2):
+        ...     print(FlowPresentation(2, (), column_cap=cap).validate())
+        []
+        ['column cap 7 must be even and at least 4']
+        ['column cap 2 must be even and at least 4']
+        """
         report = []
         seen = set()
         for model in self.crit:
@@ -182,25 +186,11 @@ class FlowPresentation:
                     "an empty critical set")
                 continue
             report.extend(comp.validate(source, target))
-        cap = self.cap()
-        if cap % 2 or cap < self.dim + 2:
+        cap = self.column_cap
+        if cap is not None and (cap % 2 or cap < self.dim + 2):
             report.append(f"column cap {cap} must be even and at least "
                           f"{self.dim + 2}")
         return report
-
-
-def default_column_cap(ambient_dim):
-    """Smallest even integer >= ambient_dim + 2.
-
-    Degrees <= ambient_dim only involve columns p <= ambient_dim + 1, and an
-    even cap cuts each point row just after an isomorphism differential, so
-    no spurious homology appears in the visible range.
-
-    >>> default_column_cap(2), default_column_cap(3)
-    (4, 6)
-    """
-    cap = ambient_dim + 2
-    return cap if cap % 2 == 0 else cap + 1
 
 
 def _target_column(target, ev_plus, chain, degree):
@@ -235,14 +225,15 @@ def build_multicomplex(fp, check=True):
     the highest column a moduli component lands on in row i (its domain's
     dimension: j - 1 for a point source of index drop j, the source model's
     for a simplicial one; 0 when none lands), rounded up to even.  Running
-    the row on to `column_cap` would add pairs (e_{2m-1}, e_{2m}) that no
+    the row on to a column cap would add pairs (e_{2m-1}, e_{2m}) that no
     other entry of D touches, since no component lands past c_i and point
     sources leave only column 0: an acyclic direct summand with D o D = 0.
-    So the validation report and the homology in every degree are the same
-    without them.  On a Morse document every domain is a point, so every
-    point row stops at column 0 and the build is the critical-point
-    complex itself (morse.is_critical_point_complex); the embedding on
-    longer rows is the test reference in tests/support.py.
+    So no cap is read: the validation report and the homology in every
+    degree are the same without them.  Generator t of point row i is the
+    point fp.crit_at(i).names[t].  On a Morse document every domain is a
+    point, so every point row stops at column 0 and the build is the
+    critical-point complex itself (morse.is_critical_point_complex); the
+    embedding on longer rows is the test reference in tests/support.py.
     Each moduli block is sized from the row ranks at its two ends, and the
     fundamental cycle of each distinct domain object is found once.  The
     rest of a component's cost is lookups in what the constructors built:
@@ -258,16 +249,14 @@ def build_multicomplex(fp, check=True):
         i = comp.to_index
         reach[i] = max(reach.get(i, 0), comp.domain.top_dim)
     row_ranks = {}
-    row_labels = {}
     maps = {}
     for model in fp.crit:
         i = model.index
         if model.is_points:
-            names, end = tuple(model.names), reach.get(i, 0)
-            eye = IntMatrix.identity(len(names)).scaled((-1) ** i)
+            n, end = len(model.names), reach.get(i, 0)
+            eye = IntMatrix.identity(n).scaled((-1) ** i)
             for p in range(end + end % 2 + 1):
-                row_ranks[(p, i)] = len(names)
-                row_labels[(p, i)] = names
+                row_ranks[(p, i)] = n
                 if p and p % 2 == 0:
                     maps[(0, p, i)] = eye
             continue
@@ -342,13 +331,7 @@ def build_multicomplex(fp, check=True):
         if not mat.is_zero():
             maps[key] = mat
 
-    mc = MBSMulticomplex(
-        ambient_dim=fp.dim,
-        column_cap=fp.cap(),
-        row_ranks=row_ranks,
-        row_labels=row_labels,
-        maps=maps,
-    )
+    mc = MBSMulticomplex(ambient_dim=fp.dim, row_ranks=row_ranks, maps=maps)
     if check:
         report = validate_multicomplex(mc)
         if not report.ok:

@@ -76,10 +76,10 @@ def morse_complex(md):
     return cx
 
 
-def is_critical_point_complex(cm, mc):
-    """True iff the total complex of `mc` is cm = morse_complex(md) itself:
-    the same nonzero ranks, and in every degree k the column-0 point names
-    of row k in the order of cm, and the same boundary.
+def is_critical_point_complex(cm, fp, mc):
+    """True iff the total complex of `mc`, the build of `fp`, is cm =
+    morse_complex(md) itself: the same nonzero ranks, the names of fp's
+    index-k points in the order of cm for every k, and the same boundary.
 
     Then each degree of the total complex is the column-0 block of its row,
     so the embedding of cm is the identity.  It is a chain map with zero
@@ -89,6 +89,6 @@ def is_critical_point_complex(cm, mc):
     total = mc.complex
     ranks = {k: r for k, r in total.ranks.items() if r}
     return (ranks == {k: r for k, r in cm.ranks.items() if r}
-            and all(mc.labels(0, k) == cm.label(k) for k in ranks)
+            and all(fp.crit_at(k).names == cm.label(k) for k in ranks)
             and all(total.boundary(k) == cm.boundary(k)
                     for k in {*total.boundaries, *cm.boundaries}))

@@ -22,14 +22,13 @@ def validated_total(mc):
 
 def homology_table(mc, degrees=None):
     """Homology of the totalization in `degrees` (default 0 .. ambient_dim
-    + 1, so the cost does not grow with the column cap), one group per
-    degree in order, from one `homology_at` pass: each total boundary is
-    reduced once.
+    + 1), one group per degree in order, from one `homology_at` pass: each
+    total boundary is reduced once.
 
     Raises InvalidMulticomplex, carrying the validator's report, before any
-    homology is computed.  Every degree is the same at every (even) column
-    cap: a larger cap adds only acyclic pairs to a point row, and the
-    builder adds none (flowdata.build_multicomplex).
+    homology is computed.  No column cap enters: running a point row on to
+    any even cap adds only acyclic pairs, so every degree is the one every
+    cap gives (flowdata.build_multicomplex).
     """
     total = validated_total(mc)
     if degrees is None:

@@ -199,30 +199,28 @@ def matrix_of_pullback(f, d):
          for s in tgt])
 
 
-def full_point_rows(mc):
-    """`mc` with every labelled point row run on to `mc.column_cap`: each
-    point gets e_0 .. e_cap, with d[0] = (-1)^(p+i) I at every even
-    positive column past the row's own end.  This is the fat-row layout
-    that `build_multicomplex` leaves out; the pairs it adds are an acyclic
-    direct summand, so it serves as a reference for the one build."""
+def full_point_rows(mc, fp, cap):
+    """`mc`, the build of `fp`, with every point row of `fp` run on to
+    column `cap`: each point gets e_0 .. e_cap, with d[0] = (-1)^(p+i) I at
+    every even positive column past the row's own end.  This is the fat-row
+    layout of the paper's truncation at `cap`, which `build_multicomplex`
+    leaves out; the pairs it adds are an acyclic direct summand, so it
+    serves as a reference for the one build."""
     ends = {}
     for (p, i), r in mc.row_ranks.items():
         if r:
             ends[i] = max(ends.get(i, 0), p)
-    ranks, labels = dict(mc.row_ranks), dict(mc.row_labels)
-    maps = dict(mc.maps)
-    for (p, i), names in mc.row_labels.items():
-        if p:
+    ranks, maps = dict(mc.row_ranks), dict(mc.maps)
+    for model in fp.crit:
+        if not (model.is_points and model.names):
             continue
-        eye = IntMatrix.identity(len(names))
-        for q in range(ends[i] + 1, mc.column_cap + 1):
-            ranks[(q, i)] = len(names)
-            labels[(q, i)] = names
+        i, eye = model.index, IntMatrix.identity(len(model.names))
+        for q in range(ends[i] + 1, cap + 1):
+            ranks[(q, i)] = eye.rows
             if q % 2 == 0:
                 maps[(0, q, i)] = eye.scaled(-1 if (q + i) % 2 else 1)
-    return MBSMulticomplex(ambient_dim=mc.ambient_dim,
-                           column_cap=mc.column_cap, row_ranks=ranks,
-                           row_labels=labels, maps=maps)
+    return MBSMulticomplex(ambient_dim=mc.ambient_dim, row_ranks=ranks,
+                           maps=maps)
 
 
 def phi_embed(mc, k, c0):
@@ -373,11 +371,16 @@ def _acyclic(cone):
     return all(h.is_trivial() for h in homology_at(cone, range(lo, hi + 2)))
 
 
-def _check_morse_shaped(mc):
-    """Every present row must be a point row: one rank in each of its
-    columns 0..c, c even, and at every even positive column a d[0] block
-    eps * I with eps = +1 or -1 read from the block.  Rows are walked over
-    their own columns.  Raises ValueError otherwise."""
+def _check_morse_shaped(cm, fp, mc):
+    """Every point of cm must be the point of `fp` at its place, and every
+    present row of `mc` a point row: one rank in each of its columns
+    0..c, c even, and at every even positive column a d[0] block eps * I
+    with eps = +1 or -1 read from the block.  Rows are walked over their
+    own columns.  Raises ValueError otherwise."""
+    for k in cm.degrees():
+        if cm.rank(k) and fp.crit_at(k).names != cm.label(k):
+            raise ValueError(f"row {k} names {fp.crit_at(k).names} do not "
+                             f"match critical points {cm.label(k)}")
     # by increasing p, so each row keeps its last column
     ends = {i: p for (p, i), r in sorted(mc.row_ranks.items()) if r}
     for i, end in sorted(ends.items()):
@@ -395,10 +398,11 @@ def _check_morse_shaped(mc):
                     "needs point rows")
 
 
-def phi_chain_map(cm, mc):
+def phi_chain_map(cm, fp, mc):
     """The paper's embedding as a chain map from the critical-point complex
     cm = morse_complex(md) into `mc.complex`, the total complex of a
-    multicomplex of point rows.  The rows may run past column 0, as the fat
+    multicomplex of point rows whose points are those of the presentation
+    `fp`, in its order.  The rows may run past column 0, as the fat
     rows of full_point_rows do; on a Morse document's build they stop
     there and the embedding is the identity.
 
@@ -407,12 +411,7 @@ def phi_chain_map(cm, mc):
     C_i = -eps * sum over even t < i of d[i - t] C_t.  An absent row, or a
     column past the end of a row, gives an empty slot (see verify_morse_mb).
     phi_embed solves the same recursion one vector at a time."""
-    for k in cm.degrees():
-        if cm.rank(k) and mc.labels(0, k) != cm.label(k):
-            raise ValueError(
-                f"row {k} labels {mc.labels(0, k)} do not match critical "
-                f"points {cm.label(k)}")
-    _check_morse_shaped(mc)
+    _check_morse_shaped(cm, fp, mc)
     components = {}
     for k in cm.degrees():
         n = cm.rank(k)
@@ -458,7 +457,7 @@ class MorseVerification:
                         zip(self.morse_homology, self.mb_homology)))
 
 
-def verify_morse_mb(cm, mc):
+def verify_morse_mb(cm, fp, mc):
     """The paper's comparison theorem, checked on `mc`: the embedding phi
     of the critical-point complex cm = morse_complex(md), its residuals
     d phi - phi d per degree, zero odd columns, the mapping-cone verdict on
@@ -466,7 +465,7 @@ def verify_morse_mb(cm, mc):
     embedding is kept on the outcome.
 
     On a build of flow data the outcome is the one the fat rows, run on to
-    column_cap, would give.  Point sources land only at column 0, so each
+    any column cap, would give.  Point sources land only at column 0, so each
     lift term C_i = -eps d[i] C_0 lies at column i <= c_{k-i}, where point
     row k - i stops (flowdata.build_multicomplex): the fat embedding lands
     in the kept total complex T and is phi.  The fat total complex is T + A
@@ -478,7 +477,7 @@ def verify_morse_mb(cm, mc):
     Raises InvalidMulticomplex when `mc` fails `validate_multicomplex`.
     """
     total = validated_total(mc)
-    phi = phi_chain_map(cm, mc)
+    phi = phi_chain_map(cm, fp, mc)
     residuals = chain_map_residuals(phi)
 
     odd_zero = not any(

@@ -27,6 +27,7 @@ from mbhomology.simplicial import (
 from support import (
     brute_homology,
     chain_to_vector,
+    full_point_rows,
     matrix_of_pullback,
     matrix_of_pushforward,
     random_complex,
@@ -69,7 +70,7 @@ def test_criterion_2_z2():
     rim = entry.presentation.crit_at(0).complex
     cycle = chain_to_vector(rim, 1, fundamental_cycle(rim).as_chain())
     d2 = mc.map(2, 0, 2)
-    names = mc.labels(0, 2)
+    names = entry.presentation.crit_at(2).names
     n_img = d2.col(names.index("n"))
     s_img = d2.col(names.index("s"))
     assert n_img == cycle and s_img == tuple(-x for x in cycle)
@@ -87,7 +88,7 @@ def test_criterion_3_minus_z2():
     entry = load_entry("s2-minus-z2")
     mc = entry.build()
     assert betti_row(homology_table(mc)) == [(1, ()), (0, ()), (1, ())]
-    names = mc.labels(0, 0)
+    names = entry.presentation.crit_at(0).names
     n_row, s_row = names.index("n"), names.index("s")
     d1 = mc.map(1, 0, 1)
     for col in range(d1.cols):
@@ -112,8 +113,8 @@ def test_criterion_5_deformed_torus():
     entry = load_entry("t2-deformed")
     mc = entry.build()
     assert betti_row(homology_table(mc)) == [(1, ()), (2, ()), (1, ())]
-    mid = mc.labels(0, 1)
-    top = mc.labels(0, 2)
+    mid = entry.presentation.crit_at(1).names
+    top = entry.presentation.crit_at(2).names
     d1_mid = mc.map(1, 0, 1)
     assert d1_mid.col(mid.index("p1")) == (1, -1, 0, 0)
     assert d1_mid.col(mid.index("q1")) == (0, 0, -1, 1)
@@ -146,8 +147,9 @@ def test_criterion_7_morse_embedding():
                   counts={("east", "saddle"): 1, ("west", "saddle"): -1}),
     ]
     for md in data:
-        mc = build_multicomplex(morse_to_flow(md))
-        outcome = verify_morse_mb(morse_complex(md), mc)
+        fp = morse_to_flow(md)
+        outcome = verify_morse_mb(morse_complex(md), fp,
+                                  build_multicomplex(fp))
         assert outcome.chain_map_exact
         assert all(r.is_zero() for r in outcome.chain_map_residuals.values())
         assert outcome.odd_components_zero
@@ -225,10 +227,14 @@ def test_criterion_9_property_suites():
 def test_criterion_10_truncation_stability():
     for entry in load_entries():
         fp = entry.presentation
-        base_cap = fp.cap()
-        low = homology_table(build_multicomplex(fp))
-        raised = FlowPresentation(dim=fp.dim, crit=fp.crit, moduli=fp.moduli,
-                                  column_cap=base_cap + 2)
-        high = homology_table(build_multicomplex(raised))
-        for k in range(0, fp.dim + 1):
-            assert low[k].iso(high[k]), (entry.name, k)
+        mc = build_multicomplex(fp)
+        low = homology_table(mc)
+        # the smallest cap a document may declare and the next one, each
+        # declared and as the fat rows of the paper's truncation
+        for cap in (fp.dim + 2 + fp.dim % 2, fp.dim + 4 + fp.dim % 2):
+            raised = FlowPresentation(dim=fp.dim, crit=fp.crit,
+                                      moduli=fp.moduli, column_cap=cap)
+            for high in (homology_table(build_multicomplex(raised)),
+                         homology_table(full_point_rows(mc, fp, cap))):
+                for k in range(0, fp.dim + 1):
+                    assert low[k].iso(high[k]), (entry.name, cap, k)

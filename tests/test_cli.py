@@ -553,6 +553,12 @@ MALFORMED = {
     "morse-column-cap-zero": (
         "morse", "t2-morse-4pt", set_key("column_cap", 0),
         ": column cap 0 must be even and at least 4"),
+    "flow-column-cap-odd": (
+        "homology", "s2-z2", set_key("column_cap", 7),
+        ": column cap 7 must be even and at least 4"),
+    "flow-column-cap-small": (
+        "validate", "s2-z2", set_key("column_cap", 2),
+        ": column cap 2 must be even and at least 4"),
     # s2-z2's first component has a point source; s2-minus-z2's first one
     # covers a circle
     "point-domain-vertex-huge": (

@@ -85,7 +85,7 @@ class TestTotalBoundaries:
     def test_invariant_factors_match_snf(self, name):
         mc = load_entry(name).build()
         cx = totalize(mc).complex
-        for k in range(0, mc.column_cap + mc.ambient_dim + 2):
+        for k in range(0, max(cx.ranks) + 2):
             b = cx.boundary(k)
             assert invariant_factors(b) == snf(b).invariant_factors, k
 
@@ -119,7 +119,7 @@ class TestIntermediateChains:
         rim = entry.presentation.crit_at(0).complex
         cycle = chain_to_vector(rim, 1, fundamental_cycle(rim).as_chain())
         d2 = mc.map(2, 0, 2)
-        names = mc.labels(0, 2)
+        names = entry.presentation.crit_at(2).names
         n_col = d2.col(names.index("n"))
         s_col = d2.col(names.index("s"))
         assert n_col == cycle
@@ -137,7 +137,7 @@ class TestIntermediateChains:
         entry = load_entry("s2-minus-z2")
         mc = entry.build()
         d1 = mc.map(1, 0, 1)
-        names = mc.labels(0, 0)
+        names = entry.presentation.crit_at(0).names
         n_row, s_row = names.index("n"), names.index("s")
         for col in range(d1.cols):
             image = d1.col(col)
@@ -152,8 +152,8 @@ class TestIntermediateChains:
     def test_deformed_torus_pinned_identities(self):
         entry = load_entry("t2-deformed")
         mc = entry.build()
-        mid_names = mc.labels(0, 1)
-        top_names = mc.labels(0, 2)
+        mid_names = entry.presentation.crit_at(1).names
+        top_names = entry.presentation.crit_at(2).names
         # rows of the base circle's column 0 are its vertices, in order
         base = entry.presentation.crit_at(0).complex
         base_vertices = [v for (v,) in base.simplices_of_dim(0)]

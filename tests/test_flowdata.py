@@ -14,7 +14,6 @@ from mbhomology.flowdata import (
     FlowPresentation,
     ModuliComponentModel,
     build_multicomplex,
-    default_column_cap,
     morse_to_flow,
 )
 from mbhomology.corpus import data_dir, load_entries
@@ -129,9 +128,12 @@ class TestFlowPresentation:
         assert (rim.is_points, rim.dimension) == (False, 1)
 
     def test_default_cap(self):
-        assert default_column_cap(2) == 4
-        assert default_column_cap(1) == 4
-        assert default_column_cap(4) == 6
+        # without a cap nothing is refused; the build's column_cap, which
+        # only the benchmark's grid_yield probe reads, is the old default
+        for dim, cap in ((2, 4), (1, 4), (4, 6)):
+            fp = FlowPresentation(dim=dim, crit=())
+            assert fp.validate() == []
+            assert build_multicomplex(fp).column_cap == cap
 
 
 class TestBuild:
@@ -422,6 +424,56 @@ class TestSharedComplexes:
             build_multicomplex(fp, check=False), range(4))] == \
             ["Z", "Z^2", "Z ⊕ Z/2", "0"]
 
+    def test_same_output_with_sharing_off(self, tmp_path, capsys):
+        # every repeat of a complex listing written another way, so the
+        # reader's verbatim key shares none: each repeat is reversed and
+        # the t-th lists its last simplex t more times (repeats are
+        # allowed), which tells one-simplex listings apart too
+        def listings(doc):
+            return [(entry, "complex") for entry in doc["critical"]
+                    if "complex" in entry] + \
+                [(comp, "domain") for comp in doc["moduli"]]
+
+        def unshared(doc):
+            doc = json.loads(json.dumps(doc))
+            seen = {}
+            for owner, key in listings(doc):
+                data = owner[key]
+                listed = json.dumps(data)
+                t = seen[listed] = seen.get(listed, -1) + 1
+                if t:
+                    simplices = data["simplices"][::-1]
+                    owner[key] = {**data,
+                                  "simplices": simplices + simplices[-1:] * t}
+            return doc
+
+        def objects(doc):
+            fp = presentation_from_doc(doc)
+            return len({id(m.complex) for m in fp.crit if not m.is_points}
+                       | {id(comp.domain) for comp in fp.moduli})
+
+        def output(doc):
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc), "utf-8")
+            got = []
+            for command in ("validate", "homology"):
+                code = cli.main([command, "--json", str(path)])
+                got.append((code, capsys.readouterr()))
+            return got
+
+        docs = [json.loads(path.read_text("utf-8"))
+                for path in sorted(data_dir().glob("*.json"))]
+        docs = [doc for doc in docs if doc.get("kind", "flow") == "flow"]
+        docs += [workloads.make("bott-twist", 5, call)[0]
+                 for call in range(5)]
+        shared = 0
+        for doc in docs:
+            off = unshared(doc)
+            assert objects(off) == len(listings(off))
+            shared += objects(doc) < len(listings(doc))
+            assert output(off) == output(doc)
+        assert shared == len(docs) - 2  # s2-constant and s2-round
+
     def test_other_vertex_count_is_not_shared(self):
         # the same simplices with one more vertex make another complex
         fp = presentation_from_doc(bott_twist_doc(domain_vertices=10))
@@ -469,7 +521,8 @@ class TestTrimmedPointRows:
         seen = {"valid": 0, "invalid": 0, "smaller": 0}
         for name, fp in [*seeded_presentations(), *corpus_mutants()]:
             trimmed = build_multicomplex(fp, check=False)
-            full = full_point_rows(trimmed)
+            cap = fp.dim + 2 + fp.dim % 2
+            full = full_point_rows(trimmed, fp, cap)
             report = validate_multicomplex(full)
             assert validate_multicomplex(trimmed).describe() == \
                 report.describe(), name
@@ -477,7 +530,7 @@ class TestTrimmedPointRows:
             seen["smaller"] += (sum(trimmed.complex.ranks.values())
                                 < sum(full.complex.ranks.values()))
             if report.ok:
-                degrees = range(full.column_cap + full.ambient_dim + 1)
+                degrees = range(cap + full.ambient_dim + 1)
                 assert homology_at(trimmed.complex, degrees) == \
                     homology_at(full.complex, degrees), name
         assert min(seen.values()) > 20, seen

@@ -11,11 +11,7 @@ from mbhomology import chain, cli, exactalg, morse
 from mbhomology.chain import HomologyGroup, homology_at
 from mbhomology.corpus import data_dir, entry_names, load_entry
 from mbhomology.exactalg import IntMatrix
-from mbhomology.flowdata import (
-    build_multicomplex,
-    default_column_cap,
-    morse_to_flow,
-)
+from mbhomology.flowdata import build_multicomplex, morse_to_flow
 from mbhomology.morse import (
     InvalidMorseData,
     MorseData,
@@ -113,18 +109,28 @@ def synthetic_three_row(d2_entry=5, flipped_row=None):
             sign = (-1) ** (p + i + (i == flipped_row))
             maps[(0, p, i)] = IntMatrix.from_rows([[sign]])
     maps[(2, 0, 2)] = IntMatrix.from_rows([[d2_entry]])
-    labels = {(p, 0): ("p",) for p in range(5)}
-    labels.update({(p, 1): ("q",) for p in range(5)})
-    labels.update({(p, 2): ("r",) for p in range(5)})
-    return MBSMulticomplex(ambient_dim=2, column_cap=4, row_ranks=ranks,
-                           row_labels=labels, maps=maps)
+    return MBSMulticomplex(ambient_dim=2, row_ranks=ranks, maps=maps)
+
+
+def fat(md):
+    """The build of morse_to_flow(md) with its point rows run on to the
+    smallest even column cap >= dim + 2."""
+    fp = morse_to_flow(md)
+    return full_point_rows(build_multicomplex(fp), fp,
+                           fp.dim + 2 + fp.dim % 2)
+
+
+def verify(md, mc):
+    """verify_morse_mb of `mc` against morse_complex(md), whose points are
+    named by md's own presentation."""
+    return verify_morse_mb(morse_complex(md), morse_to_flow(md), mc)
 
 
 def lift(md, mc, k, c0):
     """phi_chain_map applied to a column-zero vector of row k, cut into its
     slots {i: c_i}; checked against the reference phi_embed."""
     view = totalize(mc)
-    phi = phi_chain_map(morse_complex(md), view)
+    phi = phi_chain_map(morse_complex(md), morse_to_flow(md), view)
     image = phi.component(k).times_vector(c0)
     parts = {}
     for i in range(k + 1):
@@ -161,7 +167,7 @@ def matches_reference(outcome, mc):
 class TestPhiEmbed:
     def test_zero_interaction_gives_inclusion(self):
         md = torus_md()
-        mc = full_point_rows(build_multicomplex(morse_to_flow(md)))
+        mc = fat(md)
         parts = lift(md, mc, 2, (1,))
         assert parts[0] == (1,)
         assert parts[1] == (0, 0)
@@ -182,7 +188,7 @@ class TestPhiEmbed:
                        counts={})
         mc = synthetic_three_row()
         view = totalize(mc)
-        phi = phi_chain_map(morse_complex(md), view)
+        phi = phi_chain_map(morse_complex(md), morse_to_flow(md), view)
         assert all(r.is_zero() for r in chain_map_residuals(phi).values())
         for k in range(0, 3):
             lhs = view.complex.boundary(k) @ phi.component(k)
@@ -203,10 +209,8 @@ class TestPhiEmbed:
         # permuting the point basis and lifting again gives the same
         # embedding after undoing the permutation
         md = sphere4_md()
-        mc = full_point_rows(build_multicomplex(morse_to_flow(md)))
+        mc = fat(md)
         perm = [1, 0]
-        ranks = dict(mc.row_ranks)
-        labels = {k: v for k, v in mc.row_labels.items()}
         maps = dict(mc.maps)
         for p in (2, 4):
             mat = mc.map(0, p, 2)
@@ -215,14 +219,13 @@ class TestPhiEmbed:
                        for r in range(2)])
         d1 = mc.map(1, 0, 2)
         maps[(1, 0, 2)] = d1.submatrix_cols(perm)
-        for p in range(5):
-            labels[(p, 2)] = tuple(mc.row_labels[(p, 2)][t] for t in perm)
-        permuted = MBSMulticomplex(ambient_dim=2, column_cap=4,
-                                   row_ranks=ranks, row_labels=labels,
+        permuted = MBSMulticomplex(ambient_dim=2, row_ranks=mc.row_ranks,
                                    maps=maps)
         assert validate_multicomplex(permuted).ok
+        top = md.crit_by_index[2]
         permuted_md = MorseData(
-            crit_by_index={**md.crit_by_index, 2: labels[(0, 2)]},
+            crit_by_index={**md.crit_by_index,
+                           2: tuple(top[t] for t in perm)},
             counts=md.counts)
         direct = lift(md, mc, 2, (1, 0))
         via_perm = lift(permuted_md, permuted, 2, (0, 1))
@@ -231,14 +234,15 @@ class TestPhiEmbed:
 
     def test_rejects_non_morse_shaped(self):
         from test_multicomplex import s2_z2_presentation
-        mc = build_multicomplex(s2_z2_presentation())
+        fp = s2_z2_presentation()
+        mc = build_multicomplex(fp)
         empty = morse_complex(MorseData(crit_by_index={}, counts={}))
         # the circle row has rank 3 at columns 0 and 1: constant, but it
         # ends at an odd column
         with pytest.raises(ValueError,
                            match="row 0 has varying rank or ends at odd "
                                  "column 1"):
-            phi_chain_map(empty, totalize(mc))
+            phi_chain_map(empty, fp, totalize(mc))
 
     @pytest.mark.parametrize("d0", [[[0, 1], [1, 0]], [[1, 1], [0, 1]],
                                     [[1, 0], [0, -1]]],
@@ -247,15 +251,12 @@ class TestPhiEmbed:
         # a unimodular d[0] that is not +-I is refused, by bidegree, though
         # the reference lift could solve through it
         mc = MBSMulticomplex(
-            ambient_dim=0, column_cap=2,
-            row_ranks={(p, 0): 2 for p in range(3)},
-            row_labels={(p, 0): ("a", "b") for p in range(3)},
+            ambient_dim=0, row_ranks={(p, 0): 2 for p in range(3)},
             maps={(0, 2, 0): IntMatrix.from_rows(d0)})
         assert validate_multicomplex(mc).ok
-        cm = morse_complex(MorseData(crit_by_index={0: ("a", "b")},
-                                     counts={}))
+        md = MorseData(crit_by_index={0: ("a", "b")}, counts={})
         with pytest.raises(ValueError, match=r"d\[0\] at \(p=2, i=0\)"):
-            phi_chain_map(cm, totalize(mc))
+            phi_chain_map(morse_complex(md), morse_to_flow(md), totalize(mc))
 
     @pytest.mark.parametrize("row", [0, 1, 2])
     def test_accepts_either_sign(self, row):
@@ -265,7 +266,7 @@ class TestPhiEmbed:
                        counts={})
         mc = synthetic_three_row(flipped_row=row)
         assert validate_multicomplex(mc).ok
-        outcome = verify_morse_mb(morse_complex(md), mc)
+        outcome = verify(md, mc)
         assert outcome.ok
         assert matches_reference(outcome, mc)
         assert lift(md, mc, 2, (1,))[2] == ((5,) if row == 0 else (-5,))
@@ -275,7 +276,7 @@ class TestPhiEmbed:
     def test_matches_reference_on_corpus(self, name):
         md = load_entry(name).morse
         mc = build_multicomplex(morse_to_flow(md))
-        outcome = verify_morse_mb(morse_complex(md), mc)
+        outcome = verify(md, mc)
         assert outcome.ok
         assert matches_reference(outcome, mc)
 
@@ -285,7 +286,7 @@ class TestVerify:
     def test_corpus_morse_data(self, md_factory):
         md = md_factory()
         mc = build_multicomplex(morse_to_flow(md))
-        outcome = verify_morse_mb(morse_complex(md), mc)
+        outcome = verify(md, mc)
         assert outcome.chain_map_exact
         assert outcome.odd_components_zero
         assert outcome.is_quasi_iso
@@ -296,7 +297,7 @@ class TestVerify:
     def test_synthetic_instance(self):
         md = MorseData(crit_by_index={0: ("p",), 1: ("q",), 2: ("r",)},
                        counts={})
-        outcome = verify_morse_mb(morse_complex(md), synthetic_three_row())
+        outcome = verify(md, synthetic_three_row())
         assert outcome.chain_map_exact
         assert outcome.is_quasi_iso
         assert outcome.ok
@@ -308,12 +309,11 @@ class TestVerify:
                        counts={})
         mc = synthetic_three_row()
         bad = MBSMulticomplex(
-            ambient_dim=2, column_cap=4, row_ranks=mc.row_ranks,
-            row_labels=mc.row_labels,
+            ambient_dim=2, row_ranks=mc.row_ranks,
             maps={**mc.maps, (1, 0, 2): IntMatrix.from_rows([[1]]),
                   (1, 0, 1): IntMatrix.from_rows([[1]])})
         with pytest.raises(InvalidMulticomplex) as err:
-            verify_morse_mb(morse_complex(md), bad)
+            verify(md, bad)
         assert (2, 0, 2) in [(j, p, i) for j, p, i, _ in
                              err.value.report.identity_failures]
 
@@ -321,8 +321,7 @@ class TestVerify:
         # the embedding induces isomorphisms on homology exactly when its
         # mapping cone is acyclic, in every degree the cone has
         md = torus_md()
-        outcome = verify_morse_mb(morse_complex(md),
-                                  build_multicomplex(morse_to_flow(md)))
+        outcome = verify(md, build_multicomplex(morse_to_flow(md)))
         assert [str(g) for g in outcome.morse_homology] == ["Z", "Z^2", "Z"]
         cone = mapping_cone(outcome.embedding)
         lo, hi = cone.degree_range
@@ -353,7 +352,7 @@ class TestVerify:
         md = MorseData(crit_by_index={0: ("a",), 1: ("b",), 2: ("c",)},
                        counts={("c", "b"): 2})
         mc = build_multicomplex(morse_to_flow(md))
-        outcome = verify_morse_mb(morse_complex(md), mc)
+        outcome = verify(md, mc)
         assert outcome.ok
         assert [str(g) for g in outcome.mb_homology] == ["Z", "Z/2", "0"]
         assert len(residual_calls) == 1
@@ -379,8 +378,7 @@ class TestVerify:
         # rows 0 and 1 are absent, so the column-2 slot of a row-2 lift is
         # empty and has no d[0] block to divide by
         md = MorseData(crit_by_index={2: ("a",)}, counts={})
-        outcome = verify_morse_mb(morse_complex(md),
-                                  build_multicomplex(morse_to_flow(md)))
+        outcome = verify(md, build_multicomplex(morse_to_flow(md)))
         assert outcome.ok
         assert [str(g) for g in outcome.morse_homology] == ["0", "0", "Z"]
         assert outcome.embedding.component(2) == IntMatrix.from_rows([[1]])
@@ -418,10 +416,8 @@ def run_morse(path, *flags):
 
 def with_map(mc, key, mat):
     """`mc` with map `key` replaced by `mat`."""
-    return MBSMulticomplex(
-        ambient_dim=mc.ambient_dim, column_cap=mc.column_cap,
-        row_ranks=mc.row_ranks, row_labels=mc.row_labels,
-        maps={**mc.maps, key: mat})
+    return MBSMulticomplex(ambient_dim=mc.ambient_dim, row_ranks=mc.row_ranks,
+                           maps={**mc.maps, key: mat})
 
 
 def assert_build_is_critical_point_complex(md, fp):
@@ -433,11 +429,11 @@ def assert_build_is_critical_point_complex(md, fp):
     assert {k: r for k, r in total.ranks.items() if r} == cm.ranks
     for k in {*total.boundaries, *cm.boundaries}:
         assert total.boundary(k) == cm.boundary(k), k
-    phi = phi_chain_map(cm, mc)
+    phi = phi_chain_map(cm, fp, mc)
     for k, n in cm.ranks.items():
-        assert mc.labels(0, k) == cm.label(k)
+        assert fp.crit_at(k).names == cm.label(k)
         assert phi.component(k) == IntMatrix.identity(n), k
-    assert is_critical_point_complex(cm, mc)
+    assert is_critical_point_complex(cm, fp, mc)
 
 
 class TestMorseCommand:
@@ -454,7 +450,7 @@ class TestMorseCommand:
             c = random_complex(random.Random(7000 + seed), max_total_rank=10)
             md, _ = morse_data_of(c)
             m = max(md.crit_by_index)
-            for cap in (default_column_cap(m), 2 * m + 4, 64):
+            for cap in (m + 2 + m % 2, 2 * m + 4, 64):
                 assert_build_is_critical_point_complex(
                     md, morse_to_flow(md, cap=cap))
 
@@ -465,17 +461,18 @@ class TestMorseCommand:
     def test_other_complexes_are_refused(self):
         md = sphere4_md()
         cm = morse_complex(md)
-        mc = build_multicomplex(morse_to_flow(md))
-        assert is_critical_point_complex(cm, mc)
-        # a sign flipped, the names swapped, and rows run past column 0
+        fp = morse_to_flow(md)
+        mc = build_multicomplex(fp)
+        assert is_critical_point_complex(cm, fp, mc)
+        # a sign flipped, a presentation whose index-2 names are swapped,
+        # and rows run past column 0
         flipped = with_map(mc, (1, 0, 2), mc.map(1, 0, 2).scaled(-1))
-        swapped = MBSMulticomplex(
-            ambient_dim=2, column_cap=mc.column_cap, row_ranks=mc.row_ranks,
-            row_labels={**mc.row_labels, (0, 2): ("west", "east")},
-            maps=mc.maps)
-        for other in (flipped, swapped, full_point_rows(mc)):
+        swapped = morse_to_flow(MorseData(
+            {**md.crit_by_index, 2: ("west", "east")}, md.counts))
+        for presented, other in ((fp, flipped), (swapped, mc),
+                                 (fp, full_point_rows(mc, fp, 4))):
             assert validate_multicomplex(other).ok
-            assert not is_critical_point_complex(cm, other)
+            assert not is_critical_point_complex(cm, presented, other)
 
     def test_one_validation_and_one_table_per_call(self, monkeypatch):
         # the chain-map verdicts follow from the equality, so a call
@@ -612,8 +609,7 @@ class TestRandomMorseData:
         c = random_complex(random.Random(7003), max_total_rank=10)
         md, lo = morse_data_of(c)
         built = forbid_dense_rows(monkeypatch)
-        outcome = verify_morse_mb(morse_complex(md),
-                                  build_multicomplex(morse_to_flow(md)))
+        outcome = verify(md, build_multicomplex(morse_to_flow(md)))
         assert outcome.ok
         assert any(g.torsion for g in outcome.mb_homology)
         assert built and all(caller == "snf" for _, caller in built)
@@ -634,7 +630,7 @@ class TestRandomMorseData:
             return real(a, cleared)
 
         monkeypatch.setattr(chain, "_reduce", counted)
-        outcome = verify_morse_mb(morse_complex(md), mc)
+        outcome = verify(md, mc)
         assert outcome.ok
         cm, total = outcome.embedding.source, outcome.embedding.target
         cone = mapping_cone(outcome.embedding)
@@ -659,8 +655,7 @@ class TestRandomMorseData:
         for seed in range(30):
             c = random_complex(random.Random(7000 + seed), max_total_rank=10)
             md, lo = morse_data_of(c)
-            outcome = verify_morse_mb(morse_complex(md),
-                                      build_multicomplex(morse_to_flow(md)))
+            outcome = verify(md, build_multicomplex(morse_to_flow(md)))
             cone = mapping_cone(outcome.embedding)
             c_lo, c_hi = cone.degree_range
             for k in range(c_lo, c_hi + 2):
@@ -680,8 +675,7 @@ class TestRandomMorseData:
         for seed in range(60):
             c = random_complex(random.Random(7000 + seed), max_total_rank=10)
             md, lo = morse_data_of(c)
-            outcome = verify_morse_mb(morse_complex(md),
-                                      build_multicomplex(morse_to_flow(md)))
+            outcome = verify(md, build_multicomplex(morse_to_flow(md)))
             assert outcome.ok, seed
             for k, (a, b) in enumerate(zip(outcome.morse_homology,
                                            outcome.mb_homology)):
@@ -700,10 +694,11 @@ class TestRandomMorseData:
             cm = morse_complex(md)
             m = max(md.crit_by_index)
             seen = set()
-            for cap in (default_column_cap(m), 2 * m + 4, 64):
-                built = build_multicomplex(morse_to_flow(md, cap=cap))
-                for mc in (built, full_point_rows(built)):
-                    outcome = verify_morse_mb(cm, mc)
+            for cap in (m + 2 + m % 2, 2 * m + 4, 64):
+                fp = morse_to_flow(md, cap=cap)
+                built = build_multicomplex(fp)
+                for mc in (built, full_point_rows(built, fp, cap)):
+                    outcome = verify_morse_mb(cm, fp, mc)
                     assert matches_reference(outcome, mc), (seed, cap)
                     seen.add((outcome.ok, outcome.chain_map_exact,
                               outcome.odd_components_zero,
@@ -723,7 +718,7 @@ class TestRandomMorseData:
             rng = random.Random(7000 + seed)
             c = random_complex(rng, max_total_rank=10)
             md, lo = morse_data_of(c)
-            flat = full_point_rows(build_multicomplex(morse_to_flow(md)))
+            flat = fat(md)
             maps = dict(flat.maps)
             for i in range(2, flat.ambient_dim + 1):
                 rows, cols = flat.rank(1, i - 2), flat.rank(0, i - 1)
@@ -735,12 +730,10 @@ class TestRandomMorseData:
                     maps[(2, 0, i)] = d2
             possible += any(not flat.map(1, 0, i).is_zero()
                             for i in range(2, flat.ambient_dim + 1))
-            mc = MBSMulticomplex(
-                ambient_dim=flat.ambient_dim, column_cap=flat.column_cap,
-                row_ranks=flat.row_ranks, row_labels=flat.row_labels,
-                maps=maps)
+            mc = MBSMulticomplex(ambient_dim=flat.ambient_dim,
+                                 row_ranks=flat.row_ranks, maps=maps)
             assert validate_multicomplex(mc).ok, seed
-            outcome = verify_morse_mb(morse_complex(md), mc)
+            outcome = verify(md, mc)
             assert outcome.ok, seed
             assert matches_reference(outcome, mc), seed
             offsets = totalize(mc).block_offsets
@@ -802,9 +795,7 @@ def conjugated(flat, rng):
                     assert r <= i
                     maps[(i - r, p, i)] = block
     return MBSMulticomplex(ambient_dim=flat.ambient_dim,
-                           column_cap=flat.column_cap,
-                           row_ranks=flat.row_ranks,
-                           row_labels=flat.row_labels, maps=maps)
+                           row_ranks=flat.row_ranks, maps=maps)
 
 
 class TestConjugatedMulticomplex:
@@ -816,14 +807,14 @@ class TestConjugatedMulticomplex:
             crit_by_index={0: ("a",), 1: ("b", "b'"), 2: ("c", "c'"),
                            3: ("e",), 4: ("f",)},
             counts={("c", "b"): 2, ("e", "c'"): 1})
-        flat = full_point_rows(build_multicomplex(morse_to_flow(md)))
+        flat = fat(md)
         later = 0
         for seed in range(12):
             mc = conjugated(flat, random.Random(seed))
             assert validate_multicomplex(mc).ok, seed
             assert mc.map(0, 2, 2) == flat.map(0, 2, 2)
             assert mc.map(1, 0, 2) == flat.map(1, 0, 2)
-            outcome = verify_morse_mb(morse_complex(md), mc)
+            outcome = verify(md, mc)
             assert outcome.ok, seed
             assert matches_reference(outcome, mc), seed
             c2 = phi_embed(mc, 4, (1,))[2]

@@ -150,8 +150,7 @@ class TestHomologyTable:
         built = load_entry("t2-deformed").build()
         key = next(k for k in built.maps if k[0] == 2)
         mc = MBSMulticomplex(
-            ambient_dim=built.ambient_dim, column_cap=built.column_cap,
-            row_ranks=built.row_ranks, row_labels=built.row_labels,
+            ambient_dim=built.ambient_dim, row_ranks=built.row_ranks,
             maps={**built.maps, key: built.maps[key].scaled(-1)})
         with pytest.raises(InvalidMulticomplex) as info:
             homology_table(mc)

@@ -27,7 +27,7 @@ PUBLIC = {
     "validate_multicomplex", "totalize", "homology_table",
     # flowdata
     "CritModel", "ModuliComponentModel", "FlowPresentation", "FlowDataError",
-    "build_multicomplex", "morse_to_flow", "default_column_cap",
+    "build_multicomplex", "morse_to_flow",
     # morse
     "MorseData", "InvalidMorseData", "morse_complex",
 }
@@ -60,6 +60,30 @@ def test_only_schema_reads_documents():
                     calls.add((path.stem, name))
     assert {module for module, _ in calls} == {"schema"}, sorted(calls)
     assert {name for _, name in calls} == readers
+
+
+def test_cap_and_names_stay_in_the_presentation():
+    # the column cap is a document check, made by the reader and the
+    # presentation; the multicomplex keeps only a read-only column_cap
+    # property for the benchmark's grid_yield probe.  Point names are the
+    # presentation's, and no module keeps a copy as row labels.
+    used = set()
+    for path in sorted((SRC / "mbhomology").glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        probe = {id(node) for cls in tree.body
+                 if isinstance(cls, ast.ClassDef)
+                 and cls.name == "MBSMulticomplex"
+                 for node in cls.body
+                 if getattr(node, "name", None) == "column_cap"}
+        for node in ast.walk(tree):
+            names = {getattr(node, field, None)
+                     for field in ("id", "attr", "arg", "name")}
+            if id(node) not in probe:
+                used |= {(path.stem, name) for name in
+                         names & {"column_cap", "row_labels"}}
+    assert {module for module, name in used if name == "column_cap"} == \
+        {"schema", "flowdata"}, sorted(used)
+    assert not {module for module, name in used if name == "row_labels"}
 
 
 # Imported by a module that never reads them: the three loaders stay on
