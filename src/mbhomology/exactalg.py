@@ -14,10 +14,10 @@ class IntMatrix:
     """Integer matrix stored as sparse columns: `columns[j]` is a dict
     {row: nonzero entry} of column j, and zeros are never stored.
 
-    Treated as immutable everywhere: operations return new matrices, and
-    they may share column dicts, which nobody mutates.  Zero-row and
-    zero-column shapes are legal and behave as zero maps.  `data`, the
-    dense rows, is built on first read.
+    Treated as immutable everywhere: operations return new matrices or
+    the matrix itself, and they may share column dicts, which nobody
+    mutates.  Zero-row and zero-column shapes are legal and behave as zero
+    maps.  `data`, the dense rows, is built on first read.
     """
 
     __slots__ = ("rows", "cols", "columns", "_data")
@@ -149,6 +149,14 @@ class IntMatrix:
         return self + (-other)
 
     def scaled(self, c):
+        """`c` times the matrix; a matrix is immutable, so 1 gives itself.
+
+        >>> m = IntMatrix.from_rows([[1, -2]])
+        >>> m.scaled(1) is m, m.scaled(-1).data, m.data
+        (True, ((-1, 2),), ((1, -2),))
+        """
+        if c == 1:
+            return self
         if not c:
             return IntMatrix.zeros(self.rows, self.cols)
         return IntMatrix._of(self.rows, self.cols,

@@ -7,6 +7,7 @@ SchemaError, a ValueError, naming the file or JSON path at fault.
 """
 
 import json
+from itertools import chain
 
 from .flowdata import (
     CritModel,
@@ -74,25 +75,31 @@ def column_cap_from_doc(doc, where="document"):
 def complex_from_data(entry, key, where, dim, built):
     """The simplicial complex stored under `key` of the object at `where`.
 
-    A listed simplex of dimension above `dim` is refused before the
-    closure, which would cost 2^n faces for n vertices: no accepted
-    document holds one.  `built` maps the (vertices, simplices) of every
-    complex read so far to its complex, so the same data gives the same
-    object.
+    A listing of lists of ints passes two exact-type tests, each one
+    C-level pass, and no Python loop; any other listing goes through
+    `_typed` and `_each` in listing order, which name the first fault (or
+    pass an int subclass that is not a bool).  A listed simplex of
+    dimension above `dim` is refused before the closure, which would cost
+    2^n faces for n vertices: no accepted document holds one.  `built`
+    maps the (vertices, simplices) of every complex read so far to its
+    complex, so the same data gives the same object.
     """
     data = _require(entry, key, dict, where)
     vertices = _require(data, "vertices", int, where)
     simplices = _require(data, "simplices", list, where)
     spot = f"{where}.{key}.simplices"
-    for t, simplex in enumerate(simplices):
-        _each(_typed(simplex, list, spot, t), int, spot, t)
-    seen = (vertices, tuple(tuple(s) for s in simplices))
+    if not ({list}.issuperset(map(type, simplices))
+            and {int}.issuperset(map(type, chain.from_iterable(simplices)))):
+        for t, simplex in enumerate(simplices):
+            _each(_typed(simplex, list, spot, t), int, spot, t)
+    seen = (vertices, tuple(map(tuple, simplices)))
     if seen in built:
         return built[seen]
-    for t, simplex in enumerate(simplices):
-        if len(simplex) > dim + 1 and len(set(simplex)) > dim + 1:
-            raise SchemaError(f"{spot}[{t}] has dimension "
-                              f"{len(set(simplex)) - 1}, above dim {dim}")
+    if max(map(len, simplices), default=0) > dim + 1:
+        for t, simplex in enumerate(simplices):
+            if len(set(simplex)) > dim + 1:
+                raise SchemaError(f"{spot}[{t}] has dimension "
+                                  f"{len(set(simplex)) - 1}, above dim {dim}")
     try:
         built[seen] = SimplicialComplexData(vertices, seen[1])
     except (TypeError, ValueError) as err:

@@ -8,6 +8,8 @@ coverings realizes the fibered product with a space whose projection
 restricts to sheeted isomorphisms.
 """
 
+from itertools import combinations
+
 from .chain import ChainComplex
 from .exactalg import IntMatrix
 
@@ -26,13 +28,14 @@ class CoveringError(ValueError):
 
 
 def _close(by_dim):
-    """Add to `by_dim`, {dimension: set of simplices}, the facets of each
-    simplex, from the top dimension down, so it is closed under faces."""
+    """Add to `by_dim`, {dimension: set of increasing simplices}, the
+    facets of each simplex, from the top dimension down, so it is closed
+    under faces.  `combinations` gives the facets of an increasing tuple
+    as increasing tuples."""
     for d in range(max(by_dim, default=0), 0, -1):
-        faces = by_dim.setdefault(d - 1, set())
+        below = by_dim.setdefault(d - 1, set())
         for s in by_dim.get(d, ()):
-            for i in range(d + 1):
-                faces.add(s[:i] + s[i + 1:])
+            below.update(combinations(s, d))
 
 
 class SimplicialComplexData:
@@ -42,12 +45,13 @@ class SimplicialComplexData:
     The vertex order provides orientations.  Basis order within each
     dimension is lexicographic, so chain-level constructions downstream are
     deterministic.  The constructor takes simplices in any vertex order,
-    repeats allowed.  It refuses an empty simplex, then a vertex outside
-    0 .. vertex_count - 1 before the closure (an n-vertex simplex has
-    2^n - 1 faces), naming the lowest.  It closes the listing, stores
-    `top_dim` (-1 when empty) and fills the facet table: `_facets[d][t]`
-    holds the indices, in dimension d - 1, of the facets of simplex t of
-    dimension d, facet i omitting vertex i.
+    repeats allowed, and normalizes each in one loop that also notes a
+    vertex outside 0 .. vertex_count - 1.  It refuses an empty simplex,
+    then, after that loop and before the closure (an n-vertex simplex has
+    2^n - 1 faces), an outside vertex, naming the lowest.  It closes the
+    listing with `_close`, stores `top_dim` (-1 when empty) and fills the
+    facet table: `_facets[d][t]` holds the indices, in dimension d - 1, of
+    the facets of simplex t of dimension d, facet i omitting vertex i.
 
     >>> k = SimplicialComplexData(3, [(0, 2, 1)])
     >>> len(list(k.all_simplices())), k._facets[2]
@@ -64,16 +68,19 @@ class SimplicialComplexData:
     def __init__(self, vertex_count, simplices):
         self.vertex_count = vertex_count
         by_dim = {}
+        outside = []
         for s in simplices:
             s = tuple(sorted(set(map(int, s))))
             if not s:
                 raise ValueError("empty simplex")
+            if s[0] < 0 or s[-1] >= vertex_count:
+                outside.append(s)
             by_dim.setdefault(len(s) - 1, set()).add(s)
-        outside = [v for level in by_dim.values() for s in level for v in s
-                   if not 0 <= v < vertex_count]
         if outside:
-            raise ValueError(f"malformed complex: {(min(outside),)} uses "
-                             "vertices outside range")
+            low = min(v for s in outside for v in s
+                      if not 0 <= v < vertex_count)
+            raise ValueError(f"malformed complex: {(low,)} uses vertices "
+                             "outside range")
         _close(by_dim)
         self.simplices_by_dim = {d: tuple(sorted(by_dim[d]))
                                  for d in sorted(by_dim)}
@@ -81,11 +88,10 @@ class SimplicialComplexData:
         index = self._index = {}
         self._facets = {}
         for d, level in self.simplices_by_dim.items():
-            for t, s in enumerate(level):
-                index[s] = t
+            index.update(zip(level, range(len(level))))
             if d > 0:
                 self._facets[d] = tuple(
-                    tuple(index[s[:i] + s[i + 1:]] for i in range(d + 1))
+                    tuple(map(index.__getitem__, combinations(s, d)))[::-1]
                     for s in level)
 
     @classmethod
@@ -135,7 +141,7 @@ class SimplicialMap:
     def __init__(self, source, target, vertex_image):
         self.source = source
         self.target = target
-        self.vertex_image = tuple(int(v) for v in vertex_image)
+        self.vertex_image = tuple(map(int, vertex_image))
         if len(self.vertex_image) != self.source.vertex_count:
             raise ValueError(
                 f"vertex map covers {len(self.vertex_image)} of "
@@ -143,15 +149,20 @@ class SimplicialMap:
         for v in self.vertex_image:
             if not (0 <= v < self.target.vertex_count):
                 raise ValueError(f"image vertex {v} outside target")
-        self._images = {}
-        for s in self.source.all_simplices():
-            image = [self.vertex_image[v] for v in s]
+        images = self._images = {}
+        at = self.vertex_image.__getitem__
+        in_target = target._index
+        for s in source.all_simplices():
+            image = tuple(map(at, s))
             spanned = tuple(sorted(set(image)))
-            if not self.target.has(spanned):
+            if spanned not in in_target:
                 raise ValueError(f"image {spanned} of {s} is not a simplex "
                                  "of the target")
-            self._images[s] = ((spanned, _sort_sign(image))
-                               if len(spanned) == len(s) else (None, 0))
+            if len(spanned) < len(s):
+                images[s] = (None, 0)
+            else:  # an increasing image keeps the orientation
+                images[s] = (spanned,
+                             1 if image == spanned else _sort_sign(image))
 
     def image_simplex(self, simplex):
         """(target simplex, sign) of a source simplex, or (None, 0) when the
@@ -200,10 +211,11 @@ def chain_complex_of(k):
     ranks = {d: len(k.simplices_of_dim(d)) for d in range(k.top_dim + 1)}
     boundaries = {}
     for d in range(1, k.top_dim + 1):
+        # the facets of a simplex are distinct rows, each with sign +-1
         signs = [(-1) ** i for i in range(d + 1)]
-        columns = [dict(zip(facets, signs)) for facets in k._facets[d]]
-        boundaries[d] = IntMatrix.from_columns(ranks[d - 1], ranks[d],
-                                               columns)
+        boundaries[d] = IntMatrix._of(
+            ranks[d - 1], ranks[d],
+            (dict(zip(facets, signs)) for facets in k._facets[d]))
     return ChainComplex(ranks=ranks, boundaries=boundaries)
 
 

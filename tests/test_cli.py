@@ -658,6 +658,23 @@ class TestClosureBound:
             f"input error: {path}.critical[0].complex.simplices[{n}] has "
             f"dimension {vertices - 1}, above dim 2\n")
 
+    def test_accepted_document_is_closed_by_the_guard(self, monkeypatch,
+                                                      capsys):
+        # the guard sees every closure: an accepted document reaches it,
+        # so a constructor that closed its listing some other way fails
+        # the two tests above
+        closed = []
+        real = simplicial._close
+
+        def counted(by_dim):
+            closed.append(by_dim)
+            real(by_dim)
+
+        monkeypatch.setattr(simplicial, "_close", counted)
+        assert self.homology_unclosed(monkeypatch,
+                                      corpus_path("t2-height")) == EXIT_OK
+        assert closed
+
     @pytest.mark.parametrize("vertices", [20, 40])
     def test_vertices_outside_range(self, tmp_path, capsys, monkeypatch,
                                     vertices):
@@ -669,6 +686,36 @@ class TestClosureBound:
         assert capsys.readouterr().err == (
             f"input error: {path}.critical[0]: malformed complex: (3,) uses "
             "vertices outside range\n")
+
+
+class TestSeveralFaults:
+    """Which refusal a listing with several faults meets: a type fault
+    first, in listing order, then a simplex above `dim`, then an empty
+    simplex, then the lowest vertex outside the model's range.  The
+    listing is put in front of the simplices of t2-height's critical[0],
+    a circle on 3 vertices in a `dim` 2 document."""
+
+    @pytest.mark.parametrize("listed, fault", [
+        ([[]], ": empty simplex"),
+        ([[0, 99], []], ": empty simplex"),
+        ([[0, 1, 2, 3], [0, 1.5]],
+         ".complex.simplices[1][1] has type float"),
+        ([[0, True], [0, 1, 2, 3]],
+         ".complex.simplices[0][1] has type bool"),
+        ([[0, 1, 2, 3], [0, 99]],
+         ".complex.simplices[0] has dimension 3, above dim 2"),
+        ([[], [0, 1, 2, 3]],
+         ".complex.simplices[1] has dimension 3, above dim 2"),
+        ([[0, 99], [-4, 1], [50, 60]],
+         ": malformed complex: (-4,) uses vertices outside range"),
+    ])
+    def test_first_fault_is_named(self, tmp_path, capsys, listed, fault):
+        doc = load_corpus_doc("t2-height")
+        doc["critical"][0]["complex"]["simplices"][:0] = listed
+        path = write_doc(tmp_path, doc)
+        assert main(["homology", path]) == EXIT_INPUT
+        assert capsys.readouterr() == (
+            "", f"input error: {path}.critical[0]{fault}\n")
 
 
 REFUSALS = ([], ["nosuch"], ["homology"])

@@ -179,6 +179,59 @@ class TestSimplicialMap:
         with pytest.raises(ValueError, match="is not a simplex"):
             SimplicialMap(edge, apart, [0, 1])
 
+    def test_image_simplex_matches_brute_force(self):
+        # increasing, decreasing, constant, relabelling and arbitrary
+        # vertex maps between random complexes, the target listing made to
+        # hold every image half of the time: a simplex whose image repeats
+        # a vertex collapses to (None, 0), any other maps to its sorted
+        # image with the parity of the image's inversions, and the first
+        # image off the target is refused by name
+        seen = set()
+        for seed in range(400):
+            rng = random.Random(seed)
+            source = SimplicialComplexData.from_simplices(random_listed(rng))
+            n = source.vertex_count
+            m = rng.randint(n, n + 3)
+            kind = rng.choice(("increasing", "decreasing", "constant",
+                               "relabelling", "arbitrary"))
+            image = {
+                "increasing": lambda: sorted(rng.sample(range(m), n)),
+                "decreasing": lambda: sorted(rng.sample(range(m), n))[::-1],
+                "constant": lambda: [rng.randrange(m)] * n,
+                "relabelling": lambda: rng.sample(range(m), n),
+                "arbitrary": lambda: [rng.randrange(m) for _ in range(n)],
+            }[kind]()
+            listed = random_listed(rng, m)
+            if rng.random() < 0.5:
+                listed += [[image[v] for v in s]
+                           for s in source.all_simplices()]
+            target = SimplicialComplexData.from_simplices(listed, m)
+            want = {}
+            for s in source.all_simplices():
+                spanned = tuple(sorted({image[v] for v in s}))
+                if not target.has(spanned):
+                    want = (f"image {spanned} of {s} is not a simplex of "
+                            "the target")
+                    break
+                if len(spanned) < len(s):
+                    want[s] = (None, 0)
+                else:
+                    inversions = sum(image[a] > image[b] for i, a in
+                                     enumerate(s) for b in s[i + 1:])
+                    want[s] = (spanned, (-1) ** inversions)
+            if isinstance(want, str):
+                with pytest.raises(ValueError) as err:
+                    SimplicialMap(source, target, image)
+                assert str(err.value) == want, seed
+                seen.add("refused")
+                continue
+            f = SimplicialMap(source, target, image)
+            assert {s: f.image_simplex(s) for s in want} == want, seed
+            seen.add(kind)
+            seen.update(sign for _, sign in want.values())
+        assert seen == {"increasing", "decreasing", "constant",
+                        "relabelling", "arbitrary", "refused", 1, -1, 0}
+
 
 class TestPushforward:
     def test_identity(self):
@@ -414,6 +467,10 @@ class TestFacetTable:
                 build(3, [(0, 1), range(-2, size - 2)])
             assert str(err.value) == ("malformed complex: (-2,) uses "
                                       "vertices outside range")
+            # an accepted listing reaches the patched closure, so a
+            # constructor that closed some other way would fail this test
+            with pytest.raises(AssertionError, match="closed before"):
+                build(3, [(0, 1, 2)])
 
     def test_names_a_maximal_simplex(self):
         # of the simplices outside the faces of the tops, the first one in
