@@ -4,10 +4,11 @@ Everything runs on arbitrary-precision Python ints: Smith normal form
 pivoting makes coefficients grow, and every homology computation downstream
 depends on never rounding.  Matrices are immutable and stored as sparse
 columns, so boundaries and structure maps cost what their nonzeros cost;
-only `snf` works on dense rows.  All functions are pure.
+only `snf` and the transforms it records work on dense rows.  All
+functions are pure.
 """
 
-from heapq import heapify, heappop, heappush
+from functools import cached_property
 
 
 class IntMatrix:
@@ -194,13 +195,47 @@ class IntMatrix:
 
 class SmithDecomposition:
     """U @ A @ V == S with U, V unimodular and S a nonnegative diagonal
-    whose entries form a divisibility chain d_1 | d_2 | ..."""
+    whose entries form a divisibility chain d_1 | d_2 | ...
 
-    def __init__(self, u, s, v, invariant_factors):
-        self.u = u
+    `snf` keeps the row and column operations that took A to S rather
+    than U and V: each transform is those operations replayed on the
+    identity, the first time it is read.  A caller that reads only `s`
+    and `invariant_factors` never builds either.
+    """
+
+    def __init__(self, s, invariant_factors, row_ops, col_ops):
         self.s = s
-        self.v = v
         self.invariant_factors = invariant_factors
+        self._row_ops = row_ops
+        self._col_ops = col_ops
+
+    @cached_property
+    def u(self):
+        m = self.s.rows
+        return IntMatrix(m, m, _replay(m, self._row_ops))
+
+    @cached_property
+    def v(self):
+        # a column operation on V is the same row operation on V^T
+        n = self.s.cols
+        return IntMatrix(n, n, zip(*_replay(n, self._col_ops)))
+
+
+def _replay(n, ops):
+    """Rows of the n x n identity after the row operations `ops`, in
+    order: (i, j) swaps rows i and j, (i,) negates row i, and (src, dst,
+    c) adds c times row src to row dst."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for op in ops:
+        if len(op) == 3:
+            src, dst, c = op
+            rows[dst] = [x + c * y for x, y in zip(rows[dst], rows[src])]
+        elif len(op) == 2:
+            i, j = op
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[op[0]] = [-x for x in rows[op[0]]]
+    return rows
 
 
 def snf(a):
@@ -208,46 +243,42 @@ def snf(a):
 
     Deterministic: the pivot is always the smallest nonzero entry in
     absolute value of the remaining block, ties broken by lowest row then
-    lowest column index.
+    lowest column index.  Only S is worked on; the row and column
+    operations are recorded for the transforms of the result.
 
     >>> snf(IntMatrix.from_rows([[2, 4], [6, 8]])).invariant_factors
     (2, 4)
     >>> d = snf(IntMatrix.identity(2))
-    >>> d.s == IntMatrix.identity(2)
+    >>> d.s == IntMatrix.identity(2) == d.u == d.v
     True
     """
     m, n = a.rows, a.cols
     s = a._dense_rows()
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    row_ops, col_ops = [], []
 
     def swap_rows(i, j):
         if i != j:
             s[i], s[j] = s[j], s[i]
-            u[i], u[j] = u[j], u[i]
+            row_ops.append((i, j))
 
     def swap_cols(i, j):
         if i != j:
             for row in s:
                 row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
+            col_ops.append((i, j))
 
     def add_row(src, dst, c):
         if c:
             srow, drow = s[src], s[dst]
             for k in range(n):
                 drow[k] += c * srow[k]
-            srow, drow = u[src], u[dst]
-            for k in range(m):
-                drow[k] += c * srow[k]
+            row_ops.append((src, dst, c))
 
     def add_col(src, dst, c):
         if c:
             for row in s:
                 row[dst] += c * row[src]
-            for row in v:
-                row[dst] += c * row[src]
+            col_ops.append((src, dst, c))
 
     def find_pivot(t):
         best = None
@@ -271,7 +302,7 @@ def snf(a):
         while True:
             if s[t][t] < 0:
                 s[t] = [-x for x in s[t]]
-                u[t] = [-x for x in u[t]]
+                row_ops.append((t,))
             pivot = s[t][t]
             dirty = False
             for i in range(t + 1, m):
@@ -305,12 +336,7 @@ def snf(a):
         t += 1
 
     factors = tuple(s[k][k] for k in range(limit) if s[k][k])
-    return SmithDecomposition(
-        u=IntMatrix(m, m, u),
-        s=IntMatrix(m, n, s),
-        v=IntMatrix(n, n, v),
-        invariant_factors=factors,
-    )
+    return SmithDecomposition(IntMatrix(m, n, s), factors, row_ops, col_ops)
 
 
 def invariant_factors(a):
@@ -318,10 +344,12 @@ def invariant_factors(a):
 
     Unit entries are eliminated first on sparse columns: a +-1 pivot at
     (r, c) splits off a factor 1 and leaves the Schur complement
-    col_j -= a[r][j] * pivot * col_c on the other rows and columns.  Pivots
-    with the fewest other entries in their row and column go first, to keep
-    fill low.  The dense snf runs only on the core left without unit
-    entries; boundaries of simplicial complexes often leave none.
+    col_j -= a[r][j] * pivot * col_c on the other rows and columns.  The
+    columns are swept shortest first, each pivoting on its +-1 entry in
+    the row with the fewest entries, to keep fill low.  The dense snf runs
+    only on the core left without unit entries, and only its invariant
+    factors are read; boundaries of simplicial complexes often leave no
+    core at all.
 
     >>> invariant_factors(IntMatrix.from_rows([[2, 4], [6, 8]]))
     (2, 4)
@@ -334,6 +362,13 @@ def invariant_factors(a):
 def _reduce(a, cleared=()):
     """(invariant factors, unit pivot rows) of `a` with the columns in
     `cleared` left out, by the elimination `invariant_factors` describes.
+
+    One pass visits its columns in order of length, ties by index.  A
+    column with a +-1 entry pivots on the one whose row has the fewest
+    entries, and the Schur update runs on the columns of that row.  The
+    next pass visits only the columns that gained a +-1 entry, and the
+    sweep stops after a pass that makes no pivot; the nonzero columns
+    left are the core.
 
     The pivot rows are listed in elimination order.  The pivot column at
     step t, a combination of the columns of `a`, has +-1 at the row of
@@ -353,47 +388,43 @@ def _reduce(a, cleared=()):
         for i in col:
             rows[i].add(j)
 
-    def fill(i, j):
-        return (len(cols[j]) - 1) * (len(rows[i]) - 1)
-
-    # (fill when queued, column, row) of unit entries; an entry whose value
-    # or fill changed since is skipped or queued again when popped
-    queue = [(fill(i, j), j, i) for j, col in enumerate(cols)
-             for i, x in col.items() if x in (1, -1)]
-    heapify(queue)
     pivots = []
-    while queue:
-        cost, c, r = heappop(queue)
-        pivot_col = cols[c]
-        pivot = pivot_col.get(r)
-        if pivot not in (1, -1):
-            continue
-        now = fill(r, c)
-        if now > cost:
-            heappush(queue, (now, c, r))
-            continue
-        pivots.append(r)
-        del pivot_col[r]
-        cols[c] = {}
-        for i in pivot_col:
-            rows[i].discard(c)
-        pivot_row = rows[r]
-        rows[r] = set()
-        pivot_row.discard(c)
-        for j in pivot_row:
-            col = cols[j]
-            f = col.pop(r) * pivot
+    sweep = [j for j, col in enumerate(cols) if col]
+    while sweep:
+        sweep.sort(key=lambda j: len(cols[j]))
+        gained = set()
+        for c in sweep:
+            pivot_col = cols[c]
+            r = None
             for i, x in pivot_col.items():
-                y = col.get(i, 0) - f * x
-                if y:
-                    if i not in col:
-                        rows[i].add(j)
-                    col[i] = y
-                    if y in (1, -1):
-                        heappush(queue, (fill(i, j), j, i))
-                else:
-                    del col[i]
-                    rows[i].discard(j)
+                if (x == 1 or x == -1) and (r is None
+                                            or len(rows[i]) < len(rows[r])):
+                    r = i
+            if r is None:
+                continue
+            pivots.append(r)
+            pivot = pivot_col.pop(r)
+            cols[c] = {}
+            for i in pivot_col:
+                rows[i].discard(c)
+            pivot_row = rows[r]
+            rows[r] = set()
+            pivot_row.discard(c)
+            for j in pivot_row:
+                col = cols[j]
+                f = col.pop(r) * pivot
+                for i, x in pivot_col.items():
+                    y = col.get(i, 0) - f * x
+                    if y:
+                        if i not in col:
+                            rows[i].add(j)
+                        col[i] = y
+                        if y == 1 or y == -1:
+                            gained.add(j)
+                    else:
+                        del col[i]
+                        rows[i].discard(j)
+        sweep = sorted(j for j in gained if cols[j])
 
     units = (1,) * len(pivots)
     core_cols = [col for col in cols if col]

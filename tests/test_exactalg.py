@@ -1,17 +1,29 @@
+import json
 import random
+import sys
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
 from sympy import Matrix as SymMatrix
 from sympy import ZZ
 from sympy.matrices.normalforms import invariant_factors as sym_invariant_factors
 
+from mbhomology import cli, exactalg
 from mbhomology.exactalg import (
     IntMatrix,
+    _reduce,
     invariant_factors,
     snf,
 )
+from mbhomology.flowdata import build_multicomplex
+from mbhomology.morse import MorseData
+from mbhomology.pipeline import homology_table
+from mbhomology.schema import morse_to_doc, presentation_from_doc
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 def det_expansion(mat):
@@ -169,6 +181,15 @@ class TestIntMatrix:
             IntMatrix.zeros(2, 3)[key]
 
 
+def sym_factors(a):
+    """Nonzero invariant factors of `a`, by sympy."""
+    if a.rows == 0 or a.cols == 0:
+        return ()
+    factors = sym_invariant_factors(SymMatrix(
+        a.rows, a.cols, [x for row in a.data for x in row]), domain=ZZ)
+    return tuple(abs(int(x)) for x in factors if int(x) != 0)
+
+
 class TestSnf:
     def test_identity(self):
         dec = snf(IntMatrix.identity(2))
@@ -213,19 +234,23 @@ class TestSnf:
                 prod *= d[k - 1]
                 assert prod == gcd_of_k_minors(a, k)
 
+    def test_transforms_read_late_are_the_same(self):
+        # U and V are replayed from the recorded operations on first read:
+        # reading them twice, or V before U, gives the same matrices
+        for seed in range(60):
+            a = random_matrix(random.Random(3000 + seed))
+            first = snf(a)
+            u, v = first.u, first.v
+            assert (first.u, first.v) == (u, v)
+            second = snf(a)
+            assert (second.v, second.u) == (v, u)
+            check_decomposition(a, second)
+
     def test_against_sympy(self):
         for seed in range(100):
             rng = random.Random(1000 + seed)
             a = random_matrix(rng, max_dim=5)
-            ours = snf(a).invariant_factors
-            if a.rows == 0 or a.cols == 0:
-                assert ours == ()
-                continue
-            theirs = sym_invariant_factors(SymMatrix(a.rows, a.cols,
-                                                     [x for row in a.data for x in row]),
-                                           domain=ZZ)
-            theirs = tuple(abs(int(x)) for x in theirs if int(x) != 0)
-            assert ours == theirs
+            assert snf(a).invariant_factors == sym_factors(a)
 
 
 def sparse_matrix(rng, pool, max_dim=12, density=0.3):
@@ -262,3 +287,87 @@ class TestInvariantFactors:
     @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (3, 5), (5, 3)])
     def test_empty_and_zero(self, shape):
         assert invariant_factors(IntMatrix.zeros(*shape)) == ()
+
+
+def shuffled(rng, a):
+    """`a` with its rows and columns permuted and some columns negated."""
+    rows, cols = list(range(a.rows)), list(range(a.cols))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    signs = [rng.choice((1, -1)) for _ in cols]
+    return IntMatrix(a.rows, a.cols, [[sign * a[i, j]
+                                       for j, sign in zip(cols, signs)]
+                                      for i in rows])
+
+
+class TestUnitSweep:
+    """The column sweep of `_reduce` against sympy, and its invariance
+    under the labels its order depends on."""
+
+    @staticmethod
+    def family():
+        for seed in range(240):
+            rng = random.Random(9000 + seed)
+            yield rng, sparse_matrix(rng, (1, -1, 2, -2),
+                                     density=rng.choice((0.15, 0.25, 0.4)))
+
+    def test_matches_sympy(self):
+        cores = 0
+        for seed, (_, a) in enumerate(self.family()):
+            factors, pivots = _reduce(a)
+            assert factors == invariant_factors(a) == sym_factors(a), seed
+            # a core is left when snf contributes a factor
+            cores += len(factors) > len(pivots)
+        assert cores >= 50
+
+    def test_order_invariance(self):
+        moved = moved_cores = 0
+        for seed, (rng, a) in enumerate(self.family()):
+            b = shuffled(rng, a)
+            factors, pivots = _reduce(b)
+            assert factors == invariant_factors(a), seed
+            moved += b != a
+            moved_cores += b != a and len(factors) > len(pivots)
+        assert moved >= 180 and moved_cores >= 50
+
+
+class TestTransformsAreNotBuilt:
+    def test_program_reads_no_transform(self, monkeypatch, tmp_path,
+                                        capsys):
+        # homology and morse reduce boundaries whose cores reach snf, and
+        # never build U or V: replaying the operations refuses here
+        def refuse(n, ops):
+            raise AssertionError("a Smith transform was built")
+
+        cores = []
+        real_snf = exactalg.snf
+
+        def counted_snf(a):
+            cores.append(a.shape)
+            return real_snf(a)
+
+        monkeypatch.setattr(exactalg, "_replay", refuse)
+        monkeypatch.setattr(exactalg, "snf", counted_snf)
+        doc = workloads.make("bott-twist", 1, 0)[0]
+        table = homology_table(build_multicomplex(presentation_from_doc(doc)))
+        assert [str(g) for g in table] == ["Z", "Z^2", "Z ⊕ Z/2", "0", "0"]
+        assert (18, 1) in cores
+
+        def run(command, name, doc):
+            path = tmp_path / name
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            cores.clear()
+            assert cli.main([command, str(path), "--json"]) == cli.EXIT_OK
+            assert cores
+            return json.loads(capsys.readouterr().out)
+
+        out = run("homology", "bott-twist.json", doc)
+        assert [entry["torsion"] for entry in out["homology"]] == \
+            [[], [], [2], []]
+        # the projective plane: d(c) = 2 b, so H_1 = Z/2
+        md = MorseData(crit_by_index={0: ("a",), 1: ("b",), 2: ("c",)},
+                       counts={("c", "b"): 2})
+        out = run("morse", "rp2.json", morse_to_doc(md))
+        assert out["ok"] is True
+        assert [entry["torsion"] for entry in out["mb_homology"]] == \
+            [[], [2], []]
