@@ -1,4 +1,7 @@
-"""Regenerate the shipped corpus files in canonical JSON form."""
+"""Regenerate the shipped corpus files in canonical JSON form.
+
+    PYTHONPATH=src python3 scripts/make_corpus.py
+"""
 
 import pathlib
 
@@ -249,18 +252,20 @@ def morse_entries():
     )
 
 
-def main():
-    DATA.mkdir(parents=True, exist_ok=True)
+def documents():
+    """(name, canonical JSON text) of every shipped file."""
     for fp, meta in (s2_constant(), s2_z2(), s2_minus_z2(), s2_round(),
                      t2_height(), t2_deformed()):
-        doc = presentation_to_doc(fp, meta)
-        path = DATA / f"{meta['name']}.json"
-        path.write_text(canonical_json(doc), "utf-8")
-        print("wrote", path)
+        yield meta["name"], canonical_json(presentation_to_doc(fp, meta))
     for md, meta in morse_entries():
-        doc = morse_to_doc(md, meta)
-        path = DATA / f"{meta['name']}.json"
-        path.write_text(canonical_json(doc), "utf-8")
+        yield meta["name"], canonical_json(morse_to_doc(md, meta))
+
+
+def main():
+    DATA.mkdir(parents=True, exist_ok=True)
+    for name, text in documents():
+        path = DATA / f"{name}.json"
+        path.write_text(text, "utf-8")
         print("wrote", path)
 
 

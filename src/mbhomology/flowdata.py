@@ -68,8 +68,8 @@ class CritModel:
     def validate(self):
         report = []
         if (self.names is None) == (self.complex is None):
-            report.append(f"index {self.index}: give names or a complex, "
-                          "not both")
+            report.append(f"index {self.index}: give exactly one of names "
+                          "and a complex")
             return report
         if self.is_points:
             if len(set(self.names)) != len(self.names):
@@ -144,25 +144,21 @@ class FlowPresentation:
     `crit_at`, which finds each component's two models, is a dict read.
     """
 
-    def __init__(self, dim, crit, moduli=(), column_cap=None):
+    def __init__(self, dim, crit, moduli=()):
         self.dim = dim
         self.crit = tuple(crit)
         self.moduli = tuple(moduli)
-        self.column_cap = column_cap
         self._by_index = {m.index: m for m in reversed(self.crit)}
 
     def crit_at(self, i):
         return self._by_index.get(i)
 
     def validate(self):
-        """Problems with the presentation, one line each.  A column cap is
-        checked only when one is given; no build reads it.
+        """Problems with the presentation, one line each.
 
-        >>> for cap in (None, 7, 2):
-        ...     print(FlowPresentation(2, (), column_cap=cap).validate())
-        []
-        ['column cap 7 must be even and at least 4']
-        ['column cap 2 must be even and at least 4']
+        >>> twice = (CritModel(0, names=("a",)), CritModel(0, names=("b",)))
+        >>> FlowPresentation(1, twice).validate()
+        ['two models for index 0']
         """
         report = []
         seen = set()
@@ -186,10 +182,6 @@ class FlowPresentation:
                     "an empty critical set")
                 continue
             report.extend(comp.validate(source, target))
-        cap = self.column_cap
-        if cap is not None and (cap % 2 or cap < self.dim + 2):
-            report.append(f"column cap {cap} must be even and at least "
-                          f"{self.dim + 2}")
         return report
 
 
@@ -339,7 +331,7 @@ def build_multicomplex(fp, check=True):
     return mc
 
 
-def morse_to_flow(md, cap=None):
+def morse_to_flow(md):
     """Flow presentation of Morse-Smale data: all critical models are
     points, and each nonzero flow-line count n(q, p) becomes one point
     component with the sign of n and multiplicity |n|."""
@@ -371,5 +363,4 @@ def morse_to_flow(md, cap=None):
             multiplicity=abs(n),
         ))
     dim = max(md.crit_by_index) if md.crit_by_index else 0
-    return FlowPresentation(dim=dim, crit=tuple(crit), moduli=tuple(moduli),
-                            column_cap=cap)
+    return FlowPresentation(dim=dim, crit=tuple(crit), moduli=tuple(moduli))

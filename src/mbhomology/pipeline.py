@@ -1,9 +1,8 @@
 """One path from a multicomplex to its homology table.
 
-The command line, the corpus and the Morse check go through here: the
-multicomplex is validated once and the homology of its total complex is
-computed in one pass; the table is then checked against expected values or
-a second one.
+Every command goes through here: the multicomplex is validated once and
+the homology of its total complex is computed in one pass.  The command
+line then checks the table against expected values or a second one.
 """
 
 from .chain import homology_at
@@ -34,22 +33,3 @@ def homology_table(mc, degrees=None):
     if degrees is None:
         degrees = range(0, mc.ambient_dim + 2)
     return homology_at(total, degrees)
-
-
-def expected_mismatches(groups, expected):
-    """One line per degree where a computed group differs from the expected
-    one.  Both are dicts keyed by degree; expected degrees that were not
-    computed are skipped."""
-    lines = []
-    for k, want in sorted(expected.items()):
-        got = groups.get(k)
-        if got is not None and not got.iso(want):
-            lines.append(f"degree {k}: computed {got}, expected betti "
-                         f"{want.betti}, torsion {list(want.torsion)}")
-    return lines
-
-
-def compare_tables(left, right):
-    """(degree, left group, right group, isomorphic) for every degree both
-    tables cover; tables start at degree 0."""
-    return [(k, a, b, a.iso(b)) for k, (a, b) in enumerate(zip(left, right))]

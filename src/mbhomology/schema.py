@@ -66,10 +66,15 @@ def _optional(doc, key, kind, where, default):
     return _require(doc, key, kind, where)
 
 
-def column_cap_from_doc(doc, where="document"):
-    """The optional column cap: an int, or None (absent or null) for the
-    default."""
-    return _optional(doc, "column_cap", (int, type(None)), where, None)
+def column_cap_from_doc(doc, where, dim):
+    """Refuse an optional column cap that is neither an int nor null, or
+    that is odd or below dim + 2.  This is the one cap check: no build
+    reads the cap, since every even cap gives the same homology in every
+    degree (flowdata.build_multicomplex)."""
+    cap = _optional(doc, "column_cap", (int, type(None)), where, None)
+    if cap is not None and (cap % 2 or cap < dim + 2):
+        raise SchemaError(f"{where}: column cap {cap} must be even and at "
+                          f"least {dim + 2}")
 
 
 def complex_from_data(entry, key, where, dim, built):
@@ -157,8 +162,8 @@ def presentation_from_doc(doc, where="presentation"):
         moduli.append(ModuliComponentModel(
             from_index=src, to_index=tgt, domain=domain,
             ev_minus=ev_minus, ev_plus=ev_plus, sign=sign))
-    return FlowPresentation(dim=dim, crit=tuple(crit), moduli=tuple(moduli),
-                            column_cap=column_cap_from_doc(doc, where))
+    column_cap_from_doc(doc, where, dim)
+    return FlowPresentation(dim=dim, crit=tuple(crit), moduli=tuple(moduli))
 
 
 def presentation_to_doc(fp, meta=None):
@@ -196,8 +201,6 @@ def presentation_to_doc(fp, meta=None):
             "ev_plus": list(comp.ev_plus.vertex_image),
             "sign": comp.sign,
         })
-    if fp.column_cap is not None:
-        doc["column_cap"] = fp.column_cap
     if meta:
         doc.update(meta)
     return doc
@@ -285,14 +288,16 @@ def load_document(path):
 def presentation_from_file(path):
     """(FlowPresentation, MorseData or None, document): the one reader that
     tells a Morse document from a flow one.  A Morse document's data comes
-    second and is converted at its column cap; a flow document has None
-    there.  Raises SchemaError naming the file or JSON path at fault."""
+    second; a flow document has None there.  Either kind's column cap is
+    checked once its listing is read.  Raises SchemaError naming the file
+    or JSON path at fault."""
     doc = load_document(path)
     kind = doc.get("kind", "flow")
     if kind == "morse":
         md = morse_from_doc(doc, where=path)
-        cap = column_cap_from_doc(doc, path)
-        return morse_to_flow(md, cap=cap), md, doc
+        fp = morse_to_flow(md)
+        column_cap_from_doc(doc, path, fp.dim)
+        return fp, md, doc
     if kind != "flow":
         raise SchemaError(f"{path}: unknown kind '{kind}'")
     return presentation_from_doc(doc, where=path), None, doc

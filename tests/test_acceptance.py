@@ -5,15 +5,19 @@ identities; there are no tolerances anywhere.
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+import contextlib
 import functools
+import io
+import json
 import random
 
 from math import gcd
 
 from mbhomology.chain import homology_at, validate_complex
-from mbhomology.corpus import independence_suite, load_entries, load_entry, run_entry
+from mbhomology.cli import EXIT_OK, main
+from mbhomology.corpus import load_entries, load_entry
 from mbhomology.exactalg import snf
-from mbhomology.flowdata import FlowPresentation, build_multicomplex, morse_to_flow
+from mbhomology.flowdata import build_multicomplex, morse_to_flow
 from mbhomology.morse import MorseData, morse_complex
 from mbhomology.multicomplex import totalize, validate_multicomplex
 from mbhomology.pipeline import homology_table
@@ -33,6 +37,7 @@ from support import (
     random_complex,
     verify_morse_mb,
 )
+from test_cli import SAME_MANIFOLD, corpus_path
 from test_exactalg import check_decomposition, gcd_of_k_minors, random_matrix
 from test_simplicial import random_subcomplex
 
@@ -55,16 +60,20 @@ def betti_row(table, top=3):
     return [(table[k].betti, table[k].torsion) for k in range(top)]
 
 
+def built(entry):
+    return build_multicomplex(entry.presentation, check=False)
+
+
 @criterion(1, "constant function on the 2-sphere")
 def test_criterion_1_constant_sphere():
-    table = run_entry(load_entry("s2-constant")).table
+    table = homology_table(built(load_entry("s2-constant")))
     assert betti_row(table) == [(1, ()), (0, ()), (1, ())]
 
 
 @criterion(2, "height squared on the 2-sphere, with chain-level images")
 def test_criterion_2_z2():
     entry = load_entry("s2-z2")
-    mc = entry.build()
+    mc = built(entry)
     table = homology_table(mc)
     assert betti_row(table) == [(1, ()), (0, ()), (1, ())]
     rim = entry.presentation.crit_at(0).complex
@@ -86,7 +95,7 @@ def test_criterion_2_z2():
 @criterion(3, "negated height squared on the 2-sphere")
 def test_criterion_3_minus_z2():
     entry = load_entry("s2-minus-z2")
-    mc = entry.build()
+    mc = built(entry)
     assert betti_row(homology_table(mc)) == [(1, ()), (0, ()), (1, ())]
     names = entry.presentation.crit_at(0).names
     n_row, s_row = names.index("n"), names.index("s")
@@ -102,7 +111,7 @@ def test_criterion_3_minus_z2():
 @criterion(4, "torus height function")
 def test_criterion_4_torus_height():
     entry = load_entry("t2-height")
-    mc = entry.build()
+    mc = built(entry)
     assert betti_row(homology_table(mc)) == [(1, ()), (2, ()), (1, ())]
     for p in range(0, 2):
         assert mc.map(1, p, 1).is_zero()
@@ -111,7 +120,7 @@ def test_criterion_4_torus_height():
 @criterion(5, "deformed torus with two point pairs")
 def test_criterion_5_deformed_torus():
     entry = load_entry("t2-deformed")
-    mc = entry.build()
+    mc = built(entry)
     assert betti_row(homology_table(mc)) == [(1, ()), (2, ()), (1, ())]
     mid = entry.presentation.crit_at(1).names
     top = entry.presentation.crit_at(2).names
@@ -127,7 +136,7 @@ def test_criterion_5_deformed_torus():
 @criterion(6, "anticommutation and square-zero totalization on the corpus")
 def test_criterion_6_multicomplex_identities():
     for entry in load_entries():
-        mc = entry.build()
+        mc = built(entry)
         assert validate_multicomplex(mc).ok, entry.name
         view = totalize(mc)
         assert validate_complex(view.complex) == [], entry.name
@@ -160,13 +169,15 @@ def test_criterion_7_morse_embedding():
 
 @criterion(8, "homology independent of the presentation, per manifold")
 def test_criterion_8_independence():
-    report = independence_suite()
-    assert set(report.groups) == {"s2", "t2"}
-    assert len(report.groups["s2"]) >= 4
-    assert len(report.groups["t2"]) >= 3
-    assert report.ok
-    for a, b, iso in report.comparisons:
-        assert iso, (a, b)
+    # `compare` of every two shipped files of one manifold: 15 pairs of
+    # six s2 files and 3 pairs of three t2 files
+    assert len(SAME_MANIFOLD) == 15 + 3
+    for a, b in SAME_MANIFOLD:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["compare", corpus_path(a), corpus_path(b),
+                         "--json"]) == EXIT_OK, (a, b)
+        assert json.loads(out.getvalue())["isomorphic"] is True, (a, b)
 
 
 @criterion(9, "randomized property suites, 100 seeds each")
@@ -229,12 +240,9 @@ def test_criterion_10_truncation_stability():
         fp = entry.presentation
         mc = build_multicomplex(fp)
         low = homology_table(mc)
-        # the smallest cap a document may declare and the next one, each
-        # declared and as the fat rows of the paper's truncation
+        # the fat rows of the paper's truncation at the smallest cap a
+        # document may declare and at the next one
         for cap in (fp.dim + 2 + fp.dim % 2, fp.dim + 4 + fp.dim % 2):
-            raised = FlowPresentation(dim=fp.dim, crit=fp.crit,
-                                      moduli=fp.moduli, column_cap=cap)
-            for high in (homology_table(build_multicomplex(raised)),
-                         homology_table(full_point_rows(mc, fp, cap))):
-                for k in range(0, fp.dim + 1):
-                    assert low[k].iso(high[k]), (entry.name, cap, k)
+            high = homology_table(full_point_rows(mc, fp, cap))
+            for k in range(0, fp.dim + 1):
+                assert low[k].iso(high[k]), (entry.name, cap, k)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import types
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -164,7 +165,30 @@ class TestMorse:
         assert capsys.readouterr().err == f"input error: {path}{where}\n"
 
 
+def same_manifold_pairs():
+    """Every two shipped files of one manifold, in name order."""
+    groups = {}
+    for name in entry_names():
+        groups.setdefault(load_corpus_doc(name)["manifold"], []).append(name)
+    return [pair for names in groups.values()
+            for pair in combinations(names, 2)]
+
+
+SAME_MANIFOLD = same_manifold_pairs()
+
+
 class TestCompare:
+    def test_every_pair_of_one_manifold_is_listed(self):
+        # six s2 files and three t2 files
+        assert len(SAME_MANIFOLD) == 15 + 3
+
+    @pytest.mark.parametrize("a, b", SAME_MANIFOLD)
+    def test_same_manifold_isomorphic(self, capsys, a, b):
+        # the homology does not depend on the presentation
+        assert main(["compare", corpus_path(a), corpus_path(b),
+                     "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["isomorphic"] is True
+
     def test_two_sphere_presentations(self, capsys):
         assert main(["compare", corpus_path("s2-z2"),
                      corpus_path("s2-minus-z2")]) == EXIT_OK
@@ -688,12 +712,33 @@ class TestClosureBound:
             "vertices outside range\n")
 
 
+def nonsquaring_morse_doc():
+    """Flow-line counts whose d o d is not zero."""
+    return {"schema": 1, "kind": "morse",
+            "critical": {"0": ["p"], "1": ["q"], "2": ["r"]},
+            "counts": [["r", "q", 1], ["q", "p", 1]]}
+
+
+def expected_degree_twice_doc():
+    doc = load_corpus_doc("s2-z2")
+    doc["expected"].append(doc["expected"][0])
+    return doc
+
+
+def two_models_doc():
+    doc = load_corpus_doc("s2-z2")
+    doc["critical"] += [{"index": 1, "kind": "points", "names": ["a"]}] * 2
+    return doc
+
+
 class TestSeveralFaults:
     """Which refusal a listing with several faults meets: a type fault
     first, in listing order, then a simplex above `dim`, then an empty
     simplex, then the lowest vertex outside the model's range.  The
     listing is put in front of the simplices of t2-height's critical[0],
-    a circle on 3 vertices in a `dim` 2 document."""
+    a circle on 3 vertices in a `dim` 2 document.  A bad column cap is
+    refused by the reader once the listing is read, before any fault of
+    the presentation, the expected table or the flow-line counts."""
 
     @pytest.mark.parametrize("listed, fault", [
         ([[]], ": empty simplex"),
@@ -716,6 +761,21 @@ class TestSeveralFaults:
         assert main(["homology", path]) == EXIT_INPUT
         assert capsys.readouterr() == (
             "", f"input error: {path}.critical[0]{fault}\n")
+
+    @pytest.mark.parametrize("command, make_doc", [
+        ("morse", nonsquaring_morse_doc),
+        ("homology", expected_degree_twice_doc),
+        ("validate", two_models_doc),
+    ])
+    def test_cap_before_other_faults(self, tmp_path, capsys, command,
+                                     make_doc):
+        doc = make_doc()
+        doc["column_cap"] = 7
+        path = write_doc(tmp_path, doc)
+        assert main([command, path]) == EXIT_INPUT
+        assert capsys.readouterr() == (
+            "", f"input error: {path}: column cap 7 must be even and at "
+            "least 4\n")
 
 
 REFUSALS = ([], ["nosuch"], ["homology"])

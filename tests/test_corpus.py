@@ -1,19 +1,16 @@
+import importlib.util
 import json
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from mbhomology import corpus
-from mbhomology.chain import homology_at
-from mbhomology.corpus import (
-    data_dir,
-    entry_names,
-    independence_suite,
-    load_entries,
-    load_entry,
-    run_entry,
-)
+from mbhomology.chain import HomologyGroup, homology_at
+from mbhomology.cli import EXIT_OK, main
+from mbhomology.corpus import data_dir, entry_names, load_entries, load_entry
 from mbhomology.exactalg import invariant_factors, snf
+from mbhomology.flowdata import build_multicomplex
 from mbhomology.multicomplex import totalize
 from mbhomology.schema import SchemaError
 from mbhomology.simplicial import chain_complex_of, fundamental_cycle
@@ -33,10 +30,15 @@ class TestEntries:
         assert set(entry_names()) == EXPECTED_NAMES
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))
-    def test_entry_matches_expected(self, name):
-        report = run_entry(load_entry(name))
-        assert report.built, report.diagnostics
-        assert report.mismatches == []
+    def test_entry_matches_expected(self, name, capsys):
+        # the loader's expected groups are the table `homology` prints
+        entry = load_entry(name)
+        argv = ["homology", str(data_dir() / f"{name}.json"),
+                "--degrees", f"0..{max(entry.expected)}", "--json"]
+        assert main(argv) == EXIT_OK
+        table = json.loads(capsys.readouterr().out)["homology"]
+        assert {g["degree"]: HomologyGroup(g["betti"], tuple(g["torsion"]))
+                for g in table} == entry.expected
 
     def test_every_entry_has_expected_and_group(self):
         for entry in load_entries():
@@ -75,47 +77,25 @@ class TestRefusals:
 
     def test_morse_column_cap_is_kept(self, change):
         change("t2-morse-4pt", column_cap=7)
-        report = run_entry(load_entry("t2-morse-4pt"))
-        assert not report.built
-        assert report.diagnostics == "column cap 7 must be even and at least 4"
+        with pytest.raises(SchemaError, match=": column cap 7 must be even "
+                           "and at least 4$"):
+            load_entry("t2-morse-4pt")
 
 
 class TestTotalBoundaries:
     @pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))
     def test_invariant_factors_match_snf(self, name):
-        mc = load_entry(name).build()
+        mc = build_multicomplex(load_entry(name).presentation, check=False)
         cx = totalize(mc).complex
         for k in range(0, max(cx.ranks) + 2):
             b = cx.boundary(k)
             assert invariant_factors(b) == snf(b).invariant_factors, k
 
 
-class TestIndependence:
-    def test_all_groups_pairwise_isomorphic(self):
-        report = independence_suite()
-        assert report.ok
-        assert set(report.groups) == {"s2", "t2"}
-        # every pair inside each group was actually compared
-        s2 = len(report.groups["s2"])
-        t2 = len(report.groups["t2"])
-        assert len(report.comparisons) == s2 * (s2 - 1) // 2 + \
-            t2 * (t2 - 1) // 2
-
-    def test_singleton_group_vacuous(self):
-        report = independence_suite([load_entry("s2-z2")])
-        assert report.ok
-        assert report.comparisons == []
-
-    def test_cross_manifold_tables_differ(self):
-        s2 = run_entry(load_entry("s2-z2")).table
-        t2 = run_entry(load_entry("t2-height")).table
-        assert not s2[1].iso(t2[1])
-
-
 class TestIntermediateChains:
     def test_z2_images_are_opposite_fundamental_cycles(self):
         entry = load_entry("s2-z2")
-        mc = entry.build()
+        mc = build_multicomplex(entry.presentation, check=False)
         rim = entry.presentation.crit_at(0).complex
         cycle = chain_to_vector(rim, 1, fundamental_cycle(rim).as_chain())
         d2 = mc.map(2, 0, 2)
@@ -135,7 +115,7 @@ class TestIntermediateChains:
 
     def test_minus_z2_vertex_image(self):
         entry = load_entry("s2-minus-z2")
-        mc = entry.build()
+        mc = build_multicomplex(entry.presentation, check=False)
         d1 = mc.map(1, 0, 1)
         names = entry.presentation.crit_at(0).names
         n_row, s_row = names.index("n"), names.index("s")
@@ -145,13 +125,14 @@ class TestIntermediateChains:
             assert abs(image[n_row]) == 1
 
     def test_height_interaction_vanishes(self):
-        mc = load_entry("t2-height").build()
+        mc = build_multicomplex(load_entry("t2-height").presentation,
+                                check=False)
         for p in (0, 1):
             assert mc.map(1, p, 1).is_zero()
 
     def test_deformed_torus_pinned_identities(self):
         entry = load_entry("t2-deformed")
-        mc = entry.build()
+        mc = build_multicomplex(entry.presentation, check=False)
         mid_names = entry.presentation.crit_at(1).names
         top_names = entry.presentation.crit_at(2).names
         # rows of the base circle's column 0 are its vertices, in order
@@ -178,3 +159,19 @@ class TestIntermediateChains:
         # the base circle is a square whose vertex labels are 0..3
         entry = load_entry("t2-deformed")
         assert entry.presentation.crit_at(0).complex.vertex_count == 4
+
+
+MAKE_CORPUS = Path(__file__).resolve().parent.parent / "scripts" / \
+    "make_corpus.py"
+
+
+def test_generator_writes_the_shipped_files():
+    # scripts/make_corpus.py regenerates every shipped file byte for byte;
+    # its texts are compared here without writing anything
+    spec = importlib.util.spec_from_file_location("make_corpus", MAKE_CORPUS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    texts = dict(module.documents())
+    assert set(texts) == EXPECTED_NAMES
+    for name, text in texts.items():
+        assert text == (data_dir() / f"{name}.json").read_text("utf-8"), name

@@ -40,8 +40,7 @@ def triangle():
 
 
 def with_moduli(fp, moduli):
-    return FlowPresentation(dim=fp.dim, crit=fp.crit, moduli=moduli,
-                            column_cap=fp.column_cap)
+    return FlowPresentation(dim=fp.dim, crit=fp.crit, moduli=moduli)
 
 
 def with_multiplicity(comp, multiplicity):
@@ -94,7 +93,7 @@ class TestFlowPresentation:
         assert again.crit == fp.crit and isinstance(again.crit, tuple)
         assert again.moduli == fp.moduli and isinstance(again.moduli, tuple)
         bare = FlowPresentation(dim=0, crit=[])
-        assert (bare.crit, bare.moduli, bare.column_cap) == ((), (), None)
+        assert (bare.crit, bare.moduli) == ((), ())
 
     def test_first_model_of_an_index_wins(self):
         # the index built by the constructor keeps the first model of an
@@ -127,9 +126,17 @@ class TestFlowPresentation:
         assert rim.model_complex() is tri
         assert (rim.is_points, rim.dimension) == (False, 1)
 
+    @pytest.mark.parametrize("model", [
+        CritModel(index=3),
+        CritModel(index=3, names=("p",), complex=triangle()),
+    ], ids=["neither", "both"])
+    def test_names_or_complex_exactly_one(self, model):
+        assert model.validate() == [
+            "index 3: give exactly one of names and a complex"]
+
     def test_default_cap(self):
-        # without a cap nothing is refused; the build's column_cap, which
-        # only the benchmark's grid_yield probe reads, is the old default
+        # a presentation holds no cap; the build's column_cap, which only
+        # the benchmark's grid_yield probe reads, is the old default
         for dim, cap in ((2, 4), (1, 4), (4, 6)):
             fp = FlowPresentation(dim=dim, crit=())
             assert fp.validate() == []

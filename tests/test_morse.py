@@ -449,10 +449,7 @@ class TestMorseCommand:
         for seed in range(40):
             c = random_complex(random.Random(7000 + seed), max_total_rank=10)
             md, _ = morse_data_of(c)
-            m = max(md.crit_by_index)
-            for cap in (m + 2 + m % 2, 2 * m + 4, 64):
-                assert_build_is_critical_point_complex(
-                    md, morse_to_flow(md, cap=cap))
+            assert_build_is_critical_point_complex(md, morse_to_flow(md))
 
     def test_lone_top_row_build(self):
         md = MorseData({2: ("a",)}, {})
@@ -684,27 +681,27 @@ class TestRandomMorseData:
                 assert (b.betti, b.torsion) == want, (seed, k)
 
     def test_embedding_matches_reference_at_every_cap(self):
-        # truncation stability: at the smallest even cap >= m + 2, at
-        # 2m + 4 and at 64, on the build and on its fat rows, every column
-        # of the embedding equals the reference lift, and the verdicts and
-        # both tables agree
+        # truncation stability: on the build (cap None) and on its fat
+        # rows at the smallest even cap >= m + 2, at 2m + 4 and at 64,
+        # every column of the embedding equals the reference lift, and the
+        # verdicts and both tables agree
         for seed in range(60):
             c = random_complex(random.Random(7000 + seed), max_total_rank=10)
             md, lo = morse_data_of(c)
             cm = morse_complex(md)
             m = max(md.crit_by_index)
             seen = set()
-            for cap in (m + 2 + m % 2, 2 * m + 4, 64):
-                fp = morse_to_flow(md, cap=cap)
-                built = build_multicomplex(fp)
-                for mc in (built, full_point_rows(built, fp, cap)):
-                    outcome = verify_morse_mb(cm, fp, mc)
-                    assert matches_reference(outcome, mc), (seed, cap)
-                    seen.add((outcome.ok, outcome.chain_map_exact,
-                              outcome.odd_components_zero,
-                              outcome.is_quasi_iso,
-                              tuple(outcome.morse_homology),
-                              tuple(outcome.mb_homology)))
+            fp = morse_to_flow(md)
+            built = build_multicomplex(fp)
+            for cap in (None, m + 2 + m % 2, 2 * m + 4, 64):
+                mc = built if cap is None else full_point_rows(built, fp, cap)
+                outcome = verify_morse_mb(cm, fp, mc)
+                assert matches_reference(outcome, mc), (seed, cap)
+                seen.add((outcome.ok, outcome.chain_map_exact,
+                          outcome.odd_components_zero,
+                          outcome.is_quasi_iso,
+                          tuple(outcome.morse_homology),
+                          tuple(outcome.mb_homology)))
             assert len(seen) == 1, seed
             assert seen.pop()[0], seed
 

@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 
@@ -5,23 +6,17 @@ import pytest
 
 import mbhomology.multicomplex as multicomplex
 from mbhomology.chain import HomologyGroup, validate_complex
-from mbhomology.cli import EXIT_OK, main
-from mbhomology.corpus import (
-    data_dir,
-    entry_names,
-    independence_suite,
-    load_entries,
-    load_entry,
-    run_entry,
+from mbhomology.cli import (
+    EXIT_OK,
+    EXIT_SEMANTIC,
+    _expected_mismatches,
+    main,
 )
+from mbhomology.corpus import data_dir, entry_names, load_entry
 from mbhomology.exactalg import IntMatrix
 from mbhomology.flowdata import CritModel, FlowPresentation, build_multicomplex
 from mbhomology.multicomplex import InvalidMulticomplex, MBSMulticomplex
-from mbhomology.pipeline import (
-    compare_tables,
-    expected_mismatches,
-    homology_table,
-)
+from mbhomology.pipeline import homology_table
 from mbhomology.simplicial import SimplicialComplexData
 from support import forbid_dense_rows
 
@@ -85,16 +80,11 @@ NAMES = entry_names()
 MORSE_NAMES = [name for name in NAMES if load_entry(name).kind == "morse"]
 
 
+def corpus_build(name):
+    return build_multicomplex(load_entry(name).presentation, check=False)
+
+
 class TestValidatedOnce:
-    def test_run_entry(self, validations):
-        assert run_entry(load_entry("t2-deformed")).ok
-        assert len(validations) == 1
-
-    def test_independence_suite(self, validations):
-        entries = load_entries()
-        assert independence_suite(entries).ok
-        assert len(validations) == len(entries)
-
     @pytest.mark.parametrize("argv, presentations", [
         (["validate", "s2-z2"], 1),
         (["homology", "s2-z2"], 1),
@@ -118,13 +108,13 @@ class TestValidatedOnce:
 
 class TestHomologyTable:
     def test_default_degrees_run_to_one_above_dim(self):
-        mc = load_entry("s2-z2").build()
+        mc = corpus_build("s2-z2")
         table = homology_table(mc)
         assert len(table) == mc.ambient_dim + 2
         assert [g.iso(w) for g, w in zip(table, [Z, ZERO, Z])] == [True] * 3
 
     def test_degrees_argument(self):
-        mc = load_entry("t2-height").build()
+        mc = corpus_build("t2-height")
         table = homology_table(mc, range(1, 3))
         assert [(g.betti, g.torsion) for g in table] == [(2, ()), (1, ())]
 
@@ -147,11 +137,11 @@ class TestHomologyTable:
         assert all(caller == "snf" for _, caller in built)
 
     def test_invalid_raises_with_report(self):
-        built = load_entry("t2-deformed").build()
-        key = next(k for k in built.maps if k[0] == 2)
+        base = corpus_build("t2-deformed")
+        key = next(k for k in base.maps if k[0] == 2)
         mc = MBSMulticomplex(
-            ambient_dim=built.ambient_dim, row_ranks=built.row_ranks,
-            maps={**built.maps, key: built.maps[key].scaled(-1)})
+            ambient_dim=base.ambient_dim, row_ranks=base.row_ranks,
+            maps={**base.maps, key: base.maps[key].scaled(-1)})
         with pytest.raises(InvalidMulticomplex) as info:
             homology_table(mc)
         assert not info.value.report.ok
@@ -159,16 +149,25 @@ class TestHomologyTable:
 
 class TestHelpers:
     def test_mismatch_message(self):
-        lines = expected_mismatches({0: Z, 1: Z},
-                                    {0: Z, 1: HomologyGroup(0, (2,))})
+        lines = _expected_mismatches({0: Z, 1: Z},
+                                     {0: Z, 1: HomologyGroup(0, (2,))})
         assert lines == ["degree 1: computed Z, expected betti 0, torsion [2]"]
 
     def test_uncomputed_degrees_are_skipped(self):
-        assert expected_mismatches({0: Z}, {5: Z}) == []
+        assert _expected_mismatches({0: Z}, {5: Z}) == []
 
-    def test_compare_covers_common_degrees(self):
-        rows = compare_tables([Z, ZERO, Z], [Z, Z])
-        assert [(k, iso) for k, _, _, iso in rows] == [(0, True), (1, False)]
+    def test_compare_covers_common_degrees(self, tmp_path, capsys):
+        # `compare` pairs the two tables from degree 0 on: a torus of dim 3
+        # against a sphere of dim 2 is compared in degrees 0..2
+        doc = json.loads((data_dir() / "t2-height.json").read_text("utf-8"))
+        doc["dim"] = 3
+        path = tmp_path / "t2-height-dim3.json"
+        path.write_text(json.dumps(doc), "utf-8")
+        argv = ["compare", str(data_dir() / "s2-z2.json"), str(path), "--json"]
+        assert main(argv) == EXIT_SEMANTIC
+        rows = json.loads(capsys.readouterr().out)["comparisons"]
+        assert [(r["degree"], r["isomorphic"]) for r in rows] == \
+            [(0, True), (1, False), (2, True)]
 
     def test_group_text(self):
         assert str(HomologyGroup(2, (2, 4))) == "Z^2 ⊕ Z/2 ⊕ Z/4"

@@ -62,11 +62,11 @@ def test_only_schema_reads_documents():
     assert {name for _, name in calls} == readers
 
 
-def test_cap_and_names_stay_in_the_presentation():
-    # the column cap is a document check, made by the reader and the
-    # presentation; the multicomplex keeps only a read-only column_cap
-    # property for the benchmark's grid_yield probe.  Point names are the
-    # presentation's, and no module keeps a copy as row labels.
+def test_cap_stays_in_the_reader():
+    # the column cap is a document check, made by the schema reader alone;
+    # the multicomplex keeps only a read-only column_cap property for the
+    # benchmark's grid_yield probe.  Point names are the presentation's,
+    # and no module keeps a copy as row labels.
     used = set()
     for path in sorted((SRC / "mbhomology").glob("*.py")):
         tree = ast.parse(path.read_text("utf-8"))
@@ -77,13 +77,23 @@ def test_cap_and_names_stay_in_the_presentation():
                  if getattr(node, "name", None) == "column_cap"}
         for node in ast.walk(tree):
             names = {getattr(node, field, None)
-                     for field in ("id", "attr", "arg", "name")}
+                     for field in ("id", "attr", "arg", "name", "value")}
             if id(node) not in probe:
                 used |= {(path.stem, name) for name in
                          names & {"column_cap", "row_labels"}}
     assert {module for module, name in used if name == "column_cap"} == \
-        {"schema", "flowdata"}, sorted(used)
+        {"schema"}, sorted(used)
     assert not {module for module, name in used if name == "row_labels"}
+
+
+def test_corpus_is_read_not_run():
+    # the shipped examples are data; the commands check them, so the
+    # loader needs neither the build nor the homology table
+    tree = ast.parse((SRC / "mbhomology" / "corpus.py").read_text("utf-8"))
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    assert not imported & {"flowdata", "pipeline"}, sorted(imported)
+    assert imported >= {"schema"}
 
 
 # Imported by a module that never reads them: the three loaders stay on
