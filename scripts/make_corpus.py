@@ -1,16 +1,78 @@
 """Regenerate the shipped corpus files in canonical JSON form.
 
     PYTHONPATH=src python3 scripts/make_corpus.py
+
+The document writers (`presentation_to_doc`, `morse_to_doc`) live here:
+the program only reads documents (mbhomology.schema).
 """
 
 import pathlib
 
-from mbhomology.schema import canonical_json, morse_to_doc, presentation_to_doc
+from mbhomology.schema import SCHEMA_VERSION, canonical_json
 from mbhomology.flowdata import CritModel, FlowPresentation, ModuliComponentModel
 from mbhomology.morse import MorseData
 from mbhomology.simplicial import SimplicialComplexData, SimplicialMap
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "mbhomology" / "data"
+
+
+def complex_to_data(k):
+    return {
+        "vertices": k.vertex_count,
+        "simplices": [list(s) for s in k.all_simplices()],
+    }
+
+
+def presentation_to_doc(fp, meta=None):
+    doc = {
+        "schema": SCHEMA_VERSION,
+        "kind": "flow",
+        "dim": fp.dim,
+        "critical": [],
+        "moduli": [],
+    }
+    for model in sorted(fp.crit, key=lambda m: m.index):
+        if model.is_points:
+            doc["critical"].append({
+                "index": model.index,
+                "kind": "points",
+                "names": list(model.names),
+            })
+        else:
+            doc["critical"].append({
+                "index": model.index,
+                "kind": "simplicial",
+                "complex": complex_to_data(model.complex),
+            })
+    for comp in fp.moduli:
+        if comp.multiplicity != 1:
+            raise ValueError(
+                f"component {comp.from_index}->{comp.to_index} has "
+                f"multiplicity {comp.multiplicity}; the flow schema stores "
+                "one component per entry")
+        doc["moduli"].append({
+            "from": comp.from_index,
+            "to": comp.to_index,
+            "domain": complex_to_data(comp.domain),
+            "ev_minus": list(comp.ev_minus.vertex_image),
+            "ev_plus": list(comp.ev_plus.vertex_image),
+            "sign": comp.sign,
+        })
+    if meta:
+        doc.update(meta)
+    return doc
+
+
+def morse_to_doc(md, meta=None):
+    doc = {
+        "schema": SCHEMA_VERSION,
+        "kind": "morse",
+        "critical": {str(k): list(v) for k, v in md.crit_by_index.items()},
+        "counts": [[q, p, n] for (q, p), n in sorted(md.counts.items())],
+    }
+    if meta:
+        doc.update(meta)
+    return doc
 
 
 def triangle():

@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Documents are read through `schema`; every multicomplex is validated
-through `pipeline` before its homology is computed.  Exit codes are a
+Every command reads and builds its documents through one loader, `_load`;
+`homology`, `morse` and `compare` validate each multicomplex once through
+`pipeline` before its homology is computed.  Exit codes are a
 stable contract: 0 for success/match, 1 for a semantic failure (invalid
 multicomplex, inconsistent flow data, mismatch, non-isomorphic
 comparison, a Morse build that is not its critical-point complex), 2 for
@@ -13,10 +14,10 @@ import functools
 import re
 import sys
 
-from .chain import HomologyGroup, homology_at
+from .chain import homology_at
 from .flowdata import build_multicomplex
 from .multicomplex import InvalidMulticomplex, validate_multicomplex
-from .pipeline import homology_table, validated_total
+from .pipeline import homology_table
 # load_document, morse_from_doc and presentation_from_doc run only inside
 # presentation_from_file; they stay importable from here, where the
 # benchmark's tracer finds them
@@ -86,15 +87,18 @@ def _input_failure(exc, path):
     return EXIT_INPUT
 
 
-def _load(path):
-    """(multicomplex, expected table or None) of a flow or Morse document:
-    the presentation from schema.presentation_from_file, then `expected`,
-    then the build, so every command refuses the same input with the same
-    error.  The reader and the build are the ones every command uses.
-    Raises ValueError."""
-    fp, _, doc = presentation_from_file(path)
+def _load(path, morse=False):
+    """(presentation, Morse data or None, multicomplex, expected table or
+    None) of a flow or Morse document: the presentation from
+    schema.presentation_from_file, then, with `morse`, the refusal of a
+    document that is not a Morse one, then `expected`, then the build, so
+    every command refuses the same input with the same error.  Raises
+    ValueError."""
+    fp, md, doc = presentation_from_file(path)
+    if morse and md is None:
+        raise SchemaError(f"{path}: expected a morse document")
     expected = expected_from_doc(doc, where=path)
-    return build_multicomplex(fp, check=False), expected
+    return fp, md, build_multicomplex(fp, check=False), expected
 
 
 def _report(report, stream, as_json, heading=""):
@@ -108,7 +112,7 @@ def _report(report, stream, as_json, heading=""):
 
 def cmd_validate(path, as_json=False):
     try:
-        mc, _ = _load(path)
+        _, _, mc, _ = _load(path)
     except ValueError as exc:
         return _input_failure(exc, path)
     return _report(validate_multicomplex(mc), sys.stdout, as_json)
@@ -146,7 +150,7 @@ def _expected_mismatches(groups, expected):
 
 def cmd_homology(path, degrees=None, as_json=False):
     try:
-        mc, expected = _load(path)
+        _, _, mc, expected = _load(path)
     except ValueError as exc:
         return _input_failure(exc, path)
     try:
@@ -166,8 +170,7 @@ def cmd_homology(path, degrees=None, as_json=False):
     text = ", ".join(f"HB_{k}={group}" for k, group in groups.items())
     code = EXIT_OK
     if expected is not None:
-        mismatches = _expected_mismatches(
-            groups, {k: HomologyGroup(*want) for k, want in expected.items()})
+        mismatches = _expected_mismatches(groups, expected)
         data["expected_match"] = not mismatches
         data["mismatches"] = mismatches
         if mismatches:
@@ -181,14 +184,15 @@ def cmd_homology(path, degrees=None, as_json=False):
 def cmd_morse(path, as_json=False):
     """Check that a Morse document's build is its critical-point complex.
 
-    The document is read as every command reads it, so a malformed one of
-    any kind exits 2 naming its JSON path; a well-formed flow document is
-    refused as not a Morse one.  Then `expected` is read for its errors,
-    the flow-line counts must square to zero, and the build is the one
-    every command makes.  When the validated build equals the
-    critical-point complex (morse.is_critical_point_complex), its one
-    homology table is both tables and every verdict holds; otherwise the
-    program has a bug, the chain map is reported BROKEN and the exit is 1."""
+    The document is read and built as every command does it (`_load`), so
+    a malformed one of any kind exits 2 naming its JSON path; a well-formed
+    flow document is refused as not a Morse one before its `expected` list
+    or its build is looked at.  Then the flow-line counts must square to
+    zero, and the build gets its one homology table (`homology_table`).
+    When the validated build equals the critical-point complex
+    (morse.is_critical_point_complex), that table is both tables and every
+    verdict holds; otherwise the program has a bug, the chain map is
+    reported BROKEN and the exit is 1."""
     # imported here: the other commands never need the module
     from .morse import (
         InvalidMorseData,
@@ -197,10 +201,7 @@ def cmd_morse(path, as_json=False):
     )
 
     try:
-        fp, md, doc = presentation_from_file(path)
-        if md is None:
-            raise SchemaError(f"{path}: expected a morse document")
-        expected_from_doc(doc, where=path)  # read for its errors only
+        fp, md, mc, _ = _load(path, morse=True)
     except ValueError as exc:
         return _input_failure(exc, path)
     try:
@@ -208,18 +209,13 @@ def cmd_morse(path, as_json=False):
     except InvalidMorseData as exc:
         sys.stderr.write(f"invalid Morse-Smale data: {exc}\n")
         return EXIT_SEMANTIC
-    try:
-        mc = build_multicomplex(fp, check=False)
-    except ValueError as exc:
-        return _input_failure(exc, path)
-    try:
-        total = validated_total(mc)
-    except InvalidMulticomplex as exc:
-        return _report(exc.report, sys.stderr, as_json)
     dim = mc.ambient_dim
     degrees = range(dim + 1)
+    try:
+        mb_homology = homology_table(mc, degrees)
+    except InvalidMulticomplex as exc:
+        return _report(exc.report, sys.stderr, as_json)
     ok = is_critical_point_complex(cm, fp, mc)
-    mb_homology = homology_at(total, degrees)
     morse_homology = mb_homology if ok else homology_at(cm, degrees)
     data = {
         "morse_homology": [group_to_data(k, g, dim)
@@ -247,7 +243,7 @@ def cmd_compare(path_a, path_b, as_json=False):
     tables = []
     for path in (path_a, path_b):
         try:
-            mc, _ = _load(path)
+            _, _, mc, _ = _load(path)
         except ValueError as exc:
             return _input_failure(exc, path)
         try:

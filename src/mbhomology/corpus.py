@@ -5,7 +5,6 @@ homology, read as the command line reads them.  The commands check them:
 
 from importlib import resources
 
-from .chain import HomologyGroup
 from .schema import expected_from_doc, presentation_from_file
 
 
@@ -44,7 +43,7 @@ def load_entry(name):
         name=doc.get("name", name),
         manifold=doc.get("manifold", ""),
         kind=doc.get("kind", "flow"),
-        expected={k: HomologyGroup(b, t) for k, (b, t) in expected.items()},
+        expected=expected,
         presentation=fp,
         morse=md,
         notes=doc.get("notes", ""),

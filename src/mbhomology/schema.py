@@ -1,14 +1,16 @@
-"""On-disk JSON documents: flow presentations, Morse data and expected
-homology.
+"""Reading on-disk JSON documents: flow presentations, Morse data and
+expected homology.
 
 Every document carries a versioned "schema" field; the same schema is used
 for the shipped example files and for user input.  Readers raise
-SchemaError, a ValueError, naming the file or JSON path at fault.
+SchemaError, a ValueError, naming the file or JSON path at fault.  The
+writers of the shipped files live in scripts/make_corpus.py.
 """
 
 import json
 from itertools import chain
 
+from .chain import HomologyGroup
 from .flowdata import (
     CritModel,
     FlowPresentation,
@@ -112,13 +114,6 @@ def complex_from_data(entry, key, where, dim, built):
     return built[seen]
 
 
-def complex_to_data(k):
-    return {
-        "vertices": k.vertex_count,
-        "simplices": [list(s) for s in k.all_simplices()],
-    }
-
-
 def presentation_from_doc(doc, where="presentation"):
     dim = _require(doc, "dim", int, where)
     crit = []
@@ -166,46 +161,6 @@ def presentation_from_doc(doc, where="presentation"):
     return FlowPresentation(dim=dim, crit=tuple(crit), moduli=tuple(moduli))
 
 
-def presentation_to_doc(fp, meta=None):
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "kind": "flow",
-        "dim": fp.dim,
-        "critical": [],
-        "moduli": [],
-    }
-    for model in sorted(fp.crit, key=lambda m: m.index):
-        if model.is_points:
-            doc["critical"].append({
-                "index": model.index,
-                "kind": "points",
-                "names": list(model.names),
-            })
-        else:
-            doc["critical"].append({
-                "index": model.index,
-                "kind": "simplicial",
-                "complex": complex_to_data(model.complex),
-            })
-    for comp in fp.moduli:
-        if comp.multiplicity != 1:
-            raise ValueError(
-                f"component {comp.from_index}->{comp.to_index} has "
-                f"multiplicity {comp.multiplicity}; the flow schema stores "
-                "one component per entry")
-        doc["moduli"].append({
-            "from": comp.from_index,
-            "to": comp.to_index,
-            "domain": complex_to_data(comp.domain),
-            "ev_minus": list(comp.ev_minus.vertex_image),
-            "ev_plus": list(comp.ev_plus.vertex_image),
-            "sign": comp.sign,
-        })
-    if meta:
-        doc.update(meta)
-    return doc
-
-
 def morse_from_doc(doc, where="morse data"):
     from .morse import InvalidMorseData, MorseData  # Morse documents only
 
@@ -239,21 +194,9 @@ def morse_from_doc(doc, where="morse data"):
         raise SchemaError(f"{where}: {err}") from err
 
 
-def morse_to_doc(md, meta=None):
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "kind": "morse",
-        "critical": {str(k): list(v) for k, v in md.crit_by_index.items()},
-        "counts": [[q, p, n] for (q, p), n in sorted(md.counts.items())],
-    }
-    if meta:
-        doc.update(meta)
-    return doc
-
-
 def expected_from_doc(doc, where="document"):
-    """Optional expected homology: {degree: (betti, torsion tuple)}, each
-    degree given once."""
+    """Optional expected homology: {degree: HomologyGroup}, each degree
+    given once."""
     if "expected" not in doc:
         return None
     out = {}
@@ -265,7 +208,7 @@ def expected_from_doc(doc, where="document"):
         betti = _require(entry, "betti", int, spot)
         torsion = tuple(_each(_optional(entry, "torsion", list, spot, []),
                               int, f"{spot}.torsion"))
-        out[degree] = (betti, torsion)
+        out[degree] = HomologyGroup(betti, torsion)
     return out
 
 

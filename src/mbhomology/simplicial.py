@@ -193,9 +193,6 @@ class OrientedCycle:
     def as_chain(self):
         return dict(self.coefficients)
 
-    def boundary_chain(self):
-        return boundary_of_chain(self.as_chain())
-
     def is_closed(self):
         return not self.boundary_simplices
 
@@ -217,17 +214,6 @@ def chain_complex_of(k):
             ranks[d - 1], ranks[d],
             (dict(zip(facets, signs)) for facets in k._facets[d]))
     return ChainComplex(ranks=ranks, boundaries=boundaries)
-
-
-def boundary_of_chain(chain):
-    """Alternating face sum of a sparse chain {simplex: coefficient}."""
-    out = {}
-    for s, coeff in chain.items():
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1:]
-            if face:
-                out[face] = out.get(face, 0) + (-1) ** i * coeff
-    return {s: c for s, c in out.items() if c}
 
 
 def fundamental_cycle(k):

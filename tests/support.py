@@ -1,9 +1,14 @@
 """Shared test helpers: random complexes, independent homology oracles,
-chain-level views of simplicial maps that only tests need, and the
-paper's comparison theorem checked on fat point rows (the embedding of the
-critical-point complex, chain maps and mapping cones)."""
+chain-level views of simplicial maps that only tests need, the paper's
+comparison theorem checked on fat point rows (the embedding of the
+critical-point complex, chain maps and mapping cones), the repo's
+scripts and benchmark generators loaded from their files, and a family of
+mapping tori with answers known from the Wang sequence."""
 
+import functools
+import importlib.util
 import random
+from pathlib import Path
 
 from sympy import Matrix as SymMatrix
 from sympy import ZZ
@@ -13,7 +18,7 @@ from mbhomology import exactalg
 from mbhomology.chain import ChainComplex, homology_at
 from mbhomology.exactalg import IntMatrix
 from mbhomology.multicomplex import MBSMulticomplex, MulticomplexReport
-from mbhomology.pipeline import validated_total
+from mbhomology.pipeline import homology_table
 from mbhomology.simplicial import chain_to_column, covering_lifts, pushforward
 
 
@@ -474,9 +479,10 @@ def verify_morse_mb(cm, fp, mc):
     Morse document's build phi is the identity, and the `morse` command
     checks that by one equality (morse.is_critical_point_complex).
 
-    Raises InvalidMulticomplex when `mc` fails `validate_multicomplex`.
+    The total table comes last, from the one table every command makes
+    (pipeline.homology_table), which raises InvalidMulticomplex when `mc`
+    fails `validate_multicomplex`.
     """
-    total = validated_total(mc)
     phi = phi_chain_map(cm, fp, mc)
     residuals = chain_map_residuals(phi)
 
@@ -490,6 +496,85 @@ def verify_morse_mb(cm, fp, mc):
         odd_components_zero=odd_zero,
         is_quasi_iso=exact and _acyclic(_cone(phi)),
         morse_homology=homology_at(cm, range(mc.ambient_dim + 1)),
-        mb_homology=homology_at(total, range(mc.ambient_dim + 1)),
+        mb_homology=homology_table(mc, range(mc.ambient_dim + 1)),
         embedding=phi,
     )
+
+
+# ---------------------------------------------------------------------------
+# files that are not modules of a package
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@functools.cache
+def load_file(relative):
+    """The Python file at `relative` under the repo root, loaded as a
+    module: scripts/make_corpus.py holds the document writers, and
+    perfbench/workloads.py the benchmark's generators."""
+    path = ROOT / relative
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# ---------------------------------------------------------------------------
+# mapping tori of the grid torus
+
+
+def linear_twists():
+    """The 12 linear automorphisms of the grid torus
+    (workloads.torus_triangles), as 2x2 integer matrices acting on (i, j):
+    the group generated by the swap and rho: (i, j) -> (i - j, i)."""
+    generators = (((0, 1), (1, 0)), ((1, -1), (1, 0)))
+    group, frontier = set(), [((1, 0), (0, 1))]
+    while frontier:
+        m = frontier.pop()
+        if m not in group:
+            group.add(m)
+            frontier += [tuple(tuple(sum(g[r][t] * m[t][c] for t in range(2))
+                                     for c in range(2)) for r in range(2))
+                         for g in generators]
+    return sorted(group)
+
+
+def twist_doc(n, phi):
+    """The bott-twist document of the benchmark with monodromy `phi`, in
+    unshuffled labels: critical tori of index 0 and 1, and two one-sheet
+    components from the upper torus to the lower one, the identity with
+    sign +1 and `phi` with sign -1.  Its build is the mapping torus of
+    phi."""
+    wl = load_file("perfbench/workloads.py")
+    torus = wl.complex_doc(n, wl.torus_triangles(n), range(n * n))
+    (a, b), (c, d) = phi
+    image = [(a * i + b * j) % n * n + (c * i + d * j) % n
+             for i, j in (divmod(x, n) for x in range(n * n))]
+    ident = list(range(n * n))
+    return {
+        "schema": 1,
+        "kind": "flow",
+        "dim": 3,
+        "critical": [{"index": 0, "kind": "simplicial", "complex": torus},
+                     {"index": 1, "kind": "simplicial", "complex": torus}],
+        "moduli": [{"from": 1, "to": 0, "domain": torus, "ev_minus": ident,
+                    "ev_plus": ident, "sign": 1},
+                   {"from": 1, "to": 0, "domain": torus, "ev_minus": ident,
+                    "ev_plus": image, "sign": -1}],
+    }
+
+
+def wang_table(phi):
+    """[(betti, torsion)] in degrees 0..3 of the mapping torus of phi on
+    T^2, from the Wang sequence, which splits here: H_1 = Z + coker(phi -
+    1), H_2 = ker(phi - 1) + coker(det phi - 1), H_3 = ker(det phi - 1)."""
+    (a, b), (c, d) = phi
+    minus_one = IntMatrix(2, 2, [[a - 1, b], [c, d - 1]])
+    kernel = 2 - sym_rank(minus_one)
+    det_minus_one = IntMatrix(1, 1, [[a * d - b * c - 1]])
+    det_kernel = 1 - sym_rank(det_minus_one)
+    return [(1, ()),
+            (1 + kernel, sym_torsion(minus_one)),
+            (kernel + det_kernel, sym_torsion(det_minus_one)),
+            (det_kernel, ())]

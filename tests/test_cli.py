@@ -15,12 +15,15 @@ from mbhomology.cli import EXIT_INPUT, EXIT_OK, EXIT_SEMANTIC, main
 from mbhomology.schema import (
     canonical_json,
     morse_from_doc,
-    morse_to_doc,
     presentation_from_doc,
-    presentation_to_doc,
 )
 from mbhomology.corpus import data_dir, entry_names
 from mbhomology.flowdata import morse_to_flow
+
+from support import linear_twists, load_file, twist_doc, wang_table
+
+# the document writers; the program only reads documents
+WRITERS = load_file("scripts/make_corpus.py")
 
 
 def corpus_path(name):
@@ -225,7 +228,7 @@ class TestRoundTrip:
         doc = json.loads(raw)
         fp = presentation_from_doc(doc)
         meta = {k: v for k, v in doc.items() if k not in self.SEMANTIC_KEYS}
-        assert canonical_json(presentation_to_doc(fp, meta)) == raw
+        assert canonical_json(WRITERS.presentation_to_doc(fp, meta)) == raw
 
     @pytest.mark.parametrize("name", [
         "s2-morse-2pt", "s2-morse-4pt", "t2-morse-4pt",
@@ -235,7 +238,7 @@ class TestRoundTrip:
         doc = json.loads(raw)
         md = morse_from_doc(doc)
         meta = {k: v for k, v in doc.items() if k not in self.SEMANTIC_KEYS}
-        assert canonical_json(morse_to_doc(md, meta)) == raw
+        assert canonical_json(WRITERS.morse_to_doc(md, meta)) == raw
 
     def test_multiplicity_is_not_dropped(self):
         # a flow document has no multiplicity field, so a component of
@@ -243,7 +246,30 @@ class TestRoundTrip:
         md = morse_from_doc({"critical": {"0": ["m"], "1": ["s"]},
                              "counts": [["s", "m", 2]]})
         with pytest.raises(ValueError, match="multiplicity 2"):
-            presentation_to_doc(morse_to_flow(md))
+            WRITERS.presentation_to_doc(morse_to_flow(md))
+
+
+class TestLinearTwists:
+    """`homology --json` on the mapping torus of each of the 12 linear
+    automorphisms of the grid torus, against the Wang table that sympy
+    computes from the 2x2 matrix alone (support.wang_table)."""
+
+    def test_family(self):
+        twists = linear_twists()
+        assert len(twists) == 12
+        swap = ((0, 1), (1, 0))
+        assert swap in twists
+        bott_twist = load_file("perfbench/workloads.py").BOTT_TWIST
+        assert wang_table(swap) == list(bott_twist)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("phi", linear_twists())
+    def test_homology_is_the_wang_table(self, tmp_path, capsys, phi, n):
+        path = write_doc(tmp_path, twist_doc(n, phi))
+        assert main(["homology", path, "--json"]) == EXIT_OK
+        groups = json.loads(capsys.readouterr().out)["homology"]
+        assert [(g["betti"], tuple(g["torsion"])) for g in groups] == \
+            wang_table(phi)
 
 
 def ambient_dim(doc):
@@ -776,6 +802,28 @@ class TestSeveralFaults:
         assert capsys.readouterr() == (
             "", f"input error: {path}: column cap 7 must be even and at "
             "least 4\n")
+
+
+    def test_flow_document_refused_before_expected(self, tmp_path, capsys):
+        # `morse` refuses a flow document before it reads `expected` or
+        # builds, so neither a bad `expected` nor a non-covering ev_minus
+        # (exit 1 from the build) is named
+        doc = non_covering_doc()
+        doc["expected"] = 5
+        path = write_doc(tmp_path, doc)
+        assert main(["morse", path]) == EXIT_INPUT
+        assert capsys.readouterr() == (
+            "", f"input error: {path}: expected a morse document\n")
+
+    def test_expected_before_counts(self, tmp_path, capsys):
+        # `expected` is read before the flow-line counts are squared
+        doc = nonsquaring_morse_doc()
+        doc["expected"] = [1]
+        path = write_doc(tmp_path, doc)
+        assert main(["morse", path]) == EXIT_INPUT
+        assert capsys.readouterr() == (
+            "", f"input error: {path}.expected[0]: expected an object, "
+            "got int\n")
 
 
 REFUSALS = ([], ["nosuch"], ["homology"])

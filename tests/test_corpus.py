@@ -1,7 +1,5 @@
-import importlib.util
 import json
 from math import gcd
-from pathlib import Path
 
 import pytest
 
@@ -15,7 +13,7 @@ from mbhomology.multicomplex import totalize
 from mbhomology.schema import SchemaError
 from mbhomology.simplicial import chain_complex_of, fundamental_cycle
 
-from support import chain_to_vector
+from support import chain_to_vector, load_file
 
 
 EXPECTED_NAMES = {
@@ -161,17 +159,10 @@ class TestIntermediateChains:
         assert entry.presentation.crit_at(0).complex.vertex_count == 4
 
 
-MAKE_CORPUS = Path(__file__).resolve().parent.parent / "scripts" / \
-    "make_corpus.py"
-
-
 def test_generator_writes_the_shipped_files():
     # scripts/make_corpus.py regenerates every shipped file byte for byte;
     # its texts are compared here without writing anything
-    spec = importlib.util.spec_from_file_location("make_corpus", MAKE_CORPUS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    texts = dict(module.documents())
+    texts = dict(load_file("scripts/make_corpus.py").documents())
     assert set(texts) == EXPECTED_NAMES
     for name, text in texts.items():
         assert text == (data_dir() / f"{name}.json").read_text("utf-8"), name

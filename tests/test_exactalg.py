@@ -1,9 +1,7 @@
 import json
 import random
-import sys
 from itertools import combinations
 from math import gcd
-from pathlib import Path
 
 import pytest
 from sympy import Matrix as SymMatrix
@@ -20,10 +18,11 @@ from mbhomology.exactalg import (
 from mbhomology.flowdata import build_multicomplex
 from mbhomology.morse import MorseData
 from mbhomology.pipeline import homology_table
-from mbhomology.schema import morse_to_doc, presentation_from_doc
+from mbhomology.schema import presentation_from_doc
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-import workloads  # noqa: E402
+from support import load_file
+
+workloads = load_file("perfbench/workloads.py")
 
 
 def det_expansion(mat):
@@ -367,7 +366,8 @@ class TestTransformsAreNotBuilt:
         # the projective plane: d(c) = 2 b, so H_1 = Z/2
         md = MorseData(crit_by_index={0: ("a",), 1: ("b",), 2: ("c",)},
                        counts={("c", "b"): 2})
-        out = run("morse", "rp2.json", morse_to_doc(md))
+        out = run("morse", "rp2.json",
+                  load_file("scripts/make_corpus.py").morse_to_doc(md))
         assert out["ok"] is True
         assert [entry["torsion"] for entry in out["mb_homology"]] == \
             [[], [2], []]

@@ -553,7 +553,7 @@ class TestTrimmedPointRows:
             return str(path)
 
         def total(name, **changes):
-            mc, _ = cli._load(written(name, **changes))
+            _, _, mc, _ = cli._load(written(name, **changes))
             return mc.complex.ranks, mc.complex.boundaries
 
         built = []

@@ -24,7 +24,7 @@ from mbhomology.multicomplex import (
     totalize,
     validate_multicomplex,
 )
-from mbhomology.schema import morse_to_doc, presentation_from_file
+from mbhomology.schema import presentation_from_file
 
 from support import (
     brute_homology,
@@ -559,7 +559,8 @@ class TestMorseCommand:
             doc = json.loads(paths[seed].read_text("utf-8"))
         else:
             c = random_complex(rng, max_total_rank=10)
-            doc = morse_to_doc(morse_data_of(c)[0])
+            doc = support.load_file("scripts/make_corpus.py").morse_to_doc(
+                morse_data_of(c)[0])
         names = sorted({n for pts in doc["critical"].values() for n in pts})
         fresh = [f"pt{t}" for t in range(len(names))]
         rng.shuffle(fresh)

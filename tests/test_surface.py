@@ -96,6 +96,32 @@ def test_corpus_is_read_not_run():
     assert imported >= {"schema"}
 
 
+# Defined in src/ and read nowhere in it, on purpose: the package's lazy
+# attribute hooks and the corpus's data API.
+UNREAD = {("__init__", "__getattr__"), ("__init__", "__dir__"),
+          ("corpus", "load_entries")}
+
+
+def test_program_names_are_read():
+    # a top-level function or class that only tests or scripts call belongs
+    # with them: src/ holds the program, and what it exports (_HOME)
+    defined, read = set(), set()
+    for path in sorted((SRC / "mbhomology").glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        defined |= {(path.stem, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    unread = {(module, name) for module, name in defined
+              if name not in read and name not in mbhomology._HOME}
+    assert unread <= UNREAD, sorted(unread - UNREAD)
+
+
 # Imported by a module that never reads them: the three loaders stay on
 # mbhomology.cli because the benchmark's tracer finds them there.
 REEXPORTS = {("cli", "load_document"), ("cli", "morse_from_doc"),
