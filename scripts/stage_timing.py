@@ -1,0 +1,73 @@
+"""In-process timing of the read, the build and the whole `homology --json`
+call on seeded `bott-twist` benchmark documents (perfbench/workloads.py)
+at n = 8, 16 and 32, the sizes at which the covering d[1] is a large share
+of a call.
+
+Each stage is timed as the best of `--repeat` runs on the document of
+seed 1, call 0, written to a temporary file:
+
+- load: `schema.presentation_from_file`, which reads and checks the file;
+- build: `build_multicomplex(presentation, check=False)`, as the command
+  line calls it;
+- whole: `cli.main(["homology", FILE, "--json"])`, its output discarded.
+
+The documents do not depend on the program, so two checkouts time the
+same inputs: run it in both, alternately, and compare.
+
+    python3 scripts/stage_timing.py [--repeat 5]
+"""
+
+import argparse
+import io
+import json
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+from mbhomology import cli  # noqa: E402
+from mbhomology.flowdata import build_multicomplex  # noqa: E402
+from mbhomology.schema import presentation_from_file  # noqa: E402
+
+SIZES = (8, 16, 32)
+
+
+def best_ms(repeat, run):
+    times = []
+    for _ in range(repeat):
+        start = perf_counter()
+        run()
+        times.append(perf_counter() - start)
+    return 1000 * min(times)
+
+
+def whole(path):
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["homology", path, "--json"]) == cli.EXIT_OK
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeat", type=int, default=5)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in SIZES:
+            doc = workloads.make("bott-twist", 1, 0, size=n)[0]
+            path = str(Path(tmp) / f"bott-twist-{n}.json")
+            Path(path).write_text(json.dumps(doc), encoding="utf-8")
+            fp = presentation_from_file(path)[0]
+            load = best_ms(args.repeat, lambda: presentation_from_file(path))
+            build = best_ms(args.repeat,
+                            lambda: build_multicomplex(fp, check=False))
+            call = best_ms(args.repeat, lambda: whole(path))
+            print(f"bott-twist n={n:<3} load {load:7.1f} ms  "
+                  f"build {build:7.1f} ms  whole {call:7.1f} ms")
+
+
+if __name__ == "__main__":
+    main()

@@ -12,12 +12,18 @@ into the bigraded complex:
     model;
   * a component whose source is positive-dimensional must have ev_minus a
     simplicial covering of the source model (relative index one); d[1] is
-    then pullback along ev_minus followed by pushforward along ev_plus in
-    every column.
+    then pullback along ev_minus followed by pushforward along ev_plus,
+    P+ P-^T, in every column.
 
-Chains landing on a point-kind row keep their column: a constant chain of
-degree p is the degree-p generator of that point's row, not zero.
+Both read only the index and sign lists of each SimplicialMap: a domain
+simplex adds the product of its signs at (its image under ev_plus, its
+image under ev_minus), and no chain is formed.  Chains landing on a
+point-kind row keep their column: a constant chain of degree p is the
+degree-p generator of that point's row, not zero.
 """
+
+from itertools import repeat
+from operator import mul
 
 from .exactalg import IntMatrix
 from .multicomplex import (
@@ -30,10 +36,8 @@ from .simplicial import (
     SimplicialComplexData,
     SimplicialMap,
     chain_complex_of,
-    chain_to_column,
-    covering_lifts,
+    check_covering,
     fundamental_cycle,
-    pushforward,
 )
 
 
@@ -185,24 +189,6 @@ class FlowPresentation:
         return report
 
 
-def _target_column(target, ev_plus, chain, degree):
-    """Sparse column {row: coefficient} of a chain pushed into a row at the
-    given column; entries may be zero.
-
-    Point-kind targets absorb chains of every degree: each simplex lies over
-    a single point and contributes its coefficient to that point's
-    degree-p generator.  Simplicial targets take the honest pushforward.
-    """
-    if target.is_points:
-        col = {}
-        for simplex, coeff in chain.items():
-            row = ev_plus.vertex_image[simplex[0]]
-            col[row] = col.get(row, 0) + coeff
-        return col
-    pushed = pushforward(ev_plus, chain)
-    return chain_to_column(target.complex, degree, pushed)
-
-
 def build_multicomplex(fp, check=True):
     """Assemble the bigraded complex of a flow presentation.
 
@@ -226,11 +212,10 @@ def build_multicomplex(fp, check=True):
     point, so every point row stops at column 0 and the build is the
     critical-point complex itself (morse.is_critical_point_complex); the
     embedding on longer rows is the test reference in tests/support.py.
-    Each moduli block is sized from the row ranks at its two ends, and the
-    fundamental cycle of each distinct domain object is found once.  The
-    rest of a component's cost is lookups in what the constructors built:
-    its two models in the presentation's index, a points model's complex
-    and every domain's top_dim.
+    Each moduli block is sized from the row ranks at its two ends and
+    filled in one pass over the domain simplices of each column; a
+    covering is checked by counts (simplicial.check_covering), and the
+    fundamental cycle of each distinct domain object is found once.
     """
     problems = fp.validate()
     if problems:
@@ -264,24 +249,31 @@ def build_multicomplex(fp, check=True):
     # accumulate moduli contributions into sparse columns, each scaled by
     # the component's sign and multiplicity
     pending = {}
-    # id(domain) -> its fundamental cycle as a chain: morse_to_flow and the
-    # reader share one domain object among many components
+    # id(domain) -> its fundamental cycle, a coefficient per top simplex:
+    # morse_to_flow and the reader share one domain object among many
+    # components
     cycles = {}
 
-    def add_contribution(comp, p, col, entries, degree):
+    def add_contribution(comp, p, degree, columns, pulled):
+        # domain simplex u of this degree adds pulled[u] times its sign
+        # under ev_plus at (its image, columns[u]); a point row keeps a
+        # degenerate image as its point's generator, so it takes no sign
         key = (comp.relative_index, p, comp.from_index)
         if key not in pending:
             n_rows = row_ranks.get((degree, comp.to_index), 0)
             n_cols = row_ranks.get((p, comp.from_index), 0)
             pending[key] = (n_rows, [{} for _ in range(n_cols)])
+        block = pending[key][1]
         weight = comp.sign * comp.multiplicity
-        out = pending[key][1][col]
-        for r, x in entries.items():
-            out[r] = out.get(r, 0) + weight * x
+        if not fp.crit_at(comp.to_index).is_points:
+            pulled = map(mul, pulled, comp.ev_plus.image_sign[degree])
+        for c, r, x in zip(columns, comp.ev_plus.image_index[degree], pulled):
+            if x:
+                col = block[c]
+                col[r] = col.get(r, 0) + weight * x
 
     for comp in fp.moduli:
         source = fp.crit_at(comp.from_index)
-        target = fp.crit_at(comp.to_index)
         if source.is_points:
             # one image per domain vertex: SimplicialMap checks the length
             hit = set(comp.ev_minus.vertex_image)
@@ -290,13 +282,13 @@ def build_multicomplex(fp, check=True):
                     f"component {comp.from_index}->{comp.to_index}: "
                     "ev_minus of a point source must be constant")
             domain = comp.domain
-            if id(domain) not in cycles:
-                cycles[id(domain)] = fundamental_cycle(domain).as_chain()
             degree = domain.top_dim
-            add_contribution(comp, 0, hit.pop(),
-                             _target_column(target, comp.ev_plus,
-                                            cycles[id(domain)], degree),
-                             degree)
+            if id(domain) not in cycles:
+                cycle = fundamental_cycle(domain).coefficients
+                cycles[id(domain)] = [cycle[s] for s in
+                                      domain.simplices_of_dim(degree)]
+            add_contribution(comp, 0, degree, repeat(hit.pop()),
+                             cycles[id(domain)])
         else:
             if comp.relative_index != 1:
                 raise FlowDataError(
@@ -304,19 +296,17 @@ def build_multicomplex(fp, check=True):
                     "positive-dimensional sources are supported only for "
                     "index drop one")
             try:
-                lifts = covering_lifts(comp.ev_minus)
+                check_covering(comp.ev_minus)
             except CoveringError as err:
                 raise CoveringError(
                     f"component {comp.from_index}->{comp.to_index}: "
                     f"ev_minus is not a covering of the source model: {err}",
                     witness=err.witness) from err
-            src_complex = source.complex
-            for p in range(0, src_complex.top_dim + 1):
-                for col, simplex in enumerate(src_complex.simplices_of_dim(p)):
-                    pulled = dict(lifts.get(simplex, ()))
-                    add_contribution(comp, p, col,
-                                     _target_column(target, comp.ev_plus,
-                                                    pulled, p), p)
+            # P+ P-^T: each domain simplex lands in the column of its image
+            # under ev_minus, with that orientation sign
+            for p in range(source.complex.top_dim + 1):
+                add_contribution(comp, p, p, comp.ev_minus.image_index[p],
+                                 comp.ev_minus.image_sign[p])
 
     for key, (n_rows, columns) in pending.items():
         mat = IntMatrix.from_columns(n_rows, len(columns), columns)

@@ -8,6 +8,7 @@ coverings realizes the fibered product with a space whose projection
 restricts to sheeted isomorphisms.
 """
 
+from collections import Counter
 from itertools import combinations
 
 from .chain import ChainComplex
@@ -133,9 +134,18 @@ class SimplicialMap:
     """Vertex map whose image of every simplex spans a simplex of the
     target (possibly of lower dimension).
 
-    The constructor checks every source simplex and keeps its image and
-    orientation sign, which `image_simplex`, `pushforward` and
-    `covering_lifts` read.
+    The constructor checks every source simplex, in the order of
+    `all_simplices`, and keeps two lists per source dimension d over the
+    d-simplices: `image_index[d][u]`, the index of the image of simplex u
+    among the target simplices of the image's dimension, and
+    `image_sign[d][u]`, its orientation sign, 0 when the image is
+    degenerate.  `image_simplex` and `check_covering` read them, and so
+    does the builder, as index arithmetic.
+
+    >>> edge = SimplicialComplexData(2, [(0, 1)])
+    >>> f = SimplicialMap(edge, edge, [1, 0])
+    >>> f.image_index, f.image_sign
+    ([[1, 0], [0]], [[1, 1], [-1]])
     """
 
     def __init__(self, source, target, vertex_image):
@@ -149,25 +159,33 @@ class SimplicialMap:
         for v in self.vertex_image:
             if not (0 <= v < self.target.vertex_count):
                 raise ValueError(f"image vertex {v} outside target")
-        images = self._images = {}
+        self.image_index, self.image_sign = indices, signs = [], []
         at = self.vertex_image.__getitem__
-        in_target = target._index
-        for s in source.all_simplices():
-            image = tuple(map(at, s))
-            spanned = tuple(sorted(set(image)))
-            if spanned not in in_target:
-                raise ValueError(f"image {spanned} of {s} is not a simplex "
-                                 "of the target")
-            if len(spanned) < len(s):
-                images[s] = (None, 0)
-            else:  # an increasing image keeps the orientation
-                images[s] = (spanned,
-                             1 if image == spanned else _sort_sign(image))
+        in_target = target._index.get
+        for level in source.simplices_by_dim.values():
+            indices.append(index := [])
+            signs.append(sign := [])
+            for s in level:
+                image = tuple(map(at, s))
+                spanned = tuple(sorted(set(image)))
+                t = in_target(spanned)
+                if t is None:
+                    raise ValueError(f"image {spanned} of {s} is not a "
+                                     "simplex of the target")
+                index.append(t)
+                # an increasing image keeps the orientation
+                sign.append(0 if len(spanned) < len(s) else
+                            1 if image == spanned else _sort_sign(image))
 
     def image_simplex(self, simplex):
         """(target simplex, sign) of a source simplex, or (None, 0) when the
         image is degenerate."""
-        return self._images[tuple(simplex)]
+        s = tuple(simplex)
+        d, u = len(s) - 1, self.source._index[s]
+        sign = self.image_sign[d][u]
+        if not sign:
+            return None, 0
+        return self.target.simplices_by_dim[d][self.image_index[d][u]], sign
 
 
 def _sort_sign(values):
@@ -307,61 +325,53 @@ def pushforward(f, chain):
     return {s: c for s, c in out.items() if c}
 
 
-def covering_lifts(f):
-    """Lifts of every target simplex under a simplicial covering, as
-    {target simplex: [(source simplex, orientation sign), ...]}; raises
-    CoveringError.
+def check_covering(f):
+    """Raise CoveringError unless `f` is a simplicial covering: no simplex
+    collapses, every target simplex has the same number k of lifts, and
+    each lift of a face is a facet of exactly one lift of each coface.
 
-    A covering must be nondegenerate on every simplex, every lift of a face
-    must extend to exactly one lift of each coface, and the number of lifts
-    must be the same over every target simplex.
+    Each condition is a count over the map's index lists.  The facets of
+    the lifts of a target d-simplex give k (d + 1) pairs (simplex, source
+    facet), all among the k (d + 1) pairs (simplex, lift of a face) that
+    must each occur once, so unique lifting holds when no pair repeats.
+    Only a failed count looks for its witness, the first that the
+    definition names: in source order, in target order, then by target
+    simplex, face and lift.
     """
-    lifts = {}
-    for s, (image, sign) in f._images.items():
-        if image is None:
+    source, target = f.source, f.target
+    for level, sign in zip(source.simplices_by_dim.values(), f.image_sign):
+        if 0 in sign:
+            s = level[sign.index(0)]
             raise CoveringError(f"simplex {s} collapses under the map",
                                 witness=s)
-        lifts.setdefault(image, []).append((s, sign))
-
-    counts = set()
-    for s in f.target.all_simplices():
-        counts.add(len(lifts.get(s, [])))
-    if len(counts) != 1:
-        offending = next(s for s in f.target.all_simplices()
-                         if len(lifts.get(s, [])) != max(counts))
-        raise CoveringError(
-            f"target simplex {offending} has {len(lifts.get(offending, []))} "
-            f"lifts while others have {max(counts)}", witness=offending)
-
-    # unique lifting: a lift of a face extends to exactly one lift per
-    # coface, that is, it is a facet of exactly one lift of the coface
-    source = f.source
-    for d in sorted(f.target.simplices_by_dim):
-        if d == 0:
+    counts = [Counter(index) for index in f.image_index]
+    counts += [Counter()] * (len(target.simplices_by_dim) - len(counts))
+    counted = [count[t] for count, level in
+               zip(counts, target.simplices_by_dim.values())
+               for t in range(len(level))]
+    k = max(counted, default=0)
+    if min(counted, default=0) != k:
+        n, s = next(ns for ns in zip(counted, target.all_simplices())
+                    if ns[0] != k)
+        raise CoveringError(f"target simplex {s} has {n} lifts while others "
+                            f"have {k}", witness=s)
+    for d in range(1, len(f.image_index)):
+        index, facets = f.image_index[d], source._facets[d]
+        if len({(t, g) for t, row in zip(index, facets) for g in row}) == \
+                len(index) * (d + 1):
             continue
-        facets = source._facets.get(d, ())
-        for s in f.target.simplices_of_dim(d):
-            extensions = {}
-            for up, _ in lifts.get(s, []):
-                for face_lift in facets[source.index_of(up)]:
-                    extensions[face_lift] = extensions.get(face_lift, 0) + 1
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                for face_lift, _ in lifts.get(face, []):
-                    n = extensions.get(source.index_of(face_lift), 0)
-                    if n != 1:
+        lifts = {}  # (dimension, target index) -> source indices
+        for e in (d - 1, d):
+            for u, t in enumerate(f.image_index[e]):
+                lifts.setdefault((e, t), []).append(u)
+        faces = target.simplices_of_dim(d - 1)
+        for t, s in enumerate(target.simplices_of_dim(d)):
+            extensions = Counter(g for u in lifts.get((d, t), ())
+                                 for g in facets[u])
+            for face in target._facets[d][t]:
+                for g in lifts.get((d - 1, face), ()):
+                    if extensions[g] != 1:
                         raise CoveringError(
-                            f"lift {face_lift} of {face} extends to "
-                            f"{n} lifts of {s}", witness=face)
-    return lifts
-
-
-def chain_to_column(k, d, chain):
-    """Sparse matrix column {basis index: coefficient} of a degree-d
-    sparse chain."""
-    col = {}
-    for s, coeff in chain.items():
-        if len(s) - 1 != d:
-            raise ValueError(f"simplex {s} is not of dimension {d}")
-        col[k.index_of(s)] = coeff
-    return col
+                            f"lift {source.simplices_of_dim(d - 1)[g]} of "
+                            f"{faces[face]} extends to {extensions[g]} lifts "
+                            f"of {s}", witness=faces[face])

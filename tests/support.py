@@ -19,7 +19,7 @@ from mbhomology.chain import ChainComplex, homology_at
 from mbhomology.exactalg import IntMatrix
 from mbhomology.multicomplex import MBSMulticomplex, MulticomplexReport
 from mbhomology.pipeline import homology_table
-from mbhomology.simplicial import chain_to_column, covering_lifts, pushforward
+from mbhomology.simplicial import CoveringError, pushforward
 
 
 def to_sympy(mat):
@@ -164,6 +164,68 @@ def forbid_dense_rows(monkeypatch):
     return built
 
 
+def covering_lifts(f):
+    """Lifts of every target simplex under a simplicial covering, as
+    {target simplex: [(source simplex, orientation sign), ...]}; raises
+    CoveringError.
+
+    A covering must be nondegenerate on every simplex, every lift of a face
+    must extend to exactly one lift of each coface, and the number of lifts
+    must be the same over every target simplex.  This is the check by
+    simplices and faces that simplicial.check_covering makes by counts.
+    """
+    lifts = {}
+    for s in f.source.all_simplices():
+        image, sign = f.image_simplex(s)
+        if image is None:
+            raise CoveringError(f"simplex {s} collapses under the map",
+                                witness=s)
+        lifts.setdefault(image, []).append((s, sign))
+
+    counts = set()
+    for s in f.target.all_simplices():
+        counts.add(len(lifts.get(s, [])))
+    if len(counts) != 1:
+        offending = next(s for s in f.target.all_simplices()
+                         if len(lifts.get(s, [])) != max(counts))
+        raise CoveringError(
+            f"target simplex {offending} has {len(lifts.get(offending, []))} "
+            f"lifts while others have {max(counts)}", witness=offending)
+
+    # unique lifting: a lift of a face extends to exactly one lift per
+    # coface, that is, it is a facet of exactly one lift of the coface
+    source = f.source
+    for d in sorted(f.target.simplices_by_dim):
+        if d == 0:
+            continue
+        facets = source._facets.get(d, ())
+        for s in f.target.simplices_of_dim(d):
+            extensions = {}
+            for up, _ in lifts.get(s, []):
+                for face_lift in facets[source.index_of(up)]:
+                    extensions[face_lift] = extensions.get(face_lift, 0) + 1
+            for i in range(len(s)):
+                face = s[:i] + s[i + 1:]
+                for face_lift, _ in lifts.get(face, []):
+                    n = extensions.get(source.index_of(face_lift), 0)
+                    if n != 1:
+                        raise CoveringError(
+                            f"lift {face_lift} of {face} extends to "
+                            f"{n} lifts of {s}", witness=face)
+    return lifts
+
+
+def chain_to_column(k, d, chain):
+    """Sparse matrix column {basis index: coefficient} of a degree-d
+    sparse chain."""
+    col = {}
+    for s, coeff in chain.items():
+        if len(s) - 1 != d:
+            raise ValueError(f"simplex {s} is not of dimension {d}")
+        col[k.index_of(s)] = coeff
+    return col
+
+
 def covering_pullback(f, chain):
     """Signed sum of lifts of each simplex of a chain on the target.
 
@@ -197,11 +259,11 @@ def matrix_of_pushforward(f, d):
 
 def matrix_of_pullback(f, d):
     """Degree-d covering pullback as a matrix in the lexicographic bases."""
+    lifts = covering_lifts(f)
     tgt = f.target.simplices_of_dim(d)
     return IntMatrix.from_columns(
         len(f.source.simplices_of_dim(d)), len(tgt),
-        [chain_to_column(f.source, d, covering_pullback(f, {s: 1}))
-         for s in tgt])
+        [chain_to_column(f.source, d, dict(lifts.get(s, ()))) for s in tgt])
 
 
 def full_point_rows(mc, fp, cap):

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -25,11 +26,18 @@ from mbhomology.simplicial import (
     CoveringError,
     SimplicialComplexData,
     SimplicialMap,
-    covering_lifts,
+    check_covering,
     fundamental_cycle,
 )
 
-from support import chain_to_vector, full_point_rows
+from support import (
+    chain_to_vector,
+    full_point_rows,
+    linear_twists,
+    matrix_of_pullback,
+    matrix_of_pushforward,
+    twist_doc,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -171,9 +179,9 @@ class TestBuild:
 
         def counted(f):
             calls.append(f)
-            return covering_lifts(f)
+            return check_covering(f)
 
-        monkeypatch.setattr(flowdata, "covering_lifts", counted)
+        monkeypatch.setattr(flowdata, "check_covering", counted)
         fp = torus_height_presentation()
         build_multicomplex(fp)
         assert calls == [comp.ev_minus for comp in fp.moduli]
@@ -575,3 +583,149 @@ class TestTrimmedPointRows:
         assert total("s2-round", dim=2) == total("s2-round", dim=55)
         monkeypatch.setattr(cli, "build_multicomplex", recorded)
         assert morse_total(6) == morse_total(2000) == morse_total(20000)
+
+
+def push_pull_blocks(fp):
+    """{(p, i): d[1] at column p of row i} summed over the covering
+    components from index i, each sign * multiplicity * P+ @ P-^T from the
+    test references: P- the covering pullback along ev_minus, P+ the
+    pushforward along ev_plus, or, onto a point row, which keeps a
+    degenerate image as its point's generator, the matrix that sends each
+    simplex to the point of its vertices."""
+    blocks = {}
+    for comp in fp.moduli:
+        if fp.crit_at(comp.from_index).is_points:
+            continue
+        target = fp.crit_at(comp.to_index)
+        for p in range(comp.domain.top_dim + 1):
+            if target.is_points:
+                cells = comp.domain.simplices_of_dim(p)
+                push = IntMatrix.from_columns(
+                    len(target.names), len(cells),
+                    [{comp.ev_plus.vertex_image[s[0]]: 1} for s in cells])
+            else:
+                push = matrix_of_pushforward(comp.ev_plus, p)
+            term = (push @ matrix_of_pullback(comp.ev_minus, p)).scaled(
+                comp.sign * comp.multiplicity)
+            key = (p, comp.from_index)
+            blocks[key] = blocks[key] + term if key in blocks else term
+    return blocks
+
+
+def random_covering_presentation(rng):
+    """A relabeled circle, grid torus or tetrahedron boundary at index 1,
+    and one or two components onto index 0, whose domains are relabeled
+    1- to 3-sheeted coverings of it: k copies, or, across the seam of the
+    circle or torus, the connected cyclic cover.  ev_plus is a random
+    vertex map onto a tetrahedron boundary, or a constant map onto one of
+    three points.  Returns (presentation, kinds seen)."""
+    kind = rng.choice(("circle", "torus", "sphere"))
+    if kind == "circle":
+        n = rng.randint(3, 6)
+        base, ring = [(v, (v + 1) % n) for v in range(n)], lambda v: v
+    elif kind == "torus":
+        n = 3
+        base, ring = workloads.torus_triangles(n), lambda v: v // n
+    else:
+        n, base, ring = 0, list(combinations(range(4), 3)), None
+    size = max(v for s in base for v in s) + 1
+    sigma = rng.sample(range(size), size)
+    model = CritModel(1, complex=SimplicialComplexData(
+        size, [[sigma[v] for v in s] for s in base]))
+    points = rng.random() < 0.4
+    target = CritModel(0, names=("a", "b", "c")) if points else \
+        CritModel(0, complex=SimplicialComplexData.from_simplices(
+            combinations(range(4), 3)))
+    kinds = {kind, "points" if points else "simplicial"}
+    moduli = []
+    for _ in range(rng.randint(1, 2)):
+        k = rng.randint(1, 3)
+        cyclic = ring is not None and k > 1 and rng.random() < 0.5
+        kinds.add("cyclic" if cyclic else f"{k} sheets")
+
+        def lift(s, c):
+            crosses = cyclic and {ring(v) for v in s} >= {0, n - 1}
+            return [(c + (crosses and ring(v) == 0)) % k * size + v
+                    for v in s]
+
+        tau = rng.sample(range(k * size), k * size)
+        domain = SimplicialComplexData(
+            k * size, [[tau[x] for x in lift(s, c)]
+                       for s in base for c in range(k)])
+        minus = [0] * (k * size)
+        for x in range(k * size):
+            minus[tau[x]] = sigma[x % size]
+        plus = [rng.randrange(3)] * (k * size) if points else \
+            [rng.randrange(4) for _ in range(k * size)]
+        moduli.append(ModuliComponentModel(
+            1, 0, domain, SimplicialMap(domain, model.complex, minus),
+            SimplicialMap(domain, target.model_complex(), plus),
+            sign=rng.choice((1, -1)), multiplicity=rng.randint(1, 3)))
+    return FlowPresentation(3, (target, model), moduli), kinds
+
+
+class TestCoveringBlock:
+    # the build adds weight * sign-(u) * sign+(u) at (image of u under
+    # ev_plus, image of u under ev_minus) for each simplex u of a covering
+    # domain: the product P+ P-^T of the chain-level references
+
+    def check(self, fp):
+        """The number of covering blocks of `fp`, and of nonzero ones."""
+        mc = build_multicomplex(fp, check=False)
+        blocks = push_pull_blocks(fp)
+        for (p, i), want in blocks.items():
+            assert mc.map(1, p, i) == want, (p, i)
+        return len(blocks), sum(not b.is_zero() for b in blocks.values())
+
+    @pytest.mark.parametrize("n", (3, 4))
+    def test_linear_twists(self, n):
+        # identity minus phi at every column: zero only for phi = 1
+        for phi in linear_twists():
+            fp = presentation_from_doc(twist_doc(n, phi))
+            assert self.check(fp) == (3, 0 if phi == ((1, 0), (0, 1)) else 3)
+
+    def test_random_coverings(self):
+        seen = set()
+        nonzero = 0
+        for seed in range(60):
+            fp, kinds = random_covering_presentation(random.Random(seed))
+            nonzero += self.check(fp)[1]
+            seen |= kinds
+        assert seen == {"circle", "torus", "sphere", "points", "simplicial",
+                        "cyclic", "1 sheets", "2 sheets", "3 sheets"}
+        assert nonzero > 60
+
+    def test_corpus(self):
+        # s2-minus-z2 lands on point rows, t2-height's blocks cancel
+        counts = {entry.name: self.check(entry.presentation)
+                  for entry in load_entries() if entry.kind == "flow"}
+        assert {name: n for name, n in counts.items() if n[0]} == \
+            {"s2-minus-z2": (2, 2), "t2-height": (2, 0)}
+
+
+class TestNoChainIsWalked:
+    def test_commands_read_the_index_lists(self, monkeypatch, tmp_path,
+                                           capsys):
+        # the build reads each simplicial map's index and sign lists:
+        # with the per-simplex image refused, a covering document, a point
+        # source onto a simplicial rim and a Morse document still give
+        # their tables
+        def refuse(self, simplex):
+            raise AssertionError("a chain was walked simplex by simplex")
+
+        monkeypatch.setattr(SimplicialMap, "image_simplex", refuse)
+        corpus = {name: json.loads((data_dir() / f"{name}.json")
+                                   .read_text("utf-8"))
+                  for name in ("s2-z2", "t2-morse-4pt")}
+        docs = [("bott-twist", workloads.make("bott-twist", 1, 0)[0],
+                 [(1, []), (2, []), (1, [2])]),
+                ("s2-z2", corpus["s2-z2"], [(1, []), (0, []), (1, [])]),
+                ("t2-morse-4pt", corpus["t2-morse-4pt"],
+                 [(1, []), (2, []), (1, [])])]
+        for name, doc, table in docs:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc), "utf-8")
+            assert cli.main(["homology", str(path), "--json"]) == cli.EXIT_OK
+            out = json.loads(capsys.readouterr().out)
+            assert [(g["betti"], g["torsion"])
+                    for g in out["homology"]][:3] == table, name

@@ -12,13 +12,14 @@ from mbhomology.simplicial import (
     SimplicialComplexData,
     SimplicialMap,
     chain_complex_of,
-    covering_lifts,
+    check_covering,
     fundamental_cycle,
     pushforward,
 )
 
 from support import (
     chain_to_vector,
+    covering_lifts,
     covering_pullback,
     matrix_of_pullback,
     matrix_of_pushforward,
@@ -521,9 +522,10 @@ def reference_lifts(f):
 class TestCoveringLiftsReference:
     def test_random_sheets_match_the_definition(self):
         # k copies of a random complex, some simplices lifted across the
-        # copies, and now and then a vertex sent elsewhere: covering_lifts
-        # gives the lifts, or the first failure and its witness, that the
-        # definition gives
+        # copies, and now and then a vertex sent elsewhere: the build's
+        # check by counts refuses with the first failure and its witness
+        # that the definition gives, and accepts exactly the coverings,
+        # whose lifts the reference by simplices and faces finds
         outcomes = set()
         for seed in range(600):
             rng = random.Random(seed)
@@ -547,13 +549,19 @@ class TestCoveringLiftsReference:
                 continue
             want = reference_lifts(f)
             try:
-                got = covering_lifts(f)
+                check_covering(f)
             except CoveringError as err:
                 got = (str(err), err.witness)
                 outcomes.update(word for word in ("collapses", "while",
                                                    "extends")
                                 if word in str(err))
             else:
+                got = covering_lifts(f)
                 outcomes.add("covering")
             assert got == want, seed
+            try:
+                lifts = covering_lifts(f)
+            except CoveringError as err:
+                lifts = (str(err), err.witness)
+            assert lifts == want, seed
         assert outcomes == {"covering", "collapses", "while", "extends"}
