@@ -10,9 +10,8 @@ _HOME = {
     **dict.fromkeys(("ChainComplex", "HomologyGroup", "validate_complex",
                      "homology_at"), "chain"),
     **dict.fromkeys(("SimplicialComplexData", "SimplicialMap",
-                     "OrientedCycle", "NoFundamentalCycle", "CoveringError",
-                     "chain_complex_of", "fundamental_cycle", "pushforward"),
-                    "simplicial"),
+                     "NoFundamentalCycle", "CoveringError",
+                     "chain_complex_of", "fundamental_cycle"), "simplicial"),
     **dict.fromkeys(("MBSMulticomplex", "MulticomplexReport",
                      "InvalidMulticomplex", "validate_multicomplex",
                      "totalize"), "multicomplex"),

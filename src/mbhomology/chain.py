@@ -82,16 +82,13 @@ class HomologyGroup:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.iso(other)
+        return self.betti == other.betti and self.torsion == other.torsion
 
     def __hash__(self):
         return hash((self.betti, self.torsion))
 
     def __repr__(self):
         return f"HomologyGroup(betti={self.betti!r}, torsion={self.torsion!r})"
-
-    def iso(self, other):
-        return self.betti == other.betti and self.torsion == other.torsion
 
     def is_trivial(self):
         return self.betti == 0 and not self.torsion

@@ -15,9 +15,10 @@ into the bigraded complex:
     then pullback along ev_minus followed by pushforward along ev_plus,
     P+ P-^T, in every column.
 
-Both read only the index and sign lists of each SimplicialMap: a domain
-simplex adds the product of its signs at (its image under ev_plus, its
-image under ev_minus), and no chain is formed.  Chains landing on a
+Both read only the index and sign lists of each SimplicialMap and the
++/-1 list of each fundamental cycle: a domain simplex adds the product of
+its signs at (its image under ev_plus, its image under ev_minus), and no
+chain is formed.  Chains landing on a
 point-kind row keep their column: a constant chain of degree p is the
 degree-p generator of that point's row, not zero.
 """
@@ -33,6 +34,7 @@ from .multicomplex import (
 )
 from .simplicial import (
     CoveringError,
+    NoFundamentalCycle,
     SimplicialComplexData,
     SimplicialMap,
     chain_complex_of,
@@ -80,7 +82,7 @@ class CritModel:
                 report.append(f"index {self.index}: duplicate point names")
         else:
             try:
-                if not fundamental_cycle(self.complex).is_closed():
+                if fundamental_cycle(self.complex)[1]:
                     report.append(f"index {self.index}: model has "
                                   "boundary; it must be closed")
             except ValueError as err:
@@ -214,8 +216,8 @@ def build_multicomplex(fp, check=True):
     embedding on longer rows is the test reference in tests/support.py.
     Each moduli block is sized from the row ranks at its two ends and
     filled in one pass over the domain simplices of each column; a
-    covering is checked by counts (simplicial.check_covering), and the
-    fundamental cycle of each distinct domain object is found once.
+    covering is checked by counts (simplicial.check_covering), and a
+    domain object is oriented once, however many components share it.
     """
     problems = fp.validate()
     if problems:
@@ -249,10 +251,6 @@ def build_multicomplex(fp, check=True):
     # accumulate moduli contributions into sparse columns, each scaled by
     # the component's sign and multiplicity
     pending = {}
-    # id(domain) -> its fundamental cycle, a coefficient per top simplex:
-    # morse_to_flow and the reader share one domain object among many
-    # components
-    cycles = {}
 
     def add_contribution(comp, p, degree, columns, pulled):
         # domain simplex u of this degree adds pulled[u] times its sign
@@ -281,14 +279,14 @@ def build_multicomplex(fp, check=True):
                 raise FlowDataError(
                     f"component {comp.from_index}->{comp.to_index}: "
                     "ev_minus of a point source must be constant")
-            domain = comp.domain
-            degree = domain.top_dim
-            if id(domain) not in cycles:
-                cycle = fundamental_cycle(domain).coefficients
-                cycles[id(domain)] = [cycle[s] for s in
-                                      domain.simplices_of_dim(degree)]
-            add_contribution(comp, 0, degree, repeat(hit.pop()),
-                             cycles[id(domain)])
+            try:
+                cycle = fundamental_cycle(comp.domain)[0]
+            except NoFundamentalCycle as err:
+                raise FlowDataError(
+                    f"component {comp.from_index}->{comp.to_index}: "
+                    f"domain: {err}") from err
+            add_contribution(comp, 0, comp.domain.top_dim, repeat(hit.pop()),
+                             cycle)
         else:
             if comp.relative_index != 1:
                 raise FlowDataError(

@@ -1,11 +1,11 @@
 """Finite ordered simplicial complexes and the maps between them.
 
 A complex is the face closure of the simplices it is given.  Complexes
-model critical submanifolds and moduli components: oriented fundamental
-cycles stand in for representing chains, pushforward along simplicial maps
-realizes composition with evaluation maps, and pullback along simplicial
-coverings realizes the fibered product with a space whose projection
-restricts to sheeted isomorphisms.
+model critical submanifolds and moduli components: the fundamental cycle,
++/-1 per top simplex and kept on its complex, stands in for a representing
+chain, and a map keeps the index and sign of each simplex's image, so that
+pushforward along evaluation maps and pullback along simplicial coverings
+are index arithmetic.  Chains keyed by simplex are test references.
 """
 
 from collections import Counter
@@ -53,6 +53,7 @@ class SimplicialComplexData:
     listing with `_close`, stores `top_dim` (-1 when empty) and fills the
     facet table: `_facets[d][t]` holds the indices, in dimension d - 1, of
     the facets of simplex t of dimension d, facet i omitting vertex i.
+    `_cycle` holds the result of `fundamental_cycle` once it is found.
 
     >>> k = SimplicialComplexData(3, [(0, 2, 1)])
     >>> len(list(k.all_simplices())), k._facets[2]
@@ -64,7 +65,7 @@ class SimplicialComplexData:
     """
 
     __slots__ = ("vertex_count", "simplices_by_dim", "top_dim", "_index",
-                 "_facets")
+                 "_facets", "_cycle")
 
     def __init__(self, vertex_count, simplices):
         self.vertex_count = vertex_count
@@ -86,6 +87,7 @@ class SimplicialComplexData:
         self.simplices_by_dim = {d: tuple(sorted(by_dim[d]))
                                  for d in sorted(by_dim)}
         self.top_dim = max(self.simplices_by_dim, default=-1)
+        self._cycle = None
         index = self._index = {}
         self._facets = {}
         for d, level in self.simplices_by_dim.items():
@@ -139,8 +141,8 @@ class SimplicialMap:
     d-simplices: `image_index[d][u]`, the index of the image of simplex u
     among the target simplices of the image's dimension, and
     `image_sign[d][u]`, its orientation sign, 0 when the image is
-    degenerate.  `image_simplex` and `check_covering` read them, and so
-    does the builder, as index arithmetic.
+    degenerate.  `check_covering` and the builder read them as index
+    arithmetic.
 
     >>> edge = SimplicialComplexData(2, [(0, 1)])
     >>> f = SimplicialMap(edge, edge, [1, 0])
@@ -177,16 +179,6 @@ class SimplicialMap:
                 sign.append(0 if len(spanned) < len(s) else
                             1 if image == spanned else _sort_sign(image))
 
-    def image_simplex(self, simplex):
-        """(target simplex, sign) of a source simplex, or (None, 0) when the
-        image is degenerate."""
-        s = tuple(simplex)
-        d, u = len(s) - 1, self.source._index[s]
-        sign = self.image_sign[d][u]
-        if not sign:
-            return None, 0
-        return self.target.simplices_by_dim[d][self.image_index[d][u]], sign
-
 
 def _sort_sign(values):
     """Sign of the permutation that sorts a list of distinct values."""
@@ -196,23 +188,6 @@ def _sort_sign(values):
             if a > b:
                 sign = -sign
     return sign
-
-
-class OrientedCycle:
-    """Top-dimensional chain with +/-1 coefficients: the fundamental cycle
-    of an oriented pseudomanifold, relative to its boundary when there is
-    one."""
-
-    def __init__(self, complex, coefficients, boundary_simplices=()):
-        self.complex = complex
-        self.coefficients = coefficients
-        self.boundary_simplices = boundary_simplices
-
-    def as_chain(self):
-        return dict(self.coefficients)
-
-    def is_closed(self):
-        return not self.boundary_simplices
 
 
 def chain_complex_of(k):
@@ -235,22 +210,30 @@ def chain_complex_of(k):
 
 
 def fundamental_cycle(k):
-    """Coherently oriented +/-1 chain on the top simplices.
+    """(coefficients, boundary) of `k`, found once per complex object and
+    kept on it: +/-1 per top simplex, in the order of
+    `k.simplices_of_dim(k.top_dim)`, the lexicographically first of each
+    connected component +1, and the ridges in a single top simplex, in
+    order.  A closed complex gives a cycle, one with boundary a relative
+    cycle.  Raises NoFundamentalCycle, on every call, if `k` is not a
+    pure orientable pseudomanifold.
 
-    Works component by component; in each connected component the
-    lexicographically first top simplex gets +1.  Closed components give a
-    cycle; components with boundary give a relative cycle whose boundary
-    lies on the ridges contained in a single top simplex.
-
-    Raises NoFundamentalCycle if the complex is not a pure pseudomanifold
-    or is not orientable.
+    >>> fundamental_cycle(SimplicialComplexData(3, [(0, 1), (1, 2)]))
+    ((1, 1), ((0,), (2,)))
     """
+    if k._cycle is None:
+        k._cycle = _orient(k)
+    return k._cycle
+
+
+def _orient(k):
+    """Purity, ridge incidence, then the walk of `fundamental_cycle`."""
     d = k.top_dim
     if d < 0:
         raise NoFundamentalCycle("empty complex")
     tops = k.simplices_of_dim(d)
     if d == 0:
-        return OrientedCycle(k, {s: 1 for s in tops})
+        return (1,) * len(tops), ()
 
     # purity: every simplex is a face of some top simplex.  Going down
     # from the top, the first dimension with a simplex outside the faces of
@@ -282,9 +265,9 @@ def fundamental_cycle(k):
         if len(hits) == 1:
             boundary_ridges.append(ridge)
 
-    coeff = {}  # top simplex index -> +-1
+    coeff = [0] * len(tops)  # top simplex index -> +-1, 0 while unvisited
     for start in range(len(tops)):
-        if start in coeff:
+        if coeff[start]:
             continue
         coeff[start] = 1
         stack = [start]
@@ -298,31 +281,15 @@ def fundamental_cycle(k):
                 other, osign, msign = (t2, s2, s1) if t1 == t else (t1, s1, s2)
                 # coherent orientation: the two induced signs must cancel
                 needed = -coeff[t] * msign * osign
-                previous = coeff.get(other)
-                if previous is None:
+                previous = coeff[other]
+                if not previous:
                     coeff[other] = needed
                     stack.append(other)
                 elif previous != needed:
                     raise NoFundamentalCycle(
                         f"not orientable: conflicting orientation at "
                         f"ridge {ridges[ridge]}")
-    return OrientedCycle(
-        k, {tops[t]: c for t, c in coeff.items()},
-        boundary_simplices=tuple(ridges[r] for r in sorted(boundary_ridges)))
-
-
-def pushforward(f, chain):
-    """Image of a sparse chain under a simplicial map.
-
-    Simplices whose vertices collapse map to zero; otherwise the image
-    simplex appears with the orientation sign of the sorting permutation.
-    """
-    out = {}
-    for s, coeff in chain.items():
-        image, sign = f.image_simplex(s)
-        if image is not None:
-            out[image] = out.get(image, 0) + sign * coeff
-    return {s: c for s, c in out.items() if c}
+    return tuple(coeff), tuple(ridges[r] for r in sorted(boundary_ridges))
 
 
 def check_covering(f):

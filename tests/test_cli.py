@@ -489,6 +489,16 @@ def domain_edge(vertex):
     return change
 
 
+def point_domain(simplices):
+    """Give the first moduli component of s2-z2, a point source onto the
+    circle, a four-vertex domain of the listed simplices."""
+    def change(doc):
+        first_component(doc).update(
+            domain={"vertices": 4, "simplices": simplices},
+            ev_minus=[0, 0, 0, 0], ev_plus=[0, 1, 2, 0])
+    return change
+
+
 # (command, corpus file, change, error text after the file name)
 MALFORMED = {
     "moduli-not-a-list": (
@@ -625,6 +635,16 @@ MALFORMED = {
     "covering-domain-vertex-negative": (
         "homology", "s2-minus-z2", domain_edge(-1),
         ".moduli[0]: malformed complex: (-1,) uses vertices outside range"),
+    # a point source's domain is oriented by the build, which names the
+    # component
+    "point-domain-ridge-in-three": (
+        "homology", "s2-z2", point_domain([[0, 1], [0, 2], [0, 3]]),
+        ": component 2->0: domain: not a pseudomanifold: ridge (0,) lies in "
+        "3 top simplices"),
+    "point-domain-maximal-vertex": (
+        "validate", "s2-z2", point_domain([[0, 1], [1, 2], [3]]),
+        ": component 2->0: domain: not a pseudomanifold: (3,) is maximal "
+        "below dimension 1"),
 }
 
 

@@ -11,9 +11,9 @@ from mbhomology.exactalg import invariant_factors, snf
 from mbhomology.flowdata import build_multicomplex
 from mbhomology.multicomplex import totalize
 from mbhomology.schema import SchemaError
-from mbhomology.simplicial import chain_complex_of, fundamental_cycle
+from mbhomology.simplicial import chain_complex_of
 
-from support import chain_to_vector, load_file
+from support import chain_to_vector, cycle_chain, load_file
 
 
 EXPECTED_NAMES = {
@@ -95,7 +95,7 @@ class TestIntermediateChains:
         entry = load_entry("s2-z2")
         mc = build_multicomplex(entry.presentation, check=False)
         rim = entry.presentation.crit_at(0).complex
-        cycle = chain_to_vector(rim, 1, fundamental_cycle(rim).as_chain())
+        cycle = chain_to_vector(rim, 1, cycle_chain(rim))
         d2 = mc.map(2, 0, 2)
         names = entry.presentation.crit_at(2).names
         n_col = d2.col(names.index("n"))

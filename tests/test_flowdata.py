@@ -27,11 +27,12 @@ from mbhomology.simplicial import (
     SimplicialComplexData,
     SimplicialMap,
     check_covering,
-    fundamental_cycle,
 )
 
 from support import (
     chain_to_vector,
+    count_walks,
+    cycle_chain,
     full_point_rows,
     linear_twists,
     matrix_of_pullback,
@@ -192,7 +193,7 @@ class TestBuild:
         fp = s2_z2_presentation()
         mc = build_multicomplex(fp)
         rim = fp.crit_at(0).complex
-        cycle = chain_to_vector(rim, 1, fundamental_cycle(rim).as_chain())
+        cycle = chain_to_vector(rim, 1, cycle_chain(rim))
         d2 = mc.map(2, 0, 2)
         assert d2.col(0) == cycle
         assert d2.col(1) == tuple(-x for x in cycle)
@@ -368,10 +369,10 @@ class TestCostPerCount:
                                                           monkeypatch):
         # a flow-line count costs lookups, not models: on the same critical
         # points, documents with N and with 4N counts build the same
-        # complexes and maps, and the fundamental cycle of the one point
-        # domain that every component shares once
+        # complexes and maps, and orient the one point domain that every
+        # component shares once
         made = {"complexes": 0, "maps": 0}
-        cycles = []
+        walks = count_walks(monkeypatch)
         complex_init = SimplicialComplexData.__init__
         map_init = SimplicialMap.__init__
 
@@ -383,24 +384,19 @@ class TestCostPerCount:
             made["maps"] += 1
             map_init(self, *args, **kwargs)
 
-        def counted_cycle(k):
-            cycles.append(k)
-            return fundamental_cycle(k)
-
         monkeypatch.setattr(SimplicialComplexData, "__init__",
                             counted_complex)
         monkeypatch.setattr(SimplicialMap, "__init__", counted_map)
-        monkeypatch.setattr(flowdata, "fundamental_cycle", counted_cycle)
 
         def cost(doc):
             md = morse_from_doc(doc)
             made.update(complexes=0, maps=0)
-            cycles.clear()
+            walks.clear()
             fp = morse_to_flow(md)
             mc = build_multicomplex(fp)
-            domains = {id(comp.domain) for comp in fp.moduli}
-            assert len(cycles) == len({id(k) for k in cycles}) == \
-                len(domains) == 1
+            [domain] = {id(comp.domain): comp.domain
+                        for comp in fp.moduli}.values()
+            assert len(walks) == 1 and walks[0] is domain
             # every count is one nonzero entry of d[1] at column 0
             entries = sum(map(len, mc.map(1, 0, 1).columns))
             return len(fp.moduli), entries, dict(made)
@@ -420,6 +416,18 @@ class TestCostPerCount:
             few, many = cost(doc(n)), cost(doc(4 * n))
             assert few[:2] == (n, n) and many[:2] == (4 * n, 4 * n), seed
             assert few[2] == many[2] == {"complexes": 3, "maps": 16}, seed
+
+    def test_shared_circle_is_oriented_once(self, monkeypatch):
+        # on s2-z2 the circle is one object: the index-0 model and both
+        # point-source domains.  Validation orients it to learn that the
+        # model is closed, and the build reads the same orientation
+        walks = count_walks(monkeypatch)
+        fp = presentation_from_doc(json.loads(
+            (data_dir() / "s2-z2.json").read_text("utf-8")))
+        circle = fp.crit_at(0).complex
+        assert all(comp.domain is circle for comp in fp.moduli)
+        build_multicomplex(fp)
+        assert len(walks) == 1 and walks[0] is circle
 
 
 class TestSharedComplexes:
@@ -704,16 +712,12 @@ class TestCoveringBlock:
 
 
 class TestNoChainIsWalked:
-    def test_commands_read_the_index_lists(self, monkeypatch, tmp_path,
-                                           capsys):
-        # the build reads each simplicial map's index and sign lists:
-        # with the per-simplex image refused, a covering document, a point
-        # source onto a simplicial rim and a Morse document still give
+    def test_commands_read_the_index_lists(self, tmp_path, capsys):
+        # the build reads each simplicial map's index and sign lists: no
+        # per-simplex image is left to call, and a covering document, a
+        # point source onto a simplicial rim and a Morse document give
         # their tables
-        def refuse(self, simplex):
-            raise AssertionError("a chain was walked simplex by simplex")
-
-        monkeypatch.setattr(SimplicialMap, "image_simplex", refuse)
+        assert not hasattr(SimplicialMap, "image_simplex")
         corpus = {name: json.loads((data_dir() / f"{name}.json")
                                    .read_text("utf-8"))
                   for name in ("s2-z2", "t2-morse-4pt")}

@@ -111,7 +111,7 @@ class TestHomologyTable:
         mc = corpus_build("s2-z2")
         table = homology_table(mc)
         assert len(table) == mc.ambient_dim + 2
-        assert [g.iso(w) for g, w in zip(table, [Z, ZERO, Z])] == [True] * 3
+        assert table[:3] == [Z, ZERO, Z]
 
     def test_degrees_argument(self):
         mc = corpus_build("t2-height")

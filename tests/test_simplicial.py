@@ -14,15 +14,19 @@ from mbhomology.simplicial import (
     chain_complex_of,
     check_covering,
     fundamental_cycle,
-    pushforward,
 )
 
 from support import (
     chain_to_vector,
+    count_walks,
     covering_lifts,
     covering_pullback,
+    cycle_chain,
+    image_simplex,
+    load_file,
     matrix_of_pullback,
     matrix_of_pushforward,
+    pushforward,
 )
 
 
@@ -37,6 +41,32 @@ def hexagon_circle():
 
 def full_2_simplex():
     return SimplicialComplexData.from_simplices([(0, 1, 2)])
+
+
+# the six-vertex real projective plane and a six-triangle annulus
+RP2 = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
+       (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]
+ANNULUS = [(0, 1, 3), (1, 3, 4), (1, 2, 4), (2, 4, 5), (0, 2, 5), (0, 3, 5)]
+
+
+def top_components(tops):
+    """A label per top simplex, equal for simplices joined by a chain of
+    shared ridges."""
+    label = list(range(len(tops)))
+
+    def find(t):
+        while label[t] != t:
+            t = label[t]
+        return t
+
+    sharing = {}
+    for t, s in enumerate(tops):
+        for ridge in combinations(s, len(s) - 1):
+            sharing.setdefault(ridge, []).append(t)
+    for first, *rest in sharing.values():
+        for t in rest:
+            label[find(t)] = find(first)
+    return [find(t) for t in range(len(tops))]
 
 
 def sphere_bd3():
@@ -68,7 +98,7 @@ class TestChainComplexOf:
         c = chain_complex_of(full_2_simplex())
         assert validate_complex(c) == []
         h0, h1, h2 = homology_at(c, range(3))
-        assert h0.iso(HomologyGroup(1, ()))
+        assert h0 == HomologyGroup(1, ())
         assert h1.is_trivial()
         assert h2.is_trivial()
 
@@ -77,17 +107,17 @@ class TestChainComplexOf:
         assert c.rank(0) == 3 and c.rank(1) == 3
         assert validate_complex(c) == []
         h0, h1 = homology_at(c, range(2))
-        assert h0.iso(HomologyGroup(1, ()))
-        assert h1.iso(HomologyGroup(1, ()))
+        assert h0 == HomologyGroup(1, ())
+        assert h1 == HomologyGroup(1, ())
 
     def test_sphere(self):
         c = chain_complex_of(sphere_bd3())
         assert validate_complex(c) == []
         # Euler characteristic 4 - 6 + 4 = 2 and connectivity pin the rest
         h0, h1, h2 = homology_at(c, range(3))
-        assert h0.iso(HomologyGroup(1, ()))
+        assert h0 == HomologyGroup(1, ())
         assert h1.is_trivial()
-        assert h2.iso(HomologyGroup(1, ()))
+        assert h2 == HomologyGroup(1, ())
 
     def test_rejects_malformed(self):
         # the constructor closes the listing under faces, so no complex
@@ -108,45 +138,38 @@ class TestChainComplexOf:
 class TestFundamentalCycle:
     def test_triangle(self):
         k = triangle_circle()
-        cyc = fundamental_cycle(k)
         # the three coherence equations force this up to global sign, and
-        # the lowest edge is normalized to +1
-        assert cyc.coefficients == {(0, 1): 1, (1, 2): 1, (0, 2): -1}
-        assert not any(boundary_of(k, 1, cyc.as_chain()))
-        assert cyc.is_closed()
+        # the lowest edge is normalized to +1; the circle has no boundary
+        assert fundamental_cycle(k) == ((1, -1, 1), ())
+        assert cycle_chain(k) == {(0, 1): 1, (1, 2): 1, (0, 2): -1}
+        assert not any(boundary_of(k, 1, cycle_chain(k)))
 
     def test_single_vertex(self):
         k = SimplicialComplexData.from_simplices([(0,)])
-        assert fundamental_cycle(k).coefficients == {(0,): 1}
+        assert fundamental_cycle(k) == ((1,), ())
 
     def test_interval_relative(self):
         k = SimplicialComplexData.from_simplices([(0, 1), (1, 2)])
-        cyc = fundamental_cycle(k)
-        assert cyc.coefficients == {(0, 1): 1, (1, 2): 1}
-        assert boundary_of(k, 1, cyc.as_chain()) == \
+        assert fundamental_cycle(k) == ((1, 1), ((0,), (2,)))
+        assert boundary_of(k, 1, cycle_chain(k)) == \
             chain_to_vector(k, 0, {(0,): -1, (2,): 1})
-        assert cyc.boundary_simplices == ((0,), (2,))
 
     def test_sphere_closed(self):
         k = sphere_bd3()
-        cyc = fundamental_cycle(k)
-        assert not any(boundary_of(k, 2, cyc.as_chain()))
-        assert set(cyc.coefficients.values()) <= {1, -1}
+        coefficients, boundary = fundamental_cycle(k)
+        assert not any(boundary_of(k, 2, cycle_chain(k)))
+        assert set(coefficients) <= {1, -1} and boundary == ()
 
     def test_relative_boundary_is_sum_of_face_cycles(self):
         # boundary of the relative cycle = signed fundamental cycles of the
         # boundary components
         k = full_2_simplex()
-        cyc = fundamental_cycle(k)
-        bdry = boundary_of(k, 2, cyc.as_chain())
-        rim = chain_to_vector(
-            k, 1, fundamental_cycle(triangle_circle()).coefficients)
+        bdry = boundary_of(k, 2, cycle_chain(k))
+        rim = chain_to_vector(k, 1, cycle_chain(triangle_circle()))
         assert bdry == rim or bdry == tuple(-c for c in rim)
 
     def test_projective_plane_not_orientable(self):
-        rp2 = SimplicialComplexData.from_simplices(
-            [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
-             (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)])
+        rp2 = SimplicialComplexData.from_simplices(RP2)
         # sanity: closed and has the Z/2 in H_1 that witnesses
         # non-orientability
         [h1] = homology_at(chain_complex_of(rp2), [1])
@@ -155,12 +178,10 @@ class TestFundamentalCycle:
             fundamental_cycle(rp2)
 
     def test_annulus_relative_cycle(self):
-        annulus = SimplicialComplexData.from_simplices(
-            [(0, 1, 3), (1, 3, 4), (1, 2, 4), (2, 4, 5), (0, 2, 5), (0, 3, 5)])
-        cyc = fundamental_cycle(annulus)
-        bdry = boundary_of(annulus, 2, cyc.as_chain())
-        assert {s for s, c in zip(annulus.simplices_of_dim(1), bdry) if c} \
-            == set(cyc.boundary_simplices)
+        annulus = SimplicialComplexData.from_simplices(ANNULUS)
+        bdry = boundary_of(annulus, 2, cycle_chain(annulus))
+        assert tuple(s for s, c in zip(annulus.simplices_of_dim(1), bdry)
+                     if c) == fundamental_cycle(annulus)[1]
         assert not any(
             chain_complex_of(annulus).boundary(1).times_vector(bdry))
 
@@ -168,6 +189,65 @@ class TestFundamentalCycle:
         k = SimplicialComplexData.from_simplices([(0, 1), (1, 2), (1, 3)])
         with pytest.raises(NoFundamentalCycle):
             fundamental_cycle(k)
+
+    def test_relabelling_changes_each_sign_by_its_sort(self):
+        # a vertex permutation sends top simplex s to sorted(perm(s)); the
+        # coefficient there is that of s times the sign of the sort, times
+        # one sign per connected component (each component's first top
+        # simplex is +1 in either labelling).  The boundary ridges go onto
+        # the relabelled ones, and RP^2 stays not orientable.  The shapes
+        # are the benchmark's grid tori, the annulus, and the annulus beside
+        # the boundary of a tetrahedron (two components)
+        tori = [load_file("perfbench/workloads.py").torus_triangles(n)
+                for n in range(3, 7)]
+        tetrahedron = list(combinations(range(6, 10), 3))
+        shapes = [*tori, ANNULUS, ANNULUS + tetrahedron]
+        seen = set()
+        for seed in range(60):
+            rng = random.Random(seed)
+            tops = shapes[seed % len(shapes)]
+            k = SimplicialComplexData.from_simplices(tops)
+            perm = rng.sample(range(k.vertex_count), k.vertex_count)
+            moved = SimplicialComplexData.from_simplices(
+                [[perm[v] for v in s] for s in tops], k.vertex_count)
+            coefficients, boundary = fundamental_cycle(k)
+            moved_coefficients, moved_boundary = fundamental_cycle(moved)
+            component = top_components(k.simplices_of_dim(k.top_dim))
+            signs = {}
+            for s, c, label in zip(k.simplices_of_dim(k.top_dim),
+                                   coefficients, component):
+                image = [perm[v] for v in s]
+                inversions = sum(a > b for i, a in enumerate(image)
+                                 for b in image[i + 1:])
+                t = moved.index_of(sorted(image))
+                sign = moved_coefficients[t] * (-1) ** inversions * c
+                assert signs.setdefault(label, sign) == sign, seed
+            seen.update(signs.values())
+            if len(set(signs.values())) > 1:
+                seen.add("components differ")
+            assert moved_boundary == tuple(sorted(
+                tuple(sorted(perm[v] for v in r)) for r in boundary)), seed
+            relabel = rng.sample(range(6), 6)
+            rp2 = SimplicialComplexData.from_simplices(
+                [[relabel[v] for v in s] for s in RP2])
+            with pytest.raises(NoFundamentalCycle, match="not orientable"):
+                fundamental_cycle(rp2)
+        assert seen == {1, -1, "components differ"}
+
+    def test_kept_on_the_complex_and_errors_are_not(self, monkeypatch):
+        # one walk per complex object, however often it is asked; an equal
+        # complex is a second object and is walked again, and a refusal is
+        # raised again on every call
+        walks = count_walks(monkeypatch)
+        k = sphere_bd3()
+        first = fundamental_cycle(k)
+        assert fundamental_cycle(k) is first and walks == [k]
+        assert fundamental_cycle(sphere_bd3()) == first and len(walks) == 2
+        bad = SimplicialComplexData.from_simplices([(0, 1), (1, 2), (1, 3)])
+        for _ in range(2):
+            with pytest.raises(NoFundamentalCycle, match="lies in 3 top"):
+                fundamental_cycle(bad)
+        assert walks[2:] == [bad, bad]
 
 
 class TestSimplicialMap:
@@ -237,7 +317,7 @@ class TestSimplicialMap:
                 seen.add("refused")
                 continue
             f = SimplicialMap(source, target, image)
-            assert {s: f.image_simplex(s) for s in want} == want, seed
+            assert {s: image_simplex(f, s) for s in want} == want, seed
             seen.add(kind)
             seen.update(sign for _, sign in want.values())
         assert seen == {"increasing", "decreasing", "constant",
@@ -259,9 +339,8 @@ class TestPushforward:
 
     def test_hexagon_double_cover(self):
         f = hexagon_to_triangle()
-        cyc = fundamental_cycle(hexagon_circle())
-        doubled = pushforward(f, cyc.as_chain())
-        base = fundamental_cycle(triangle_circle()).coefficients
+        doubled = pushforward(f, cycle_chain(hexagon_circle()))
+        base = cycle_chain(triangle_circle())
         assert doubled == {s: 2 * c for s, c in base.items()}
 
     def test_orientation_sign(self):
@@ -294,10 +373,9 @@ class TestCoveringPullback:
         f = SimplicialMap(two, triangle_circle(),
                           vertex_image=[0, 1, 2, 0, 1, 2])
         assert sheets(f) == 2
-        base = fundamental_cycle(triangle_circle()).as_chain()
+        base = cycle_chain(triangle_circle())
         lifted = covering_pullback(f, base)
-        top = fundamental_cycle(two).coefficients
-        assert lifted == top
+        assert lifted == cycle_chain(two)
 
     def test_rejects_collapse(self):
         k = SimplicialComplexData.from_simplices([(0, 1)])
@@ -317,7 +395,7 @@ class TestCoveringPullback:
 
     def test_pushforward_of_pullback_scales_by_sheets(self):
         f = hexagon_to_triangle()
-        base = fundamental_cycle(triangle_circle()).as_chain()
+        base = cycle_chain(triangle_circle())
         assert pushforward(f, covering_pullback(f, base)) == \
             {s: 2 * c for s, c in base.items()}
 
@@ -371,16 +449,15 @@ class TestChainMapProperties:
         # here check a degree-1 simplicial circle map
         tri = triangle_circle()
         g = SimplicialMap(tri, tri, vertex_image=[1, 2, 0])
-        pushed = pushforward(g, fundamental_cycle(tri).as_chain())
-        target = fundamental_cycle(tri).coefficients
+        pushed = pushforward(g, cycle_chain(tri))
+        target = cycle_chain(tri)
         assert pushed in (target, {s: -c for s, c in target.items()})
 
 
 class TestVectorHelpers:
     def test_chain_to_vector_roundtrip(self):
         k = triangle_circle()
-        cyc = fundamental_cycle(k).as_chain()
-        vec = chain_to_vector(k, 1, cyc)
+        vec = chain_to_vector(k, 1, cycle_chain(k))
         assert vec == (1, -1, 1)  # edges sorted (0,1), (0,2), (1,2)
 
     def test_pushforward_matrix_shapes(self):

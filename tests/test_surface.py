@@ -19,9 +19,8 @@ PUBLIC = {
     # chain
     "ChainComplex", "HomologyGroup", "validate_complex", "homology_at",
     # simplicial
-    "SimplicialComplexData", "SimplicialMap", "OrientedCycle",
-    "NoFundamentalCycle", "CoveringError", "chain_complex_of",
-    "fundamental_cycle", "pushforward",
+    "SimplicialComplexData", "SimplicialMap", "NoFundamentalCycle",
+    "CoveringError", "chain_complex_of", "fundamental_cycle",
     # multicomplex and pipeline
     "MBSMulticomplex", "MulticomplexReport", "InvalidMulticomplex",
     "validate_multicomplex", "totalize", "homology_table",
