@@ -1,14 +1,18 @@
-"""In-process timing of the read, the build and the whole `homology --json`
-call on seeded `bott-twist` benchmark documents (perfbench/workloads.py)
-at n = 8, 16 and 32, the sizes at which the covering d[1] is a large share
-of a call.
+"""In-process timing of the read, the build, the validation and the whole
+`homology --json` call on seeded benchmark documents (perfbench/workloads.py):
+`torus-grid` at n = 20, 40 and 80, one simplicial row whose cost is per
+simplex, and `bott-twist` at n = 8, 16 and 32, where the covering d[1] is a
+large share of a call.
 
 Each stage is timed as the best of `--repeat` runs on the document of
-seed 1, call 0, written to a temporary file:
+seed 1, call 0, written to a temporary file, with the garbage collector
+off inside each timed run (a collection is made before it), since with it
+on whole-call times swing by about 15% on a busy host:
 
 - load: `schema.presentation_from_file`, which reads and checks the file;
 - build: `build_multicomplex(presentation, check=False)`, as the command
   line calls it;
+- validate: `validate_multicomplex` on that build;
 - whole: `cli.main(["homology", FILE, "--json"])`, its output discarded.
 
 The documents do not depend on the program, so two checkouts time the
@@ -18,6 +22,7 @@ same inputs: run it in both, alternately, and compare.
 """
 
 import argparse
+import gc
 import io
 import json
 import sys
@@ -32,17 +37,23 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import workloads  # noqa: E402
 from mbhomology import cli  # noqa: E402
 from mbhomology.flowdata import build_multicomplex  # noqa: E402
+from mbhomology.multicomplex import validate_multicomplex  # noqa: E402
 from mbhomology.schema import presentation_from_file  # noqa: E402
 
-SIZES = (8, 16, 32)
+SIZES = {"torus-grid": (20, 40, 80), "bott-twist": (8, 16, 32)}
 
 
 def best_ms(repeat, run):
     times = []
     for _ in range(repeat):
-        start = perf_counter()
-        run()
-        times.append(perf_counter() - start)
+        gc.collect()
+        gc.disable()
+        try:
+            start = perf_counter()
+            run()
+            times.append(perf_counter() - start)
+        finally:
+            gc.enable()
     return 1000 * min(times)
 
 
@@ -56,17 +67,22 @@ def main(argv=None):
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        for n in SIZES:
-            doc = workloads.make("bott-twist", 1, 0, size=n)[0]
-            path = str(Path(tmp) / f"bott-twist-{n}.json")
-            Path(path).write_text(json.dumps(doc), encoding="utf-8")
-            fp = presentation_from_file(path)[0]
-            load = best_ms(args.repeat, lambda: presentation_from_file(path))
-            build = best_ms(args.repeat,
-                            lambda: build_multicomplex(fp, check=False))
-            call = best_ms(args.repeat, lambda: whole(path))
-            print(f"bott-twist n={n:<3} load {load:7.1f} ms  "
-                  f"build {build:7.1f} ms  whole {call:7.1f} ms")
+        for workload, sizes in SIZES.items():
+            for n in sizes:
+                doc = workloads.make(workload, 1, 0, size=n)[0]
+                path = str(Path(tmp) / f"{workload}-{n}.json")
+                Path(path).write_text(json.dumps(doc), encoding="utf-8")
+                fp = presentation_from_file(path)[0]
+                mc = build_multicomplex(fp, check=False)
+                load = best_ms(args.repeat,
+                               lambda: presentation_from_file(path))
+                build = best_ms(args.repeat,
+                                lambda: build_multicomplex(fp, check=False))
+                check = best_ms(args.repeat, lambda: validate_multicomplex(mc))
+                call = best_ms(args.repeat, lambda: whole(path))
+                print(f"{workload:<10} n={n:<3} load {load:7.1f} ms  "
+                      f"build {build:7.1f} ms  validate {check:7.1f} ms  "
+                      f"whole {call:7.1f} ms")
 
 
 if __name__ == "__main__":

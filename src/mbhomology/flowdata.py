@@ -37,7 +37,7 @@ from .simplicial import (
     NoFundamentalCycle,
     SimplicialComplexData,
     SimplicialMap,
-    chain_complex_of,
+    boundary_matrix,
     check_covering,
     fundamental_cycle,
 )
@@ -218,6 +218,8 @@ def build_multicomplex(fp, check=True):
     filled in one pass over the domain simplices of each column; a
     covering is checked by counts (simplicial.check_covering), and a
     domain object is oriented once, however many components share it.
+    The multicomplex is marked as built, so that validate_multicomplex
+    forms D o D only in the degrees a moduli map reaches.
     """
     problems = fp.validate()
     if problems:
@@ -239,14 +241,11 @@ def build_multicomplex(fp, check=True):
                 if p and p % 2 == 0:
                     maps[(0, p, i)] = eye
             continue
-        row = chain_complex_of(model.complex)
-        for p, r in row.ranks.items():
-            if r:
-                row_ranks[(p, i)] = r
-        for p, d in row.boundaries.items():
-            if not d.is_zero():
-                sign = -1 if (p + i) % 2 else 1
-                maps[(0, p, i)] = d.scaled(sign)
+        k = model.complex
+        for p, level in k.simplices_by_dim.items():
+            row_ranks[(p, i)] = len(level)
+        for p in range(1, k.top_dim + 1):
+            maps[(0, p, i)] = boundary_matrix(k, p, (-1) ** (p + i))
 
     # accumulate moduli contributions into sparse columns, each scaled by
     # the component's sign and multiplicity
@@ -312,6 +311,8 @@ def build_multicomplex(fp, check=True):
             maps[key] = mat
 
     mc = MBSMulticomplex(ambient_dim=fp.dim, row_ranks=row_ranks, maps=maps)
+    # every d[0] above is a signed boundary or +-I into a zero column
+    mc._d0_squares_to_zero = True
     if check:
         report = validate_multicomplex(mc)
         if not report.ok:

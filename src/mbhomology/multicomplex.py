@@ -8,7 +8,12 @@ laid out once, when the multicomplex is built.  The anticommutation identity
     sum_{q=0..j} d[q] o d[j-q] = 0        for every j, at every bidegree,
 
 is the block of D o D from (p, i) to (p+j-2, i-j), so validity is the one
-condition D o D = 0.
+condition D o D = 0.  On a multicomplex from flowdata.build_multicomplex,
+d[0] o d[0] = 0 holds by construction: each d[0] block is a signed
+simplicial boundary, or +-I from an even column of a point row to the odd
+column below it, where d[0] is zero.  So only a total degree k where D_k or
+D_(k-1) holds a d[j] with j >= 1 can fail, and the validator forms
+D_(k-1) o D_k only there; a hand-built multicomplex gets every product.
 """
 
 from bisect import bisect_right
@@ -36,6 +41,8 @@ class MBSMulticomplex:
     complex `complex` (CB_k the sum over p + i = k), from block (p, i) to
     block (p+j-1, i-j).  Generator t of block (p, i) is total generator
     block_offsets[(p, i)] + t, and blocks are ordered by increasing p.
+    A degree whose one nonzero map has the degree's full shape has that
+    matrix itself as its boundary; no IntMatrix is ever mutated.
     maps and row_ranks are read-only copies, so the total cannot drift
     from them.  Point names are the flow presentation's, not kept here.
     """
@@ -53,7 +60,7 @@ class MBSMulticomplex:
             if r:
                 offsets[(p, i)] = ranks.get(p + i, 0)
                 ranks[p + i] = offsets[(p, i)] + r
-        entries = {}
+        placed = {}  # total degree -> [(j, p, i, nonzero map)]
         for (j, p, i), mat in self.maps.items():
             if j < 0 or j > m:
                 raise ValueError(f"map index j={j} outside 0..{m}")
@@ -64,19 +71,27 @@ class MBSMulticomplex:
             if mat.shape != want:
                 raise ValueError(f"d[{j}] at (p={p}, i={i}) has shape "
                                  f"{mat.shape}, expected {want}")
-            if mat.is_zero():
-                continue
-            k = p + i
-            columns = entries.setdefault(k, [{} for _ in range(ranks[k])])
-            r0, c0 = offsets[(p + j - 1, i - j)], offsets[(p, i)]
-            for out, col in zip(columns[c0:c0 + mat.cols], mat.columns):
-                for r, x in col.items():
-                    out[r0 + r] = x
+            if not mat.is_zero():
+                placed.setdefault(p + i, []).append((j, p, i, mat))
         self.block_offsets = offsets
-        # every entry is a nonzero entry of a map of checked shape
-        self.complex = ChainComplex(ranks=ranks, boundaries={
-            k: IntMatrix._of(ranks[k - 1], ranks[k], columns)
-            for k, columns in entries.items()})
+        # set by the builder, whose d[0] squares to zero (module docstring)
+        self._d0_squares_to_zero = False
+        boundaries = {}
+        for k, blocks in placed.items():
+            shape = (ranks.get(k - 1, 0), ranks[k])
+            if len(blocks) == 1 and blocks[0][3].shape == shape:
+                # one map fills the degree; an IntMatrix is never mutated
+                boundaries[k] = blocks[0][3]
+                continue
+            columns = [{} for _ in range(ranks[k])]
+            for j, p, i, mat in blocks:
+                r0, c0 = offsets[(p + j - 1, i - j)], offsets[(p, i)]
+                for out, col in zip(columns[c0:c0 + mat.cols], mat.columns):
+                    for r, x in col.items():
+                        out[r0 + r] = x
+            # every entry is a nonzero entry of a map of checked shape
+            boundaries[k] = IntMatrix._of(*shape, columns)
+        self.complex = ChainComplex(ranks=ranks, boundaries=boundaries)
 
     @property
     def column_cap(self):
@@ -115,6 +130,10 @@ def validate_multicomplex(mc):
     and target block (p', i') give the residual for j = i - i' at (p, i).
     Failures come by source (i, p), then j, each with its residual matrix.
     The constructor has refused every mis-shaped map.
+
+    On a build, a degree k where neither D_k nor D_(k-1) holds a d[j] with
+    j >= 1 is skipped: its product is d[0] o d[0], zero by construction
+    (module docstring).  A hand-built multicomplex gets every product.
     """
     cx = mc.complex
     blocks = {}  # total degree -> [(offset, p, i)], by increasing p
@@ -128,9 +147,12 @@ def validate_multicomplex(mc):
         end = at[b + 1][0] if b + 1 < len(at) else cx.rank(k)
         return at[b][1], at[b][2], end - at[b][0], n - at[b][0]
 
+    # total degrees whose boundary may hold a d[j] with j >= 1
+    moduli = {p + i for j, p, i in mc.maps if j}
     found = {}  # (i, p, j) -> (rows, cols, {column: {row: entry}})
     for k in cx.boundaries:
-        if k - 1 not in cx.boundaries:
+        if k - 1 not in cx.boundaries or (mc._d0_squares_to_zero and
+                                          not {k, k - 1} & moduli):
             continue
         for n, col in enumerate((cx.boundary(k - 1) @ cx.boundary(k)).columns):
             if not col:

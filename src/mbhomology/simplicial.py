@@ -9,7 +9,7 @@ are index arithmetic.  Chains keyed by simplex are test references.
 """
 
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations, groupby, repeat
 
 from .chain import ChainComplex
 from .exactalg import IntMatrix
@@ -32,11 +32,10 @@ def _close(by_dim):
     """Add to `by_dim`, {dimension: set of increasing simplices}, the
     facets of each simplex, from the top dimension down, so it is closed
     under faces.  `combinations` gives the facets of an increasing tuple
-    as increasing tuples."""
+    as increasing tuples, one C-level pass per dimension."""
     for d in range(max(by_dim, default=0), 0, -1):
-        below = by_dim.setdefault(d - 1, set())
-        for s in by_dim.get(d, ()):
-            below.update(combinations(s, d))
+        by_dim.setdefault(d - 1, set()).update(chain.from_iterable(
+            map(combinations, by_dim.get(d, ()), repeat(d))))
 
 
 class SimplicialComplexData:
@@ -46,14 +45,17 @@ class SimplicialComplexData:
     The vertex order provides orientations.  Basis order within each
     dimension is lexicographic, so chain-level constructions downstream are
     deterministic.  The constructor takes simplices in any vertex order,
-    repeats allowed, and normalizes each in one loop that also notes a
-    vertex outside 0 .. vertex_count - 1.  It refuses an empty simplex,
-    then, after that loop and before the closure (an n-vertex simplex has
-    2^n - 1 faces), an outside vertex, naming the lowest.  It closes the
-    listing with `_close`, stores `top_dim` (-1 when empty) and fills the
-    facet table: `_facets[d][t]` holds the indices, in dimension d - 1, of
-    the facets of simplex t of dimension d, facet i omitting vertex i.
-    `_cycle` holds the result of `fundamental_cycle` once it is found.
+    repeats allowed.  A list or tuple of lists or tuples of ints (the
+    reader's listings) is normalized in C-level passes; any other listing
+    goes through `int` vertex by vertex, in listing order, so its
+    conversion errors are raised as `int` raises them.  It refuses an empty
+    simplex, then, before the closure (an n-vertex simplex has 2^n - 1
+    faces), a vertex outside 0 .. vertex_count - 1, naming the lowest.  It
+    closes the listing with `_close`, stores `top_dim` (-1 when empty) and
+    fills the facet table, one pass per dimension: `_facets[d][t]` holds
+    the indices, in dimension d - 1, of the facets of simplex t of
+    dimension d, facet i omitting vertex i.  `_cycle` holds the result of
+    `fundamental_cycle` once it is found.
 
     >>> k = SimplicialComplexData(3, [(0, 2, 1)])
     >>> len(list(k.all_simplices())), k._facets[2]
@@ -69,20 +71,26 @@ class SimplicialComplexData:
 
     def __init__(self, vertex_count, simplices):
         self.vertex_count = vertex_count
-        by_dim = {}
-        outside = []
-        for s in simplices:
-            s = tuple(sorted(set(map(int, s))))
-            if not s:
+        if type(simplices) in (list, tuple) and \
+                {list, tuple}.issuperset(map(type, simplices)) and \
+                {int}.issuperset(map(type, chain.from_iterable(simplices))):
+            listed = set(map(tuple, map(sorted, map(set, simplices))))
+            if () in listed:
                 raise ValueError("empty simplex")
-            if s[0] < 0 or s[-1] >= vertex_count:
-                outside.append(s)
-            by_dim.setdefault(len(s) - 1, set()).add(s)
-        if outside:
-            low = min(v for s in outside for v in s
-                      if not 0 <= v < vertex_count)
+        else:
+            listed = set()
+            for s in simplices:
+                s = tuple(sorted(set(map(int, s))))
+                if not s:
+                    raise ValueError("empty simplex")
+                listed.add(s)
+        used = set(chain.from_iterable(listed))
+        if used and (min(used) < 0 or max(used) >= vertex_count):
+            low = min(v for v in used if not 0 <= v < vertex_count)
             raise ValueError(f"malformed complex: {(low,)} uses vertices "
                              "outside range")
+        by_dim = {n - 1: set(group) for n, group in
+                  groupby(sorted(listed, key=len), len)}
         _close(by_dim)
         self.simplices_by_dim = {d: tuple(sorted(by_dim[d]))
                                  for d in sorted(by_dim)}
@@ -93,9 +101,12 @@ class SimplicialComplexData:
         for d, level in self.simplices_by_dim.items():
             index.update(zip(level, range(len(level))))
             if d > 0:
-                self._facets[d] = tuple(
-                    tuple(map(index.__getitem__, combinations(s, d)))[::-1]
-                    for s in level)
+                # facet i omits vertex i, and combinations omits the last
+                # vertex first: cut the reversed indices into (d + 1)-tuples
+                flat = list(map(index.__getitem__, chain.from_iterable(
+                    map(combinations, level, repeat(d)))))
+                flat.reverse()
+                self._facets[d] = tuple(zip(*[iter(flat)] * (d + 1)))[::-1]
 
     @classmethod
     def from_simplices(cls, simplices, vertex_count=None):
@@ -190,6 +201,16 @@ def _sort_sign(values):
     return sign
 
 
+def boundary_matrix(k, d, sign):
+    """`sign` times the boundary of the d-simplices of `k`, d >= 1: facet
+    i of each simplex at sign * (-1)^i, in one C-level pass over the facet
+    table (the facets of a simplex are distinct rows)."""
+    signs = [sign * (-1) ** i for i in range(d + 1)]
+    return IntMatrix._of(len(k.simplices_of_dim(d - 1)),
+                         len(k.simplices_of_dim(d)),
+                         map(dict, map(zip, k._facets[d], repeat(signs))))
+
+
 def chain_complex_of(k):
     """Simplicial chain complex: face sums with alternating signs.
 
@@ -198,15 +219,10 @@ def chain_complex_of(k):
     >>> [c.rank(0), c.rank(1)]
     [3, 3]
     """
-    ranks = {d: len(k.simplices_of_dim(d)) for d in range(k.top_dim + 1)}
-    boundaries = {}
-    for d in range(1, k.top_dim + 1):
-        # the facets of a simplex are distinct rows, each with sign +-1
-        signs = [(-1) ** i for i in range(d + 1)]
-        boundaries[d] = IntMatrix._of(
-            ranks[d - 1], ranks[d],
-            (dict(zip(facets, signs)) for facets in k._facets[d]))
-    return ChainComplex(ranks=ranks, boundaries=boundaries)
+    return ChainComplex(
+        ranks={d: len(k.simplices_of_dim(d)) for d in range(k.top_dim + 1)},
+        boundaries={d: boundary_matrix(k, d, 1)
+                    for d in range(1, k.top_dim + 1)})
 
 
 def fundamental_cycle(k):

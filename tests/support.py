@@ -164,6 +164,28 @@ def forbid_dense_rows(monkeypatch):
     return built
 
 
+def listed_by_dim(vertex_count, simplices):
+    """{dimension: set of increasing simplices} of a listing before its
+    closure, by the one Python loop that SimplicialComplexData once ran on
+    every listing: `int` on each vertex in listing order, an empty simplex
+    refused where it stands, then the lowest vertex outside the range."""
+    by_dim = {}
+    outside = []
+    for s in simplices:
+        s = tuple(sorted(set(map(int, s))))
+        if not s:
+            raise ValueError("empty simplex")
+        if s[0] < 0 or s[-1] >= vertex_count:
+            outside.append(s)
+        by_dim.setdefault(len(s) - 1, set()).add(s)
+    if outside:
+        low = min(v for s in outside for v in s
+                  if not 0 <= v < vertex_count)
+        raise ValueError(f"malformed complex: {(low,)} uses vertices "
+                         "outside range")
+    return by_dim
+
+
 def image_simplex(f, s):
     """(target simplex, sign) of a source simplex of the simplicial map
     `f`, read from its index and sign lists, or (None, 0) when the image is

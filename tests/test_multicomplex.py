@@ -1,3 +1,4 @@
+import copy
 import random
 import sys
 from pathlib import Path
@@ -131,6 +132,46 @@ class TestValidate:
         assert mc.complex.ranks == {0: 1, 1: 1}
         assert mc.complex.boundary(1) == IntMatrix.from_rows([[2]])
 
+    def test_a_build_forms_d_squared_only_where_a_moduli_map_is(
+            self, monkeypatch):
+        # a build's d[0] squares to zero, so only a degree where D_k or
+        # D_(k-1) holds a d[j] with j >= 1 is multiplied: none on one
+        # simplicial row, and on bott-twist every product that the same
+        # maps, hand-built, get
+        products = []
+        matmul = IntMatrix.__matmul__
+
+        def counted(a, b):
+            products.append(a.shape)
+            return matmul(a, b)
+
+        monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+        for workload, built, whole in (("torus-grid", 0, 1),
+                                       ("bott-twist", 2, 2)):
+            doc = workloads.make(workload, 1, 0)[0]
+            mc = build_multicomplex(presentation_from_doc(doc), check=False)
+            for m, want in ((mc, built), (MBSMulticomplex(
+                    mc.ambient_dim, mc.row_ranks, mc.maps), whole)):
+                products.clear()
+                assert validate_multicomplex(m).ok
+                assert len(products) == want, workload
+
+    def test_hand_built_d0_square_is_still_checked(self):
+        # only a build's d[0] is known to square to zero: a hand-built
+        # multicomplex whose one failure is a d[0] o d[0] block reports it
+        # with its residual
+        mc = single_row_mc(sphere_model(), ambient_dim=2)
+        d0 = mc.maps[(0, 2, 0)]
+        rows = [list(r) for r in d0.data]
+        rows[0][0] = -rows[0][0]
+        bad = MBSMulticomplex(
+            ambient_dim=2, row_ranks=dict(mc.row_ranks),
+            maps={**mc.maps, (0, 2, 0): IntMatrix(d0.rows, d0.cols, rows)})
+        [(j, p, i, residual)] = validate_multicomplex(bad).identity_failures
+        assert (j, p, i) == (0, 2, 0)
+        assert residual == bad.map(0, 1, 0) @ bad.map(0, 2, 0)
+        assert not residual.is_zero()
+
     def test_rejects_j_above_row(self):
         with pytest.raises(ValueError):
             MBSMulticomplex(ambient_dim=2, row_ranks={(0, 0): 1},
@@ -220,6 +261,14 @@ class TestTotalize:
         for k in range(1, 3):
             expected = row.boundary(k).scaled(-1 if k % 2 else 1)
             assert view.complex.boundary(k) == expected
+        # a build lays out the same signed row, at an even and an odd index
+        for i, model in ((0, sphere_model()), (1, triangle())):
+            built = build_multicomplex(FlowPresentation(
+                2, (CritModel(i, complex=model),)))
+            row = chain_complex_of(model)
+            assert dict(built.maps) == {
+                (0, p, i): row.boundary(p).scaled((-1) ** (p + i))
+                for p in range(1, model.top_dim + 1)}
 
     def test_two_point_rows_block_assembly(self):
         # two full point rows joined by a single flow-line count: the total
@@ -283,6 +332,26 @@ class TestHomologyTable:
         table = homology_table(build_multicomplex(s2_z2_presentation()))
         assert [h.betti for h in table[:3]] == [1, 0, 1]
         assert all(not h.torsion for h in table[:3])
+
+    def test_maps_and_boundaries_unchanged_by_a_table(self):
+        # a degree whose one map has its full shape shares that matrix as
+        # its total boundary, so nothing downstream may mutate either
+        shared = 0
+        for workload in ("torus-grid", "morse-random", "bott-twist",
+                         "dim-padded"):
+            for call in range(3):
+                doc = workloads.make(workload, 2, call)[0]
+                fp = morse_to_flow(morse_from_doc(doc)) \
+                    if doc["kind"] == "morse" else presentation_from_doc(doc)
+                mc = build_multicomplex(fp, check=False)
+                maps = copy.deepcopy(dict(mc.maps))
+                boundaries = copy.deepcopy(mc.complex.boundaries)
+                shared += sum(any(b is m for m in mc.maps.values())
+                              for b in mc.complex.boundaries.values())
+                homology_table(mc)
+                assert dict(mc.maps) == maps, (workload, call)
+                assert mc.complex.boundaries == boundaries, (workload, call)
+        assert shared > 10
 
     def test_invalid_rejected(self):
         mc = build_multicomplex(s2_z2_presentation())

@@ -23,6 +23,7 @@ from support import (
     covering_pullback,
     cycle_chain,
     image_simplex,
+    listed_by_dim,
     load_file,
     matrix_of_pullback,
     matrix_of_pushforward,
@@ -505,6 +506,47 @@ class TestFacetTable:
                 assert other == k, (seed, variant)
                 assert other._index == k._index, (seed, variant)
                 assert other._facets == k._facets, (seed, variant)
+
+    def test_listings_normalize_as_the_reference_loop(self):
+        # a list or tuple of lists or tuples of ints takes the C-level
+        # passes, any other listing the loop of int conversions; both give
+        # the closure of what support.listed_by_dim reads, with every vertex
+        # an int, or refuse with its exception and text
+        listings = []
+        for seed in range(100):
+            listed = random_listed(random.Random(seed))
+            n = 1 + max(map(max, listed))
+            listings += [(n, listed), (n, [list(s) for s in listed]),
+                         (n, tuple(map(list, listed))), (n - 1, listed)]
+        listings += [
+            (3, [[True, False], [True]]), (3, [(0, 2), [False, 1]]),
+            (3, [["0", "2"], ["1", " 2 "]]), (4, [[0.0, 2.9], [3.5, 1.0]]),
+            (3, [range(3), {1, 0}]), (3, ((0, 1), (1, 2), (2, 0))),
+            (3, [[], [-1]]), (3, [[-1], [5]]), (3, [[5], ["x"]]),
+            (3, [[0], [None]]), (3, [[0], 1]), (3, [[0], []]),
+            (3, [[0, 1], [1.5, -2]]), (0, []), (2, [[1, 1, 0], (0, 0)]),
+        ]
+        for n, listing in listings:
+            try:
+                by_dim = listed_by_dim(n, listing)
+            except (TypeError, ValueError) as err:
+                with pytest.raises(type(err)) as got:
+                    SimplicialComplexData(n, listing)
+                assert str(got.value) == str(err), listing
+                continue
+            faces = {face for level in by_dim.values() for s in level
+                     for size in range(1, len(s) + 1)
+                     for face in combinations(s, size)}
+            k = SimplicialComplexData(n, listing)
+            assert set(k.all_simplices()) == faces, listing
+            assert {type(v) for s in k.all_simplices() for v in s} <= {int}
+        for n, listing, message in (
+                (3, [[], [-1]], "empty simplex"),
+                (3, [[-1], [5]], "malformed complex: (-1,) uses vertices "
+                 "outside range")):
+            with pytest.raises(ValueError) as err:
+                SimplicialComplexData(n, listing)
+            assert str(err.value) == message
 
     def test_top_dim_is_stored_by_the_constructor(self):
         # -1 for an empty complex, otherwise the highest dimension listed,
