@@ -45,12 +45,11 @@ class SimplicialComplexData:
     The vertex order provides orientations.  Basis order within each
     dimension is lexicographic, so chain-level constructions downstream are
     deterministic.  The constructor takes simplices in any vertex order,
-    repeats allowed.  A list or tuple of lists or tuples of ints (the
-    reader's listings) is normalized in C-level passes; any other listing
-    goes through `int` vertex by vertex, in listing order, so its
-    conversion errors are raised as `int` raises them.  It refuses an empty
-    simplex, then, before the closure (an n-vertex simplex has 2^n - 1
-    faces), a vertex outside 0 .. vertex_count - 1, naming the lowest.  It
+    repeats allowed.  Every listing is normalized in C-level passes that
+    apply `int` to each vertex in listing order, so a conversion error is
+    raised first, as `int` raises it.  It then refuses an empty simplex,
+    then, before the closure (an n-vertex simplex has 2^n - 1 faces), a
+    vertex outside 0 .. vertex_count - 1, naming the lowest.  It
     closes the listing with `_close`, stores `top_dim` (-1 when empty) and
     fills the facet table, one pass per dimension: `_facets[d][t]` holds
     the indices, in dimension d - 1, of the facets of simplex t of
@@ -71,19 +70,10 @@ class SimplicialComplexData:
 
     def __init__(self, vertex_count, simplices):
         self.vertex_count = vertex_count
-        if type(simplices) in (list, tuple) and \
-                {list, tuple}.issuperset(map(type, simplices)) and \
-                {int}.issuperset(map(type, chain.from_iterable(simplices))):
-            listed = set(map(tuple, map(sorted, map(set, simplices))))
-            if () in listed:
-                raise ValueError("empty simplex")
-        else:
-            listed = set()
-            for s in simplices:
-                s = tuple(sorted(set(map(int, s))))
-                if not s:
-                    raise ValueError("empty simplex")
-                listed.add(s)
+        listed = set(map(tuple, map(sorted, map(set, map(
+            map, repeat(int), simplices)))))
+        if () in listed:
+            raise ValueError("empty simplex")
         used = set(chain.from_iterable(listed))
         if used and (min(used) < 0 or max(used) >= vertex_count):
             low = min(v for v in used if not 0 <= v < vertex_count)

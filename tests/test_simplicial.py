@@ -508,10 +508,9 @@ class TestFacetTable:
                 assert other._facets == k._facets, (seed, variant)
 
     def test_listings_normalize_as_the_reference_loop(self):
-        # a list or tuple of lists or tuples of ints takes the C-level
-        # passes, any other listing the loop of int conversions; both give
-        # the closure of what support.listed_by_dim reads, with every vertex
-        # an int, or refuse with its exception and text
+        # the C-level passes give the closure of what support.listed_by_dim
+        # reads, with every vertex an int, or refuse with its exception and
+        # text, on tuples, lists and listings that only int() accepts
         listings = []
         for seed in range(100):
             listed = random_listed(random.Random(seed))
@@ -543,7 +542,11 @@ class TestFacetTable:
         for n, listing, message in (
                 (3, [[], [-1]], "empty simplex"),
                 (3, [[-1], [5]], "malformed complex: (-1,) uses vertices "
-                 "outside range")):
+                 "outside range"),
+                # every vertex is converted before the empty simplex is
+                # refused, where the reference loop stops at the empty one
+                (3, [[], ["x"]], "invalid literal for int() with base 10: "
+                 "'x'")):
             with pytest.raises(ValueError) as err:
                 SimplicialComplexData(n, listing)
             assert str(err.value) == message
