@@ -1,8 +1,10 @@
-"""In-process timing of the read, the build, the validation and the whole
-`homology --json` call on seeded benchmark documents (perfbench/workloads.py):
-`torus-grid` at n = 20, 40 and 80, one simplicial row whose cost is per
-simplex, and `bott-twist` at n = 8, 16 and 32, where the covering d[1] is a
-large share of a call.
+"""In-process timing of the read, the build, the validation, the report
+and the whole `homology --json` call on seeded benchmark documents
+(perfbench/workloads.py): `torus-grid` at n = 20, 40 and 80, one simplicial
+row whose cost is per simplex; `bott-twist` at n = 8, 16 and 32, where the
+covering d[1] is a large share of a call; and `dim-padded` at dim n = 55,
+550 and 5500, a shipped presentation whose report has one row per degree
+0..dim.
 
 Each stage is timed as the best of `--repeat` runs on the document of
 seed 1, call 0, written to a temporary file, with the garbage collector
@@ -13,6 +15,8 @@ on whole-call times swing by about 15% on a busy host:
 - build: `build_multicomplex(presentation, check=False)`, as the command
   line calls it;
 - validate: `validate_multicomplex` on that build;
+- report: from the homology table in degrees 0..dim to the JSON text,
+  `group_to_data` for each degree and `canonical_json` of the result;
 - whole: `cli.main(["homology", FILE, "--json"])`, its output discarded.
 
 The documents do not depend on the program, so two checkouts time the
@@ -38,9 +42,14 @@ import workloads  # noqa: E402
 from mbhomology import cli  # noqa: E402
 from mbhomology.flowdata import build_multicomplex  # noqa: E402
 from mbhomology.multicomplex import validate_multicomplex  # noqa: E402
-from mbhomology.schema import presentation_from_file  # noqa: E402
+from mbhomology.pipeline import homology_table  # noqa: E402
+from mbhomology.schema import (  # noqa: E402
+    canonical_json,
+    presentation_from_file,
+)
 
-SIZES = {"torus-grid": (20, 40, 80), "bott-twist": (8, 16, 32)}
+SIZES = {"torus-grid": (20, 40, 80), "bott-twist": (8, 16, 32),
+         "dim-padded": (55, 550, 5500)}
 
 
 def best_ms(repeat, run):
@@ -55,6 +64,12 @@ def best_ms(repeat, run):
         finally:
             gc.enable()
     return 1000 * min(times)
+
+
+def report(mc, table):
+    dim = mc.ambient_dim
+    return canonical_json({"valid": True, "homology": [
+        cli.group_to_data(k, group, dim) for k, group in enumerate(table)]})
 
 
 def whole(path):
@@ -79,10 +94,12 @@ def main(argv=None):
                 build = best_ms(args.repeat,
                                 lambda: build_multicomplex(fp, check=False))
                 check = best_ms(args.repeat, lambda: validate_multicomplex(mc))
+                table = homology_table(mc, range(mc.ambient_dim + 1))
+                text = best_ms(args.repeat, lambda: report(mc, table))
                 call = best_ms(args.repeat, lambda: whole(path))
-                print(f"{workload:<10} n={n:<3} load {load:7.1f} ms  "
+                print(f"{workload:<10} n={n:<4} load {load:7.1f} ms  "
                       f"build {build:7.1f} ms  validate {check:7.1f} ms  "
-                      f"whole {call:7.1f} ms")
+                      f"report {text:7.2f} ms  whole {call:7.1f} ms")
 
 
 if __name__ == "__main__":

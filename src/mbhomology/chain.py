@@ -104,7 +104,8 @@ class HomologyGroup:
 
 
 def homology_at(c, degrees):
-    """Homology of a complex in each of `degrees`, one group per degree.
+    """Homology of a complex in each of `degrees`, one group per degree;
+    degrees with equal groups share one object within a call.
 
     betti_k = rank C_k - rank d_k - rank d_{k+1}; the torsion is the
     invariant factors above 1 of d_{k+1}, since C_k / ker d_k is free.  Each
@@ -138,6 +139,8 @@ def homology_at(c, degrees):
             continue
         cleared = set(pivots) if pivots and k + 1 in factors else ()
         factors[k], pivots = _reduce(c.boundaries[k], cleared)
-    return [HomologyGroup(
-        betti=c.rank(k) - len(factors[k]) - len(factors[k + 1]),
-        torsion=tuple(x for x in factors[k + 1] if x > 1)) for k in degrees]
+    keys = [(c.rank(k) - len(factors[k]) - len(factors[k + 1]),
+             tuple(x for x in factors[k + 1] if x > 1) if factors[k + 1]
+             else ()) for k in degrees]
+    groups = {key: HomologyGroup(*key) for key in set(keys)}
+    return [groups[key] for key in keys]

@@ -69,10 +69,11 @@ def validation_to_data(report):
 
 
 def _emit(out, json_doc, text, as_json):
+    """Write `json_doc` as canonical JSON, else what `text()` returns."""
     if as_json:
         out.write(canonical_json(json_doc))
     else:
-        out.write(text + "\n")
+        out.write(text() + "\n")
 
 
 def _input_failure(exc, path):
@@ -104,9 +105,9 @@ def _load(path, morse=False):
 def _report(report, stream, as_json, heading=""):
     """Write a validation report and return its exit code."""
     verdict = "valid" if report.ok else "INVALID"
-    text = "\n".join([f"{heading}multicomplex: {verdict}",
-                      *(f"  {line}" for line in report.describe())])
-    _emit(stream, validation_to_data(report), text, as_json)
+    _emit(stream, validation_to_data(report), lambda: "\n".join([
+        f"{heading}multicomplex: {verdict}",
+        *(f"  {line}" for line in report.describe())]), as_json)
     return EXIT_OK if report.ok else EXIT_SEMANTIC
 
 
@@ -167,7 +168,6 @@ def cmd_homology(path, degrees=None, as_json=False):
         "homology": [group_to_data(k, group, mc.ambient_dim)
                      for k, group in groups.items()],
     }
-    text = ", ".join(f"HB_{k}={group}" for k, group in groups.items())
     code = EXIT_OK
     if expected is not None:
         mismatches = _expected_mismatches(groups, expected)
@@ -177,7 +177,8 @@ def cmd_homology(path, degrees=None, as_json=False):
             code = EXIT_SEMANTIC
             for line in mismatches:
                 sys.stderr.write(line + "\n")
-    _emit(sys.stdout, data, text, as_json)
+    _emit(sys.stdout, data, lambda: ", ".join(
+        f"HB_{k}={group}" for k, group in groups.items()), as_json)
     return code
 
 
@@ -227,15 +228,13 @@ def cmd_morse(path, as_json=False):
         "quasi_isomorphism": ok,
         "ok": ok,
     }
-    lines = [
+    _emit(sys.stdout, data, lambda: "\n".join([
         "CM homology: " + ", ".join(
             f"HM_{k}={g}" for k, g in zip(degrees, morse_homology)),
         "HB homology: " + ", ".join(
             f"HB_{k}={g}" for k, g in zip(degrees, mb_homology)),
         f"chain map: {'exact' if ok else 'BROKEN'}; "
-        f"quasi-isomorphism: {'yes' if ok else 'NO'}",
-    ]
-    _emit(sys.stdout, data, "\n".join(lines), as_json)
+        f"quasi-isomorphism: {'yes' if ok else 'NO'}"]), as_json)
     return EXIT_OK if ok else EXIT_SEMANTIC
 
 
@@ -263,12 +262,11 @@ def cmd_compare(path_a, path_b, as_json=False):
         } for k, a, b, iso in comparisons],
         "isomorphic": all_iso,
     }
-    lines = [f"degree {k}: {a} vs {b}: "
-             f"{'isomorphic' if iso else 'DIFFERENT'}"
-             for k, a, b, iso in comparisons]
-    lines.append("comparison: " +
-                 ("isomorphic" if all_iso else "NOT isomorphic"))
-    _emit(sys.stdout, data, "\n".join(lines), as_json)
+    _emit(sys.stdout, data, lambda: "\n".join([
+        *(f"degree {k}: {a} vs {b}: {'isomorphic' if iso else 'DIFFERENT'}"
+          for k, a, b, iso in comparisons),
+        "comparison: " + ("isomorphic" if all_iso else "NOT isomorphic")]),
+        as_json)
     return EXIT_OK if all_iso else EXIT_SEMANTIC
 
 

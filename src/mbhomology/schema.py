@@ -9,6 +9,7 @@ writers of the shipped files live in scripts/make_corpus.py.
 
 import json
 from itertools import chain
+from json.encoder import encode_basestring
 
 from .chain import HomologyGroup
 from .flowdata import (
@@ -27,8 +28,48 @@ class SchemaError(ValueError):
 
 
 def canonical_json(doc):
-    """Fixed formatting so files and reports are diffable byte for byte."""
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The text of json.dumps(doc, sort_keys=True, indent=2,
+    ensure_ascii=False) and a newline: files and reports diff byte for byte."""
+    out = []
+    _write(doc, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, out, nl):
+    """Append the canonical text of `value` to `out`; `nl` is a newline
+    and the indent of the current line.  Exact ints, strs, lists, tuples
+    and dicts with str keys are written here, bools and None as json
+    writes them; any other value (a float, a subclass, a dict with another
+    key) by json.dumps itself, whose newlines take the current indent.
+    Each item ends in ","; the last one, or the opening bracket of an empty
+    container, is replaced by the closing bracket."""
+    cls = value.__class__
+    if cls is int:
+        out.append(int.__repr__(value))
+    elif cls is str:
+        out.append(encode_basestring(value))
+    elif value is True or value is False or value is None:
+        out.append("true" if value else "false" if value is False else "null")
+    elif cls is list or cls is tuple:
+        inner = nl + "  "
+        out.append("[")
+        for item in value:
+            out.append(inner)
+            _write(item, out, inner)
+            out.append(",")
+        out[-1] = nl + "]" if value else "[]"
+    elif cls is dict and {str}.issuperset(map(type, value)):
+        inner = nl + "  "
+        out.append("{")
+        for key in sorted(value):
+            out.append(f"{inner}{encode_basestring(key)}: ")
+            _write(value[key], out, inner)
+            out.append(",")
+        out[-1] = nl + "}" if value else "{}"
+    else:
+        out.append(json.dumps(value, sort_keys=True, indent=2,
+                              ensure_ascii=False).replace("\n", nl))
 
 
 def _wrong(value, kind):  # a bool never passes: no schema field is one
@@ -195,8 +236,8 @@ def morse_from_doc(doc, where="morse data"):
 
 
 def expected_from_doc(doc, where="document"):
-    """Optional expected homology: {degree: HomologyGroup}, each degree
-    given once."""
+    """Optional expected homology: {degree: HomologyGroup}; each degree
+    given once, degree and betti >= 0, torsion invariant factors."""
     if "expected" not in doc:
         return None
     out = {}
@@ -208,6 +249,13 @@ def expected_from_doc(doc, where="document"):
         betti = _require(entry, "betti", int, spot)
         torsion = tuple(_each(_optional(entry, "torsion", list, spot, []),
                               int, f"{spot}.torsion"))
+        for key, n in (("degree", degree), ("betti", betti)):
+            if n < 0:
+                raise SchemaError(f"{spot}: {key} {n} is negative")
+        # invariant factors: each above 1 and dividing the next
+        if any(d < 2 or e % d for d, e in zip(torsion, torsion[1:] + (0,))):
+            raise SchemaError(f"{spot}: torsion {list(torsion)} is not a list "
+                              "of invariant factors")
         out[degree] = HomologyGroup(betti, torsion)
     return out
 

@@ -4,13 +4,18 @@ import os
 import subprocess
 import sys
 import types
+from collections import OrderedDict
+from enum import IntEnum
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mbhomology
-from mbhomology import cli, schema, simplicial
+from mbhomology import chain, cli, schema, simplicial
+from mbhomology.chain import HomologyGroup
 from mbhomology.cli import EXIT_INPUT, EXIT_OK, EXIT_SEMANTIC, main
 from mbhomology.schema import (
     canonical_json,
@@ -247,6 +252,86 @@ class TestRoundTrip:
                              "counts": [["s", "m", 2]]})
         with pytest.raises(ValueError, match="multiplicity 2"):
             WRITERS.presentation_to_doc(morse_to_flow(md))
+
+
+# keys with the characters json escapes or keeps as they are
+KEYS = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'),
+                         st.characters()), max_size=5)
+SCALARS = st.one_of(st.integers(), st.integers(-10 ** 40, 10 ** 40),
+                    st.booleans(), st.none(), st.floats(), KEYS)
+VALUES = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(KEYS, inner, max_size=4)), max_leaves=20)
+
+
+def dumped(value):
+    return json.dumps(value, sort_keys=True, indent=2,
+                      ensure_ascii=False) + "\n"
+
+
+class Degree(IntEnum):
+    TOP = 2
+
+
+class TestCanonicalJson:
+    """`canonical_json` writes the bytes of `json.dumps` with sorted keys,
+    an indent of 2 and no ASCII escaping, and a newline."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              database=None)
+    @given(VALUES)
+    def test_writes_what_json_dumps_writes(self, value):
+        assert canonical_json(value) == dumped(value)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), "", 0, -(10 ** 30), True, None, float("nan"),
+        Degree.TOP, [Degree.TOP, {"k": Degree.TOP}],
+        OrderedDict([("b", 1), ("a", [])]),
+        {"outer": OrderedDict([("z", [1, {"y": ()}]), ("a", {})])},
+        {"x": [OrderedDict(), {"\u00e9\n\"": [True, False, 1.5]}]},
+        {"ints": {1: "a", 2: "b"}, "s": "\u2028\x00"},
+    ])
+    def test_subclasses_and_edges(self, value):
+        assert canonical_json(value) == dumped(value)
+
+
+class TestReportCost:
+    """The report costs what it prints: no table is formatted as text
+    under --json, and equal groups share one object."""
+
+    @pytest.mark.parametrize("argv", [
+        ["homology", "s2-z2"], ["morse", "t2-morse-4pt"],
+        ["compare", "s2-constant", "s2-round"],
+    ])
+    def test_json_formats_no_group_as_text(self, monkeypatch, capsys, argv):
+        args = [argv[0], *map(corpus_path, argv[1:]), "--json"]
+        assert main(args) == EXIT_OK
+        printed = capsys.readouterr().out
+
+        def refused(group):
+            raise AssertionError(f"{group!r} was formatted as text")
+
+        monkeypatch.setattr(HomologyGroup, "__str__", refused)
+        assert main(args) == EXIT_OK
+        assert capsys.readouterr().out == printed
+
+    def test_groups_do_not_grow_with_dim(self, tmp_path, monkeypatch):
+        made = []
+
+        def counted(*args, **kwargs):
+            made.append(HomologyGroup(*args, **kwargs))
+            return made[-1]
+
+        def groups_built(dim):
+            doc = load_corpus_doc("s2-round")
+            doc["dim"] = dim
+            made.clear()
+            assert main(["homology", write_doc(tmp_path, doc)]) == EXIT_OK
+            return len(made)
+
+        monkeypatch.setattr(chain, "HomologyGroup", counted)
+        # Z in degrees 0 and 2, 0 everywhere else
+        assert groups_built(2) == groups_built(55) == 2
 
 
 class TestLinearTwists:
@@ -578,6 +663,24 @@ MALFORMED = {
         "homology", "s2-z2", set_in(lambda d: d["critical"][1], "names",
                                     ["n", "s", 3]),
         ".critical[1].names[2] has type int"),
+    # an expected group is refused unless it is a group: no negative
+    # degree or Betti number, torsion as invariant factors
+    "expected-degree-negative": (
+        "homology", "s2-round", set_key("expected", [{"degree": -1,
+                                                     "betti": 5}]),
+        ".expected[0]: degree -1 is negative"),
+    "expected-betti-negative": (
+        "homology", "s2-round", set_in(lambda d: d["expected"][1], "betti",
+                                       -1),
+        ".expected[1]: betti -1 is negative"),
+    "expected-torsion-unit": (
+        "homology", "s2-round",
+        set_in(lambda d: d["expected"][0], "torsion", [1]),
+        ".expected[0]: torsion [1] is not a list of invariant factors"),
+    "expected-torsion-not-dividing": (
+        "homology", "s2-round",
+        set_in(lambda d: d["expected"][2], "torsion", [3, 2]),
+        ".expected[2]: torsion [3, 2] is not a list of invariant factors"),
     "expected-torsion-second-string": (
         "homology", "s2-z2",
         set_in(lambda d: d["expected"][0], "torsion", [2, "2"]),
