@@ -35,11 +35,6 @@ class ChainComplex:
             return self.boundaries[k]
         return IntMatrix.zeros(self.rank(k - 1), self.rank(k))
 
-    def label(self, k):
-        if k in self.labels:
-            return self.labels[k]
-        return tuple(f"e{k}.{i}" for i in range(self.rank(k)))
-
     @property
     def degree_range(self):
         degs = [k for k, r in self.ranks.items() if r > 0]
@@ -89,9 +84,6 @@ class HomologyGroup:
 
     def __repr__(self):
         return f"HomologyGroup(betti={self.betti!r}, torsion={self.torsion!r})"
-
-    def is_trivial(self):
-        return self.betti == 0 and not self.torsion
 
     def __str__(self):
         parts = []

@@ -188,9 +188,10 @@ def cmd_morse(path, as_json=False):
     The document is read and built as every command does it (`_load`), so
     a malformed one of any kind exits 2 naming its JSON path; a well-formed
     flow document is refused as not a Morse one before its `expected` list
-    or its build is looked at.  Then the flow-line counts must square to
-    zero, and the build gets its one homology table (`homology_table`).
-    When the validated build equals the critical-point complex
+    or its build is looked at.  Then the build gets its one homology table
+    (`homology_table`), so counts that do not square to zero fail its
+    validation and are reported as `homology` reports them.  When the
+    validated build equals the critical-point complex
     (morse.is_critical_point_complex), that table is both tables and every
     verdict holds; otherwise the program has a bug, the chain map is
     reported BROKEN and the exit is 1."""
@@ -205,17 +206,17 @@ def cmd_morse(path, as_json=False):
         fp, md, mc, _ = _load(path, morse=True)
     except ValueError as exc:
         return _input_failure(exc, path)
-    try:
-        cm = morse_complex(md)
-    except InvalidMorseData as exc:
-        sys.stderr.write(f"invalid Morse-Smale data: {exc}\n")
-        return EXIT_SEMANTIC
     dim = mc.ambient_dim
     degrees = range(dim + 1)
     try:
         mb_homology = homology_table(mc, degrees)
     except InvalidMulticomplex as exc:
         return _report(exc.report, sys.stderr, as_json)
+    try:
+        cm = morse_complex(md)
+    except InvalidMorseData as exc:
+        sys.stderr.write(f"invalid Morse-Smale data: {exc}\n")
+        return EXIT_SEMANTIC
     ok = is_critical_point_complex(cm, fp, mc)
     morse_homology = mb_homology if ok else homology_at(cm, degrees)
     data = {

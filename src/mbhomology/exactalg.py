@@ -3,9 +3,9 @@
 Everything runs on arbitrary-precision Python ints: Smith normal form
 pivoting makes coefficients grow, and every homology computation downstream
 depends on never rounding.  Matrices are immutable and stored as sparse
-columns, so boundaries and structure maps cost what their nonzeros cost;
-only `snf` and the transforms it records work on dense rows.  All
-functions are pure.
+columns, so boundaries and structure maps cost what their nonzeros cost.
+Dense rows are made only by `snf` and the transforms it records, and by
+`data`, which the failure reports print.  All functions are pure.
 """
 
 from functools import cached_property
@@ -82,16 +82,6 @@ class IntMatrix:
     def zeros(cls, rows, cols):
         return cls._of(rows, cols, ({} for _ in range(cols)))
 
-    def __getitem__(self, key):
-        i, j = key
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"entry ({i}, {j}) outside {self.shape}")
-        return self.columns[j].get(i, 0)
-
-    def col(self, j):
-        col = self.columns[j]
-        return tuple(col.get(i, 0) for i in range(self.rows))
-
     def _dense_rows(self):
         """Fresh dense rows as lists; the one place columns become rows."""
         out = [[0] * self.cols for _ in range(self.rows)]
@@ -115,10 +105,6 @@ class IntMatrix:
             return NotImplemented
         return self.shape == other.shape and self.columns == other.columns
 
-    def __hash__(self):
-        return hash((self.rows, self.cols,
-                     tuple(frozenset(col.items()) for col in self.columns)))
-
     def __repr__(self):
         if self.rows == 0 or self.cols == 0:
             return f"IntMatrix({self.rows}, {self.cols}, [])"
@@ -127,9 +113,6 @@ class IntMatrix:
 
     def is_zero(self):
         return not any(self.columns)
-
-    def __neg__(self):
-        return self.scaled(-1)
 
     def __add__(self, other):
         if self.shape != other.shape:
@@ -145,9 +128,6 @@ class IntMatrix:
                     del col[i]
             out.append(col)
         return IntMatrix._of(self.rows, self.cols, out)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def scaled(self, c):
         """`c` times the matrix; a matrix is immutable, so 1 gives itself.

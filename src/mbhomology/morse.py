@@ -89,6 +89,6 @@ def is_critical_point_complex(cm, fp, mc):
     total = mc.complex
     ranks = {k: r for k, r in total.ranks.items() if r}
     return (ranks == {k: r for k, r in cm.ranks.items() if r}
-            and all(fp.crit_at(k).names == cm.label(k) for k in ranks)
+            and all(fp.crit_at(k).names == cm.labels.get(k) for k in ranks)
             and all(total.boundary(k) == cm.boundary(k)
                     for k in {*total.boundaries, *cm.boundaries}))

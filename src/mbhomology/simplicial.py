@@ -110,9 +110,6 @@ class SimplicialComplexData:
     def simplices_of_dim(self, d):
         return self.simplices_by_dim.get(d, ())
 
-    def has(self, simplex):
-        return tuple(simplex) in self._index
-
     def index_of(self, simplex):
         return self._index[tuple(simplex)]
 

@@ -2,12 +2,12 @@
 chain-level views of simplicial maps that only tests need, the paper's
 comparison theorem checked on fat point rows (the embedding of the
 critical-point complex, chain maps and mapping cones), the repo's
-scripts and benchmark generators loaded from their files, and a family of
-mapping tori with answers known from the Wang sequence."""
+scripts and benchmark generators loaded from their files, the shipped
+corpus read as the commands read it, and a family of mapping tori with
+answers known from the Wang sequence."""
 
 import functools
 import importlib.util
-import random
 from pathlib import Path
 
 from sympy import Matrix as SymMatrix
@@ -15,10 +15,12 @@ from sympy import ZZ
 from sympy.matrices.normalforms import invariant_factors as sym_invariant_factors
 
 from mbhomology import exactalg, simplicial
-from mbhomology.chain import ChainComplex, homology_at
+from mbhomology.chain import ChainComplex, HomologyGroup, homology_at
+from mbhomology.corpus import data_dir, entry_names
 from mbhomology.exactalg import IntMatrix
 from mbhomology.multicomplex import MBSMulticomplex, MulticomplexReport
 from mbhomology.pipeline import homology_table
+from mbhomology.schema import expected_from_doc, presentation_from_file
 from mbhomology.simplicial import CoveringError, fundamental_cycle
 
 
@@ -432,7 +434,7 @@ def chain_map_residuals(f):
     nonzero, and the degree above each; all zero iff f is a chain map."""
     degs = set(f.source.degrees()) | set(f.target.degrees())
     return {k: f.target.boundary(k) @ f.component(k)
-            - f.component(k - 1) @ f.source.boundary(k)
+            + (f.component(k - 1) @ f.source.boundary(k)).scaled(-1)
             for k in sorted(degs | {d + 1 for d in degs})}
 
 
@@ -480,7 +482,7 @@ def _cone(f):
     for k in range(min(degs), max(degs) + 1):
         ranks[k] = src.rank(k - 1) + tgt.rank(k)
         boundaries[k] = from_blocks(
-            [[-src.boundary(k - 1), None],
+            [[src.boundary(k - 1).scaled(-1), None],
              [f.component(k - 1), tgt.boundary(k)]],
             row_sizes=[src.rank(k - 2), tgt.rank(k - 1)],
             col_sizes=[src.rank(k - 1), tgt.rank(k)],
@@ -500,7 +502,8 @@ def quasi_iso(f):
 def _acyclic(cone):
     """True iff `cone` has no homology in its degrees or the one above."""
     lo, hi = cone.degree_range
-    return all(h.is_trivial() for h in homology_at(cone, range(lo, hi + 2)))
+    return all(h == HomologyGroup(0, ())
+               for h in homology_at(cone, range(lo, hi + 2)))
 
 
 def _check_morse_shaped(cm, fp, mc):
@@ -510,9 +513,9 @@ def _check_morse_shaped(cm, fp, mc):
     with eps = +1 or -1 read from the block.  Rows are walked over their
     own columns.  Raises ValueError otherwise."""
     for k in cm.degrees():
-        if cm.rank(k) and fp.crit_at(k).names != cm.label(k):
+        if cm.rank(k) and fp.crit_at(k).names != cm.labels.get(k):
             raise ValueError(f"row {k} names {fp.crit_at(k).names} do not "
-                             f"match critical points {cm.label(k)}")
+                             f"match critical points {cm.labels.get(k)}")
     # by increasing p, so each row keeps its last column
     ends = {i: p for (p, i), r in sorted(mc.row_ranks.items()) if r}
     for i, end in sorted(ends.items()):
@@ -522,7 +525,7 @@ def _check_morse_shaped(cm, fp, mc):
                              f"column {end}; the embedding needs point rows")
         for p in range(2, end + 1, 2):
             d0 = mc.map(0, p, i)
-            eps = d0[0, 0]
+            eps = d0.columns[0].get(0, 0)
             if eps not in (1, -1) or any(
                     col != {j: eps} for j, col in enumerate(d0.columns)):
                 raise ValueError(
@@ -554,7 +557,7 @@ def phi_chain_map(cm, fp, mc):
             if rows:
                 for t in range(0, i, 2):
                     acc = acc + mc.map(i - t, t, k - t) @ parts[t]
-                acc = acc.scaled(-mc.map(0, i, k - i)[0, 0])
+                acc = acc.scaled(-mc.map(0, i, k - i).columns[0][0])
             parts[i] = acc
         cols = [{} for _ in range(n)]
         for i, part in parts.items():
@@ -644,6 +647,21 @@ def load_file(relative):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def read_corpus(name):
+    """(presentation, Morse data or None, document, expected table or
+    None) of the shipped file `name`.json, read as every command reads
+    it: by schema.presentation_from_file and schema.expected_from_doc."""
+    path = str(data_dir() / f"{name}.json")
+    fp, md, doc = presentation_from_file(path)
+    return fp, md, doc, expected_from_doc(doc, where=path)
+
+
+def corpus_names(kind):
+    """Names of the shipped files of `kind`, "flow" or "morse"."""
+    return [name for name in entry_names()
+            if read_corpus(name)[2].get("kind", "flow") == kind]
 
 
 # ---------------------------------------------------------------------------

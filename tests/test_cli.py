@@ -141,15 +141,25 @@ class TestMorse:
         assert main(["morse", corpus_path("s2-morse-4pt")]) == EXIT_OK
 
     def test_nonsquaring_rejected(self, tmp_path, capsys):
-        doc = {
-            "schema": 1,
-            "kind": "morse",
-            "critical": {"0": ["p"], "1": ["q"], "2": ["r"]},
-            "counts": [["r", "q", 1], ["q", "p", 1]],
-        }
-        path = write_doc(tmp_path, doc)
+        # counts with d o d != 0 fail the validation of the build
+        path = write_doc(tmp_path, nonsquaring_morse_doc())
         assert main(["morse", path]) == EXIT_SEMANTIC
-        assert "invalid Morse-Smale data" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("multicomplex: INVALID\n")
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_nonsquaring_reported_as_homology_reports_it(self, tmp_path,
+                                                         capsys, flags):
+        # `morse` reports invalid counts with the validation report that
+        # `validate` and `homology` give, as text and as JSON
+        path = write_doc(tmp_path, nonsquaring_morse_doc())
+        calls = {}
+        for command in ("morse", "homology"):
+            code = main([command, path, *flags])
+            calls[command] = (code, *capsys.readouterr())
+        assert calls["morse"] == calls["homology"]
+        assert calls["morse"][:2] == (EXIT_SEMANTIC, "")
 
     def test_flow_file_rejected(self, capsys):
         path = corpus_path("s2-z2")

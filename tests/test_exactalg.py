@@ -51,7 +51,8 @@ def gcd_of_k_minors(mat, k):
     g = 0
     for rows in combinations(range(mat.rows), k):
         for cols in combinations(range(mat.cols), k):
-            sub = IntMatrix(k, k, [[mat[i, j] for j in cols] for i in rows])
+            sub = IntMatrix(k, k, [[mat.data[i][j] for j in cols]
+                                   for i in rows])
             g = gcd(g, det_expansion(sub))
     return abs(g)
 
@@ -75,7 +76,7 @@ def check_decomposition(a, dec):
     for i in range(a.rows):
         for j in range(a.cols):
             expect = d[i] if i == j and i < len(d) else 0
-            assert dec.s[i, j] == expect
+            assert dec.s.data[i][j] == expect
 
 
 def dense(rng, m, n, density):
@@ -119,22 +120,14 @@ class TestIntMatrix:
             b = IntMatrix.from_columns(m, n, columns_of(rb, n, rng))
             c = IntMatrix.from_columns(n, k, columns_of(rc, k, rng))
             same = IntMatrix(m, n, rb)
-            assert b == same and hash(b) == hash(same)
+            assert b == same
             assert a.data == as_tuples(ra) and b.data == as_tuples(rb)
             assert a.is_zero() == (not any(map(any, ra)))
-            for i in range(m):
-                for j in range(n):
-                    assert a[i, j] == ra[i][j]
-            for j in range(n):
-                assert a.col(j) == tuple(row[j] for row in ra)
             picks = rng.randint(0, 4) if n else 0
             idx = [rng.randrange(n) for _ in range(picks)]
             results = {
                 "add": (a + b, n, [[x + y for x, y in zip(r, s)]
                                    for r, s in zip(ra, rb)]),
-                "sub": (a - b, n, [[x - y for x, y in zip(r, s)]
-                                   for r, s in zip(ra, rb)]),
-                "neg": (-a, n, [[-x for x in r] for r in ra]),
                 "matmul": (a @ c, k, [[sum(ra[i][t] * rc[t][j]
                                            for t in range(n))
                                        for j in range(k)] for i in range(m)]),
@@ -159,8 +152,8 @@ class TestIntMatrix:
         full = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
         for mat in (IntMatrix(2, 3, [[0, 0, 0], [0, 0, 0]]),
                     IntMatrix.from_columns(2, 3, [{0: 0}, {}, {1: 0}]),
-                    full.scaled(0), full - full):
-            assert mat == zero and hash(mat) == hash(zero)
+                    full.scaled(0), full + full.scaled(-1)):
+            assert mat == zero
             assert mat.is_zero() and stores_no_zero(mat)
 
     @pytest.mark.parametrize("build", [
@@ -173,11 +166,6 @@ class TestIntMatrix:
     def test_constructors_reject_bad_shapes(self, build):
         with pytest.raises(ValueError, match="entries do not fill a 2x"):
             build()
-
-    @pytest.mark.parametrize("key", [(2, 0), (0, 3), (-1, 0), (0, -1)])
-    def test_entry_outside_raises(self, key):
-        with pytest.raises(IndexError):
-            IntMatrix.zeros(2, 3)[key]
 
 
 def sym_factors(a):
@@ -294,7 +282,7 @@ def shuffled(rng, a):
     rng.shuffle(rows)
     rng.shuffle(cols)
     signs = [rng.choice((1, -1)) for _ in cols]
-    return IntMatrix(a.rows, a.cols, [[sign * a[i, j]
+    return IntMatrix(a.rows, a.cols, [[sign * a.data[i][j]
                                        for j, sign in zip(cols, signs)]
                                       for i in rows])
 

@@ -17,9 +17,13 @@ from mbhomology.flowdata import (
     build_multicomplex,
     morse_to_flow,
 )
-from mbhomology.corpus import data_dir, load_entries
+from mbhomology.corpus import data_dir, entry_names
 from mbhomology.morse import MorseData
-from mbhomology.multicomplex import InvalidMulticomplex, validate_multicomplex
+from mbhomology.multicomplex import (
+    InvalidMulticomplex,
+    MBSMulticomplex,
+    validate_multicomplex,
+)
 from mbhomology.pipeline import homology_table
 from mbhomology.schema import morse_from_doc, presentation_from_doc
 from mbhomology.simplicial import (
@@ -31,12 +35,14 @@ from mbhomology.simplicial import (
 
 from support import (
     chain_to_vector,
+    corpus_names,
     count_walks,
     cycle_chain,
     full_point_rows,
     linear_twists,
     matrix_of_pullback,
     matrix_of_pushforward,
+    read_corpus,
     twist_doc,
 )
 
@@ -194,9 +200,10 @@ class TestBuild:
         mc = build_multicomplex(fp)
         rim = fp.crit_at(0).complex
         cycle = chain_to_vector(rim, 1, cycle_chain(rim))
+        sparse = {i: x for i, x in enumerate(cycle) if x}
         d2 = mc.map(2, 0, 2)
-        assert d2.col(0) == cycle
-        assert d2.col(1) == tuple(-x for x in cycle)
+        assert d2.columns[0] == sparse
+        assert d2.columns[1] == {i: -x for i, x in sparse.items()}
 
     def test_rejects_nonconstant_point_source_map(self):
         # a disconnected domain can map locally constantly to two different
@@ -509,8 +516,8 @@ class TestSharedComplexes:
 
 def seeded_presentations(calls=20):
     """The corpus, then seeded documents of every benchmark workload."""
-    for entry in load_entries():
-        yield entry.name, entry.presentation
+    for name in entry_names():
+        yield name, read_corpus(name)[0]
     for workload in sorted(workloads.WORKLOADS):
         for call in range(calls):
             doc, _, _ = workloads.make(workload, 11, call)
@@ -522,10 +529,8 @@ def seeded_presentations(calls=20):
 def corpus_mutants():
     """Each corpus flow presentation with the sign of one component
     flipped, and with its multiplicity raised by one."""
-    for entry in load_entries():
-        if entry.kind != "flow":
-            continue
-        fp = entry.presentation
+    for name in corpus_names("flow"):
+        fp = read_corpus(name)[0]
         for t, comp in enumerate(fp.moduli):
             for bad in (ModuliComponentModel(
                     comp.from_index, comp.to_index, comp.domain,
@@ -533,7 +538,7 @@ def corpus_mutants():
                     multiplicity=comp.multiplicity),
                     with_multiplicity(comp, comp.multiplicity + 1)):
                 moduli = fp.moduli[:t] + (bad,) + fp.moduli[t + 1:]
-                yield f"{entry.name}:{t}", with_moduli(fp, moduli)
+                yield f"{name}:{t}", with_moduli(fp, moduli)
 
 
 class TestTrimmedPointRows:
@@ -705,10 +710,41 @@ class TestCoveringBlock:
 
     def test_corpus(self):
         # s2-minus-z2 lands on point rows, t2-height's blocks cancel
-        counts = {entry.name: self.check(entry.presentation)
-                  for entry in load_entries() if entry.kind == "flow"}
+        counts = {name: self.check(read_corpus(name)[0])
+                  for name in corpus_names("flow")}
         assert {name: n for name, n in counts.items() if n[0]} == \
             {"s2-minus-z2": (2, 2), "t2-height": (2, 0)}
+
+
+class TestLowRelations:
+    """The relations of D o D = 0 with j <= 1 hold on every build: d[0] is
+    a signed simplicial boundary, each covering block of d[1] is a
+    transfer followed by a pushforward, both chain maps, and a point
+    source pushes a closed fundamental cycle.  So every failure the
+    validator finds on a build has j >= 2."""
+
+    def failures(self, fp):
+        """(j, p, i) of each failure on the build of `fp`; a hand-built
+        copy, which gets every product, has the same report."""
+        mc = build_multicomplex(fp, check=False)
+        report = validate_multicomplex(mc)
+        copy = MBSMulticomplex(mc.ambient_dim, mc.row_ranks, mc.maps)
+        assert validate_multicomplex(copy).describe() == report.describe()
+        return [failure[:3] for failure in report.identity_failures]
+
+    def test_corpus_mutants(self):
+        failing = 0
+        for name, fp in corpus_mutants():
+            found = self.failures(fp)
+            assert all(j >= 2 for j, _, _ in found), (name, found)
+            failing += bool(found)
+        assert failing > 20
+
+    def test_random_coverings(self):
+        # two rows, so every relation has j <= 1
+        for seed in range(60):
+            fp, _ = random_covering_presentation(random.Random(seed))
+            assert self.failures(fp) == [], seed
 
 
 class TestNoChainIsWalked:

@@ -7,7 +7,6 @@ import pytest
 
 from mbhomology.chain import HomologyGroup, homology_at, validate_complex
 from mbhomology.cli import morse_from_doc, presentation_from_doc
-from mbhomology.corpus import load_entries
 from mbhomology.exactalg import IntMatrix
 from mbhomology.flowdata import (
     CritModel,
@@ -29,7 +28,12 @@ from mbhomology.simplicial import (
     chain_complex_of,
 )
 
-from support import full_point_rows, pairwise_residuals
+from support import (
+    corpus_names,
+    full_point_rows,
+    pairwise_residuals,
+    read_corpus,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -191,7 +195,8 @@ def perturbed(mc, rng):
             continue
         r, c = rng.randrange(mat.rows), rng.randrange(mat.cols)
         cols = [dict(col) for col in mat.columns]
-        cols[c][r] = rng.choice([x for x in range(-2, 3) if x != mat[r, c]])
+        cols[c][r] = rng.choice([x for x in range(-2, 3)
+                                 if x != cols[c].get(r, 0)])
         maps[key] = IntMatrix.from_columns(mat.rows, mat.cols, cols)
     return MBSMulticomplex(ambient_dim=mc.ambient_dim, row_ranks=mc.row_ranks,
                            maps=maps)
@@ -204,10 +209,8 @@ class TestReadBack:
 
     def test_corpus_with_each_sign_flipped(self):
         failing = 0
-        for entry in load_entries():
-            if entry.kind != "flow":
-                continue
-            fp = entry.presentation
+        for name in corpus_names("flow"):
+            fp = read_corpus(name)[0]
             for t, comp in enumerate(fp.moduli):
                 flip = ModuliComponentModel(
                     comp.from_index, comp.to_index, comp.domain,
@@ -219,7 +222,7 @@ class TestReadBack:
                     check=False)
                 want = pairwise_residuals(mc)
                 assert validate_multicomplex(mc).identity_failures == want, \
-                    (entry.name, t)
+                    (name, t)
                 failing += bool(want)
         assert failing > 5
 
@@ -294,7 +297,7 @@ class TestTotalize:
             [[0, 0], [0, 1]])
         table = homology_table(mc)
         assert table[0] == HomologyGroup(0, (3,))
-        assert table[1].is_trivial()
+        assert table[1] == HomologyGroup(0, ())
 
     def test_empty_rows_contribute_nothing(self):
         mc = single_row_mc(triangle(), ambient_dim=2)
@@ -316,7 +319,7 @@ class TestTotalize:
         assert view.block_offsets == {(0, 0): 0, (0, 1): 0}
         h0, h1 = homology_at(view.complex, range(2))
         assert h0 == HomologyGroup(0, (2,))
-        assert h1.is_trivial()
+        assert h1 == HomologyGroup(0, ())
 
 
 class TestHomologyTable:
@@ -324,9 +327,9 @@ class TestHomologyTable:
         mc = single_row_mc(sphere_model(), ambient_dim=2)
         table = homology_table(mc)
         assert table[0] == HomologyGroup(1, ())
-        assert table[1].is_trivial()
+        assert table[1] == HomologyGroup(0, ())
         assert table[2] == HomologyGroup(1, ())
-        assert table[3].is_trivial()
+        assert table[3] == HomologyGroup(0, ())
 
     def test_z2_sphere(self):
         table = homology_table(build_multicomplex(s2_z2_presentation()))
@@ -387,7 +390,7 @@ class TestInvariants:
         for p in (2, 4):
             mat = base.map(0, p, 2)
             maps[(0, p, 2)] = IntMatrix(
-                2, 2, [[mat[perm[r], perm[c]] for c in range(2)]
+                2, 2, [[mat.data[perm[r]][perm[c]] for c in range(2)]
                        for r in range(2)])
         d2 = base.map(2, 0, 2)
         maps[(2, 0, 2)] = d2.submatrix_cols(perm)

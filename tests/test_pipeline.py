@@ -12,13 +12,13 @@ from mbhomology.cli import (
     _expected_mismatches,
     main,
 )
-from mbhomology.corpus import data_dir, entry_names, load_entry
+from mbhomology.corpus import data_dir, entry_names
 from mbhomology.exactalg import IntMatrix
 from mbhomology.flowdata import CritModel, FlowPresentation, build_multicomplex
 from mbhomology.multicomplex import InvalidMulticomplex, MBSMulticomplex
 from mbhomology.pipeline import homology_table
 from mbhomology.simplicial import SimplicialComplexData
-from support import forbid_dense_rows
+from support import corpus_names, forbid_dense_rows, read_corpus
 
 Z = HomologyGroup(1, ())
 ZERO = HomologyGroup(0, ())
@@ -77,11 +77,11 @@ def reports(monkeypatch):
 
 
 NAMES = entry_names()
-MORSE_NAMES = [name for name in NAMES if load_entry(name).kind == "morse"]
+MORSE_NAMES = corpus_names("morse")
 
 
 def corpus_build(name):
-    return build_multicomplex(load_entry(name).presentation, check=False)
+    return build_multicomplex(read_corpus(name)[0], check=False)
 
 
 class TestValidatedOnce:

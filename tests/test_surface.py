@@ -86,29 +86,51 @@ def test_cap_stays_in_the_reader():
 
 
 def test_corpus_is_read_not_run():
-    # the shipped examples are data; the commands check them, so the
-    # loader needs neither the build nor the homology table
+    # the shipped examples are data that the commands read and check; the
+    # module only says where they are, so it imports nothing of the package
     tree = ast.parse((SRC / "mbhomology" / "corpus.py").read_text("utf-8"))
-    imported = {node.module for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom)}
-    assert not imported & {"flowdata", "pipeline"}, sorted(imported)
-    assert imported >= {"schema"}
+    relative = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert not relative, sorted(relative)
 
 
 # Defined in src/ and read nowhere in it, on purpose: the package's lazy
-# attribute hooks and the corpus's data API.
+# attribute hooks and the corpus's data API, which the scripts read.
 UNREAD = {("__init__", "__getattr__"), ("__init__", "__dir__"),
-          ("corpus", "load_entries")}
+          ("corpus", "entry_names")}
+
+# Methods that no command, benchmark or script reads, kept as test
+# references, each with what reads it.
+TEST_HELPERS = {
+    ("IntMatrix", "from_rows"): "doctests and tests write matrices by rows",
+    ("IntMatrix", "times_vector"): "tests apply boundaries to chains",
+    ("IntMatrix", "submatrix_cols"): "tests permute bases",
+    ("SimplicialComplexData", "index_of"): "support.image_simplex",
+    ("MBSMulticomplex", "map"): "tests read one structure map",
+}
+
+
+def attributes_read(*directories):
+    """Every attribute name read in the Python files of `directories`."""
+    return {node.attr for directory in directories
+            for path in sorted(directory.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text("utf-8")))
+            if isinstance(node, ast.Attribute)}
 
 
 def test_program_names_are_read():
     # a top-level function or class that only tests or scripts call belongs
     # with them: src/ holds the program, and what it exports (_HOME)
-    defined, read = set(), set()
+    defined, read, methods = set(), set(), set()
     for path in sorted((SRC / "mbhomology").glob("*.py")):
         tree = ast.parse(path.read_text("utf-8"))
         defined |= {(path.stem, node.name) for node in tree.body
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        methods |= {(cls.name, node.name) for cls in tree.body
+                    if isinstance(cls, ast.ClassDef) for node in cls.body
+                    if isinstance(node, ast.FunctionDef)
+                    and not (node.name.startswith("__")
+                             and node.name.endswith("__"))}
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 read.add(node.id)
@@ -119,6 +141,13 @@ def test_program_names_are_read():
     unread = {(module, name) for module, name in defined
               if name not in read and name not in mbhomology._HOME}
     assert unread <= UNREAD, sorted(unread - UNREAD)
+    # a method or property is a second way to read its object unless the
+    # program, the benchmark or a script reads it as an attribute
+    repo = SRC.parent
+    read = attributes_read(SRC / "mbhomology", repo / "perfbench",
+                           repo / "scripts")
+    unread = {(cls, name) for cls, name in methods if name not in read}
+    assert unread == set(TEST_HELPERS), sorted(unread ^ set(TEST_HELPERS))
 
 
 # Imported by a module that never reads them: the three loaders stay on
