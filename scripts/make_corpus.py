@@ -7,6 +7,7 @@ the program only reads documents (mbhomology.schema).
 """
 
 import pathlib
+from itertools import combinations
 
 from mbhomology.schema import SCHEMA_VERSION, canonical_json
 from mbhomology.flowdata import CritModel, FlowPresentation, ModuliComponentModel
@@ -75,16 +76,25 @@ def morse_to_doc(md, meta=None):
     return doc
 
 
+def closed(tops):
+    """The simplices `tops` with all their faces: the reader takes a
+    complex as it is listed."""
+    return [face for s in tops for size in range(1, len(s) + 1)
+            for face in combinations(s, size)]
+
+
 def triangle():
-    return SimplicialComplexData.from_simplices([(0, 1), (1, 2), (0, 2)])
+    return SimplicialComplexData.from_simplices(
+        closed([(0, 1), (1, 2), (0, 2)]))
 
 
 def square():
-    return SimplicialComplexData.from_simplices([(0, 1), (1, 2), (2, 3), (0, 3)])
+    return SimplicialComplexData.from_simplices(
+        closed([(0, 1), (1, 2), (2, 3), (0, 3)]))
 
 
 def interval():
-    return SimplicialComplexData.from_simplices([(0, 1)])
+    return SimplicialComplexData.from_simplices(closed([(0, 1)]))
 
 
 def point():
@@ -93,7 +103,7 @@ def point():
 
 def sphere():
     return SimplicialComplexData.from_simplices(
-        [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+        closed([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]))
 
 
 def sphere_expected():

@@ -141,6 +141,12 @@ def _relabeled_torus(rng, n=4):
             [sorted(perm[x] for x in t) for t in tris])
 
 
+def _closed(tops):
+    """The simplices `tops` with all their faces, as sorted vertex lists:
+    the reader takes a complex as it is listed."""
+    return workloads.closure(tops, range(1 + max(map(max, tops))))
+
+
 def _torus_model(cx):
     return _flow([{"index": 0, "kind": "simplicial", "complex": cx}])
 
@@ -169,7 +175,7 @@ def maximal_below_top(rng):
 def ridge_in_three(rng):
     cx, tris = _relabeled_torus(rng)
     cx["vertices"] += 1
-    cx["simplices"].append([*rng.choice(sorted(_edges(tris))), 16])
+    cx["simplices"] += _closed([[*rng.choice(sorted(_edges(tris))), 16]])
     return _torus_model(cx)
 
 
@@ -179,8 +185,8 @@ def non_orientable(rng):
             (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
     perm = list(range(6))
     rng.shuffle(perm)
-    return _torus_model({"vertices": 6, "simplices": [
-        sorted(perm[x] for x in t) for t in tris]})
+    return _torus_model({"vertices": 6,
+                         "simplices": workloads.closure(tris, perm)})
 
 
 def with_boundary(rng):
@@ -193,8 +199,8 @@ def _circle(rng):
     """(document, cyclic vertex order) of a hexagon relabeled at random."""
     order = list(range(6))
     rng.shuffle(order)
-    edges = [sorted((order[t], order[(t + 1) % 6])) for t in range(6)]
-    return {"vertices": 6, "simplices": edges}, order
+    edges = [(order[t], order[(t + 1) % 6]) for t in range(6)]
+    return {"vertices": 6, "simplices": _closed(edges)}, order
 
 
 def _same(place):
@@ -237,8 +243,8 @@ def unequal_lifts(rng):
     def domain(b, order):
         # B and one more copy of its edge at place t, on vertices 6 and 7
         places = [order.index(v) for v in range(6)] + [t, (t + 1) % 6]
-        return ({"vertices": 8, "simplices": b["simplices"] + [[6, 7]]},
-                places)
+        return ({"vertices": 8,
+                 "simplices": b["simplices"] + _closed([[6, 7]])}, places)
     return _over_circles(rng, domain)
 
 
@@ -251,8 +257,9 @@ def non_unique_lift(rng):
         edges = []
         for u in range(6):
             x, y = u, (u + 1) % 6
-            edges += [sorted((x, y)), sorted((x if u == t else x + 6, y + 6))]
-        return {"vertices": 12, "simplices": edges}, list(range(6)) * 2
+            edges += [(x, y), (x if u == t else x + 6, y + 6)]
+        return ({"vertices": 12, "simplices": _closed(edges)},
+                list(range(6)) * 2)
     return _over_circles(rng, domain)
 
 

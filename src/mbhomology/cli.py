@@ -190,17 +190,14 @@ def cmd_morse(path, as_json=False):
     flow document is refused as not a Morse one before its `expected` list
     or its build is looked at.  Then the build gets its one homology table
     (`homology_table`), so counts that do not square to zero fail its
-    validation and are reported as `homology` reports them.  When the
+    validation and are reported as `homology` reports them, and
+    `morse_complex`, which checks the same relation, cannot fail.  When the
     validated build equals the critical-point complex
     (morse.is_critical_point_complex), that table is both tables and every
     verdict holds; otherwise the program has a bug, the chain map is
     reported BROKEN and the exit is 1."""
     # imported here: the other commands never need the module
-    from .morse import (
-        InvalidMorseData,
-        is_critical_point_complex,
-        morse_complex,
-    )
+    from .morse import is_critical_point_complex, morse_complex
 
     try:
         fp, md, mc, _ = _load(path, morse=True)
@@ -212,11 +209,7 @@ def cmd_morse(path, as_json=False):
         mb_homology = homology_table(mc, degrees)
     except InvalidMulticomplex as exc:
         return _report(exc.report, sys.stderr, as_json)
-    try:
-        cm = morse_complex(md)
-    except InvalidMorseData as exc:
-        sys.stderr.write(f"invalid Morse-Smale data: {exc}\n")
-        return EXIT_SEMANTIC
+    cm = morse_complex(md)
     ok = is_critical_point_complex(cm, fp, mc)
     morse_homology = mb_homology if ok else homology_at(cm, degrees)
     data = {

@@ -127,10 +127,11 @@ def complex_from_data(entry, key, where, dim, built):
     C-level pass, and no Python loop; any other listing goes through
     `_typed` and `_each` in listing order, which name the first fault (or
     pass an int subclass that is not a bool).  A listed simplex of
-    dimension above `dim` is refused before the closure, which would cost
-    2^n faces for n vertices: no accepted document holds one.  `built`
-    maps the (vertices, simplices) of every complex read so far to its
-    complex, so the same data gives the same object.
+    dimension above `dim` is refused here, by its path: no accepted
+    document holds one.  The constructor's refusals, a listing not closed
+    under faces among them, are named by the object's path.  `built` maps
+    the (vertices, simplices) of every complex read so far to its complex,
+    so the same data gives the same object.
     """
     data = _require(entry, key, dict, where)
     vertices = _require(data, "vertices", int, where)

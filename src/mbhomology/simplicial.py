@@ -1,6 +1,6 @@
 """Finite ordered simplicial complexes and the maps between them.
 
-A complex is the face closure of the simplices it is given.  Complexes
+A complex is given by all its simplices, every face listed.  Complexes
 model critical submanifolds and moduli components: the fundamental cycle,
 +/-1 per top simplex and kept on its complex, stands in for a representing
 chain, and a map keeps the index and sign of each simplex's image, so that
@@ -28,19 +28,9 @@ class CoveringError(ValueError):
         self.witness = witness
 
 
-def _close(by_dim):
-    """Add to `by_dim`, {dimension: set of increasing simplices}, the
-    facets of each simplex, from the top dimension down, so it is closed
-    under faces.  `combinations` gives the facets of an increasing tuple
-    as increasing tuples, one C-level pass per dimension."""
-    for d in range(max(by_dim, default=0), 0, -1):
-        by_dim.setdefault(d - 1, set()).update(chain.from_iterable(
-            map(combinations, by_dim.get(d, ()), repeat(d))))
-
-
 class SimplicialComplexData:
-    """The face closure of the listed simplices, as strictly increasing
-    vertex tuples.
+    """A complex as it is listed: every face of every listed simplex must
+    be listed too.  Simplices are strictly increasing vertex tuples.
 
     The vertex order provides orientations.  Basis order within each
     dimension is lexicographic, so chain-level constructions downstream are
@@ -48,21 +38,28 @@ class SimplicialComplexData:
     repeats allowed.  Every listing is normalized in C-level passes that
     apply `int` to each vertex in listing order, so a conversion error is
     raised first, as `int` raises it.  It then refuses an empty simplex,
-    then, before the closure (an n-vertex simplex has 2^n - 1 faces), a
-    vertex outside 0 .. vertex_count - 1, naming the lowest.  It
-    closes the listing with `_close`, stores `top_dim` (-1 when empty) and
-    fills the facet table, one pass per dimension: `_facets[d][t]` holds
-    the indices, in dimension d - 1, of the facets of simplex t of
-    dimension d, facet i omitting vertex i.  `_cycle` holds the result of
-    `fundamental_cycle` once it is found.
+    then a vertex outside 0 .. vertex_count - 1, naming the lowest.  It
+    stores `top_dim` (-1 when empty) and fills the facet table, one pass
+    per dimension: `_facets[d][t]` holds the indices, in dimension d - 1,
+    of the facets of simplex t of dimension d, facet i omitting vertex i.
+    That pass looks up every facet, so it is also the check that the
+    listing is closed under faces: the first facet it does not find,
+    lowest dimension first and in lexicographic order there, is refused.
+    No face is ever added, so the work follows the size of the listing.
+    `_cycle` holds the result of `fundamental_cycle` once it is found.
 
-    >>> k = SimplicialComplexData(3, [(0, 2, 1)])
+    >>> k = SimplicialComplexData(3, [(0, 2, 1), (0, 1), (0, 2), (1, 2),
+    ...                               (0,), (1,), (2,)])
     >>> len(list(k.all_simplices())), k._facets[2]
     (7, ((2, 1, 0),))
     >>> SimplicialComplexData(3, [(0, 5), (-1, 1)])
     Traceback (most recent call last):
     ...
     ValueError: malformed complex: (-1,) uses vertices outside range
+    >>> SimplicialComplexData(3, [(0, 1), (0,)])
+    Traceback (most recent call last):
+    ...
+    ValueError: malformed complex: face (1,) is not listed
     """
 
     __slots__ = ("vertex_count", "simplices_by_dim", "top_dim", "_index",
@@ -79,11 +76,8 @@ class SimplicialComplexData:
             low = min(v for v in used if not 0 <= v < vertex_count)
             raise ValueError(f"malformed complex: {(low,)} uses vertices "
                              "outside range")
-        by_dim = {n - 1: set(group) for n, group in
-                  groupby(sorted(listed, key=len), len)}
-        _close(by_dim)
-        self.simplices_by_dim = {d: tuple(sorted(by_dim[d]))
-                                 for d in sorted(by_dim)}
+        self.simplices_by_dim = {n - 1: tuple(sorted(group)) for n, group in
+                                 groupby(sorted(listed, key=len), len)}
         self.top_dim = max(self.simplices_by_dim, default=-1)
         self._cycle = None
         index = self._index = {}
@@ -91,10 +85,15 @@ class SimplicialComplexData:
         for d, level in self.simplices_by_dim.items():
             index.update(zip(level, range(len(level))))
             if d > 0:
+                try:
+                    flat = list(map(index.__getitem__, chain.from_iterable(
+                        map(combinations, level, repeat(d)))))
+                except KeyError as missing:
+                    face = missing.args[0]
+                    raise ValueError(f"malformed complex: face {face} is "
+                                     "not listed") from None
                 # facet i omits vertex i, and combinations omits the last
                 # vertex first: cut the reversed indices into (d + 1)-tuples
-                flat = list(map(index.__getitem__, chain.from_iterable(
-                    map(combinations, level, repeat(d)))))
                 flat.reverse()
                 self._facets[d] = tuple(zip(*[iter(flat)] * (d + 1)))[::-1]
 
@@ -142,7 +141,7 @@ class SimplicialMap:
     degenerate.  `check_covering` and the builder read them as index
     arithmetic.
 
-    >>> edge = SimplicialComplexData(2, [(0, 1)])
+    >>> edge = SimplicialComplexData(2, [(0, 1), (0,), (1,)])
     >>> f = SimplicialMap(edge, edge, [1, 0])
     >>> f.image_index, f.image_sign
     ([[1, 0], [0]], [[1, 1], [-1]])
@@ -201,7 +200,8 @@ def boundary_matrix(k, d, sign):
 def chain_complex_of(k):
     """Simplicial chain complex: face sums with alternating signs.
 
-    >>> tri = SimplicialComplexData.from_simplices([(0, 1), (1, 2), (0, 2)])
+    >>> tri = SimplicialComplexData.from_simplices(
+    ...     [(0, 1), (1, 2), (0, 2), (0,), (1,), (2,)])
     >>> c = chain_complex_of(tri)
     >>> [c.rank(0), c.rank(1)]
     [3, 3]
@@ -221,7 +221,8 @@ def fundamental_cycle(k):
     cycle.  Raises NoFundamentalCycle, on every call, if `k` is not a
     pure orientable pseudomanifold.
 
-    >>> fundamental_cycle(SimplicialComplexData(3, [(0, 1), (1, 2)]))
+    >>> path = [(0, 1), (1, 2), (0,), (1,), (2,)]
+    >>> fundamental_cycle(SimplicialComplexData(3, path))
     ((1, 1), ((0,), (2,)))
     """
     if k._cycle is None:

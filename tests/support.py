@@ -8,6 +8,7 @@ answers known from the Wang sequence."""
 
 import functools
 import importlib.util
+from itertools import combinations
 from pathlib import Path
 
 from sympy import Matrix as SymMatrix
@@ -166,11 +167,24 @@ def forbid_dense_rows(monkeypatch):
     return built
 
 
+def closed(simplices):
+    """Every face of every listed simplex, as increasing tuples, lowest
+    dimension first: the face closure the reader no longer forms, kept so
+    that a test can write a complex by its top simplices."""
+    faces = set()
+    for s in simplices:
+        s = sorted(set(s))
+        faces.update(face for size in range(1, len(s) + 1)
+                     for face in combinations(s, size))
+    return sorted(faces, key=lambda s: (len(s), s))
+
+
 def listed_by_dim(vertex_count, simplices):
-    """{dimension: set of increasing simplices} of a listing before its
-    closure, by the one Python loop that SimplicialComplexData once ran on
-    every listing: `int` on each vertex in listing order, an empty simplex
-    refused where it stands, then the lowest vertex outside the range."""
+    """{dimension: set of increasing simplices} of a listing, by one
+    Python loop: `int` on each vertex in listing order, an empty simplex
+    refused where it stands, then the lowest vertex outside the range,
+    then the first facet not listed, lowest dimension first, in
+    lexicographic order there, omitting the last vertex first."""
     by_dim = {}
     outside = []
     for s in simplices:
@@ -185,7 +199,29 @@ def listed_by_dim(vertex_count, simplices):
                   if not 0 <= v < vertex_count)
         raise ValueError(f"malformed complex: {(low,)} uses vertices "
                          "outside range")
+    for d in sorted(d for d in by_dim if d > 0):
+        for s in sorted(by_dim[d]):
+            for face in combinations(s, d):
+                if face not in by_dim.get(d - 1, ()):
+                    raise ValueError(f"malformed complex: face {face} is "
+                                     "not listed")
     return by_dim
+
+
+def formed_faces(monkeypatch):
+    """The list of (simplex, face) pairs, one per face that the simplicial
+    module forms from here on through `combinations`, the one way its
+    constructor forms faces."""
+    formed = []
+    real = simplicial.combinations
+
+    def recorded(s, r):
+        for face in real(s, r):
+            formed.append((s, face))
+            yield face
+
+    monkeypatch.setattr(simplicial, "combinations", recorded)
+    return formed
 
 
 def image_simplex(f, s):
@@ -662,6 +698,25 @@ def corpus_names(kind):
     """Names of the shipped files of `kind`, "flow" or "morse"."""
     return [name for name in entry_names()
             if read_corpus(name)[2].get("kind", "flow") == kind]
+
+
+def morse_doc_of(k):
+    """The `kind: morse` document of the simplicial complex `k`: one
+    critical point per simplex, of index its dimension, and count (-1)^i
+    from each simplex to its facet i, so its critical-point complex is the
+    simplicial chain complex of `k`."""
+    def name(s):
+        return ".".join(map(str, s))
+
+    return {
+        "schema": 1,
+        "kind": "morse",
+        "critical": {str(d): list(map(name, level))
+                     for d, level in k.simplices_by_dim.items()},
+        "counts": [[name(s), name(s[:i] + s[i + 1:]), (-1) ** i]
+                   for s in k.all_simplices() if len(s) > 1
+                   for i in range(len(s))],
+    }
 
 
 # ---------------------------------------------------------------------------

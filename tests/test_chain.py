@@ -16,6 +16,7 @@ from support import (
     ChainMap,
     brute_homology,
     chain_map_residuals,
+    closed,
     from_blocks,
     mapping_cone,
     quasi_iso,
@@ -203,7 +204,8 @@ class TestHomology:
                 a, b = i * n + j, ((i + 1) % n) * n + j
                 c, d = i * n + (j + 1) % n, ((i + 1) % n) * n + (j + 1) % n
                 tris += [(a, b, d), (a, c, d)]
-        c = chain_complex_of(SimplicialComplexData.from_simplices(tris))
+        c = chain_complex_of(
+            SimplicialComplexData.from_simplices(closed(tris)))
         seen = {}
 
         def counted(a, cleared=()):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mbhomology
-from mbhomology import chain, cli, schema, simplicial
+from mbhomology import chain, cli, schema
 from mbhomology.chain import HomologyGroup
 from mbhomology.cli import EXIT_INPUT, EXIT_OK, EXIT_SEMANTIC, main
 from mbhomology.schema import (
@@ -25,7 +25,13 @@ from mbhomology.schema import (
 from mbhomology.corpus import data_dir, entry_names
 from mbhomology.flowdata import morse_to_flow
 
-from support import linear_twists, load_file, twist_doc, wang_table
+from support import (
+    formed_faces,
+    linear_twists,
+    load_file,
+    twist_doc,
+    wang_table,
+)
 
 # the document writers; the program only reads documents
 WRITERS = load_file("scripts/make_corpus.py")
@@ -432,7 +438,8 @@ def branching_domain_doc():
     cycle exists."""
     doc = load_corpus_doc("s2-z2")
     doc["moduli"][0].update({
-        "domain": {"vertices": 4, "simplices": [[0, 1], [0, 2], [0, 3]]},
+        "domain": {"vertices": 4, "simplices": [[0], [1], [2], [3], [0, 1],
+                                                [0, 2], [0, 3]]},
         "ev_minus": [0, 0, 0, 0],
         "ev_plus": [0, 1, 2, 1],
     })
@@ -441,7 +448,8 @@ def branching_domain_doc():
 
 def non_covering_doc():
     """A circle source whose ev_minus collapses an edge."""
-    circle = {"vertices": 3, "simplices": [[0, 1], [0, 2], [1, 2]]}
+    circle = {"vertices": 3, "simplices": [[0], [1], [2], [0, 1], [0, 2],
+                                           [1, 2]]}
     return {
         "schema": 1,
         "kind": "flow",
@@ -507,7 +515,8 @@ class TestErrorExitCodes:
     def test_model_too_big_for_its_index(self, tmp_path, capsys, command):
         # a circle at index 1 of a 1-dimensional presentation: each simplex
         # fits in dim, but the model does not fit in dim - index
-        circle = {"vertices": 3, "simplices": [[0, 1], [0, 2], [1, 2]]}
+        circle = {"vertices": 3, "simplices": [[0], [1], [2], [0, 1],
+                                               [0, 2], [1, 2]]}
         path = write_doc(tmp_path, {
             "schema": 1,
             "kind": "flow",
@@ -592,6 +601,26 @@ def point_domain(simplices):
             domain={"vertices": 4, "simplices": simplices},
             ev_minus=[0, 0, 0, 0], ev_plus=[0, 1, 2, 0])
     return change
+
+
+def replace_doc(new):
+    """Replace the whole document by `new`."""
+    def change(doc):
+        doc.clear()
+        doc.update(json.loads(json.dumps(new)))
+    return change
+
+
+def unbounded_cost_doc(listing):
+    """A `dim` 40 document whose one critical model lists `listing` on 16
+    vertices: closing one simplex on all 16 made 2^16 - 1 faces."""
+    return {"schema": 1, "kind": "flow", "dim": 40, "critical": [
+        {"index": 0, "kind": "simplicial",
+         "complex": {"vertices": 16, "simplices": listing}}], "moduli": []}
+
+
+SIMPLEX_16 = [list(range(16))]
+FACETS_16 = [list(s) for s in combinations(range(16), 15)]
 
 
 # (command, corpus file, change, error text after the file name)
@@ -748,14 +777,40 @@ MALFORMED = {
     "covering-domain-vertex-negative": (
         "homology", "s2-minus-z2", domain_edge(-1),
         ".moduli[0]: malformed complex: (-1,) uses vertices outside range"),
+    # a listing must hold every face of every listed simplex; the first
+    # facet the reader does not find, lowest dimension first, is named
+    "not-closed-edges-without-vertices": (
+        "validate", "t2-height",
+        set_in(lambda d: d["critical"][0], "complex",
+               {"vertices": 3, "simplices": [[0, 1], [0, 2], [1, 2]]}),
+        ".critical[0]: malformed complex: face (0,) is not listed"),
+    "not-closed-domain-edges-without-vertices": (
+        "homology", "s2-z2",
+        set_in(first_component, "domain",
+               {"vertices": 3, "simplices": [[0, 1], [0, 2], [1, 2]]}),
+        ".moduli[0]: malformed complex: face (0,) is not listed"),
+    "not-closed-triangle-missing-edge": (
+        "homology", "s2-constant",
+        lambda doc: doc["critical"][0]["complex"]["simplices"].remove([1, 2]),
+        ".critical[0]: malformed complex: face (1, 2) is not listed"),
+    "not-closed-simplex-16": (
+        "homology", "t2-height", replace_doc(unbounded_cost_doc(SIMPLEX_16)),
+        f".critical[0]: malformed complex: face {tuple(range(15))} is not "
+        "listed"),
+    "not-closed-facets-16": (
+        "validate", "t2-height", replace_doc(unbounded_cost_doc(FACETS_16)),
+        f".critical[0]: malformed complex: face {tuple(range(14))} is not "
+        "listed"),
     # a point source's domain is oriented by the build, which names the
     # component
     "point-domain-ridge-in-three": (
-        "homology", "s2-z2", point_domain([[0, 1], [0, 2], [0, 3]]),
+        "homology", "s2-z2",
+        point_domain([[0], [1], [2], [3], [0, 1], [0, 2], [0, 3]]),
         ": component 2->0: domain: not a pseudomanifold: ridge (0,) lies in "
         "3 top simplices"),
     "point-domain-maximal-vertex": (
-        "validate", "s2-z2", point_domain([[0, 1], [1, 2], [3]]),
+        "validate", "s2-z2",
+        point_domain([[0], [1], [2], [3], [0, 1], [1, 2]]),
         ": component 2->0: domain: not a pseudomanifold: (3,) is maximal "
         "below dimension 1"),
 }
@@ -803,9 +858,10 @@ class TestMalformedDocuments:
 
 
 class TestClosureBound:
-    """A listed simplex is refused before its faces are formed, so the
-    cost of a refusal follows the size of the document.  Closing an
-    n-vertex simplex makes 2^n - 1 faces: 20 vertices took 2.3 s and
+    """The reader forms no face beyond the facets of the listed simplices,
+    each once, and none of a simplex refused above `dim` or outside its
+    model's range, so the cost of a document follows its size.  Closing
+    an n-vertex simplex made 2^n - 1 faces: 20 vertices took 2.3 s and
     345 MiB before these checks."""
 
     @staticmethod
@@ -817,24 +873,17 @@ class TestClosureBound:
         return write_doc(tmp_path, doc)
 
     @staticmethod
-    def homology_unclosed(monkeypatch, path):
-        """`homology` on `path`, failing at once if the closure is handed
-        a simplex above dimension 2, the top of every model of the
-        document."""
-        real = simplicial._close
-
-        def guarded(by_dim):
-            assert max(by_dim, default=0) <= 2, "a large simplex was closed"
-            real(by_dim)
-
-        monkeypatch.setattr(simplicial, "_close", guarded)
-        return main(["homology", path])
+    def homology_formed(monkeypatch, path):
+        """The exit code of `homology` on `path`, and the (simplex, face)
+        pairs that the reader formed."""
+        formed = formed_faces(monkeypatch)
+        return main(["homology", path]), formed
 
     @pytest.mark.parametrize("vertices", [20, 40])
     def test_simplex_above_dim(self, tmp_path, capsys, monkeypatch,
                                vertices):
         path = self.big_simplex_doc(tmp_path, vertices, 2)
-        assert self.homology_unclosed(monkeypatch, path) == EXIT_INPUT
+        assert self.homology_formed(monkeypatch, path) == (EXIT_INPUT, [])
         n = len(load_corpus_doc("t2-height")["critical"][0]["complex"][
             "simplices"])
         assert capsys.readouterr().err == (
@@ -843,20 +892,21 @@ class TestClosureBound:
 
     def test_accepted_document_is_closed_by_the_guard(self, monkeypatch,
                                                       capsys):
-        # the guard sees every closure: an accepted document reaches it,
-        # so a constructor that closed its listing some other way fails
-        # the two tests above
-        closed = []
-        real = simplicial._close
-
-        def counted(by_dim):
-            closed.append(by_dim)
-            real(by_dim)
-
-        monkeypatch.setattr(simplicial, "_close", counted)
-        assert self.homology_unclosed(monkeypatch,
-                                      corpus_path("t2-height")) == EXIT_OK
-        assert closed
+        # an accepted document forms each facet of each distinct listing
+        # once, so a reader that formed faces some other way, or more of
+        # them, fails this test
+        doc = load_corpus_doc("t2-height")
+        listings = {json.dumps(data) for data in
+                    [entry["complex"] for entry in doc["critical"]
+                     if "complex" in entry]
+                    + [comp["domain"] for comp in doc["moduli"]]}
+        facets = sum(len(s) for data in map(json.loads, listings)
+                     for s in data["simplices"] if len(s) > 1)
+        code, formed = self.homology_formed(monkeypatch,
+                                            corpus_path("t2-height"))
+        assert code == EXIT_OK and len(formed) == facets > 0
+        assert all(len(face) == len(s) - 1 and set(face) < set(s)
+                   for s, face in formed)
 
     @pytest.mark.parametrize("vertices", [20, 40])
     def test_vertices_outside_range(self, tmp_path, capsys, monkeypatch,
@@ -865,10 +915,24 @@ class TestClosureBound:
         # with the message the constructor gives, naming the lowest vertex
         # outside the model's 3
         path = self.big_simplex_doc(tmp_path, vertices, 60)
-        assert self.homology_unclosed(monkeypatch, path) == EXIT_INPUT
+        assert self.homology_formed(monkeypatch, path) == (EXIT_INPUT, [])
         assert capsys.readouterr().err == (
             f"input error: {path}.critical[0]: malformed complex: (3,) uses "
             "vertices outside range\n")
+
+    @pytest.mark.parametrize("listing", [SIMPLEX_16, FACETS_16],
+                             ids=["simplex", "facets"])
+    def test_unbounded_cost_documents(self, tmp_path, capsys, monkeypatch,
+                                      listing):
+        # one simplex on 16 vertices, or its 16 facets, is refused after
+        # one face is formed: the first facet of the first simplex
+        path = write_doc(tmp_path, unbounded_cost_doc(listing))
+        first = tuple(listing[0])
+        assert self.homology_formed(monkeypatch, path) == (
+            EXIT_INPUT, [(first, first[:-1])])
+        assert capsys.readouterr().err == (
+            f"input error: {path}.critical[0]: malformed complex: face "
+            f"{first[:-1]} is not listed\n")
 
 
 def nonsquaring_morse_doc():

@@ -35,6 +35,7 @@ from mbhomology.simplicial import (
 
 from support import (
     chain_to_vector,
+    closed,
     corpus_names,
     count_walks,
     cycle_chain,
@@ -51,7 +52,8 @@ import workloads  # noqa: E402
 
 
 def triangle():
-    return SimplicialComplexData.from_simplices([(0, 1), (1, 2), (0, 2)])
+    return SimplicialComplexData.from_simplices(
+        closed([(0, 1), (1, 2), (0, 2)]))
 
 
 def with_moduli(fp, moduli):
@@ -225,7 +227,7 @@ class TestBuild:
     def test_rejects_non_covering_ev_minus(self):
         # collapse the rim model onto an edge: not a covering of the circle
         tri = triangle()
-        seg = SimplicialComplexData.from_simplices([(0, 1)])
+        seg = SimplicialComplexData.from_simplices(closed([(0, 1)]))
         rim = CritModel(index=1, complex=tri)
         poles = CritModel(index=0, names=("n", "s"))
         comp = ModuliComponentModel(
@@ -353,7 +355,7 @@ def bott_twist_doc(domain_vertices=None):
     tris = [t for i in range(3) for j in range(3)
             for t in ([v(i, j), v(i + 1, j), v(i + 1, j + 1)],
                       [v(i, j), v(i, j + 1), v(i + 1, j + 1)])]
-    torus = {"vertices": 9, "simplices": [sorted(t) for t in tris]}
+    torus = {"vertices": 9, "simplices": [list(s) for s in closed(tris)]}
     other = dict(torus)
     if domain_vertices is not None:
         other["vertices"] = domain_vertices
@@ -644,11 +646,11 @@ def random_covering_presentation(rng):
     size = max(v for s in base for v in s) + 1
     sigma = rng.sample(range(size), size)
     model = CritModel(1, complex=SimplicialComplexData(
-        size, [[sigma[v] for v in s] for s in base]))
+        size, closed([[sigma[v] for v in s] for s in base])))
     points = rng.random() < 0.4
     target = CritModel(0, names=("a", "b", "c")) if points else \
         CritModel(0, complex=SimplicialComplexData.from_simplices(
-            combinations(range(4), 3)))
+            closed(combinations(range(4), 3))))
     kinds = {kind, "points" if points else "simplicial"}
     moduli = []
     for _ in range(rng.randint(1, 2)):
@@ -663,8 +665,8 @@ def random_covering_presentation(rng):
 
         tau = rng.sample(range(k * size), k * size)
         domain = SimplicialComplexData(
-            k * size, [[tau[x] for x in lift(s, c)]
-                       for s in base for c in range(k)])
+            k * size, closed([[tau[x] for x in lift(s, c)]
+                              for s in base for c in range(k)]))
         minus = [0] * (k * size)
         for x in range(k * size):
             minus[tau[x]] = sigma[x % size]

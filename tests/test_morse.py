@@ -24,7 +24,7 @@ from mbhomology.multicomplex import (
     totalize,
     validate_multicomplex,
 )
-from mbhomology.schema import presentation_from_file
+from mbhomology.schema import presentation_from_doc, presentation_from_file
 
 from support import (
     brute_homology,
@@ -32,9 +32,11 @@ from support import (
     corpus_names,
     forbid_dense_rows,
     full_point_rows,
+    load_file,
     mapping_cone,
     phi_chain_map,
     phi_embed,
+    morse_doc_of,
     random_complex,
     read_corpus,
     verify_morse_mb,
@@ -819,3 +821,50 @@ class TestConjugatedMulticomplex:
             c2 = phi_embed(mc, 4, (1,))[2]
             later += any(mc.map(2, 2, 2).times_vector(c2))
         assert later > 6
+
+
+def simplicial_rows():
+    """(label, complex) of every simplicial critical model of the corpus
+    and of seeded torus-grid and bott-twist documents."""
+    workloads = load_file("perfbench/workloads.py")
+    presentations = [(name, read_corpus(name)[0])
+                     for name in corpus_names("flow")]
+    presentations += [
+        (f"{workload}:{call}",
+         presentation_from_doc(workloads.make(workload, 7, call)[0]))
+        for workload in ("torus-grid", "bott-twist") for call in range(3)]
+    for label, fp in presentations:
+        for t, model in enumerate(fp.crit):
+            if not model.is_points:
+                yield f"{label}:{t}", model.complex
+
+
+class TestMorseHomologyTheorem:
+    """The paper's comparison theorem on every simplicial row: the Morse
+    document with one critical point per simplex has the simplicial chain
+    complex as its critical-point complex, so `morse` finds the build
+    equal to it, and its table is the one `homology` prints for the
+    one-row flow document of the same model."""
+
+    @pytest.mark.parametrize("k", [pytest.param(k, id=label)
+                                   for label, k in simplicial_rows()])
+    def test_morse_table_is_the_row_table(self, tmp_path, k):
+        morse_path = tmp_path / "morse.json"
+        morse_path.write_text(json.dumps(morse_doc_of(k)), "utf-8")
+        code, out, err = run_morse(morse_path, "--json")
+        assert (code, err) == (cli.EXIT_OK, "")
+        report = json.loads(out)
+        assert report["ok"] is True
+        flow_path = tmp_path / "flow.json"
+        flow_path.write_text(json.dumps({
+            "schema": 1, "kind": "flow", "dim": k.top_dim,
+            "critical": [{"index": 0, "kind": "simplicial", "complex": {
+                "vertices": k.vertex_count,
+                "simplices": list(map(list, k.all_simplices()))}}],
+            "moduli": []}), "utf-8")
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main(["homology", "--json", str(flow_path)]) == \
+                cli.EXIT_OK
+        table = json.loads(out.getvalue())["homology"]
+        assert report["morse_homology"] == report["mb_homology"] == table

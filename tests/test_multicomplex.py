@@ -29,6 +29,7 @@ from mbhomology.simplicial import (
 )
 
 from support import (
+    closed,
     corpus_names,
     full_point_rows,
     pairwise_residuals,
@@ -40,12 +41,13 @@ import workloads  # noqa: E402
 
 
 def triangle():
-    return SimplicialComplexData.from_simplices([(0, 1), (1, 2), (0, 2)])
+    return SimplicialComplexData.from_simplices(
+        closed([(0, 1), (1, 2), (0, 2)]))
 
 
 def sphere_model():
     return SimplicialComplexData.from_simplices(
-        [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+        closed([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]))
 
 
 def single_row_mc(model, ambient_dim):

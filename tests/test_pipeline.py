@@ -18,7 +18,7 @@ from mbhomology.flowdata import CritModel, FlowPresentation, build_multicomplex
 from mbhomology.multicomplex import InvalidMulticomplex, MBSMulticomplex
 from mbhomology.pipeline import homology_table
 from mbhomology.simplicial import SimplicialComplexData
-from support import corpus_names, forbid_dense_rows, read_corpus
+from support import closed, corpus_names, forbid_dense_rows, read_corpus
 
 Z = HomologyGroup(1, ())
 ZERO = HomologyGroup(0, ())
@@ -36,7 +36,7 @@ def relabeled_torus(n, seed):
     tris = [tri for i in range(n) for j in range(n)
             for tri in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
                         (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
-    cx = SimplicialComplexData.from_simplices(tris)
+    cx = SimplicialComplexData.from_simplices(closed(tris))
     return FlowPresentation(dim=2, crit=(CritModel(index=0, complex=cx),))
 
 

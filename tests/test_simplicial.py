@@ -3,7 +3,6 @@ from itertools import combinations
 
 import pytest
 
-from mbhomology import simplicial
 from mbhomology.chain import HomologyGroup, homology_at, validate_complex
 from mbhomology.exactalg import IntMatrix
 from mbhomology.simplicial import (
@@ -18,10 +17,12 @@ from mbhomology.simplicial import (
 
 from support import (
     chain_to_vector,
+    closed,
     count_walks,
     covering_lifts,
     covering_pullback,
     cycle_chain,
+    formed_faces,
     image_simplex,
     listed_by_dim,
     load_file,
@@ -32,16 +33,17 @@ from support import (
 
 
 def triangle_circle():
-    return SimplicialComplexData.from_simplices([(0, 1), (1, 2), (0, 2)])
+    return SimplicialComplexData.from_simplices(
+        closed([(0, 1), (1, 2), (0, 2)]))
 
 
 def hexagon_circle():
     return SimplicialComplexData.from_simplices(
-        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
+        closed([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]))
 
 
 def full_2_simplex():
-    return SimplicialComplexData.from_simplices([(0, 1, 2)])
+    return SimplicialComplexData.from_simplices(closed([(0, 1, 2)]))
 
 
 # the six-vertex real projective plane and a six-triangle annulus
@@ -72,7 +74,7 @@ def top_components(tops):
 
 def sphere_bd3():
     return SimplicialComplexData.from_simplices(
-        [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+        closed([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]))
 
 
 def boundary_of(k, d, chain):
@@ -121,13 +123,20 @@ class TestChainComplexOf:
         assert h2 == HomologyGroup(1, ())
 
     def test_rejects_malformed(self):
-        # the constructor closes the listing under faces, so no complex
-        # that reaches chain_complex_of misses a face; a vertex outside the
-        # range is refused
-        k = SimplicialComplexData(3, [(0, 1)])
+        # the constructor refuses a listing not closed under faces, so no
+        # complex that reaches chain_complex_of misses a face; a vertex
+        # outside the range is refused
+        for build in (SimplicialComplexData,
+                      lambda n, listed: SimplicialComplexData.from_simplices(
+                          listed, vertex_count=n)):
+            with pytest.raises(ValueError) as err:
+                build(3, [(0, 1)])
+            assert str(err.value) == \
+                "malformed complex: face (0,) is not listed"
+        k = SimplicialComplexData(3, [(0, 1), (1,), (0,)])
         assert list(k.all_simplices()) == [(0,), (1,), (0, 1)]
-        assert k == SimplicialComplexData.from_simplices([(0, 1)],
-                                                         vertex_count=3)
+        assert k == SimplicialComplexData.from_simplices(
+            closed([(0, 1)]), vertex_count=3)
         for vertex in (3, -1):
             with pytest.raises(ValueError, match="outside range"):
                 SimplicialComplexData(3, [(0, vertex)])
@@ -150,7 +159,7 @@ class TestFundamentalCycle:
         assert fundamental_cycle(k) == ((1,), ())
 
     def test_interval_relative(self):
-        k = SimplicialComplexData.from_simplices([(0, 1), (1, 2)])
+        k = SimplicialComplexData.from_simplices(closed([(0, 1), (1, 2)]))
         assert fundamental_cycle(k) == ((1, 1), ((0,), (2,)))
         assert boundary_of(k, 1, cycle_chain(k)) == \
             chain_to_vector(k, 0, {(0,): -1, (2,): 1})
@@ -170,7 +179,7 @@ class TestFundamentalCycle:
         assert bdry == rim or bdry == tuple(-c for c in rim)
 
     def test_projective_plane_not_orientable(self):
-        rp2 = SimplicialComplexData.from_simplices(RP2)
+        rp2 = SimplicialComplexData.from_simplices(closed(RP2))
         # sanity: closed and has the Z/2 in H_1 that witnesses
         # non-orientability
         [h1] = homology_at(chain_complex_of(rp2), [1])
@@ -179,7 +188,7 @@ class TestFundamentalCycle:
             fundamental_cycle(rp2)
 
     def test_annulus_relative_cycle(self):
-        annulus = SimplicialComplexData.from_simplices(ANNULUS)
+        annulus = SimplicialComplexData.from_simplices(closed(ANNULUS))
         bdry = boundary_of(annulus, 2, cycle_chain(annulus))
         assert tuple(s for s, c in zip(annulus.simplices_of_dim(1), bdry)
                      if c) == fundamental_cycle(annulus)[1]
@@ -187,7 +196,8 @@ class TestFundamentalCycle:
             chain_complex_of(annulus).boundary(1).times_vector(bdry))
 
     def test_non_pseudomanifold(self):
-        k = SimplicialComplexData.from_simplices([(0, 1), (1, 2), (1, 3)])
+        k = SimplicialComplexData.from_simplices(
+            closed([(0, 1), (1, 2), (1, 3)]))
         with pytest.raises(NoFundamentalCycle):
             fundamental_cycle(k)
 
@@ -207,10 +217,10 @@ class TestFundamentalCycle:
         for seed in range(60):
             rng = random.Random(seed)
             tops = shapes[seed % len(shapes)]
-            k = SimplicialComplexData.from_simplices(tops)
+            k = SimplicialComplexData.from_simplices(closed(tops))
             perm = rng.sample(range(k.vertex_count), k.vertex_count)
             moved = SimplicialComplexData.from_simplices(
-                [[perm[v] for v in s] for s in tops], k.vertex_count)
+                closed([[perm[v] for v in s] for s in tops]), k.vertex_count)
             coefficients, boundary = fundamental_cycle(k)
             moved_coefficients, moved_boundary = fundamental_cycle(moved)
             component = top_components(k.simplices_of_dim(k.top_dim))
@@ -230,7 +240,7 @@ class TestFundamentalCycle:
                 tuple(sorted(perm[v] for v in r)) for r in boundary)), seed
             relabel = rng.sample(range(6), 6)
             rp2 = SimplicialComplexData.from_simplices(
-                [[relabel[v] for v in s] for s in RP2])
+                closed([[relabel[v] for v in s] for s in RP2]))
             with pytest.raises(NoFundamentalCycle, match="not orientable"):
                 fundamental_cycle(rp2)
         assert seen == {1, -1, "components differ"}
@@ -244,7 +254,8 @@ class TestFundamentalCycle:
         first = fundamental_cycle(k)
         assert fundamental_cycle(k) is first and walks == [k]
         assert fundamental_cycle(sphere_bd3()) == first and len(walks) == 2
-        bad = SimplicialComplexData.from_simplices([(0, 1), (1, 2), (1, 3)])
+        bad = SimplicialComplexData.from_simplices(
+            closed([(0, 1), (1, 2), (1, 3)]))
         for _ in range(2):
             with pytest.raises(NoFundamentalCycle, match="lies in 3 top"):
                 fundamental_cycle(bad)
@@ -266,7 +277,7 @@ class TestSimplicialMap:
             SimplicialMap(triangle_circle(), triangle_circle(), image)
 
     def test_rejects_image_off_the_target(self):
-        edge = SimplicialComplexData.from_simplices([(0, 1)])
+        edge = SimplicialComplexData.from_simplices(closed([(0, 1)]))
         apart = SimplicialComplexData.from_simplices([(0,), (1,)])
         with pytest.raises(ValueError, match="is not a simplex"):
             SimplicialMap(edge, apart, [0, 1])
@@ -281,7 +292,8 @@ class TestSimplicialMap:
         seen = set()
         for seed in range(400):
             rng = random.Random(seed)
-            source = SimplicialComplexData.from_simplices(random_listed(rng))
+            source = SimplicialComplexData.from_simplices(
+                closed(random_listed(rng)))
             n = source.vertex_count
             m = rng.randint(n, n + 3)
             kind = rng.choice(("increasing", "decreasing", "constant",
@@ -293,7 +305,7 @@ class TestSimplicialMap:
                 "relabelling": lambda: rng.sample(range(m), n),
                 "arbitrary": lambda: [rng.randrange(m) for _ in range(n)],
             }[kind]()
-            listed = random_listed(rng, m)
+            listed = closed(random_listed(rng, m))
             if rng.random() < 0.5:
                 listed += [[image[v] for v in s]
                            for s in source.all_simplices()]
@@ -333,7 +345,7 @@ class TestPushforward:
         assert pushforward(f, chain) == chain
 
     def test_constant_collapses_edge(self):
-        k = SimplicialComplexData.from_simplices([(0, 1)])
+        k = SimplicialComplexData.from_simplices(closed([(0, 1)]))
         pt = SimplicialComplexData.from_simplices([(0,)])
         f = SimplicialMap(k, pt, vertex_image=[0, 0])
         assert pushforward(f, {(0, 1): 1}) == {}
@@ -345,8 +357,8 @@ class TestPushforward:
         assert doubled == {s: 2 * c for s, c in base.items()}
 
     def test_orientation_sign(self):
-        k = SimplicialComplexData.from_simplices([(0, 1)])
-        m = SimplicialComplexData.from_simplices([(0, 1)])
+        k = SimplicialComplexData.from_simplices(closed([(0, 1)]))
+        m = SimplicialComplexData.from_simplices(closed([(0, 1)]))
         f = SimplicialMap(k, m, vertex_image=[1, 0])
         assert pushforward(f, {(0, 1): 1}) == {(0, 1): -1}
 
@@ -370,7 +382,7 @@ class TestCoveringPullback:
 
     def test_disjoint_double(self):
         two = SimplicialComplexData.from_simplices(
-            [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+            closed([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
         f = SimplicialMap(two, triangle_circle(),
                           vertex_image=[0, 1, 2, 0, 1, 2])
         assert sheets(f) == 2
@@ -379,7 +391,7 @@ class TestCoveringPullback:
         assert lifted == cycle_chain(two)
 
     def test_rejects_collapse(self):
-        k = SimplicialComplexData.from_simplices([(0, 1)])
+        k = SimplicialComplexData.from_simplices(closed([(0, 1)]))
         pt = SimplicialComplexData.from_simplices([(0,)])
         f = SimplicialMap(k, pt, vertex_image=[0, 0])
         with pytest.raises(CoveringError):
@@ -387,8 +399,8 @@ class TestCoveringPullback:
 
     def test_rejects_uneven_sheets(self):
         # two edges glued over one: vertex counts match but lifting fails
-        src = SimplicialComplexData.from_simplices([(0, 1), (0, 2)])
-        tgt = SimplicialComplexData.from_simplices([(0, 1)])
+        src = SimplicialComplexData.from_simplices(closed([(0, 1), (0, 2)]))
+        tgt = SimplicialComplexData.from_simplices(closed([(0, 1)]))
         f = SimplicialMap(src, tgt, vertex_image=[0, 1, 1])
         with pytest.raises(CoveringError) as err:
             covering_lifts(f)
@@ -409,7 +421,7 @@ def random_subcomplex(rng, max_vertices=5):
         candidates.extend(combinations(range(n), size))
     picked = [s for s in candidates if rng.random() < 0.5]
     picked.extend((v,) for v in range(n))
-    return SimplicialComplexData.from_simplices(picked)
+    return SimplicialComplexData.from_simplices(closed(picked))
 
 
 class TestChainMapProperties:
@@ -479,18 +491,16 @@ def random_listed(rng, max_vertices=7):
 
 class TestFacetTable:
     def test_closure_and_facets_match_combinations(self):
-        # the complex holds every face of every listed simplex, and facet i
-        # of a simplex omits vertex i: combinations lists the same faces,
+        # a listing closed under faces is the complex, and facet i of a
+        # simplex omits vertex i: combinations lists the same faces,
         # omitting the last vertex first.  The same complex, index and facet
         # table come from the listing shuffled, with each simplex reversed,
-        # with repeats, or with every face listed
+        # or with repeats
         for seed in range(300):
             rng = random.Random(seed)
-            listed = random_listed(rng)
+            listed = closed(random_listed(rng))
             k = SimplicialComplexData.from_simplices(listed)
-            faces = {face for s in listed for size in range(1, len(s) + 1)
-                     for face in combinations(s, size)}
-            assert set(k.all_simplices()) == faces, seed
+            assert list(k.all_simplices()) == listed, seed
             assert set(k._facets) == set(range(1, k.top_dim + 1))
             for d, table in k._facets.items():
                 below = k.simplices_of_dim(d - 1)
@@ -500,23 +510,26 @@ class TestFacetTable:
                         list(combinations(s, d))[::-1], (seed, s)
             shuffled = rng.sample(listed, len(listed))
             repeated = listed + rng.choices(listed, k=len(listed))
-            for variant in (shuffled, [s[::-1] for s in listed], repeated,
-                             sorted(faces)):
+            for variant in (shuffled, [s[::-1] for s in listed], repeated):
                 other = SimplicialComplexData(k.vertex_count, variant)
                 assert other == k, (seed, variant)
                 assert other._index == k._index, (seed, variant)
                 assert other._facets == k._facets, (seed, variant)
 
     def test_listings_normalize_as_the_reference_loop(self):
-        # the C-level passes give the closure of what support.listed_by_dim
+        # the C-level passes give the complex that support.listed_by_dim
         # reads, with every vertex an int, or refuse with its exception and
-        # text, on tuples, lists and listings that only int() accepts
+        # text, on tuples, lists and listings that only int() accepts.  A
+        # random listing mostly misses a face, and its face closure is
+        # accepted
         listings = []
         for seed in range(100):
             listed = random_listed(random.Random(seed))
             n = 1 + max(map(max, listed))
-            listings += [(n, listed), (n, [list(s) for s in listed]),
-                         (n, tuple(map(list, listed))), (n - 1, listed)]
+            listings += [(n, listed), (n, closed(listed)),
+                         (n, [list(s) for s in closed(listed)]),
+                         (n, tuple(map(list, listed))),
+                         (n - 1, closed(listed))]
         listings += [
             (3, [[True, False], [True]]), (3, [(0, 2), [False, 1]]),
             (3, [["0", "2"], ["1", " 2 "]]), (4, [[0.0, 2.9], [3.5, 1.0]]),
@@ -524,7 +537,10 @@ class TestFacetTable:
             (3, [[], [-1]]), (3, [[-1], [5]]), (3, [[5], ["x"]]),
             (3, [[0], [None]]), (3, [[0], 1]), (3, [[0], []]),
             (3, [[0, 1], [1.5, -2]]), (0, []), (2, [[1, 1, 0], (0, 0)]),
+            (2, [[1, 1, 0], (0, 0), [1], (0, 1, 1)]), (3, [[2, 1], [2]]),
+            (3, [[0, 1, 2], [0, 1], [0, 2], [0], [1], [2]]),
         ]
+        outcomes = set()
         for n, listing in listings:
             try:
                 by_dim = listed_by_dim(n, listing)
@@ -532,17 +548,27 @@ class TestFacetTable:
                 with pytest.raises(type(err)) as got:
                     SimplicialComplexData(n, listing)
                 assert str(got.value) == str(err), listing
+                outcomes.add(str(err).split(" ")[-1])
                 continue
-            faces = {face for level in by_dim.values() for s in level
-                     for size in range(1, len(s) + 1)
-                     for face in combinations(s, size)}
             k = SimplicialComplexData(n, listing)
-            assert set(k.all_simplices()) == faces, listing
+            assert set(k.all_simplices()) == set().union(
+                *by_dim.values()), listing
             assert {type(v) for s in k.all_simplices() for v in s} <= {int}
+            outcomes.add("accepted")
+        assert {"accepted", "listed", "range", "simplex"} <= outcomes
         for n, listing, message in (
                 (3, [[], [-1]], "empty simplex"),
                 (3, [[-1], [5]], "malformed complex: (-1,) uses vertices "
                  "outside range"),
+                # a vertex outside the range before a missing face, and the
+                # missing face of the lowest dimension first, whatever the
+                # listing order
+                (3, [[0, 1], [0, 5]], "malformed complex: (5,) uses "
+                 "vertices outside range"),
+                (3, [[0, 1, 2], [1, 2]], "malformed complex: face (1,) is "
+                 "not listed"),
+                (3, [[0, 1, 2], [0, 1], [0], [1], [2]], "malformed "
+                 "complex: face (0, 2) is not listed"),
                 # every vertex is converted before the empty simplex is
                 # refused, where the reference loop stops at the empty one
                 (3, [[], ["x"]], "invalid literal for int() with base 10: "
@@ -558,7 +584,7 @@ class TestFacetTable:
         assert SimplicialComplexData(0, []).top_dim == -1
         assert SimplicialComplexData(4, []).top_dim == -1
         for seed in range(100):
-            listed = random_listed(random.Random(seed))
+            listed = closed(random_listed(random.Random(seed)))
             k = SimplicialComplexData.from_simplices(listed)
             assert k.top_dim == max(len(s) for s in listed) - 1, seed
             assert k.top_dim == max(k.simplices_by_dim), seed
@@ -568,7 +594,7 @@ class TestFacetTable:
         # by face, with the sign of the omitted vertex's position
         for seed in range(300):
             k = SimplicialComplexData.from_simplices(
-                random_listed(random.Random(seed)))
+                closed(random_listed(random.Random(seed))))
             c = chain_complex_of(k)
             for d in range(1, k.top_dim + 1):
                 below = list(k.simplices_of_dim(d - 1))
@@ -583,33 +609,57 @@ class TestFacetTable:
     @pytest.mark.parametrize("size", [20, 40])
     def test_vertices_outside_range_refused_before_closing(
             self, monkeypatch, size):
-        # closing an n-vertex simplex makes 2^n - 1 faces; the lowest
-        # vertex outside the range is named, as the constructor names it
-        def refuse(by_dim):
-            raise AssertionError("closed before the range check")
-
-        monkeypatch.setattr(simplicial, "_close", refuse)
+        # the constructor forms no face but the facets of the listed
+        # simplices, each once, so its work follows the listing: closing an
+        # n-vertex simplex would make 2^n - 1 faces.  A vertex outside the
+        # range is refused before any face is formed, the lowest named; an
+        # n-vertex simplex, or its n facets, after one face, the missing one
+        formed = formed_faces(monkeypatch)
+        top = tuple(range(size))
         for build in (SimplicialComplexData,
                       lambda n, listed: SimplicialComplexData.from_simplices(
                           listed, vertex_count=n)):
-            with pytest.raises(ValueError) as err:
-                build(3, [range(size)])
-            assert str(err.value) == ("malformed complex: (3,) uses "
-                                      "vertices outside range")
-            with pytest.raises(ValueError) as err:
-                build(3, [(0, 1), range(-2, size - 2)])
-            assert str(err.value) == ("malformed complex: (-2,) uses "
-                                      "vertices outside range")
-            # an accepted listing reaches the patched closure, so a
-            # constructor that closed some other way would fail this test
-            with pytest.raises(AssertionError, match="closed before"):
-                build(3, [(0, 1, 2)])
+            for listing, message in (
+                    ([range(size)], "(3,) uses vertices outside range"),
+                    ([(0, 1), range(-2, size - 2)],
+                     "(-2,) uses vertices outside range")):
+                with pytest.raises(ValueError) as err:
+                    build(3, listing)
+                assert str(err.value) == f"malformed complex: {message}"
+                assert formed == []
+            for listing in ([top], list(combinations(top, size - 1))):
+                s = listing[0]
+                with pytest.raises(ValueError) as err:
+                    build(size, listing)
+                assert str(err.value) == (f"malformed complex: face {s[:-1]} "
+                                          "is not listed")
+                assert formed == [(s, s[:-1])]
+                formed.clear()
+        outcomes = set()
+        for seed in range(300):
+            rng = random.Random(seed)
+            listed = random_listed(rng)
+            if rng.random() < 0.5:
+                listed = closed(listed)
+            facets = sum(len(s) for s in listed if len(s) > 1)
+            try:
+                SimplicialComplexData.from_simplices(listed)
+            except ValueError:
+                outcomes.add("refused")
+                assert len(formed) <= facets, seed
+            else:
+                outcomes.add("accepted")
+                assert len(formed) == facets, seed
+            assert all(s in listed and len(face) == len(s) - 1
+                       and set(face) < set(s) for s, face in formed), seed
+            formed.clear()
+        assert outcomes == {"accepted", "refused"}
 
     def test_names_a_maximal_simplex(self):
         # of the simplices outside the faces of the tops, the first one in
         # the highest dimension is named, and it is maximal
         k = SimplicialComplexData.from_simplices(
-            [(0, 1, 2, 3), (4, 5, 6), (7, 8)])
+            closed([(0, 1, 2, 3), (4, 5, 6), (7, 8)]))
         with pytest.raises(NoFundamentalCycle, match=r"\(4, 5, 6\) is "
                            "maximal below dimension 3"):
             fundamental_cycle(k)
@@ -652,15 +702,15 @@ class TestCoveringLiftsReference:
         for seed in range(600):
             rng = random.Random(seed)
             n = rng.randint(2, 6)
-            target = SimplicialComplexData.from_simplices(
+            target = SimplicialComplexData.from_simplices(closed(
                 [(v,) for v in range(n)]
                 + [s for size in (2, 3) for s in combinations(range(n), size)
-                   if rng.random() < 0.4])
+                   if rng.random() < 0.4]))
             k = rng.randint(1, 3)
             listed = [tuple(sorted(v + (rng.randrange(k) if rng.random() < 0.2
                                         else c) * n for v in s))
                       for s in target.all_simplices() for c in range(k)]
-            source = SimplicialComplexData.from_simplices(listed,
+            source = SimplicialComplexData.from_simplices(closed(listed),
                                                           vertex_count=k * n)
             image = [v % n for v in range(k * n)]
             if rng.random() < 0.1:
