@@ -42,10 +42,6 @@ class ChainComplex:
             return (0, -1)
         return (min(degs), max(degs))
 
-    def degrees(self):
-        lo, hi = self.degree_range
-        return range(lo, hi + 1)
-
 
 def validate_complex(c):
     """Report every degree where d o d != 0.

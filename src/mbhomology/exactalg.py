@@ -157,21 +157,6 @@ class IntMatrix:
             out.append({i: x for i, x in acc.items() if x} if acc else acc)
         return IntMatrix._of(self.rows, other.cols, out)
 
-    def times_vector(self, v):
-        v = tuple(v)
-        if len(v) != self.cols:
-            raise ValueError(f"vector of length {len(v)} against {self.shape}")
-        out = [0] * self.rows
-        for x, col in zip(v, self.columns):
-            if x:
-                for i, a in col.items():
-                    out[i] += a * x
-        return tuple(out)
-
-    def submatrix_cols(self, col_indices):
-        out = [self.columns[j] for j in col_indices]
-        return IntMatrix._of(self.rows, len(out), out)
-
 
 class SmithDecomposition:
     """U @ A @ V == S with U, V unimodular and S a nonnegative diagonal

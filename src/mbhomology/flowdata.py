@@ -218,8 +218,9 @@ def build_multicomplex(fp, check=True):
     filled in one pass over the domain simplices of each column; a
     covering is checked by counts (simplicial.check_covering), and a
     domain object is oriented once, however many components share it.
-    The multicomplex is marked as built, so that validate_multicomplex
-    forms D o D only in the degrees a moduli map reaches.
+    The multicomplex is marked as built: identities j <= 1 hold on its
+    maps by construction (multicomplex module docstring), so
+    validate_multicomplex checks only j >= 2, the degeneracy condition.
     """
     problems = fp.validate()
     if problems:
@@ -311,8 +312,8 @@ def build_multicomplex(fp, check=True):
             maps[key] = mat
 
     mc = MBSMulticomplex(ambient_dim=fp.dim, row_ranks=row_ranks, maps=maps)
-    # every d[0] above is a signed boundary or +-I into a zero column
-    mc._d0_squares_to_zero = True
+    # identities j <= 1 hold on these maps (multicomplex module docstring)
+    mc._identities_below_2_hold = True
     if check:
         report = validate_multicomplex(mc)
         if not report.ok:

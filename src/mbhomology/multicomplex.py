@@ -3,21 +3,33 @@
 Rows are indexed by critical index i, columns by chain degree p.  The
 structure maps d[j] have bidegree (j-1, -j); d[0] already carries the
 checkerboard sign (-1)^(p+i), so the total boundary D is a plain block sum,
-laid out once, when the multicomplex is built.  The anticommutation identity
+laid out once, when the multicomplex is built.  Validity, D o D = 0, is the
+anticommutation identity
 
     sum_{q=0..j} d[q] o d[j-q] = 0        for every j, at every bidegree,
 
-is the block of D o D from (p, i) to (p+j-2, i-j), so validity is the one
-condition D o D = 0.  On a multicomplex from flowdata.build_multicomplex,
-d[0] o d[0] = 0 holds by construction: each d[0] block is a signed
-simplicial boundary, or +-I from an even column of a point row to the odd
-column below it, where d[0] is zero.  So only a total degree k where D_k or
-D_(k-1) holds a d[j] with j >= 1 can fail, and the validator forms
-D_(k-1) o D_k only there; a hand-built multicomplex gets every product.
+and validate_multicomplex sums each identity pair by pair over the stored
+maps.  On a multicomplex from flowdata.build_multicomplex, identities j = 0
+and j = 1 hold by construction, so only j >= 2, the paper's degeneracy
+condition, is checked there:
+
+  * j = 0: each d[0] block is a signed simplicial boundary, which squares
+    to zero, or (-1)^i I from an even column of a point row to the odd
+    column below it, where d[0] is zero.
+  * j = 1, a covering onto a simplicial row: the block at column p is
+    sign * P+ P-^T, a transfer along ev_minus and a pushforward along
+    ev_plus, and both commute with the boundary, so with the checkerboard
+    signs d[0] o d[1] = -d[1] o d[0].
+  * j = 1, a covering onto a point row: the pushforward there is the
+    augmentation e, and e(bdry x) is e(x) for even p and 0 for odd p.
+    That cancels against the row's d[0], (-1)^i I at even columns and zero
+    at odd ones.
+  * j = 1, a point source: it lands only in column 0, out of which d[0]
+    is zero, and its row's d[0] out of column 1 is zero too.
+
+A hand-built multicomplex gets every identity.
 """
 
-from bisect import bisect_right
-from operator import itemgetter
 from types import MappingProxyType
 
 from .chain import ChainComplex
@@ -74,8 +86,9 @@ class MBSMulticomplex:
             if not mat.is_zero():
                 placed.setdefault(p + i, []).append((j, p, i, mat))
         self.block_offsets = offsets
-        # set by the builder, whose d[0] squares to zero (module docstring)
-        self._d0_squares_to_zero = False
+        # set by the builder, on whose maps identities j <= 1 hold (module
+        # docstring)
+        self._identities_below_2_hold = False
         boundaries = {}
         for k, blocks in placed.items():
             shape = (ranks.get(k - 1, 0), ranks[k])
@@ -102,12 +115,6 @@ class MBSMulticomplex:
     def rank(self, p, i):
         return self.row_ranks.get((p, i), 0)
 
-    def map(self, j, p, i):
-        got = self.maps.get((j, p, i))
-        if got is not None:
-            return got
-        return IntMatrix.zeros(self.rank(p + j - 1, i - j), self.rank(p, i))
-
 
 class MulticomplexReport:
     def __init__(self, identity_failures=()):
@@ -125,47 +132,44 @@ class MulticomplexReport:
 
 
 def validate_multicomplex(mc):
-    """Check D o D = 0 on the total complex, one sparse product per total
-    degree, and read each nonzero entry back by block: source block (p, i)
-    and target block (p', i') give the residual for j = i - i' at (p, i).
-    Failures come by source (i, p), then j, each with its residual matrix.
-    The constructor has refused every mis-shaped map.
+    """Check each anticommutation identity, summed pair by pair over the
+    nonzero stored maps: d[q] at the target of d[a] from (p, i) adds
+    d[q] o d[a] to the residual of identity a + q at (p, i).  Failures come
+    by source (i, p), then j, each with its residual matrix.  The
+    constructor has refused every mis-shaped map.  On a build only the pairs
+    with a + q >= 2 are formed (module docstring); a hand-built
+    multicomplex gets every pair.  A sign error in the covering block at
+    column 2 of this hand-built one fails identity 1 alone:
 
-    On a build, a degree k where neither D_k nor D_(k-1) holds a d[j] with
-    j >= 1 is skipped: its product is d[0] o d[0], zero by construction
-    (module docstring).  A hand-built multicomplex gets every product.
+    >>> one = IntMatrix.from_rows([[1]])
+    >>> mc = MBSMulticomplex(
+    ...     ambient_dim=1, row_ranks={(p, i): 1 for p in range(3)
+    ...                               for i in range(2)},
+    ...     maps={(0, 2, 0): one, (0, 2, 1): one.scaled(-1),
+    ...           (1, 0, 1): one, (1, 1, 1): one, (1, 2, 1): one})
+    >>> validate_multicomplex(mc).ok
+    True
+    >>> bad = MBSMulticomplex(mc.ambient_dim, mc.row_ranks,
+    ...                       {**mc.maps, (1, 2, 1): one.scaled(-1)})
+    >>> validate_multicomplex(bad).describe()
+    ['anticommutation fails for j=1 at (p=2, i=1); residual [[-2]]']
     """
-    cx = mc.complex
-    blocks = {}  # total degree -> [(offset, p, i)], by increasing p
-    for (p, i), off in mc.block_offsets.items():
-        blocks.setdefault(p + i, []).append((off, p, i))
-
-    def block(k, n):
-        """(p, i, rank, place in the block) of generator n of degree k."""
-        at = blocks[k]
-        b = bisect_right(at, n, key=itemgetter(0)) - 1
-        end = at[b + 1][0] if b + 1 < len(at) else cx.rank(k)
-        return at[b][1], at[b][2], end - at[b][0], n - at[b][0]
-
-    # total degrees whose boundary may hold a d[j] with j >= 1
-    moduli = {p + i for j, p, i in mc.maps if j}
-    found = {}  # (i, p, j) -> (rows, cols, {column: {row: entry}})
-    for k in cx.boundaries:
-        if k - 1 not in cx.boundaries or (mc._d0_squares_to_zero and
-                                          not {k, k - 1} & moduli):
-            continue
-        for n, col in enumerate((cx.boundary(k - 1) @ cx.boundary(k)).columns):
-            if not col:
-                continue
-            p, i, cols, c = block(k, n)
-            for r, x in col.items():
-                _, t, rows, s = block(k - 2, r)
-                entries = found.setdefault((i, p, i - t), (rows, cols, {}))[2]
-                entries.setdefault(c, {})[s] = x
+    start = 2 if mc._identities_below_2_hold else 0
+    by_source = {}  # (p, i) -> [(j, nonzero d[j] out of (p, i))]
+    for (j, p, i), mat in mc.maps.items():
+        if not mat.is_zero():
+            by_source.setdefault((p, i), []).append((j, mat))
+    found = {}  # (i, p, j) -> residual
+    for (p, i), firsts in by_source.items():
+        for a, first in firsts:
+            for q, second in by_source.get((p + a - 1, i - a), ()):
+                if a + q >= start:
+                    term = second @ first
+                    key = (i, p, a + q)
+                    found[key] = found[key] + term if key in found else term
     return MulticomplexReport(
-        (j, p, i, IntMatrix.from_columns(
-            rows, cols, [entries.get(c, {}) for c in range(cols)]))
-        for (i, p, j), (rows, cols, entries) in sorted(found.items()))
+        (j, p, i, residual) for (i, p, j), residual in sorted(found.items())
+        if not residual.is_zero())
 
 
 def totalize(mc):

@@ -109,9 +109,6 @@ class SimplicialComplexData:
     def simplices_of_dim(self, d):
         return self.simplices_by_dim.get(d, ())
 
-    def index_of(self, simplex):
-        return self._index[tuple(simplex)]
-
     def all_simplices(self):
         for d in sorted(self.simplices_by_dim):
             yield from self.simplices_by_dim[d]

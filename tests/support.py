@@ -25,6 +25,43 @@ from mbhomology.schema import expected_from_doc, presentation_from_file
 from mbhomology.simplicial import CoveringError, fundamental_cycle
 
 
+def times_vector(mat, v):
+    """The integer matrix `mat` applied to the vector `v`, as a tuple."""
+    v = tuple(v)
+    if len(v) != mat.cols:
+        raise ValueError(f"vector of length {len(v)} against {mat.shape}")
+    out = [0] * mat.rows
+    for x, col in zip(v, mat.columns):
+        for i, a in col.items():
+            out[i] += a * x
+    return tuple(out)
+
+
+def submatrix_cols(mat, col_indices):
+    """The columns `col_indices` of `mat`, in that order."""
+    return IntMatrix.from_columns(mat.rows, len(col_indices),
+                                  [mat.columns[j] for j in col_indices])
+
+
+def index_of(k, simplex):
+    """Position of `simplex` among the simplices of its dimension in `k`."""
+    return k._index[tuple(simplex)]
+
+
+def degrees_of(c):
+    """Every degree from the lowest to the highest nonzero one of `c`."""
+    lo, hi = c.degree_range
+    return range(lo, hi + 1)
+
+
+def structure_map(mc, j, p, i):
+    """d[j] of the multicomplex `mc` out of (p, i); zero when not stored."""
+    got = mc.maps.get((j, p, i))
+    if got is not None:
+        return got
+    return IntMatrix.zeros(mc.rank(p + j - 1, i - j), mc.rank(p, i))
+
+
 def to_sympy(mat):
     return SymMatrix(mat.rows, mat.cols, [x for row in mat.data for x in row])
 
@@ -125,7 +162,7 @@ def scramble_basis(rng, c, steps=20):
             perm = list(range(n))
             rng.shuffle(perm)
             if lower is not None:
-                c.boundaries[k] = lower.submatrix_cols(perm)
+                c.boundaries[k] = submatrix_cols(lower, perm)
             if upper is not None:
                 rows = [upper.data[p] for p in perm]
                 c.boundaries[k + 1] = IntMatrix(upper.rows, upper.cols, rows)
@@ -229,7 +266,7 @@ def image_simplex(f, s):
     `f`, read from its index and sign lists, or (None, 0) when the image is
     degenerate."""
     s = tuple(s)
-    d, u = len(s) - 1, f.source.index_of(s)
+    d, u = len(s) - 1, index_of(f.source, s)
     sign = f.image_sign[d][u]
     if not sign:
         return None, 0
@@ -305,12 +342,12 @@ def covering_lifts(f):
         for s in f.target.simplices_of_dim(d):
             extensions = {}
             for up, _ in lifts.get(s, []):
-                for face_lift in facets[source.index_of(up)]:
+                for face_lift in facets[index_of(source, up)]:
                     extensions[face_lift] = extensions.get(face_lift, 0) + 1
             for i in range(len(s)):
                 face = s[:i] + s[i + 1:]
                 for face_lift, _ in lifts.get(face, []):
-                    n = extensions.get(source.index_of(face_lift), 0)
+                    n = extensions.get(index_of(source, face_lift), 0)
                     if n != 1:
                         raise CoveringError(
                             f"lift {face_lift} of {face} extends to "
@@ -325,7 +362,7 @@ def chain_to_column(k, d, chain):
     for s, coeff in chain.items():
         if len(s) - 1 != d:
             raise ValueError(f"simplex {s} is not of dimension {d}")
-        col[k.index_of(s)] = coeff
+        col[index_of(k, s)] = coeff
     return col
 
 
@@ -415,9 +452,9 @@ def phi_embed(mc, k, c0):
             continue
         rhs = [0] * mc.rank(i - 1, k - i)
         for t in range(0, i, 2):
-            image = mc.map(i - t, t, k - t).times_vector(parts[t])
+            image = times_vector(structure_map(mc, i - t, t, k - t), parts[t])
             rhs = [a - b for a, b in zip(rhs, image)]
-        d0 = to_sympy(mc.map(0, i, k - i))
+        d0 = to_sympy(structure_map(mc, 0, i, k - i))
         if not d0.is_square or d0.det() == 0:
             raise ValueError(f"d[0] at (p={i}, i={k - i}) is not invertible")
         solution = d0.LUsolve(SymMatrix(rhs))
@@ -427,28 +464,41 @@ def phi_embed(mc, k, c0):
     return parts
 
 
-def pairwise_residuals(mc):
-    """The anticommutation failures of a multicomplex, summed pair by pair
-    over its stored maps: d[q] o d[a] from (p, i) lands in
-    (p+a+q-2, i-a-q) and adds to the residual for j = a+q.  Absent maps
-    are zero, so only pairs of stored maps contribute.  Returns
-    [(j, p, i, residual)] for every nonzero residual, by source (i, p),
-    then j: the reference for validate_multicomplex's read-back of
-    D o D by block."""
-    by_source = {}
-    for (j, p, i), mat in mc.maps.items():
-        by_source.setdefault((p, i), []).append((j, mat))
-    failures = []
-    for p, i in sorted(by_source, key=lambda b: (b[1], b[0])):
-        residuals = {}
-        for a, first in by_source[(p, i)]:
-            for q, second in by_source.get((p + a - 1, i - a), ()):
-                j = a + q
-                term = second @ first
-                residuals[j] = residuals[j] + term if j in residuals else term
-        failures.extend((j, p, i, residuals[j]) for j in sorted(residuals)
-                        if not residuals[j].is_zero())
-    return failures
+def total_residuals(mc):
+    """The anticommutation failures of a multicomplex, read off D o D: form
+    every D_(k-1) o D_k on the total complex and read each nonzero entry
+    back by block, source block (p, i) and target block (p', i') giving
+    the residual for j = i - i' at (p, i).  Returns [(j, p, i, residual)]
+    for every nonzero residual, by source (i, p), then j: the paper's
+    condition as the one equation D o D = 0, the reference for
+    validate_multicomplex's identity-by-identity sums."""
+    cx = mc.complex
+    blocks = {}  # total degree -> [(offset, p, i)], by increasing p
+    for (p, i), off in mc.block_offsets.items():
+        blocks.setdefault(p + i, []).append((off, p, i))
+
+    def block(k, n):
+        """(p, i, rank, place in the block) of generator n of degree k."""
+        at = blocks[k]
+        b = max(t for t, (off, _, _) in enumerate(at) if off <= n)
+        end = at[b + 1][0] if b + 1 < len(at) else cx.rank(k)
+        return at[b][1], at[b][2], end - at[b][0], n - at[b][0]
+
+    found = {}  # (i, p, j) -> (rows, cols, {column: {row: entry}})
+    for k in cx.boundaries:
+        if k - 1 not in cx.boundaries:
+            continue
+        for n, col in enumerate((cx.boundary(k - 1) @ cx.boundary(k)).columns):
+            if not col:
+                continue
+            p, i, cols, c = block(k, n)
+            for r, x in col.items():
+                _, t, rows, s = block(k - 2, r)
+                entries = found.setdefault((i, p, i - t), (rows, cols, {}))[2]
+                entries.setdefault(c, {})[s] = x
+    return [(j, p, i, IntMatrix.from_columns(
+                rows, cols, [entries.get(c, {}) for c in range(cols)]))
+            for (i, p, j), (rows, cols, entries) in sorted(found.items())]
 
 
 class ChainMap:
@@ -468,7 +518,7 @@ class ChainMap:
 def chain_map_residuals(f):
     """{k: d_k f_k - f_{k-1} d_k} over every degree where either complex is
     nonzero, and the degree above each; all zero iff f is a chain map."""
-    degs = set(f.source.degrees()) | set(f.target.degrees())
+    degs = set(degrees_of(f.source)) | set(degrees_of(f.target))
     return {k: f.target.boundary(k) @ f.component(k)
             + (f.component(k - 1) @ f.source.boundary(k)).scaled(-1)
             for k in sorted(degs | {d + 1 for d in degs})}
@@ -511,7 +561,7 @@ def from_blocks(blocks, row_sizes, col_sizes):
 def _cone(f):
     """mapping_cone(f) for an f the caller has found a chain map."""
     src, tgt = f.source, f.target
-    degs = {k + 1 for k in src.degrees()} | set(tgt.degrees())
+    degs = {k + 1 for k in degrees_of(src)} | set(degrees_of(tgt))
     if not degs:
         return ChainComplex(ranks={}, boundaries={})
     ranks, boundaries = {}, {}
@@ -548,7 +598,7 @@ def _check_morse_shaped(cm, fp, mc):
     0..c, c even, and at every even positive column a d[0] block eps * I
     with eps = +1 or -1 read from the block.  Rows are walked over their
     own columns.  Raises ValueError otherwise."""
-    for k in cm.degrees():
+    for k in degrees_of(cm):
         if cm.rank(k) and fp.crit_at(k).names != cm.labels.get(k):
             raise ValueError(f"row {k} names {fp.crit_at(k).names} do not "
                              f"match critical points {cm.labels.get(k)}")
@@ -560,7 +610,7 @@ def _check_morse_shaped(cm, fp, mc):
             raise ValueError(f"row {i} has varying rank or ends at odd "
                              f"column {end}; the embedding needs point rows")
         for p in range(2, end + 1, 2):
-            d0 = mc.map(0, p, i)
+            d0 = structure_map(mc, 0, p, i)
             eps = d0.columns[0].get(0, 0)
             if eps not in (1, -1) or any(
                     col != {j: eps} for j, col in enumerate(d0.columns)):
@@ -584,7 +634,7 @@ def phi_chain_map(cm, fp, mc):
     phi_embed solves the same recursion one vector at a time."""
     _check_morse_shaped(cm, fp, mc)
     components = {}
-    for k in cm.degrees():
+    for k in degrees_of(cm):
         n = cm.rank(k)
         parts = {0: IntMatrix.identity(n)}
         for i in range(2, k + 1, 2):
@@ -592,8 +642,8 @@ def phi_chain_map(cm, fp, mc):
             acc = IntMatrix.zeros(rows, n)
             if rows:
                 for t in range(0, i, 2):
-                    acc = acc + mc.map(i - t, t, k - t) @ parts[t]
-                acc = acc.scaled(-mc.map(0, i, k - i).columns[0][0])
+                    acc = acc + structure_map(mc, i - t, t, k - t) @ parts[t]
+                acc = acc.scaled(-structure_map(mc, 0, i, k - i).columns[0][0])
             parts[i] = acc
         cols = [{} for _ in range(n)]
         for i, part in parts.items():

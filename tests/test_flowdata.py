@@ -44,6 +44,7 @@ from support import (
     matrix_of_pullback,
     matrix_of_pushforward,
     read_corpus,
+    structure_map,
     twist_doc,
 )
 
@@ -163,7 +164,7 @@ class TestFlowPresentation:
 class TestBuild:
     def test_minus_z2_column_zero_map(self):
         mc = build_multicomplex(minus_z2_presentation())
-        d1 = mc.map(1, 0, 1)
+        d1 = structure_map(mc, 1, 0, 1)
         # every vertex of the rim maps to n - s
         assert d1 == IntMatrix.from_rows([[1, 1, 1], [-1, -1, -1]])
         table = homology_table(mc)
@@ -172,14 +173,14 @@ class TestBuild:
 
     def test_minus_z2_higher_columns_land_in_point_row(self):
         mc = build_multicomplex(minus_z2_presentation())
-        d1 = mc.map(1, 1, 1)
+        d1 = structure_map(mc, 1, 1, 1)
         # edges push to constant degenerate chains on each pole
         assert d1 == IntMatrix.from_rows([[1, 1, 1], [-1, -1, -1]])
 
     def test_torus_height_vanishing_interaction(self):
         mc = build_multicomplex(torus_height_presentation())
         for p in range(0, 2):
-            assert mc.map(1, p, 1).is_zero()
+            assert structure_map(mc, 1, p, 1).is_zero()
         table = homology_table(mc)
         assert [h.betti for h in table[:3]] == [1, 2, 1]
 
@@ -203,7 +204,7 @@ class TestBuild:
         rim = fp.crit_at(0).complex
         cycle = chain_to_vector(rim, 1, cycle_chain(rim))
         sparse = {i: x for i, x in enumerate(cycle) if x}
-        d2 = mc.map(2, 0, 2)
+        d2 = structure_map(mc, 2, 0, 2)
         assert d2.columns[0] == sparse
         assert d2.columns[1] == {i: -x for i, x in sparse.items()}
 
@@ -263,7 +264,7 @@ class TestMorseToFlow:
                                       2: ("top",)},
                        counts={})
         mc = build_multicomplex(morse_to_flow(md))
-        assert mc.map(1, 0, 1).is_zero()
+        assert structure_map(mc, 1, 0, 1).is_zero()
         table = homology_table(mc)
         assert [h.betti for h in table[:3]] == [1, 2, 1]
         assert all(not h.torsion for h in table[:3])
@@ -280,7 +281,7 @@ class TestMorseToFlow:
         fp = morse_to_flow(md)
         assert [(c.sign, c.multiplicity) for c in fp.moduli] == [(-1, 2)]
         mc = build_multicomplex(fp)
-        assert mc.map(1, 0, 1) == IntMatrix.from_rows([[-2]])
+        assert structure_map(mc, 1, 0, 1) == IntMatrix.from_rows([[-2]])
 
     def test_large_count_is_one_component(self):
         # a count costs one component whatever its size: d(s) = 10^9 m
@@ -290,7 +291,7 @@ class TestMorseToFlow:
         fp = morse_to_flow(md)
         assert [(c.sign, c.multiplicity) for c in fp.moduli] == [(1, n)]
         mc = build_multicomplex(fp)
-        assert mc.map(1, 0, 1) == IntMatrix.from_rows([[n]])
+        assert structure_map(mc, 1, 0, 1) == IntMatrix.from_rows([[n]])
         assert [str(g) for g in homology_table(mc, range(2))] == \
             [f"Z/{n}", "0"]
 
@@ -324,7 +325,7 @@ class TestMorseToFlow:
             with_moduli(fp, (fp.moduli[0],) + (fp.moduli[1],) * 3),
             check=False)
         assert one.maps == many.maps
-        assert one.map(1, 1, 1) == IntMatrix.from_rows([[1, 1, 1],
+        assert structure_map(one, 1, 1, 1) == IntMatrix.from_rows([[1, 1, 1],
                                                         [-3, -3, -3]])
 
     def test_rejects_multiplicity_below_one(self):
@@ -407,7 +408,7 @@ class TestCostPerCount:
                         for comp in fp.moduli}.values()
             assert len(walks) == 1 and walks[0] is domain
             # every count is one nonzero entry of d[1] at column 0
-            entries = sum(map(len, mc.map(1, 0, 1).columns))
+            entries = sum(map(len, structure_map(mc, 1, 0, 1).columns))
             return len(fp.moduli), entries, dict(made)
 
         n = 16
@@ -689,7 +690,7 @@ class TestCoveringBlock:
         mc = build_multicomplex(fp, check=False)
         blocks = push_pull_blocks(fp)
         for (p, i), want in blocks.items():
-            assert mc.map(1, p, i) == want, (p, i)
+            assert structure_map(mc, 1, p, i) == want, (p, i)
         return len(blocks), sum(not b.is_zero() for b in blocks.values())
 
     @pytest.mark.parametrize("n", (3, 4))
@@ -727,7 +728,7 @@ class TestLowRelations:
 
     def failures(self, fp):
         """(j, p, i) of each failure on the build of `fp`; a hand-built
-        copy, which gets every product, has the same report."""
+        copy, which forms every pair, has the same report."""
         mc = build_multicomplex(fp, check=False)
         report = validate_multicomplex(mc)
         copy = MBSMulticomplex(mc.ambient_dim, mc.row_ranks, mc.maps)

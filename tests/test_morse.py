@@ -30,15 +30,19 @@ from support import (
     brute_homology,
     chain_map_residuals,
     corpus_names,
+    degrees_of,
     forbid_dense_rows,
     full_point_rows,
     load_file,
     mapping_cone,
+    morse_doc_of,
     phi_chain_map,
     phi_embed,
-    morse_doc_of,
     random_complex,
     read_corpus,
+    structure_map,
+    submatrix_cols,
+    times_vector,
     verify_morse_mb,
 )
 
@@ -135,7 +139,7 @@ def lift(md, mc, k, c0):
     slots {i: c_i}; checked against the reference phi_embed."""
     view = totalize(mc)
     phi = phi_chain_map(morse_complex(md), morse_to_flow(md), view)
-    image = phi.component(k).times_vector(c0)
+    image = times_vector(phi.component(k), c0)
     parts = {}
     for i in range(k + 1):
         off = view.block_offsets.get((i, k - i), 0)
@@ -147,7 +151,7 @@ def lift(md, mc, k, c0):
 def reference_components(cm, mc):
     """phi_embed of every basis vector of cm, as one matrix per degree."""
     components = {}
-    for k in cm.degrees():
+    for k in degrees_of(cm):
         n = cm.rank(k)
         cols = []
         for t in range(n):
@@ -217,12 +221,12 @@ class TestPhiEmbed:
         perm = [1, 0]
         maps = dict(mc.maps)
         for p in (2, 4):
-            mat = mc.map(0, p, 2)
+            mat = structure_map(mc, 0, p, 2)
             maps[(0, p, 2)] = IntMatrix(
                 2, 2, [[mat.data[perm[r]][perm[c]] for c in range(2)]
                        for r in range(2)])
-        d1 = mc.map(1, 0, 2)
-        maps[(1, 0, 2)] = d1.submatrix_cols(perm)
+        d1 = structure_map(mc, 1, 0, 2)
+        maps[(1, 0, 2)] = submatrix_cols(d1, perm)
         permuted = MBSMulticomplex(ambient_dim=2, row_ranks=mc.row_ranks,
                                    maps=maps)
         assert validate_multicomplex(permuted).ok
@@ -465,7 +469,8 @@ class TestMorseCommand:
         assert is_critical_point_complex(cm, fp, mc)
         # a sign flipped, a presentation whose index-2 names are swapped,
         # and rows run past column 0
-        flipped = with_map(mc, (1, 0, 2), mc.map(1, 0, 2).scaled(-1))
+        flipped = with_map(mc, (1, 0, 2),
+                           structure_map(mc, 1, 0, 2).scaled(-1))
         swapped = morse_to_flow(MorseData(
             {**md.crit_by_index, 2: ("west", "east")}, md.counts))
         for presented, other in ((fp, flipped), (swapped, mc),
@@ -515,7 +520,8 @@ class TestMorseCommand:
 
         def flipped(fp, check=True):
             mc = real(fp, check)
-            return with_map(mc, (1, 0, 2), mc.map(1, 0, 2).scaled(-1))
+            return with_map(mc, (1, 0, 2),
+                            structure_map(mc, 1, 0, 2).scaled(-1))
 
         path = data_dir() / "s2-morse-4pt.json"
         flags = ["--json"] if as_json else []
@@ -725,10 +731,10 @@ class TestRandomMorseData:
                 y = IntMatrix(rows, cols, [[rng.randint(-2, 2)
                                             for _ in range(cols)]
                                            for _ in range(rows)])
-                d2 = y @ flat.map(1, 0, i)
+                d2 = y @ structure_map(flat, 1, 0, i)
                 if not d2.is_zero():
                     maps[(2, 0, i)] = d2
-            possible += any(not flat.map(1, 0, i).is_zero()
+            possible += any(not structure_map(flat, 1, 0, i).is_zero()
                             for i in range(2, flat.ambient_dim + 1))
             mc = MBSMulticomplex(ambient_dim=flat.ambient_dim,
                                  row_ranks=flat.row_ranks, maps=maps)
@@ -739,7 +745,7 @@ class TestRandomMorseData:
             offsets = totalize(mc).block_offsets
             phi = outcome.embedding
             lifted.extend(
-                (seed, k) for k in phi.source.degrees()
+                (seed, k) for k in degrees_of(phi.source)
                 if (2, k - 2) in offsets
                 and any(0 <= r - offsets[(2, k - 2)] < mc.rank(2, k - 2)
                         for col in phi.component(k).columns for r in col))
@@ -813,13 +819,13 @@ class TestConjugatedMulticomplex:
         for seed in range(12):
             mc = conjugated(flat, random.Random(seed))
             assert validate_multicomplex(mc).ok, seed
-            assert mc.map(0, 2, 2) == flat.map(0, 2, 2)
-            assert mc.map(1, 0, 2) == flat.map(1, 0, 2)
+            assert structure_map(mc, 0, 2, 2) == structure_map(flat, 0, 2, 2)
+            assert structure_map(mc, 1, 0, 2) == structure_map(flat, 1, 0, 2)
             outcome = verify(md, mc)
             assert outcome.ok, seed
             assert matches_reference(outcome, mc), seed
             c2 = phi_embed(mc, 4, (1,))[2]
-            later += any(mc.map(2, 2, 2).times_vector(c2))
+            later += any(times_vector(structure_map(mc, 2, 2, 2), c2))
         assert later > 6
 
 

@@ -31,9 +31,12 @@ from mbhomology.simplicial import (
 from support import (
     closed,
     corpus_names,
+    degrees_of,
     full_point_rows,
-    pairwise_residuals,
     read_corpus,
+    structure_map,
+    submatrix_cols,
+    total_residuals,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -55,7 +58,7 @@ def single_row_mc(model, ambient_dim):
     row = chain_complex_of(model)
     ranks = {}
     maps = {}
-    for p in row.degrees():
+    for p in degrees_of(row):
         ranks[(p, 0)] = row.rank(p)
     for p in range(1, row.degree_range[1] + 1):
         d = row.boundary(p)
@@ -108,7 +111,8 @@ class TestValidate:
         # hand oracle: the residual is d[0] o d[2] on the mutated column,
         # i.e. -boundary of the mutated cycle
         _, _, _, residual = report.identity_failures[0]
-        expected = mutated.map(0, 1, 0) @ mutated.map(2, 0, 2)
+        expected = (structure_map(mutated, 0, 1, 0)
+                    @ structure_map(mutated, 2, 0, 2))
         assert residual == expected
 
     def test_shape_problem_refused_at_construction(self):
@@ -134,16 +138,17 @@ class TestValidate:
             mc.row_ranks[(1, 0)] = 1
         maps[(1, 0, 1)] = IntMatrix.from_rows([[3]])
         ranks[(1, 0)] = 1
-        assert mc.map(1, 0, 1) == IntMatrix.from_rows([[2]])
+        assert structure_map(mc, 1, 0, 1) == IntMatrix.from_rows([[2]])
         assert mc.complex.ranks == {0: 1, 1: 1}
         assert mc.complex.boundary(1) == IntMatrix.from_rows([[2]])
 
-    def test_a_build_forms_d_squared_only_where_a_moduli_map_is(
+    def test_a_build_forms_only_the_pairs_of_identities_from_j_2(
             self, monkeypatch):
-        # a build's d[0] squares to zero, so only a degree where D_k or
-        # D_(k-1) holds a d[j] with j >= 1 is multiplied: none on one
-        # simplicial row, and on bott-twist every product that the same
-        # maps, hand-built, get
+        # identities j <= 1 hold on every build (multicomplex docstring), so
+        # a build forms d[q] o d[a] only where a + q >= 2: never on one
+        # simplicial row or on bott-twist, whose maps have j <= 1, but on
+        # t2-deformed, which has a d[2].  A hand-built copy forms one product
+        # per composable pair of nonzero stored maps.
         products = []
         matmul = IntMatrix.__matmul__
 
@@ -151,16 +156,30 @@ class TestValidate:
             products.append(a.shape)
             return matmul(a, b)
 
+        def pairs(mc, start):
+            nonzero = {key for key, mat in mc.maps.items()
+                       if not mat.is_zero()}
+            return sum((q, p + a - 1, i - a) in nonzero
+                       for a, p, i in nonzero
+                       for q in range(max(start - a, 0), mc.ambient_dim + 1))
+
         monkeypatch.setattr(IntMatrix, "__matmul__", counted)
-        for workload, built, whole in (("torus-grid", 0, 1),
-                                       ("bott-twist", 2, 2)):
-            doc = workloads.make(workload, 1, 0)[0]
-            mc = build_multicomplex(presentation_from_doc(doc), check=False)
-            for m, want in ((mc, built), (MBSMulticomplex(
-                    mc.ambient_dim, mc.row_ranks, mc.maps), whole)):
+        builds = {name: build_multicomplex(presentation_from_doc(
+                      workloads.make(name, 1, 0)[0]), check=False)
+                  for name in ("torus-grid", "bott-twist")}
+        builds["t2-deformed"] = build_multicomplex(
+            read_corpus("t2-deformed")[0], check=False)
+        formed = {}
+        for name, mc in builds.items():
+            hand = MBSMulticomplex(mc.ambient_dim, mc.row_ranks, mc.maps)
+            for m, want in ((mc, pairs(mc, 2)), (hand, pairs(hand, 0))):
                 products.clear()
                 assert validate_multicomplex(m).ok
-                assert len(products) == want, workload
+                assert len(products) == want, name
+            formed[name] = pairs(mc, 2), pairs(hand, 0)
+        assert formed["torus-grid"][0] == formed["bott-twist"][0] == 0
+        assert formed["t2-deformed"][0] > 0
+        assert min(whole for _, whole in formed.values()) > 0
 
     def test_hand_built_d0_square_is_still_checked(self):
         # only a build's d[0] is known to square to zero: a hand-built
@@ -175,8 +194,31 @@ class TestValidate:
             maps={**mc.maps, (0, 2, 0): IntMatrix(d0.rows, d0.cols, rows)})
         [(j, p, i, residual)] = validate_multicomplex(bad).identity_failures
         assert (j, p, i) == (0, 2, 0)
-        assert residual == bad.map(0, 1, 0) @ bad.map(0, 2, 0)
+        assert residual == (structure_map(bad, 0, 1, 0)
+                            @ structure_map(bad, 0, 2, 0))
         assert not residual.is_zero()
+
+    def test_hand_built_d1_relation_is_still_checked(self):
+        # identity 1 holds on a build by construction, so only a hand-built
+        # copy forms it: bott-twist's maps pass, and with the sign of the
+        # covering block out of (p=1, i=1) flipped they fail identity 1
+        # alone, at the two sources whose pairs read that block, each with
+        # residual d[0] o d[1] + d[1] o d[0]
+        doc = workloads.make("bott-twist", 1, 0)[0]
+        mc = build_multicomplex(presentation_from_doc(doc), check=False)
+        hand = MBSMulticomplex(mc.ambient_dim, mc.row_ranks, mc.maps)
+        assert validate_multicomplex(hand).ok
+        bad = MBSMulticomplex(mc.ambient_dim, mc.row_ranks, {
+            **mc.maps, (1, 1, 1): mc.maps[(1, 1, 1)].scaled(-1)})
+        failures = validate_multicomplex(bad).identity_failures
+        assert [(j, p, i) for j, p, i, _ in failures] == [(1, 1, 1),
+                                                          (1, 2, 1)]
+        for _, p, i, residual in failures:
+            assert not residual.is_zero()
+            assert residual == (
+                structure_map(bad, 0, p, i - 1) @ structure_map(bad, 1, p, i)
+                + structure_map(bad, 1, p - 1, i)
+                @ structure_map(bad, 0, p, i))
 
     def test_rejects_j_above_row(self):
         with pytest.raises(ValueError):
@@ -205,8 +247,9 @@ def perturbed(mc, rng):
 
 
 class TestReadBack:
-    """validate_multicomplex reads D o D back by block; the reference sums
-    the identities pair by pair over the stored maps.  Both must give the
+    """validate_multicomplex sums the identities pair by pair over the
+    stored maps; the reference forms D o D on the total complex and reads
+    it back by block.  The paper's two forms of the condition must give the
     same failures, in the same order, with equal residual matrices."""
 
     def test_corpus_with_each_sign_flipped(self):
@@ -222,7 +265,7 @@ class TestReadBack:
                 mc = build_multicomplex(
                     FlowPresentation(fp.dim, fp.crit, moduli),
                     check=False)
-                want = pairwise_residuals(mc)
+                want = total_residuals(mc)
                 assert validate_multicomplex(mc).identity_failures == want, \
                     (name, t)
                 failing += bool(want)
@@ -241,7 +284,7 @@ class TestReadBack:
                 rng = random.Random(f"{workload}:{call}")
                 for _ in range(10):
                     bad = perturbed(mc, rng)
-                    want = pairwise_residuals(bad)
+                    want = total_residuals(bad)
                     got = validate_multicomplex(bad).identity_failures
                     assert got == want, (workload, call)
                     seen["cases"] += 1
@@ -390,12 +433,12 @@ class TestInvariants:
         perm = [1, 0]  # swap the two poles in every column of row 2
         maps = dict(base.maps)
         for p in (2, 4):
-            mat = base.map(0, p, 2)
+            mat = structure_map(base, 0, p, 2)
             maps[(0, p, 2)] = IntMatrix(
                 2, 2, [[mat.data[perm[r]][perm[c]] for c in range(2)]
                        for r in range(2)])
-        d2 = base.map(2, 0, 2)
-        maps[(2, 0, 2)] = d2.submatrix_cols(perm)
+        d2 = structure_map(base, 2, 0, 2)
+        maps[(2, 0, 2)] = submatrix_cols(d2, perm)
         shuffled = MBSMulticomplex(
             ambient_dim=base.ambient_dim, row_ranks=dict(base.row_ranks),
             maps=maps,

@@ -24,11 +24,13 @@ from support import (
     cycle_chain,
     formed_faces,
     image_simplex,
+    index_of,
     listed_by_dim,
     load_file,
     matrix_of_pullback,
     matrix_of_pushforward,
     pushforward,
+    times_vector,
 )
 
 
@@ -80,8 +82,8 @@ def sphere_bd3():
 def boundary_of(k, d, chain):
     """The boundary of a degree-d sparse chain on k, as a dense vector in
     the lexicographic basis of degree d - 1."""
-    return chain_complex_of(k).boundary(d).times_vector(
-        chain_to_vector(k, d, chain))
+    return times_vector(chain_complex_of(k).boundary(d),
+                        chain_to_vector(k, d, chain))
 
 
 def sheets(f):
@@ -193,7 +195,7 @@ class TestFundamentalCycle:
         assert tuple(s for s, c in zip(annulus.simplices_of_dim(1), bdry)
                      if c) == fundamental_cycle(annulus)[1]
         assert not any(
-            chain_complex_of(annulus).boundary(1).times_vector(bdry))
+            times_vector(chain_complex_of(annulus).boundary(1), bdry))
 
     def test_non_pseudomanifold(self):
         k = SimplicialComplexData.from_simplices(
@@ -230,7 +232,7 @@ class TestFundamentalCycle:
                 image = [perm[v] for v in s]
                 inversions = sum(a > b for i, a in enumerate(image)
                                  for b in image[i + 1:])
-                t = moved.index_of(sorted(image))
+                t = index_of(moved, sorted(image))
                 sign = moved_coefficients[t] * (-1) ** inversions * c
                 assert signs.setdefault(label, sign) == sign, seed
             seen.update(signs.values())

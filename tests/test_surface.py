@@ -99,14 +99,11 @@ def test_corpus_is_read_not_run():
 UNREAD = {("__init__", "__getattr__"), ("__init__", "__dir__"),
           ("corpus", "entry_names")}
 
-# Methods that no command, benchmark or script reads, kept as test
-# references, each with what reads it.
+# Methods that no command, benchmark or script reads, kept for the
+# doctests, each with what reads it.  Other test references are functions
+# in tests/support.py.
 TEST_HELPERS = {
     ("IntMatrix", "from_rows"): "doctests and tests write matrices by rows",
-    ("IntMatrix", "times_vector"): "tests apply boundaries to chains",
-    ("IntMatrix", "submatrix_cols"): "tests permute bases",
-    ("SimplicialComplexData", "index_of"): "support.image_simplex",
-    ("MBSMulticomplex", "map"): "tests read one structure map",
 }
 
 
