@@ -190,12 +190,13 @@ def cmd_morse(path, as_json=False):
     flow document is refused as not a Morse one before its `expected` list
     or its build is looked at.  Then the build gets its one homology table
     (`homology_table`), so counts that do not square to zero fail its
-    validation and are reported as `homology` reports them, and
-    `morse_complex`, which checks the same relation, cannot fail.  When the
-    validated build equals the critical-point complex
-    (morse.is_critical_point_complex), that table is both tables and every
-    verdict holds; otherwise the program has a bug, the chain map is
-    reported BROKEN and the exit is 1."""
+    validation (identity j = 2) and are reported as `homology` reports
+    them.  The build is then compared with the counts directly
+    (morse.is_critical_point_complex).  When it is the critical-point
+    complex, that table is both tables, every verdict holds and no other
+    complex is formed; otherwise the program has a bug, `morse_complex`
+    gives the Morse table, the chain map is reported BROKEN and the exit
+    is 1."""
     # imported here: the other commands never need the module
     from .morse import is_critical_point_complex, morse_complex
 
@@ -209,9 +210,9 @@ def cmd_morse(path, as_json=False):
         mb_homology = homology_table(mc, degrees)
     except InvalidMulticomplex as exc:
         return _report(exc.report, sys.stderr, as_json)
-    cm = morse_complex(md)
-    ok = is_critical_point_complex(cm, fp, mc)
-    morse_homology = mb_homology if ok else homology_at(cm, degrees)
+    ok = is_critical_point_complex(md, fp, mc)
+    morse_homology = mb_homology if ok else homology_at(morse_complex(md),
+                                                        degrees)
     data = {
         "morse_homology": [group_to_data(k, g, dim)
                            for k, g in zip(degrees, morse_homology)],

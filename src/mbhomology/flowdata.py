@@ -52,11 +52,12 @@ class CritModel:
 
     The constructor settles what each moduli component reads: `is_points`,
     `dimension` (0 for named points, the model's top dimension otherwise)
-    and the model complex, which for named points is built here, one
-    vertex per name, so `model_complex()` is the same object every call.
+    and the model complex: for named points `vertices`, one vertex per
+    name, which callers may share, or else one built here, so
+    `model_complex()` is the same object every call.
     """
 
-    def __init__(self, index, names=None, complex=None):
+    def __init__(self, index, names=None, complex=None, vertices=None):
         self.index = index
         self.names = names
         self.complex = complex
@@ -65,7 +66,8 @@ class CritModel:
         self._model = complex
         if self.is_points:
             n = len(names)
-            self._model = SimplicialComplexData(n, [(v,) for v in range(n)])
+            self._model = vertices if vertices is not None else \
+                SimplicialComplexData(n, [(v,) for v in range(n)])
 
     def model_complex(self):
         """The model as a complex; named points are its vertices."""
@@ -129,14 +131,16 @@ class ModuliComponentModel:
             report.append(
                 f"component {self.from_index}->{self.to_index}: domain has "
                 f"dimension {domain.top_dim}, expected {expected_dim}")
-        if self.ev_minus.source != domain or \
-                self.ev_minus.target != source.model_complex():
-            report.append(f"component {self.from_index}->{self.to_index}: "
-                          "ev_minus endpoints do not match")
-        if self.ev_plus.source != domain or \
-                self.ev_plus.target != target.model_complex():
-            report.append(f"component {self.from_index}->{self.to_index}: "
-                          "ev_plus endpoints do not match")
+        # identity first: shared complexes are one object, and `!=` calls
+        # SimplicialComplexData.__eq__
+        for name, ev, model in (("ev_minus", self.ev_minus, source),
+                                ("ev_plus", self.ev_plus, target)):
+            k = model.model_complex()
+            if (ev.source is not domain and ev.source != domain) or (
+                    ev.target is not k and ev.target != k):
+                report.append(f"component {self.from_index}->"
+                              f"{self.to_index}: {name} endpoints do not "
+                              "match")
         return report
 
 
@@ -147,7 +151,7 @@ class FlowPresentation:
 
     The constructor indexes the models by critical index once, the first
     model of an index winning (`validate` reports any second one), so
-    `crit_at`, which finds each component's two models, is a dict read.
+    `crit_at` and the two models of each component are dict reads.
     """
 
     def __init__(self, dim, crit, moduli=()):
@@ -179,9 +183,10 @@ class FlowPresentation:
                               f"{model.dimension} exceeds dim - index = "
                               f"{self.dim - model.index}")
             report.extend(model.validate())
+        models = self._by_index
         for comp in self.moduli:
-            source = self.crit_at(comp.from_index)
-            target = self.crit_at(comp.to_index)
+            source = models.get(comp.from_index)
+            target = models.get(comp.to_index)
             if source is None or target is None:
                 report.append(
                     f"component {comp.from_index}->{comp.to_index} touches "
@@ -212,12 +217,13 @@ def build_multicomplex(fp, check=True):
     degree are the same without them.  Generator t of point row i is the
     point fp.crit_at(i).names[t].  On a Morse document every domain is a
     point, so every point row stops at column 0 and the build is the
-    critical-point complex itself (morse.is_critical_point_complex); the
-    embedding on longer rows is the test reference in tests/support.py.
-    Each moduli block is sized from the row ranks at its two ends and
-    filled in one pass over the domain simplices of each column; a
-    covering is checked by counts (simplicial.check_covering), and a
-    domain object is oriented once, however many components share it.
+    critical-point complex itself (morse.is_critical_point_complex checks
+    it against the counts); the embedding on longer rows is the test
+    reference in tests/support.py.  Each moduli block is sized from the
+    row ranks at its two ends and filled in one pass over the domain
+    simplices of each column, with no model looked up; a covering is
+    checked by counts (simplicial.check_covering), and a domain object is
+    oriented once, however many components share it.
     The multicomplex is marked as built: identities j <= 1 hold on its
     maps by construction (multicomplex module docstring), so
     validate_multicomplex checks only j >= 2, the degeneracy condition.
@@ -228,19 +234,18 @@ def build_multicomplex(fp, check=True):
 
     reach = {}
     for comp in fp.moduli:
-        i = comp.to_index
-        reach[i] = max(reach.get(i, 0), comp.domain.top_dim)
+        if comp.domain.top_dim > reach.get(comp.to_index, 0):
+            reach[comp.to_index] = comp.domain.top_dim
     row_ranks = {}
     maps = {}
     for model in fp.crit:
         i = model.index
         if model.is_points:
             n, end = len(model.names), reach.get(i, 0)
-            eye = IntMatrix.identity(n).scaled((-1) ** i)
             for p in range(end + end % 2 + 1):
                 row_ranks[(p, i)] = n
                 if p and p % 2 == 0:
-                    maps[(0, p, i)] = eye
+                    maps[(0, p, i)] = IntMatrix.identity(n).scaled((-1) ** i)
             continue
         k = model.complex
         for p, level in k.simplices_by_dim.items():
@@ -248,68 +253,71 @@ def build_multicomplex(fp, check=True):
         for p in range(1, k.top_dim + 1):
             maps[(0, p, i)] = boundary_matrix(k, p, (-1) ** (p + i))
 
-    # accumulate moduli contributions into sparse columns, each scaled by
-    # the component's sign and multiplicity
+    # sparse columns of each d[j] out of (p, i), scaled by sign and
+    # multiplicity; a point row keeps a degenerate image as its point's
+    # generator, so it takes no ev_plus sign
     pending = {}
 
-    def add_contribution(comp, p, degree, columns, pulled):
-        # domain simplex u of this degree adds pulled[u] times its sign
-        # under ev_plus at (its image, columns[u]); a point row keeps a
-        # degenerate image as its point's generator, so it takes no sign
-        key = (comp.relative_index, p, comp.from_index)
-        if key not in pending:
-            n_rows = row_ranks.get((degree, comp.to_index), 0)
-            n_cols = row_ranks.get((p, comp.from_index), 0)
-            pending[key] = (n_rows, [{} for _ in range(n_cols)])
-        block = pending[key][1]
-        weight = comp.sign * comp.multiplicity
-        if not fp.crit_at(comp.to_index).is_points:
-            pulled = map(mul, pulled, comp.ev_plus.image_sign[degree])
-        for c, r, x in zip(columns, comp.ev_plus.image_index[degree], pulled):
-            if x:
-                col = block[c]
-                col[r] = col.get(r, 0) + weight * x
+    def new_block(key):  # called once per block, not per component
+        pending[key] = block = [{} for _ in range(row_ranks.get(key[1:], 0))]
+        return block
 
+    points = {model.index for model in fp.crit if model.is_points}
     for comp in fp.moduli:
-        source = fp.crit_at(comp.from_index)
-        if source.is_points:
+        src, tgt, minus, plus = (comp.from_index, comp.to_index,
+                                 comp.ev_minus, comp.ev_plus)
+        weight = comp.sign * comp.multiplicity
+        if src in points:
             # one image per domain vertex: SimplicialMap checks the length
-            hit = set(comp.ev_minus.vertex_image)
+            hit = set(minus.vertex_image)
             if len(hit) != 1:
                 raise FlowDataError(
-                    f"component {comp.from_index}->{comp.to_index}: "
+                    f"component {src}->{tgt}: "
                     "ev_minus of a point source must be constant")
             try:
                 cycle = fundamental_cycle(comp.domain)[0]
             except NoFundamentalCycle as err:
                 raise FlowDataError(
-                    f"component {comp.from_index}->{comp.to_index}: "
-                    f"domain: {err}") from err
-            add_contribution(comp, 0, comp.domain.top_dim, repeat(hit.pop()),
-                             cycle)
-        else:
-            if comp.relative_index != 1:
-                raise FlowDataError(
-                    f"component {comp.from_index}->{comp.to_index}: "
-                    "positive-dimensional sources are supported only for "
-                    "index drop one")
-            try:
-                check_covering(comp.ev_minus)
-            except CoveringError as err:
-                raise CoveringError(
-                    f"component {comp.from_index}->{comp.to_index}: "
-                    f"ev_minus is not a covering of the source model: {err}",
-                    witness=err.witness) from err
-            # P+ P-^T: each domain simplex lands in the column of its image
-            # under ev_minus, with that orientation sign
-            for p in range(source.complex.top_dim + 1):
-                add_contribution(comp, p, p, comp.ev_minus.image_index[p],
-                                 comp.ev_minus.image_sign[p])
+                    f"component {src}->{tgt}: domain: {err}") from err
+            # the cycle, pushed along ev_plus, into the point's column at 0
+            degree, key = comp.domain.top_dim, (comp.relative_index, 0, src)
+            block = pending[key] if key in pending else new_block(key)
+            col = block[hit.pop()]
+            if tgt not in points:
+                cycle = map(mul, cycle, plus.image_sign[degree])
+            for r, x in zip(plus.image_index[degree], cycle):
+                if x:
+                    col[r] = col.get(r, 0) + weight * x
+            continue
+        if comp.relative_index != 1:
+            raise FlowDataError(
+                f"component {src}->{tgt}: positive-dimensional sources are "
+                "supported only for index drop one")
+        try:
+            check_covering(minus)
+        except CoveringError as err:
+            raise CoveringError(
+                f"component {src}->{tgt}: ev_minus is not a covering of "
+                f"the source model: {err}", witness=err.witness) from err
+        # P+ P-^T: each domain simplex lands in the column of its image
+        # under ev_minus, with that orientation sign
+        for p in range(minus.target.top_dim + 1):
+            key = (1, p, src)
+            block = pending[key] if key in pending else new_block(key)
+            pulled = minus.image_sign[p]
+            if tgt not in points:
+                pulled = map(mul, pulled, plus.image_sign[p])
+            for c, r, x in zip(minus.image_index[p], plus.image_index[p],
+                               pulled):
+                if x:
+                    col = block[c]
+                    col[r] = col.get(r, 0) + weight * x
 
-    for key, (n_rows, columns) in pending.items():
-        mat = IntMatrix.from_columns(n_rows, len(columns), columns)
+    for (j, p, i), columns in pending.items():
+        mat = IntMatrix.from_columns(row_ranks.get((p + j - 1, i - j), 0),
+                                     len(columns), columns)
         if not mat.is_zero():
-            maps[key] = mat
+            maps[(j, p, i)] = mat
 
     mc = MBSMulticomplex(ambient_dim=fp.dim, row_ranks=row_ranks, maps=maps)
     # identities j <= 1 hold on these maps (multicomplex module docstring)
@@ -323,23 +331,26 @@ def build_multicomplex(fp, check=True):
 
 def morse_to_flow(md):
     """Flow presentation of Morse-Smale data: all critical models are
-    points, and each nonzero flow-line count n(q, p) becomes one point
-    component with the sign of n and multiplicity |n|."""
+    points, and each nonzero flow-line count n(q, p), in the order of
+    md.counts, becomes one point component with the sign of n and
+    multiplicity |n|.  Models of n points share one n-vertex complex, and
+    components one map onto each vertex, made for this presentation."""
+    point = SimplicialComplexData(1, [(0,)])
+    shared = {}  # point count -> (vertex complex, map onto each vertex)
+    at_point = {}  # point name -> (index, map onto its vertex)
     crit = []
     for k in sorted(md.crit_by_index):
-        names = tuple(md.crit_by_index[k])
-        if names:
-            crit.append(CritModel(index=k, names=names))
-    point = SimplicialComplexData(1, [(0,)])
-    # point name -> (index, map onto its vertex), one map per critical
-    # point, shared by all of the point's components
-    at_point = {}
-    for model in crit:
-        for t, name in enumerate(model.names):
-            at_point[name] = (model.index, SimplicialMap(
-                point, model.model_complex(), vertex_image=[t]))
+        names = md.crit_by_index[k]
+        n = len(names)
+        if n not in shared:
+            vertices = SimplicialComplexData(n, [(v,) for v in range(n)])
+            shared[n] = vertices, [SimplicialMap(point, vertices, [t])
+                                   for t in range(n)]
+        vertices, onto = shared[n]
+        crit.append(CritModel(index=k, names=names, vertices=vertices))
+        at_point.update(zip(names, zip(repeat(k), onto)))
     moduli = []
-    for (q, p), n in sorted(md.counts.items()):
+    for (q, p), n in md.counts.items():
         if n == 0:
             continue
         (src_index, ev_minus), (tgt_index, ev_plus) = at_point[q], at_point[p]

@@ -6,10 +6,10 @@ theorem embeds it in the total complex by a quasi-isomorphism.  A Morse
 document's build is that complex itself: every moduli component of
 `morse_to_flow` has a point domain, so every point row stops at column 0
 (flowdata.build_multicomplex) and the embedding is the identity.  So the
-`morse` command checks the build against the critical-point complex by
-one equality (`is_critical_point_complex`); the embedding on longer rows,
-its mapping cone and the lift recursion are the test reference in
-tests/support.py.
+`morse` command compares the validated build with the flow-line counts
+(`is_critical_point_complex`); it forms `morse_complex` only for a build
+that fails.  The embedding on longer rows, its mapping cone and the lift
+recursion are the test reference in tests/support.py.
 """
 
 from .chain import ChainComplex, validate_complex
@@ -76,19 +76,28 @@ def morse_complex(md):
     return cx
 
 
-def is_critical_point_complex(cm, fp, mc):
-    """True iff the total complex of `mc`, the build of `fp`, is cm =
-    morse_complex(md) itself: the same nonzero ranks, the names of fp's
-    index-k points in the order of cm for every k, and the same boundary.
+def is_critical_point_complex(md, fp, mc):
+    """True iff the total complex of `mc`, the build of `fp`, is the
+    critical-point complex of `md`, read off the counts: the same nonzero
+    ranks, the names of fp's index-k points in md's order for every k, and
+    as boundary entries exactly the nonzero counts n(q, p), at (p, q).
 
     Then each degree of the total complex is the column-0 block of its row,
-    so the embedding of cm is the identity.  It is a chain map with zero
-    odd components, and its mapping cone is the cone of an identity,
-    which is acyclic.  Both homology tables are then one table.
+    so the embedding of morse_complex(md) is the identity.  It is a chain
+    map with zero odd components, and its mapping cone is the cone of an
+    identity, which is acyclic.  Both homology tables are then one table.
     """
-    total = mc.complex
-    ranks = {k: r for k, r in total.ranks.items() if r}
-    return (ranks == {k: r for k, r in cm.ranks.items() if r}
-            and all(fp.crit_at(k).names == cm.labels.get(k) for k in ranks)
-            and all(total.boundary(k) == cm.boundary(k)
-                    for k in {*total.boundaries, *cm.boundaries}))
+    total, points = mc.complex, md.crit_by_index
+    place = {name: (k, t) for k, names in points.items()
+             for t, name in enumerate(names)}
+    entries = [(place[q], place[p], n) for (q, p), n in md.counts.items()
+               if n]
+    bounds = total.boundaries
+    return ({k: r for k, r in total.ranks.items() if r}
+            == {k: len(names) for k, names in points.items()}
+            and all(fp.crit_at(k).names == names
+                    for k, names in points.items())
+            and all(k in bounds and bounds[k].columns[col].get(row) == n
+                    for (k, col), (_, row), n in entries)
+            and len(entries) == sum(len(col) for d in bounds.values()
+                                    for col in d.columns))

@@ -269,6 +269,8 @@ def load_document(path):
         raise SchemaError(f"{path}: {err}") from err
     except json.JSONDecodeError as err:
         raise SchemaError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
+    except RecursionError:  # json.load's C scanner stops at a set depth
+        raise SchemaError(f"{path}: document nested too deeply") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level must be an object")
     schema = doc.get("schema")

@@ -654,6 +654,20 @@ def phi_chain_map(cm, fp, mc):
     return ChainMap(source=cm, target=mc.complex, components=components)
 
 
+def equals_morse_complex(cm, fp, mc):
+    """The reference for morse.is_critical_point_complex: True iff the
+    total complex of `mc`, the build of `fp`, equals cm = morse_complex(md)
+    as matrices: the same nonzero ranks, the names of fp's index-k points
+    in the order of cm for every k, and the same boundary in every
+    degree."""
+    total = mc.complex
+    ranks = {k: r for k, r in total.ranks.items() if r}
+    return (ranks == {k: r for k, r in cm.ranks.items() if r}
+            and all(fp.crit_at(k).names == cm.labels.get(k) for k in ranks)
+            and all(total.boundary(k) == cm.boundary(k)
+                    for k in {*total.boundaries, *cm.boundaries}))
+
+
 class MorseVerification:
     """Outcome of checking the embedding against the multicomplex."""
 
@@ -692,7 +706,7 @@ def verify_morse_mb(cm, fp, mc):
     with A acyclic, so cone(phi_fat) = cone(phi) + A, and the residuals,
     the quasi-isomorphism verdict and both tables are unchanged.  On a
     Morse document's build phi is the identity, and the `morse` command
-    checks that by one equality (morse.is_critical_point_complex).
+    checks that against the counts (morse.is_critical_point_complex).
 
     The total table comes last, from the one table every command makes
     (pipeline.homology_table), which raises InvalidMulticomplex when `mc`

@@ -85,6 +85,21 @@ class TestValidate:
         assert main(["validate", str(path)]) == EXIT_INPUT
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("depth", [1000, 10000])
+    def test_deep_nesting_is_refused(self, tmp_path, capsys, depth):
+        # `dim` as `depth` nested lists: json.load gives up on the depth,
+        # and the document is refused by name, with no traceback
+        doc = load_corpus_doc("s2-constant")
+        doc["dim"] = "nested"
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc).replace(
+            '"nested"', "[" * depth + "]" * depth), "utf-8")
+        assert main(["homology", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"input error: {path}: document nested too "
+                                "deeply\n")
+
     def test_wrong_schema_version(self, tmp_path, capsys):
         path = write_doc(tmp_path, {"schema": 99})
         assert main(["validate", path]) == EXIT_INPUT

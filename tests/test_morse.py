@@ -24,13 +24,18 @@ from mbhomology.multicomplex import (
     totalize,
     validate_multicomplex,
 )
-from mbhomology.schema import presentation_from_doc, presentation_from_file
+from mbhomology.schema import (
+    morse_from_doc,
+    presentation_from_doc,
+    presentation_from_file,
+)
 
 from support import (
     brute_homology,
     chain_map_residuals,
     corpus_names,
     degrees_of,
+    equals_morse_complex,
     forbid_dense_rows,
     full_point_rows,
     load_file,
@@ -45,6 +50,8 @@ from support import (
     times_vector,
     verify_morse_mb,
 )
+
+workloads = load_file("perfbench/workloads.py")
 
 
 def torus_md():
@@ -368,6 +375,9 @@ class TestVerify:
         assert set(smith_callers) == {exactalg._reduce.__code__}
 
     def test_cmd_morse_builds_one_morse_complex(self, monkeypatch, capsys):
+        # a call that succeeds compares the build with the counts and forms
+        # no morse_complex; one whose build is not the critical-point
+        # complex forms one, for its Morse table
         built = []
         real = morse.morse_complex
 
@@ -376,9 +386,20 @@ class TestVerify:
             return real(md)
 
         monkeypatch.setattr(morse, "morse_complex", counted)
-        path = str(data_dir() / "t2-morse-4pt.json")
+        path = str(data_dir() / "s2-morse-4pt.json")
         assert cli.main(["morse", path]) == cli.EXIT_OK
         assert "quasi-isomorphism: yes" in capsys.readouterr().out
+        assert built == []
+        real_build = cli.build_multicomplex
+
+        def flipped(fp, check=True):
+            mc = real_build(fp, check)
+            return with_map(mc, (1, 0, 2),
+                            structure_map(mc, 1, 0, 2).scaled(-1))
+
+        monkeypatch.setattr(cli, "build_multicomplex", flipped)
+        assert cli.main(["morse", path]) == cli.EXIT_SEMANTIC
+        assert "quasi-isomorphism: NO" in capsys.readouterr().out
         assert len(built) == 1
 
     def test_lone_top_row(self):
@@ -426,9 +447,31 @@ def with_map(mc, key, mat):
                            maps={**mc.maps, key: mat})
 
 
+def compared(md, fp, mc):
+    """The verdict of is_critical_point_complex(md, fp, mc), once it is
+    seen to agree with the reference equality against morse_complex(md)."""
+    verdict = is_critical_point_complex(md, fp, mc)
+    assert verdict == equals_morse_complex(morse_complex(md), fp, mc)
+    return verdict
+
+
+def negated_entry(mc, rng):
+    """`mc` with one nonzero entry of one nonzero map negated."""
+    key = rng.choice(sorted(k for k, m in mc.maps.items() if not m.is_zero()))
+    mat = mc.maps[key]
+    c = rng.choice([c for c, col in enumerate(mat.columns) if col])
+    r = rng.choice(sorted(mat.columns[c]))
+    columns = [dict(col) for col in mat.columns]
+    columns[c][r] = -columns[c][r]
+    return with_map(mc, key, IntMatrix.from_columns(mat.rows, mat.cols,
+                                                    columns))
+
+
 def assert_build_is_critical_point_complex(md, fp):
     # the build has the critical-point complex's nonzero ranks and
-    # boundaries, and the reference embedding is the identity on it
+    # boundaries, and the reference embedding is the identity on it; the
+    # comparison with the counts agrees with the reference equality, here
+    # and once one entry of the build is negated or one count dropped
     cm = morse_complex(md)
     mc = build_multicomplex(fp)
     total = mc.complex
@@ -439,12 +482,20 @@ def assert_build_is_critical_point_complex(md, fp):
     for k, n in cm.ranks.items():
         assert fp.crit_at(k).names == cm.labels[k]
         assert phi.component(k) == IntMatrix.identity(n), k
-    assert is_critical_point_complex(cm, fp, mc)
+    assert compared(md, fp, mc)
+    nonzero = sorted(key for key, n in md.counts.items() if n)
+    if nonzero:
+        rng = random.Random(len(nonzero))
+        assert not compared(md, fp, negated_entry(mc, rng))
+        dropped = dict(md.counts)
+        del dropped[rng.choice(nonzero)]
+        fewer = morse_to_flow(MorseData(md.crit_by_index, dropped))
+        assert not compared(md, fewer, build_multicomplex(fewer, check=False))
 
 
 class TestMorseCommand:
-    """`morse` checks the build against the critical-point complex by one
-    equality, and computes one homology table."""
+    """`morse` compares the build with the flow-line counts, and computes
+    one homology table."""
 
     @pytest.mark.parametrize("path", morse_files(), ids=lambda p: p.stem)
     def test_shipped_builds_are_critical_point_complexes(self, path):
@@ -457,16 +508,24 @@ class TestMorseCommand:
             md, _ = morse_data_of(c)
             assert_build_is_critical_point_complex(md, morse_to_flow(md))
 
+    @pytest.mark.parametrize("size", [4, 8, 16])
+    def test_seeded_workload_builds_are_critical_point_complexes(self, size):
+        for seed in range(1, 4):
+            for call in range(3):
+                doc = workloads.make("morse-random", seed, call,
+                                     size=size)[0]
+                md = morse_from_doc(doc)
+                assert_build_is_critical_point_complex(md, morse_to_flow(md))
+
     def test_lone_top_row_build(self):
         md = MorseData({2: ("a",)}, {})
         assert_build_is_critical_point_complex(md, morse_to_flow(md))
 
     def test_other_complexes_are_refused(self):
         md = sphere4_md()
-        cm = morse_complex(md)
         fp = morse_to_flow(md)
         mc = build_multicomplex(fp)
-        assert is_critical_point_complex(cm, fp, mc)
+        assert compared(md, fp, mc)
         # a sign flipped, a presentation whose index-2 names are swapped,
         # and rows run past column 0
         flipped = with_map(mc, (1, 0, 2),
@@ -476,20 +535,48 @@ class TestMorseCommand:
         for presented, other in ((fp, flipped), (swapped, mc),
                                  (fp, full_point_rows(mc, fp, 4))):
             assert validate_multicomplex(other).ok
-            assert not is_critical_point_complex(cm, presented, other)
+            assert not compared(md, presented, other)
+        # a dropped count, and a build with one point more, at an index
+        # of its own that no count touches
+        assert not compared(MorseData(md.crit_by_index,
+                                      {("east", "saddle"): 1}), fp, mc)
+        more = morse_to_flow(MorseData({**md.crit_by_index, 3: ("far",)},
+                                       md.counts))
+        assert not compared(md, more, build_multicomplex(more))
+
+    def test_counts_that_sum_to_zero_are_no_entry(self):
+        # two entries of n(west, saddle) that sum to 0 leave a count of 0:
+        # its build has no entry there, whether the count is written as 0
+        # (two entries read from a document) or left out, and a build with
+        # an entry there is refused either way
+        doc = {"critical": {"0": ["bottom"], "1": ["saddle"],
+                            "2": ["east", "west"]},
+               "counts": [["east", "saddle", 1], ["west", "saddle", 1],
+                          ["west", "saddle", -1]]}
+        written = morse_from_doc(doc)
+        assert written.counts == {("east", "saddle"): 1,
+                                  ("west", "saddle"): 0}
+        left_out = MorseData(written.crit_by_index, {("east", "saddle"): 1})
+        with_entry = build_multicomplex(morse_to_flow(sphere4_md()))
+        for md in (written, left_out):
+            fp = morse_to_flow(md)
+            assert compared(md, fp, build_multicomplex(fp))
+            assert not compared(md, fp, with_entry)
 
     def test_one_validation_and_one_table_per_call(self, monkeypatch):
-        # the chain-map verdicts follow from the equality, so a call
-        # validates the multicomplex once, checks d o d of the
-        # critical-point complex once and computes one homology table
+        # the chain-map verdicts follow from the comparison with the
+        # counts, so a call validates the multicomplex once (its identity
+        # j = 2 is d o d of the counts), computes one homology table, and
+        # forms no critical-point complex and no second d o d check
         counts = {fn.__name__: count_calls(monkeypatch, fn) for fn in (
-            validate_multicomplex, chain.validate_complex, homology_at)}
+            validate_multicomplex, chain.validate_complex, homology_at,
+            morse.morse_complex)}
         code, out, _ = run_morse(data_dir() / "s2-morse-4pt.json", "--json")
         assert code == cli.EXIT_OK
         assert json.loads(out)["ok"] is True
         assert {name: len(calls) for name, calls in counts.items()} == {
-            "validate_multicomplex": 1, "validate_complex": 1,
-            "homology_at": 1}
+            "validate_multicomplex": 1, "validate_complex": 0,
+            "homology_at": 1, "morse_complex": 0}
 
     def test_reductions_do_not_grow_with_column_cap(self, monkeypatch,
                                                     tmp_path):
