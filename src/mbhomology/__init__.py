@@ -17,8 +17,7 @@ _HOME = {
                      "totalize"), "multicomplex"),
     "homology_table": "pipeline",
     **dict.fromkeys(("CritModel", "ModuliComponentModel", "FlowPresentation",
-                     "FlowDataError", "build_multicomplex",
-                     "morse_to_flow"), "flowdata"),
+                     "build_multicomplex", "morse_to_flow"), "flowdata"),
     **dict.fromkeys(("MorseData", "InvalidMorseData", "morse_complex"),
                     "morse"),
 }

@@ -6,7 +6,7 @@ Every command reads and builds its documents through one loader, `_load`;
 stable contract: 0 for success/match, 1 for a semantic failure (invalid
 multicomplex, inconsistent flow data, mismatch, non-isomorphic
 comparison, a Morse build that is not its critical-point complex), 2 for
-unreadable or malformed input.
+unreadable or malformed input, which the reader refuses by its JSON path.
 """
 
 import argparse
@@ -79,12 +79,11 @@ def _emit(out, json_doc, text, as_json):
 def _input_failure(exc, path):
     """Report an error raised while loading or building `path` and return
     the exit code: a failed covering check is inconsistent flow data,
-    anything else is bad input."""
+    anything else is bad input, whose message names its own path."""
     if isinstance(exc, CoveringError):
         sys.stderr.write(f"inconsistent flow data: {path}: {exc}\n")
         return EXIT_SEMANTIC
-    where = "" if isinstance(exc, SchemaError) else f"{path}: "
-    sys.stderr.write(f"input error: {where}{exc}\n")
+    sys.stderr.write(f"input error: {exc}\n")
     return EXIT_INPUT
 
 
@@ -94,7 +93,9 @@ def _load(path, morse=False):
     schema.presentation_from_file, then, with `morse`, the refusal of a
     document that is not a Morse one, then `expected`, then the build, so
     every command refuses the same input with the same error.  Raises
-    ValueError."""
+    SchemaError, naming the file or JSON path at fault, for every input
+    error, and CoveringError from the build's covering check, the one
+    check that is not the reader's."""
     fp, md, doc = presentation_from_file(path)
     if morse and md is None:
         raise SchemaError(f"{path}: expected a morse document")

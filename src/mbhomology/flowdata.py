@@ -34,17 +34,12 @@ from .multicomplex import (
 )
 from .simplicial import (
     CoveringError,
-    NoFundamentalCycle,
     SimplicialComplexData,
     SimplicialMap,
     boundary_matrix,
     check_covering,
     fundamental_cycle,
 )
-
-
-class FlowDataError(ValueError):
-    """Malformed flow presentation."""
 
 
 class CritModel:
@@ -73,24 +68,6 @@ class CritModel:
         """The model as a complex; named points are its vertices."""
         return self._model
 
-    def validate(self):
-        report = []
-        if (self.names is None) == (self.complex is None):
-            report.append(f"index {self.index}: give exactly one of names "
-                          "and a complex")
-            return report
-        if self.is_points:
-            if len(set(self.names)) != len(self.names):
-                report.append(f"index {self.index}: duplicate point names")
-        else:
-            try:
-                if fundamental_cycle(self.complex)[1]:
-                    report.append(f"index {self.index}: model has "
-                                  "boundary; it must be closed")
-            except ValueError as err:
-                report.append(f"index {self.index}: {err}")
-        return report
-
 
 class ModuliComponentModel:
     """One connected component of a compactified space of flow lines.
@@ -114,95 +91,39 @@ class ModuliComponentModel:
         self.multiplicity = multiplicity
         self.relative_index = from_index - to_index
 
-    def validate(self, source, target):
-        report = []
-        j, domain = self.relative_index, self.domain
-        if j <= 0:
-            report.append(f"component {self.from_index}->{self.to_index}: "
-                          "index must strictly decrease along flows")
-        if self.sign not in (1, -1):
-            report.append(f"component {self.from_index}->{self.to_index}: "
-                          f"sign {self.sign} is not +-1")
-        if self.multiplicity < 1:
-            report.append(f"component {self.from_index}->{self.to_index}: "
-                          f"multiplicity {self.multiplicity} is not positive")
-        expected_dim = j + source.dimension - 1
-        if domain.top_dim != expected_dim:
-            report.append(
-                f"component {self.from_index}->{self.to_index}: domain has "
-                f"dimension {domain.top_dim}, expected {expected_dim}")
-        # identity first: shared complexes are one object, and `!=` calls
-        # SimplicialComplexData.__eq__
-        for name, ev, model in (("ev_minus", self.ev_minus, source),
-                                ("ev_plus", self.ev_plus, target)):
-            k = model.model_complex()
-            if (ev.source is not domain and ev.source != domain) or (
-                    ev.target is not k and ev.target != k):
-                report.append(f"component {self.from_index}->"
-                              f"{self.to_index}: {name} endpoints do not "
-                              "match")
-        return report
-
 
 class FlowPresentation:
     """Ambient dimension, critical models (at most one per index, of
     dimension at most dim - index; absent indices are empty), and moduli
     components.
 
-    The constructor indexes the models by critical index once, the first
-    model of an index winning (`validate` reports any second one), so
-    `crit_at` and the two models of each component are dict reads.
+    The constructor indexes the models by critical index once, so
+    `crit_at` is a dict read.
+
+    >>> fp = FlowPresentation(2, (CritModel(2, names=("n", "s")),))
+    >>> fp.crit_at(2).names, fp.crit_at(0)
+    (('n', 's'), None)
     """
 
     def __init__(self, dim, crit, moduli=()):
         self.dim = dim
         self.crit = tuple(crit)
         self.moduli = tuple(moduli)
-        self._by_index = {m.index: m for m in reversed(self.crit)}
+        self._by_index = {m.index: m for m in self.crit}
 
     def crit_at(self, i):
         return self._by_index.get(i)
-
-    def validate(self):
-        """Problems with the presentation, one line each.
-
-        >>> twice = (CritModel(0, names=("a",)), CritModel(0, names=("b",)))
-        >>> FlowPresentation(1, twice).validate()
-        ['two models for index 0']
-        """
-        report = []
-        seen = set()
-        for model in self.crit:
-            if model.index in seen:
-                report.append(f"two models for index {model.index}")
-            seen.add(model.index)
-            if not (0 <= model.index <= self.dim):
-                report.append(f"index {model.index} outside 0..{self.dim}")
-            elif model.index + model.dimension > self.dim:
-                report.append(f"index {model.index}: model of dimension "
-                              f"{model.dimension} exceeds dim - index = "
-                              f"{self.dim - model.index}")
-            report.extend(model.validate())
-        models = self._by_index
-        for comp in self.moduli:
-            source = models.get(comp.from_index)
-            target = models.get(comp.to_index)
-            if source is None or target is None:
-                report.append(
-                    f"component {comp.from_index}->{comp.to_index} touches "
-                    "an empty critical set")
-                continue
-            report.extend(comp.validate(source, target))
-        return report
 
 
 def build_multicomplex(fp, check=True):
     """Assemble the bigraded complex of a flow presentation.
 
-    Raises FlowDataError for malformed input, CoveringError when ev_minus of
-    a positive-dimensional source fails the covering check, and, with
-    `check`, InvalidMulticomplex when the assembled maps fail
-    anticommutation.
+    `fp` is one that schema.presentation_from_doc has read, or
+    morse_to_flow has made: every check of a presentation is the reader's,
+    made once, and the build checks none of them again.  Raises
+    CoveringError when ev_minus of a positive-dimensional source fails the
+    covering check, and, with `check`, InvalidMulticomplex when the
+    assembled maps fail anticommutation.
 
     Each simplicial row runs over its own degrees.  Point row i holds one
     generator per point in each column 0 .. c, d[0] = (-1)^i I at every even
@@ -228,10 +149,6 @@ def build_multicomplex(fp, check=True):
     maps by construction (multicomplex module docstring), so
     validate_multicomplex checks only j >= 2, the degeneracy condition.
     """
-    problems = fp.validate()
-    if problems:
-        raise FlowDataError("; ".join(problems))
-
     reach = {}
     for comp in fp.moduli:
         if comp.domain.top_dim > reach.get(comp.to_index, 0):
@@ -268,31 +185,18 @@ def build_multicomplex(fp, check=True):
                                  comp.ev_minus, comp.ev_plus)
         weight = comp.sign * comp.multiplicity
         if src in points:
-            # one image per domain vertex: SimplicialMap checks the length
-            hit = set(minus.vertex_image)
-            if len(hit) != 1:
-                raise FlowDataError(
-                    f"component {src}->{tgt}: "
-                    "ev_minus of a point source must be constant")
-            try:
-                cycle = fundamental_cycle(comp.domain)[0]
-            except NoFundamentalCycle as err:
-                raise FlowDataError(
-                    f"component {src}->{tgt}: domain: {err}") from err
-            # the cycle, pushed along ev_plus, into the point's column at 0
+            # the cycle, pushed along ev_plus, into the column at 0 of the
+            # one point that ev_minus takes every domain vertex to
+            cycle = fundamental_cycle(comp.domain)[0]
             degree, key = comp.domain.top_dim, (comp.relative_index, 0, src)
             block = pending[key] if key in pending else new_block(key)
-            col = block[hit.pop()]
+            col = block[minus.vertex_image[0]]
             if tgt not in points:
                 cycle = map(mul, cycle, plus.image_sign[degree])
             for r, x in zip(plus.image_index[degree], cycle):
                 if x:
                     col[r] = col.get(r, 0) + weight * x
             continue
-        if comp.relative_index != 1:
-            raise FlowDataError(
-                f"component {src}->{tgt}: positive-dimensional sources are "
-                "supported only for index drop one")
         try:
             check_covering(minus)
         except CoveringError as err:

@@ -22,30 +22,15 @@ class InvalidMorseData(ValueError):
 
 class MorseData:
     """Critical points by index and signed flow-line counts n(q, p) for
-    index(q) = index(p) + 1; raises InvalidMorseData, naming every point
-    listed twice and every other count, as soon as it is constructed."""
+    index(q) = index(p) + 1, each point at one index, as
+    schema.morse_from_doc reads them.  The constructor only normalizes:
+    int indices, tuples of names with empty indices left out, int
+    counts."""
 
     def __init__(self, crit_by_index, counts):
         self.crit_by_index = {int(k): tuple(v)
                               for k, v in crit_by_index.items() if v}
         self.counts = {(q, p): int(n) for (q, p), n in counts.items()}
-        report = []
-        seen = {}
-        for k, names in self.crit_by_index.items():
-            for name in names:
-                if seen.get(name) == k:
-                    report.append(f"point {name} listed twice at index {k}")
-                elif name in seen:
-                    report.append(f"point {name} listed at indices "
-                                  f"{seen[name]} and {k}")
-                seen[name] = k
-        for (q, p), n in self.counts.items():
-            if q not in seen or p not in seen:
-                report.append(f"count n({q},{p}) uses unknown points")
-            elif seen[q] != seen[p] + 1:
-                report.append(f"count n({q},{p}) does not drop index by one")
-        if report:
-            raise InvalidMorseData("; ".join(report))
 
 
 def morse_complex(md):

@@ -2,9 +2,13 @@
 expected homology.
 
 Every document carries a versioned "schema" field; the same schema is used
-for the shipped example files and for user input.  Readers raise
-SchemaError, a ValueError, naming the file or JSON path at fault.  The
-writers of the shipped files live in scripts/make_corpus.py.
+for the shipped example files and for user input.  The readers make every
+check of a document, each once: the builder and the Morse code check
+nothing a document can get wrong.  Each refusal is a SchemaError, a
+ValueError, whose message starts with the JSON path of the entry at fault
+(`FILE.critical[1]: duplicate point names`), or with the file alone for a
+fault of the whole file or of a top-level key.  The writers of the shipped
+files live in scripts/make_corpus.py.
 """
 
 import json
@@ -18,7 +22,12 @@ from .flowdata import (
     ModuliComponentModel,
     morse_to_flow,
 )
-from .simplicial import SimplicialComplexData, SimplicialMap
+from .simplicial import (
+    NoFundamentalCycle,
+    SimplicialComplexData,
+    SimplicialMap,
+    fundamental_cycle,
+)
 
 SCHEMA_VERSION = 1
 
@@ -156,7 +165,64 @@ def complex_from_data(entry, key, where, dim, built):
     return built[seen]
 
 
+def _model_fault(model, dim, seen):
+    """What is wrong with a critical model, given the indices of the models
+    before it, or None: its index given twice or outside 0..dim, a model
+    too big for dim - index, a name given twice, or a complex that is not
+    a closed orientable pseudomanifold."""
+    i, size = model.index, model.dimension
+    if i in seen:
+        return f"two models for index {i}"
+    if not 0 <= i <= dim:
+        return f"index {i} outside 0..{dim}"
+    if i + size > dim:
+        return f"model of dimension {size} exceeds dim - index = {dim - i}"
+    if model.is_points:
+        if len(set(model.names)) < len(model.names):
+            return "duplicate point names"
+        return None
+    try:
+        if fundamental_cycle(model.complex)[1]:
+            return "model has boundary; it must be closed"
+    except NoFundamentalCycle as err:
+        return str(err)
+    return None
+
+
+def _component_fault(comp, source):
+    """What is wrong with a moduli component from the model `source`, or
+    None: an index that does not drop, a sign other than +-1, a domain of
+    the wrong dimension; from a point source, an ev_minus that is not
+    constant or a domain with no fundamental cycle; from a
+    positive-dimensional one, an index drop above one."""
+    j, domain = comp.relative_index, comp.domain
+    expected = j + source.dimension - 1
+    if j <= 0:
+        return "index must strictly decrease along flows"
+    if comp.sign not in (1, -1):
+        return f"sign {comp.sign} is not +-1"
+    if domain.top_dim != expected:
+        return f"domain has dimension {domain.top_dim}, expected {expected}"
+    if not source.is_points:
+        return None if j == 1 else ("positive-dimensional sources are "
+                                    "supported only for index drop one")
+    if len(set(comp.ev_minus.vertex_image)) != 1:
+        return "ev_minus of a point source must be constant"
+    try:
+        fundamental_cycle(domain)
+    except NoFundamentalCycle as err:
+        return f"domain: {err}"
+    return None
+
+
 def presentation_from_doc(doc, where="presentation"):
+    """The FlowPresentation of a flow document, refused by the JSON path of
+    its first fault.  Types, listings and the maps' images are checked
+    entry by entry as they are read, then the column cap, then each
+    model (`_model_fault`) and each component (`_component_fault`) in
+    listing order.  So a presentation read here is one the builder takes
+    as it is; only the covering check of a positive-dimensional source is
+    left to the build."""
     dim = _require(doc, "dim", int, where)
     crit = []
     models = {}
@@ -200,25 +266,46 @@ def presentation_from_doc(doc, where="presentation"):
             from_index=src, to_index=tgt, domain=domain,
             ev_minus=ev_minus, ev_plus=ev_plus, sign=sign))
     column_cap_from_doc(doc, where, dim)
+    seen = set()
+    for t, model in enumerate(crit):
+        fault = _model_fault(model, dim, seen)
+        if fault:
+            raise SchemaError(f"{where}.critical[{t}]: {fault}")
+        seen.add(model.index)
+    for t, comp in enumerate(moduli):
+        fault = _component_fault(comp, models[comp.from_index])
+        if fault:
+            raise SchemaError(f"{where}.moduli[{t}]: {fault}")
     return FlowPresentation(dim=dim, crit=tuple(crit), moduli=tuple(moduli))
 
 
 def morse_from_doc(doc, where="morse data"):
-    from .morse import InvalidMorseData, MorseData  # Morse documents only
+    """The MorseData of a Morse document, refused by the JSON path of its
+    first fault: a point is named at one index, once, and a count
+    [q, p, n] joins known points q and p with index(q) = index(p) + 1."""
+    from .morse import MorseData  # Morse documents only
 
     crit = {}
+    at = {}  # point name -> its index
     for key, names in _require(doc, "critical", dict, where).items():
         try:
             index = int(key)
         except ValueError as err:
-            raise SchemaError(f"{where}: critical index '{key}'") from err
+            raise SchemaError(f"{where}.critical: key '{key}' is not an "
+                              "integer") from err
         if index < 0:
             raise SchemaError(f"{where}.critical: key '{key}' is negative")
         if key != str(index):  # "01" would alias "1" and replace its points
             raise SchemaError(f"{where}.critical: key '{key}' is not {index}")
+        spot = f"{where}.critical['{key}']"
         crit[index] = tuple(_each(
-            _typed(names, list, f"{where}.critical: key '{key}'"), str,
-            f"{where}.critical['{key}']"))
+            _typed(names, list, f"{where}.critical: key '{key}'"), str, spot))
+        for name in crit[index]:
+            if name in at:
+                listed = (f"twice at index {index}" if at[name] == index
+                          else f"at indices {at[name]} and {index}")
+                raise SchemaError(f"{spot}: point {name} listed {listed}")
+            at[name] = index
     counts = {}
     spot = f"{where}.counts"
     for t, item in enumerate(_optional(doc, "counts", list, where, [])):
@@ -229,11 +316,14 @@ def morse_from_doc(doc, where="morse data"):
         if not (type(q) is str and type(p) is str and type(n) is int):
             for s, kind in enumerate((str, str, int)):
                 _typed(item[s], kind, spot, t, s)
+        if q not in at or p not in at:
+            raise SchemaError(f"{spot}[{t}]: count n({q},{p}) uses unknown "
+                              "points")
+        if at[q] != at[p] + 1:
+            raise SchemaError(f"{spot}[{t}]: count n({q},{p}) does not drop "
+                              "index by one")
         counts[(q, p)] = counts.get((q, p), 0) + n
-    try:
-        return MorseData(crit_by_index=crit, counts=counts)
-    except InvalidMorseData as err:
-        raise SchemaError(f"{where}: {err}") from err
+    return MorseData(crit_by_index=crit, counts=counts)
 
 
 def expected_from_doc(doc, where="document"):

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import os
 import subprocess
@@ -99,6 +100,19 @@ class TestValidate:
         assert captured.out == ""
         assert captured.err == (f"input error: {path}: document nested too "
                                 "deeply\n")
+
+    def test_unreadable_file(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.json")
+        assert main(["validate", path]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", (
+            f"input error: {path}: [Errno {errno.ENOENT}] "
+            f"{os.strerror(errno.ENOENT)}: '{path}'\n"))
+
+    def test_top_level_not_an_object(self, tmp_path, capsys):
+        path = write_doc(tmp_path, [1, 2])
+        assert main(["homology", path]) == EXIT_INPUT
+        assert capsys.readouterr() == (
+            "", f"input error: {path}: top level must be an object\n")
 
     def test_wrong_schema_version(self, tmp_path, capsys):
         path = write_doc(tmp_path, {"schema": 99})
@@ -496,7 +510,9 @@ class TestErrorExitCodes:
         assert main(argv) == code
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"{prefix}{path}: ")
+        # the reader names the component by its path, the build by the file
+        where = ".moduli[0]: " if code == EXIT_INPUT else ": "
+        assert captured.err.startswith(f"{prefix}{path}{where}")
 
     @pytest.mark.parametrize("command", ["validate", "homology", "compare"])
     def test_model_too_big_for_dim(self, tmp_path, capsys, command):
@@ -550,8 +566,8 @@ class TestErrorExitCodes:
         assert main(argv) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"input error: {path}: index 1: model of "
-                                "dimension 1 exceeds dim - index = 0\n")
+        assert captured.err == (f"input error: {path}.critical[1]: model "
+                                "of dimension 1 exceeds dim - index = 0\n")
 
     @pytest.mark.parametrize("command, name", [
         ("validate", "s2-z2"), ("homology", "s2-z2"), ("compare", "s2-z2"),
@@ -616,6 +632,33 @@ def point_domain(simplices):
             domain={"vertices": 4, "simplices": simplices},
             ev_minus=[0, 0, 0, 0], ev_plus=[0, 1, 2, 0])
     return change
+
+
+def add_critical(entry):
+    return lambda doc: doc["critical"].append(entry)
+
+
+def two_circles_over_two_points(doc):
+    """Make the first component of s2-z2 two circles, one over each point
+    of its source: each lies over a single point, the component does not."""
+    first_component(doc).update(
+        domain={"vertices": 6, "simplices": [
+            [0], [1], [2], [3], [4], [5], [0, 1], [0, 2], [1, 2], [3, 4],
+            [3, 5], [4, 5]]},
+        ev_minus=[0, 0, 0, 1, 1, 1], ev_plus=[0, 1, 2, 0, 1, 2])
+
+
+def disk_over_circle_drop_two():
+    """A disk from a circle at index 2 to a point at index 0 of a `dim` 3
+    document: a positive-dimensional source that drops the index by two."""
+    circle = [[0], [1], [2], [0, 1], [0, 2], [1, 2]]
+    return {"schema": 1, "kind": "flow", "dim": 3, "critical": [
+        {"index": 0, "kind": "points", "names": ["a"]},
+        {"index": 2, "kind": "simplicial",
+         "complex": {"vertices": 3, "simplices": circle}}], "moduli": [
+        {"from": 2, "to": 0,
+         "domain": {"vertices": 3, "simplices": circle + [[0, 1, 2]]},
+         "ev_minus": [0, 0, 1], "ev_plus": [0, 0, 0], "sign": 1}]}
 
 
 def replace_doc(new):
@@ -763,7 +806,7 @@ MALFORMED = {
     "morse-critical-name-twice": (
         "morse", "t2-morse-4pt",
         set_in(lambda d: d["critical"], "1", ["inner", "inner"]),
-        ": point inner listed twice at index 1"),
+        ".critical['1']: point inner listed twice at index 1"),
     "morse-column-cap-odd": (
         "morse", "t2-morse-4pt", set_key("column_cap", 7),
         ": column cap 7 must be even and at least 4"),
@@ -816,23 +859,78 @@ MALFORMED = {
         "validate", "t2-height", replace_doc(unbounded_cost_doc(FACETS_16)),
         f".critical[0]: malformed complex: face {tuple(range(14))} is not "
         "listed"),
-    # a point source's domain is oriented by the build, which names the
+    # a point source's domain is oriented by the reader, which names the
     # component
     "point-domain-ridge-in-three": (
         "homology", "s2-z2",
         point_domain([[0], [1], [2], [3], [0, 1], [0, 2], [0, 3]]),
-        ": component 2->0: domain: not a pseudomanifold: ridge (0,) lies in "
-        "3 top simplices"),
+        ".moduli[0]: domain: not a pseudomanifold: ridge (0,) lies in 3 top "
+        "simplices"),
     "point-domain-maximal-vertex": (
         "validate", "s2-z2",
         point_domain([[0], [1], [2], [3], [0, 1], [1, 2]]),
-        ": component 2->0: domain: not a pseudomanifold: (3,) is maximal "
-        "below dimension 1"),
+        ".moduli[0]: domain: not a pseudomanifold: (3,) is maximal below "
+        "dimension 1"),
+    # what a well-typed listing can still get wrong, each refused once, by
+    # the reader, at the entry it concerns (a model too big for dim - index
+    # is TestErrorExitCodes::test_model_too_big_for_its_index)
+    "unknown-critical-kind": (
+        "homology", "s2-z2", set_in(lambda d: d["critical"][1], "kind",
+                                    "torus"),
+        ".critical[1]: unknown kind 'torus'"),
+    "duplicate-point-names": (
+        "validate", "s2-z2", set_in(lambda d: d["critical"][1], "names",
+                                    ["n", "n"]),
+        ".critical[1]: duplicate point names"),
+    "two-models-for-an-index": (
+        "homology", "s2-z2",
+        add_critical({"index": 2, "kind": "points", "names": ["x", "y"]}),
+        ".critical[2]: two models for index 2"),
+    "index-above-dim": (
+        "validate", "s2-z2",
+        add_critical({"index": 3, "kind": "points", "names": ["x"]}),
+        ".critical[2]: index 3 outside 0..2"),
+    "endpoints-not-critical": (
+        "homology", "s2-z2", set_in(first_component, "from", 1),
+        ".moduli[0]: endpoints 1->0 not among the critical indices"),
+    "index-does-not-drop": (
+        "validate", "s2-minus-z2", set_in(first_component, "to", 1),
+        ".moduli[0]: index must strictly decrease along flows"),
+    "sign-two": (
+        "homology", "s2-z2", set_in(first_component, "sign", 2),
+        ".moduli[0]: sign 2 is not +-1"),
+    "domain-dimension-wrong": (
+        "validate", "s2-z2",
+        lambda doc: first_component(doc).update(
+            domain={"vertices": 1, "simplices": [[0]]}, ev_minus=[0],
+            ev_plus=[0]),
+        ".moduli[0]: domain has dimension 0, expected 1"),
+    "point-source-ev-minus-not-constant": (
+        "homology", "s2-z2", two_circles_over_two_points,
+        ".moduli[0]: ev_minus of a point source must be constant"),
+    "positive-dimensional-source-drops-two": (
+        "homology", "s2-z2", replace_doc(disk_over_circle_drop_two()),
+        ".moduli[0]: positive-dimensional sources are supported only for "
+        "index drop one"),
+    "morse-point-at-two-indices": (
+        "morse", "t2-morse-4pt",
+        set_in(lambda d: d["critical"], "1", ["inner", "bottom"]),
+        ".critical['1']: point bottom listed at indices 0 and 1"),
+    "morse-count-drops-two": (
+        "morse", "t2-morse-4pt", set_key("counts", [["top", "bottom", 1]]),
+        ".counts[0]: count n(top,bottom) does not drop index by one"),
+    "morse-count-unknown-point": (
+        "morse", "t2-morse-4pt", set_key("counts", [["inner", "bottom", 1],
+                                                    ["top", "nowhere", 1]]),
+        ".counts[1]: count n(top,nowhere) uses unknown points"),
+    "morse-critical-key-not-an-integer": (
+        "morse", "t2-morse-4pt", set_in(lambda d: d["critical"], "x", ["a"]),
+        ".critical: key 'x' is not an integer"),
 }
 
 
 class TestMalformedDocuments:
-    """A wrongly typed field exits 2 and names its JSON path."""
+    """A malformed document exits 2 and names its JSON path."""
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_exits_2_with_json_path(self, tmp_path, capsys, case):

@@ -26,7 +26,7 @@ PINNED = {
                 18),
     "failures": ("735bd19eca2c7892de1557d81096ed95fd4749b8c54efe892f617c256032fcdd",
                  114),
-    "malformed": ("0d2199044a90d60e0e96d76edb1425b52f931cb3e4051d8899db5f8ba8f2f568",
+    "malformed": ("fedfc9cf915f0bf5dca1a39dfc3b9781c6f3c122dba23483127283fd9e8b553b",
                   108),
 }
 

@@ -25,7 +25,7 @@ PUBLIC = {
     "MBSMulticomplex", "MulticomplexReport", "InvalidMulticomplex",
     "validate_multicomplex", "totalize", "homology_table",
     # flowdata
-    "CritModel", "ModuliComponentModel", "FlowPresentation", "FlowDataError",
+    "CritModel", "ModuliComponentModel", "FlowPresentation",
     "build_multicomplex", "morse_to_flow",
     # morse
     "MorseData", "InvalidMorseData", "morse_complex",
