@@ -1,12 +1,12 @@
-"""In-process timing of the read, the build, the validation, the report
-and the whole `homology --json` call on seeded benchmark documents
-(perfbench/workloads.py): `torus-grid` at n = 20, 40 and 80, one simplicial
-row whose cost is per simplex; `bott-twist` at n = 8, 16 and 32, where the
-covering d[1] is a large share of a call; and `dim-padded` at dim n = 55,
-550 and 5500, a shipped presentation whose report has one row per degree
-0..dim; and `morse-random` at n = 8, 32 and 128 points per index, run
-through the `morse` command, whose cost should follow the flow-line
-counts.
+"""In-process timing of the read, the build, the validation, the
+homology, the report and the whole `homology --json` call on seeded
+benchmark documents (perfbench/workloads.py): `torus-grid` at n = 20, 40
+and 80, one simplicial row whose cost is per simplex; `bott-twist` at
+n = 8, 16 and 32, where the covering d[1] is a large share of a call; and
+`dim-padded` at dim n = 55, 550 and 5500, a shipped presentation whose
+report has one row per degree 0..dim; and `morse-random` at n = 8, 32
+and 128 points per index, run through the `morse` command, whose cost
+should follow the flow-line counts.
 
 Each stage is timed as the best of `--repeat` runs on the document of
 seed 1, call 0, written to a temporary file, with the garbage collector
@@ -17,6 +17,8 @@ on whole-call times swing by about 15% on a busy host:
 - build: `build_multicomplex(presentation, check=False)`, as the command
   line calls it;
 - validate: `validate_multicomplex` on that build;
+- homology: `homology_table(mc, range(dim + 1))` on that build, its
+  validation included;
 - report: from the homology table in degrees 0..dim to the JSON text,
   `group_to_data` for each degree and `canonical_json` of the result;
 - whole: `cli.main(["homology", FILE, "--json"])`, its output discarded.
@@ -114,12 +116,16 @@ def main(argv=None):
                           f"whole {call:7.2f} ms")
                     continue
                 check = best_ms(args.repeat, lambda: validate_multicomplex(mc))
-                table = homology_table(mc, range(mc.ambient_dim + 1))
+                degrees = range(mc.ambient_dim + 1)
+                table = homology_table(mc, degrees)
+                groups = best_ms(args.repeat,
+                                 lambda: homology_table(mc, degrees))
                 text = best_ms(args.repeat, lambda: report(mc, table))
                 call = best_ms(args.repeat, lambda: whole("homology", path))
                 print(f"{workload:<10} n={n:<4} load {load:7.1f} ms  "
                       f"build {build:7.1f} ms  validate {check:7.1f} ms  "
-                      f"report {text:7.2f} ms  whole {call:7.1f} ms")
+                      f"homology {groups:7.2f} ms  report {text:7.2f} ms  "
+                      f"whole {call:7.1f} ms")
 
 
 if __name__ == "__main__":

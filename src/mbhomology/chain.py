@@ -91,7 +91,7 @@ class HomologyGroup:
         return " ⊕ ".join(parts) if parts else "0"
 
 
-def homology_at(c, degrees):
+def homology_at(c, degrees, forests=None):
     """Homology of a complex in each of `degrees`, one group per degree;
     degrees with equal groups share one object within a call.
 
@@ -111,14 +111,35 @@ def homology_at(c, degrees):
     at the rows where z_t is nonzero: kept columns and r_{t+1}, r_{t+2},
     ....  Going back from the last step, every cleared column lies in the
     Z-span of the kept ones, so the kept columns have the same image, and
-    the image fixes the nonzero invariant factors.  Pivots of the dense
-    core are not units and clear nothing.
+    the image fixes the nonzero invariant factors.  The argument holds for
+    any subset of the pivot rows too.  Pivots of the dense core are not
+    units and clear nothing.
+
+    `forests` maps a degree k to the blocks of d_k already eliminated by a
+    spanning forest, each a triple (tops, ridges, cycles): `tops`, a range
+    of columns; `ridges`, one row per forest pair (ridge, top), each ridge
+    row zero outside `tops`; and `cycles`, the columns d_k z of the
+    forest's components, z the sum of a component's tops with their +-1
+    (pipeline.homology_table passes them for the rows that
+    flowdata.build_multicomplex marks).  Take the chain of the
+    subtree below a non-root top t: its boundary has +-1 at t's ridge and
+    0 at every other forest ridge, since each other forest ridge has both
+    its tops in the subtree or neither.  These chains and the z form a
+    unimodular change of the columns in `tops`, after which the ridge rows
+    are a signed identity on the subtree chains and zero on every other
+    column.  So d_k is block triangular with a unimodular block: each pair
+    is a factor 1, and the rest of d_k, the columns outside `tops` and the
+    `cycles`, is reduced alone, with no Schur update.  The subtree chains
+    are boundaries with +-1 at their own ridge and 0 at the other forest
+    ridges, so the ridges, taken before the reduction's pivots, clear
+    d_{k-1} as above.  The columns in `tops` are never cleared.
 
     >>> c = ChainComplex({0: 1, 1: 1}, {1: IntMatrix.from_rows([[2]])})
     >>> [str(h) for h in homology_at(c, range(2))]
     ['Z/2', '0']
     """
     degrees = list(degrees)
+    forests = forests or {}
     factors = {}
     pivots = ()
     for k in sorted({*degrees, *(k + 1 for k in degrees)}, reverse=True):
@@ -126,9 +147,31 @@ def homology_at(c, degrees):
             factors[k], pivots = (), ()
             continue
         cleared = set(pivots) if pivots and k + 1 in factors else ()
-        factors[k], pivots = _reduce(c.boundaries[k], cleared)
+        if k in forests:
+            factors[k], pivots = _reduce_split(c.boundaries[k], cleared,
+                                               forests[k])
+        else:
+            factors[k], pivots = _reduce(c.boundaries[k], cleared)
     keys = [(c.rank(k) - len(factors[k]) - len(factors[k + 1]),
              tuple(x for x in factors[k + 1] if x > 1) if factors[k + 1]
              else ()) for k in degrees]
     groups = {key: HomologyGroup(*key) for key in set(keys)}
     return [groups[key] for key in keys]
+
+
+def _reduce_split(a, cleared, blocks):
+    """`_reduce` of `a` with its forest `blocks` split off (`homology_at`):
+    a factor 1 and a pivot row per forest pair, then the reduction of the
+    columns that are outside every block and not cleared, and of the
+    blocks' cycle columns."""
+    columns = list(a.columns)
+    ridges = []
+    rest = []
+    for tops, rows, cycles in blocks:
+        columns[tops.start:tops.stop] = [{}] * len(tops)
+        ridges += rows
+        rest += cycles
+    rest += [col for j, col in enumerate(columns) if col and j not in cleared]
+    factors, pivots = _reduce(IntMatrix._of(a.rows, len(rest), rest)) \
+        if rest else ((), [])
+    return (1,) * len(ridges) + factors, ridges + pivots

@@ -9,6 +9,7 @@ Dense rows are made only by `snf` and the transforms it records, and by
 """
 
 from functools import cached_property
+from math import gcd
 
 
 class IntMatrix:
@@ -314,7 +315,8 @@ def invariant_factors(a):
     the row with the fewest entries, to keep fill low.  The dense snf runs
     only on the core left without unit entries, and only its invariant
     factors are read; boundaries of simplicial complexes often leave no
-    core at all.
+    core at all.  A core of one column or one row has one invariant
+    factor, the gcd of its entries, and skips snf.
 
     >>> invariant_factors(IntMatrix.from_rows([[2, 4], [6, 8]]))
     (2, 4)
@@ -396,6 +398,10 @@ def _reduce(a, cleared=()):
     core_rows = sorted({i for col in core_cols for i in col})
     if not core_rows:
         return units, pivots
+    if len(core_cols) == 1 or len(core_rows) == 1:
+        # one column or one row: its one invariant factor is the gcd
+        return units + (gcd(*(x for col in core_cols
+                              for x in col.values())),), pivots
     place = {i: t for t, i in enumerate(core_rows)}
     core = IntMatrix._of(len(core_rows), len(core_cols),
                          ({place[i]: x for i, x in col.items()}

@@ -34,6 +34,7 @@ from .multicomplex import (
 )
 from .simplicial import (
     CoveringError,
+    NoFundamentalCycle,
     SimplicialComplexData,
     SimplicialMap,
     boundary_matrix,
@@ -143,11 +144,23 @@ def build_multicomplex(fp, check=True):
     reference in tests/support.py.  Each moduli block is sized from the
     row ranks at its two ends and filled in one pass over the domain
     simplices of each column, with no model looked up; a covering is
-    checked by counts (simplicial.check_covering), and a domain object is
+    checked by counts (simplicial.check_covering), once per ev_minus
+    object however many components share it, and a domain object is
     oriented once, however many components share it.
     The multicomplex is marked as built: identities j <= 1 hold on its
     maps by construction (multicomplex module docstring), so
     validate_multicomplex checks only j >= 2, the degeneracy condition.
+
+    It also records, in `mc._forests`, each closed simplicial row i of
+    positive dimension n whose ridge block (n - 1, i) no stored d[j] with
+    j >= 1 reaches.  The ridge rows of the total boundary are then nonzero
+    only at the row's own top simplices, where they are d[0], the model's
+    boundary, so the spanning forest of the model's orientation walk
+    (simplicial.fundamental_cycle) is an elimination of the top block, and
+    pipeline.homology_table hands it to chain.homology_at.  A row that a
+    d[j] reaches, or whose model has boundary or cannot be oriented (a
+    hand-built presentation only), is reduced as every other block is.  A
+    Morse document has no simplicial row and the mark costs it nothing.
     """
     reach = {}
     for comp in fp.moduli:
@@ -155,6 +168,7 @@ def build_multicomplex(fp, check=True):
             reach[comp.to_index] = comp.domain.top_dim
     row_ranks = {}
     maps = {}
+    simplicial = []  # (row, model complex)
     for model in fp.crit:
         i = model.index
         if model.is_points:
@@ -165,6 +179,7 @@ def build_multicomplex(fp, check=True):
                     maps[(0, p, i)] = IntMatrix.identity(n).scaled((-1) ** i)
             continue
         k = model.complex
+        simplicial.append((i, k))
         for p, level in k.simplices_by_dim.items():
             row_ranks[(p, i)] = len(level)
         for p in range(1, k.top_dim + 1):
@@ -180,6 +195,7 @@ def build_multicomplex(fp, check=True):
         return block
 
     points = {model.index for model in fp.crit if model.is_points}
+    covered = set()  # ids of the ev_minus maps checked to be coverings
     for comp in fp.moduli:
         src, tgt, minus, plus = (comp.from_index, comp.to_index,
                                  comp.ev_minus, comp.ev_plus)
@@ -197,12 +213,14 @@ def build_multicomplex(fp, check=True):
                 if x:
                     col[r] = col.get(r, 0) + weight * x
             continue
-        try:
-            check_covering(minus)
-        except CoveringError as err:
-            raise CoveringError(
-                f"component {src}->{tgt}: ev_minus is not a covering of "
-                f"the source model: {err}", witness=err.witness) from err
+        if id(minus) not in covered:  # a shared map is checked once
+            try:
+                check_covering(minus)
+            except CoveringError as err:
+                raise CoveringError(
+                    f"component {src}->{tgt}: ev_minus is not a covering of "
+                    f"the source model: {err}", witness=err.witness) from err
+            covered.add(id(minus))
         # P+ P-^T: each domain simplex lands in the column of its image
         # under ev_minus, with that orientation sign
         for p in range(minus.target.top_dim + 1):
@@ -226,6 +244,16 @@ def build_multicomplex(fp, check=True):
     mc = MBSMulticomplex(ambient_dim=fp.dim, row_ranks=row_ranks, maps=maps)
     # identities j <= 1 hold on these maps (multicomplex module docstring)
     mc._identities_below_2_hold = True
+    if simplicial:
+        hit = {(p + j - 1, i - j) for j, p, i in maps if j}
+        for i, k in simplicial:
+            if k.top_dim and (k.top_dim - 1, i) not in hit:
+                try:
+                    closed = not fundamental_cycle(k)[1]
+                except NoFundamentalCycle:
+                    continue
+                if closed:
+                    mc._forests[i] = k
     if check:
         report = validate_multicomplex(mc)
         if not report.ok:

@@ -89,6 +89,9 @@ class MBSMulticomplex:
         # set by the builder, on whose maps identities j <= 1 hold (module
         # docstring)
         self._identities_below_2_hold = False
+        # set by the builder: row -> closed model whose top block the
+        # orientation walk eliminates (flowdata.build_multicomplex)
+        self._forests = {}
         boundaries = {}
         for k, blocks in placed.items():
             shape = (ranks.get(k - 1, 0), ranks[k])

@@ -215,6 +215,17 @@ def _component_fault(comp, source):
     return None
 
 
+def _shared_map(maps, source, target, image):
+    """The SimplicialMap of `image` from `source` to `target`, one object
+    per distinct (source, target, image).  `maps` is keyed by the ids of
+    the two complexes, which the reader's `built` keeps alive (a complex
+    is not hashable)."""
+    key = id(source), id(target), tuple(image)
+    if key not in maps:
+        maps[key] = SimplicialMap(source, target, image)
+    return maps[key]
+
+
 def presentation_from_doc(doc, where="presentation"):
     """The FlowPresentation of a flow document, refused by the JSON path of
     its first fault.  Types, listings and the maps' images are checked
@@ -243,6 +254,7 @@ def presentation_from_doc(doc, where="presentation"):
         crit.append(model)
         models[index] = model
     moduli = []
+    maps = {}
     for t, entry in enumerate(_optional(doc, "moduli", list, where, [])):
         spot = f"{where}.moduli[{t}]"
         src = _require(entry, "from", int, spot)
@@ -256,10 +268,10 @@ def presentation_from_doc(doc, where="presentation"):
                              f"{spot}.{key}")
                   for key in ("ev_minus", "ev_plus")}
         try:
-            ev_minus = SimplicialMap(domain, models[src].model_complex(),
-                                     images["ev_minus"])
-            ev_plus = SimplicialMap(domain, models[tgt].model_complex(),
-                                    images["ev_plus"])
+            ev_minus = _shared_map(maps, domain, models[src].model_complex(),
+                                   images["ev_minus"])
+            ev_plus = _shared_map(maps, domain, models[tgt].model_complex(),
+                                  images["ev_plus"])
         except ValueError as err:
             raise SchemaError(f"{spot}: {err}") from err
         moduli.append(ModuliComponentModel(

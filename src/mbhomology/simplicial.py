@@ -3,9 +3,13 @@
 A complex is given by all its simplices, every face listed.  Complexes
 model critical submanifolds and moduli components: the fundamental cycle,
 +/-1 per top simplex and kept on its complex, stands in for a representing
-chain, and a map keeps the index and sign of each simplex's image, so that
-pushforward along evaluation maps and pullback along simplicial coverings
-are index arithmetic.  Chains keyed by simplex are test references.
+chain.  The orientation walk that finds it keeps its spanning forest too:
+on a closed model the forest's (ridge, top) pairs are unit pivots of the
+top boundary, a discrete gradient in Forman's sense, which the homology of
+the top degree reads instead of reducing it.  A map keeps the index and
+sign of each simplex's image, so that pushforward along evaluation maps
+and pullback along simplicial coverings are index arithmetic.  Chains
+keyed by simplex are test references.
 """
 
 from collections import Counter
@@ -46,7 +50,8 @@ class SimplicialComplexData:
     listing is closed under faces: the first facet it does not find,
     lowest dimension first and in lexicographic order there, is refused.
     No face is ever added, so the work follows the size of the listing.
-    `_cycle` holds the result of `fundamental_cycle` once it is found.
+    `_cycle` holds the result of `fundamental_cycle` once it is found, and
+    `_forest` the walk's spanning forest.
 
     >>> k = SimplicialComplexData(3, [(0, 2, 1), (0, 1), (0, 2), (1, 2),
     ...                               (0,), (1,), (2,)])
@@ -63,7 +68,7 @@ class SimplicialComplexData:
     """
 
     __slots__ = ("vertex_count", "simplices_by_dim", "top_dim", "_index",
-                 "_facets", "_cycle")
+                 "_facets", "_cycle", "_forest")
 
     def __init__(self, vertex_count, simplices):
         self.vertex_count = vertex_count
@@ -79,7 +84,7 @@ class SimplicialComplexData:
         self.simplices_by_dim = {n - 1: tuple(sorted(group)) for n, group in
                                  groupby(sorted(listed, key=len), len)}
         self.top_dim = max(self.simplices_by_dim, default=-1)
-        self._cycle = None
+        self._cycle = self._forest = None
         index = self._index = {}
         self._facets = {}
         for d, level in self.simplices_by_dim.items():
@@ -218,12 +223,21 @@ def fundamental_cycle(k):
     cycle.  Raises NoFundamentalCycle, on every call, if `k` is not a
     pure orientable pseudomanifold.
 
+    The walk keeps its spanning forest on `k` as `k._forest`: per
+    connected component, its root and the (ridge, top) pair of each other
+    top simplex, in the order reached, the ridge (an index into
+    `k.simplices_of_dim(k.top_dim - 1)`) the one it was reached across.
+    Each ridge is in two tops at most, so the boundary of the chain of t
+    and the tops below it in the forest, each with its coefficient, is
+    +-1 at t's ridge and 0 at every other forest ridge
+    (chain.homology_at).
+
     >>> path = [(0, 1), (1, 2), (0,), (1,), (2,)]
     >>> fundamental_cycle(SimplicialComplexData(3, path))
     ((1, 1), ((0,), (2,)))
     """
     if k._cycle is None:
-        k._cycle = _orient(k)
+        k._cycle, k._forest = _orient(k)
     return k._cycle
 
 
@@ -234,7 +248,7 @@ def _orient(k):
         raise NoFundamentalCycle("empty complex")
     tops = k.simplices_of_dim(d)
     if d == 0:
-        return (1,) * len(tops), ()
+        return ((1,) * len(tops), ()), [(t, []) for t in range(len(tops))]
 
     # purity: every simplex is a face of some top simplex.  Going down
     # from the top, the first dimension with a simplex outside the faces of
@@ -267,10 +281,12 @@ def _orient(k):
             boundary_ridges.append(ridge)
 
     coeff = [0] * len(tops)  # top simplex index -> +-1, 0 while unvisited
+    forest = []  # per component: its root and the walk's (ridge, top)s
     for start in range(len(tops)):
         if coeff[start]:
             continue
         coeff[start] = 1
+        forest.append((start, pairs := []))
         stack = [start]
         while stack:
             t = stack.pop()
@@ -285,12 +301,14 @@ def _orient(k):
                 previous = coeff[other]
                 if not previous:
                     coeff[other] = needed
+                    pairs.append((ridge, other))
                     stack.append(other)
                 elif previous != needed:
                     raise NoFundamentalCycle(
                         f"not orientable: conflicting orientation at "
                         f"ridge {ridges[ridge]}")
-    return tuple(coeff), tuple(ridges[r] for r in sorted(boundary_ridges))
+    cycle = tuple(coeff), tuple(ridges[r] for r in sorted(boundary_ridges))
+    return cycle, forest
 
 
 def check_covering(f):

@@ -20,7 +20,13 @@ from mbhomology.morse import MorseData
 from mbhomology.pipeline import homology_table
 from mbhomology.schema import presentation_from_doc
 
-from support import load_file, submatrix_cols, times_vector
+from support import (
+    load_file,
+    submatrix_cols,
+    sym_rank,
+    sym_torsion,
+    times_vector,
+)
 
 workloads = load_file("perfbench/workloads.py")
 
@@ -318,6 +324,49 @@ class TestUnitSweep:
         assert moved >= 180 and moved_cores >= 50
 
 
+class TestLineCore:
+    """A core of one column or one row is finished by the gcd of its
+    entries, and only a wider core reaches snf."""
+
+    def test_single_lines_against_sympy(self, monkeypatch):
+        def refused(a):
+            raise AssertionError(f"snf called on a {a.shape} core")
+
+        monkeypatch.setattr(exactalg, "snf", refused)
+        seen = set()
+        for seed in range(300):
+            rng = random.Random(7000 + seed)
+            entries = [rng.choice((0, 0, 2, -2, 3, -4, 6, 9, -12, 1, -1))
+                       for _ in range(rng.randint(1, 9))]
+            for a in (IntMatrix.from_rows([[x] for x in entries]),
+                      IntMatrix.from_rows([entries])):
+                factors, pivots = _reduce(a)
+                assert tuple(x for x in factors if x > 1) == \
+                    sym_torsion(a), seed
+                assert len(factors) == sym_rank(a), seed
+                seen.add((len(pivots), factors[-1:] > (1,)))
+        # a unit entry, a core with a factor above 1, and a zero line
+        assert seen >= {(1, False), (0, True), (0, False)}
+
+    def test_only_wider_cores_reach_snf(self, monkeypatch):
+        shapes = []
+        real_snf = exactalg.snf
+
+        def counted_snf(a):
+            shapes.append(a.shape)
+            return real_snf(a)
+
+        monkeypatch.setattr(exactalg, "snf", counted_snf)
+        lines = 0
+        for seed, (_, a) in enumerate(TestUnitSweep.family()):
+            shapes.clear()
+            factors, pivots = _reduce(a)
+            assert factors == sym_factors(a), seed
+            assert all(min(shape) >= 2 for shape in shapes), seed
+            lines += len(factors) > len(pivots) and not shapes
+        assert lines >= 10
+
+
 class TestTransformsAreNotBuilt:
     def test_program_reads_no_transform(self, monkeypatch, tmp_path,
                                         capsys):
@@ -335,27 +384,31 @@ class TestTransformsAreNotBuilt:
 
         monkeypatch.setattr(exactalg, "_replay", refuse)
         monkeypatch.setattr(exactalg, "snf", counted_snf)
+        # bott-twist's one core, the 18 x 1 column left by the forest of its
+        # top degree, is finished by its gcd and reaches no snf
         doc = workloads.make("bott-twist", 1, 0)[0]
         table = homology_table(build_multicomplex(presentation_from_doc(doc)))
         assert [str(g) for g in table] == ["Z", "Z^2", "Z ⊕ Z/2", "0", "0"]
-        assert (18, 1) in cores
+        assert cores == []
 
         def run(command, name, doc):
             path = tmp_path / name
             path.write_text(json.dumps(doc), encoding="utf-8")
             cores.clear()
             assert cli.main([command, str(path), "--json"]) == cli.EXIT_OK
-            assert cores
+            assert (2, 2) in cores
             return json.loads(capsys.readouterr().out)
 
-        out = run("homology", "bott-twist.json", doc)
+        # two projective planes on one vertex: d(c) = 2 b and d(f) = 2 e,
+        # a 2 x 2 core, so H_1 = Z/2 + Z/2
+        md = MorseData(crit_by_index={0: ("a",), 1: ("b", "e"),
+                                      2: ("c", "f")},
+                       counts={("c", "b"): 2, ("f", "e"): 2})
+        rp2s = load_file("scripts/make_corpus.py").morse_to_doc(md)
+        out = run("homology", "rp2-rp2.json", rp2s)
         assert [entry["torsion"] for entry in out["homology"]] == \
-            [[], [], [2], []]
-        # the projective plane: d(c) = 2 b, so H_1 = Z/2
-        md = MorseData(crit_by_index={0: ("a",), 1: ("b",), 2: ("c",)},
-                       counts={("c", "b"): 2})
-        out = run("morse", "rp2.json",
-                  load_file("scripts/make_corpus.py").morse_to_doc(md))
+            [[], [2, 2], []]
+        out = run("morse", "rp2-rp2.json", rp2s)
         assert out["ok"] is True
         assert [entry["torsion"] for entry in out["mb_homology"]] == \
-            [[], [2], []]
+            [[], [2, 2], []]

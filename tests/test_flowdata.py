@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mbhomology import cli, flowdata
+from mbhomology import cli, flowdata, schema
 from mbhomology.chain import homology_at
 from mbhomology.exactalg import IntMatrix
 from mbhomology.flowdata import (
@@ -441,6 +441,65 @@ class TestSharedComplexes:
             shared += objects(doc) < len(listings(doc))
             assert output(off) == output(doc)
         assert shared == len(docs) - 2  # s2-constant and s2-round
+
+    def test_equal_maps_are_one_object(self, monkeypatch):
+        # A, B and both domains are one complex here, so three of the four
+        # listed maps are its identity: the reader builds two maps, the
+        # identity and the swap, and the build checks the one covering
+        # once
+        built, checked = [], []
+        real = schema.SimplicialMap
+
+        def constructed(*args):
+            built.append(args)
+            return real(*args)
+
+        def counted(f):
+            checked.append(f)
+            return check_covering(f)
+
+        monkeypatch.setattr(schema, "SimplicialMap", constructed)
+        monkeypatch.setattr(flowdata, "check_covering", counted)
+        fp = presentation_from_doc(bott_twist_doc())
+        first, second = fp.moduli
+        assert first.ev_minus is second.ev_minus is first.ev_plus
+        assert second.ev_plus is not first.ev_plus
+        assert len(built) == 2
+        build_multicomplex(fp)
+        assert checked == [first.ev_minus]
+        # in the benchmark's documents A is relabeled, so only the two
+        # ev_minus maps are equal: three maps for four
+        for call in range(3):
+            built.clear()
+            checked.clear()
+            fp = presentation_from_doc(
+                workloads.make("bott-twist", 5, call)[0])
+            first, second = fp.moduli
+            assert first.ev_minus is second.ev_minus
+            assert len(built) == 3
+            build_multicomplex(fp)
+            assert checked == [first.ev_minus]
+
+    def test_shared_failing_map_names_the_first_component(self):
+        # one map that collapses the circle, the ev_minus of components
+        # into rows 0 and 1: whichever comes first is named
+        circle = triangle()
+        collapse = SimplicialMap(circle, circle, vertex_image=[0, 1, 0])
+        lower = (CritModel(index=0, names=("n",)),
+                 CritModel(index=1, names=("m",)))
+        rim = CritModel(index=2, complex=circle)
+        moduli = [ModuliComponentModel(
+            from_index=2, to_index=model.index, domain=circle,
+            ev_minus=collapse,
+            ev_plus=SimplicialMap(circle, model.model_complex(),
+                                  vertex_image=[0, 0, 0]),
+            sign=1) for model in lower]
+        for order in (moduli, moduli[::-1]):
+            fp = FlowPresentation(dim=3, crit=(*lower, rim),
+                                  moduli=tuple(order))
+            with pytest.raises(CoveringError, match=(
+                    f"^component 2->{order[0].to_index}: ev_minus")):
+                build_multicomplex(fp)
 
     def test_other_vertex_count_is_not_shared(self):
         # the same simplices with one more vertex make another complex

@@ -362,16 +362,20 @@ class TestVerify:
         monkeypatch.setattr(support, "chain_map_residuals",
                             counted_residuals)
         monkeypatch.setattr(exactalg, "snf", counted_snf)
-        # a projective plane: d(c) = 2 b, so H_1 = Z/2 is torsion
-        md = MorseData(crit_by_index={0: ("a",), 1: ("b",), 2: ("c",)},
-                       counts={("c", "b"): 2})
+        # two projective planes on one vertex: d(c) = 2 b and d(f) = 2 e,
+        # so H_1 = Z/2 + Z/2 is torsion
+        md = MorseData(crit_by_index={0: ("a",), 1: ("b", "e"),
+                                      2: ("c", "f")},
+                       counts={("c", "b"): 2, ("f", "e"): 2})
         mc = build_multicomplex(morse_to_flow(md))
         outcome = verify(md, mc)
         assert outcome.ok
-        assert [str(g) for g in outcome.mb_homology] == ["Z", "Z/2", "0"]
+        assert [str(g) for g in outcome.mb_homology] == \
+            ["Z", "Z/2 ⊕ Z/2", "0"]
         assert len(residual_calls) == 1
         assert not hasattr(morse, "snf")
-        # the torsion leaves a core, so snf does run, from one caller
+        # the torsion leaves a 2 x 2 core (a narrower one ends by its gcd),
+        # so snf does run, from one caller
         assert set(smith_callers) == {exactalg._reduce.__code__}
 
     def test_cmd_morse_builds_one_morse_complex(self, monkeypatch, capsys):
