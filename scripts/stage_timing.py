@@ -14,6 +14,10 @@ off inside each timed run (a collection is made before it), since with it
 on whole-call times swing by about 15% on a busy host:
 
 - load: `schema.presentation_from_file`, which reads and checks the file;
+- complexes: `SimplicialComplexData(vertices, simplices)` on each distinct
+  complex listing of the document (critical models and moduli domains),
+  with the lists that `json.load` gives, so the constructor's share of
+  load can be read; the reader builds each distinct listing once too;
 - build: `build_multicomplex(presentation, check=False)`, as the command
   line calls it;
 - validate: `validate_multicomplex` on that build;
@@ -57,6 +61,7 @@ from mbhomology.flowdata import build_multicomplex  # noqa: E402
 from mbhomology.morse import is_critical_point_complex  # noqa: E402
 from mbhomology.multicomplex import validate_multicomplex  # noqa: E402
 from mbhomology.pipeline import homology_table  # noqa: E402
+from mbhomology.simplicial import SimplicialComplexData  # noqa: E402
 from mbhomology.schema import (  # noqa: E402
     canonical_json,
     presentation_from_file,
@@ -78,6 +83,19 @@ def best_ms(repeat, run):
         finally:
             gc.enable()
     return 1000 * min(times)
+
+
+def listings(path):
+    """The distinct (vertices, simplices) complex listings of a flow
+    document, as json.load gives them."""
+    with open(path, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    found = [entry["complex"] for entry in doc["critical"]
+             if "complex" in entry]
+    found += [comp["domain"] for comp in doc.get("moduli", [])]
+    distinct = {json.dumps(data): data for data in found}
+    return [(data["vertices"], data["simplices"])
+            for data in distinct.values()]
 
 
 def report(mc, table):
@@ -115,6 +133,9 @@ def main(argv=None):
                           f"build {build:7.2f} ms  compare {check:7.3f} ms  "
                           f"whole {call:7.2f} ms")
                     continue
+                listed = listings(path)
+                complexes = best_ms(args.repeat, lambda: [
+                    SimplicialComplexData(*listing) for listing in listed])
                 check = best_ms(args.repeat, lambda: validate_multicomplex(mc))
                 degrees = range(mc.ambient_dim + 1)
                 table = homology_table(mc, degrees)
@@ -123,6 +144,7 @@ def main(argv=None):
                 text = best_ms(args.repeat, lambda: report(mc, table))
                 call = best_ms(args.repeat, lambda: whole("homology", path))
                 print(f"{workload:<10} n={n:<4} load {load:7.1f} ms  "
+                      f"complexes {complexes:6.2f} ms  "
                       f"build {build:7.1f} ms  validate {check:7.1f} ms  "
                       f"homology {groups:7.2f} ms  report {text:7.2f} ms  "
                       f"whole {call:7.1f} ms")

@@ -151,18 +151,19 @@ def complex_from_data(entry, key, where, dim, built):
         for t, simplex in enumerate(simplices):
             _each(_typed(simplex, list, spot, t), int, spot, t)
     seen = (vertices, tuple(map(tuple, simplices)))
-    if seen in built:
-        return built[seen]
+    cx = built.get(seen)  # hashed here and at the store only
+    if cx is not None:
+        return cx
     if max(map(len, simplices), default=0) > dim + 1:
         for t, simplex in enumerate(simplices):
             if len(set(simplex)) > dim + 1:
                 raise SchemaError(f"{spot}[{t}] has dimension "
                                   f"{len(set(simplex)) - 1}, above dim {dim}")
     try:
-        built[seen] = SimplicialComplexData(vertices, seen[1])
+        cx = built[seen] = SimplicialComplexData(vertices, seen[1])
     except (TypeError, ValueError) as err:
         raise SchemaError(f"{where}: {err}") from err
-    return built[seen]
+    return cx
 
 
 def _model_fault(model, dim, seen):
@@ -252,7 +253,7 @@ def presentation_from_doc(doc, where="presentation"):
         else:
             raise SchemaError(f"{spot}: unknown kind '{kind}'")
         crit.append(model)
-        models[index] = model
+        models.setdefault(index, model)  # a second one is refused below
     moduli = []
     maps = {}
     for t, entry in enumerate(_optional(doc, "moduli", list, where, [])):

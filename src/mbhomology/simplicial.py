@@ -13,7 +13,16 @@ keyed by simplex are test references.
 """
 
 from collections import Counter
-from itertools import chain, combinations, groupby, repeat
+from itertools import (
+    chain,
+    combinations,
+    filterfalse,
+    groupby,
+    islice,
+    repeat,
+    starmap,
+)
+from operator import lt
 
 from .chain import ChainComplex
 from .exactalg import IntMatrix
@@ -38,18 +47,29 @@ class SimplicialComplexData:
 
     The vertex order provides orientations.  Basis order within each
     dimension is lexicographic, so chain-level constructions downstream are
-    deterministic.  The constructor takes simplices in any vertex order,
-    repeats allowed.  Every listing is normalized in C-level passes that
-    apply `int` to each vertex in listing order, so a conversion error is
-    raised first, as `int` raises it.  It then refuses an empty simplex,
-    then a vertex outside 0 .. vertex_count - 1, naming the lowest.  It
-    stores `top_dim` (-1 when empty) and fills the facet table, one pass
-    per dimension: `_facets[d][t]` holds the indices, in dimension d - 1,
-    of the facets of simplex t of dimension d, facet i omitting vertex i.
-    That pass looks up every facet, so it is also the check that the
-    listing is closed under faces: the first facet it does not find,
-    lowest dimension first and in lexicographic order there, is refused.
-    No face is ever added, so the work follows the size of the listing.
+    deterministic.  The constructor takes simplices (lists, tuples or other
+    sized iterables of vertices) in any vertex order, repeats allowed, and
+    works a dimension at a time, not a simplex at a time.  It applies `int`
+    to every vertex first, so a conversion error is raised as `int` raises
+    it, the first in listing order.  It then refuses an empty simplex, then
+    a vertex outside 0 .. vertex_count - 1, naming the lowest.  It groups
+    the simplices by length and cuts each group into tuples with `zip`.  A
+    dimension listed in strictly increasing order, whose vertex columns
+    increase strictly column against column, is taken as it is; one out of
+    order or with a repeat is sorted and deduplicated.  Only a simplex out
+    of vertex order sends the constructor back to the listing, to normalize
+    each simplex on its own, since a repeated vertex moves a simplex to a
+    lower dimension.  Once every dimension is read, it stores `top_dim`
+    (-1 when empty) and fills the facet table from the vertex columns:
+    facet i of every d-simplex is the zip of the columns other than column
+    i, all looked up in one `map` pass per dimension, so `_facets[d][t]`
+    holds the indices, in dimension d - 1, of the facets of simplex t of
+    dimension d, facet i omitting vertex i.  The lookups are also the check
+    that the listing is closed under faces.  A face not found is refused,
+    and the one named is the first that a walk of the listing meets: lowest
+    dimension first, in lexicographic order there, omitting the last vertex
+    first (`_first_missing`).  No face is ever added and none is formed
+    twice, so the work follows the size of the listing.
     `_cycle` holds the result of `fundamental_cycle` once it is found, and
     `_forest` the walk's spanning forest.
 
@@ -72,35 +92,57 @@ class SimplicialComplexData:
 
     def __init__(self, vertex_count, simplices):
         self.vertex_count = vertex_count
-        listed = set(map(tuple, map(sorted, map(set, map(
-            map, repeat(int), simplices)))))
-        if () in listed:
+        try:
+            ordered = sorted(simplices, key=len)
+            vertices = list(map(int, chain.from_iterable(ordered)))
+        except (TypeError, ValueError):
+            list(map(int, chain.from_iterable(simplices)))  # in listing order
+            raise
+        if ordered and not len(ordered[0]):
             raise ValueError("empty simplex")
-        used = set(chain.from_iterable(listed))
-        if used and (min(used) < 0 or max(used) >= vertex_count):
-            low = min(v for v in used if not 0 <= v < vertex_count)
+        if vertices and (min(vertices) < 0 or max(vertices) >= vertex_count):
+            low = min(v for v in vertices if not 0 <= v < vertex_count)
             raise ValueError(f"malformed complex: {(low,)} uses vertices "
                              "outside range")
-        self.simplices_by_dim = {n - 1: tuple(sorted(group)) for n, group in
-                                 groupby(sorted(listed, key=len), len)}
-        self.top_dim = max(self.simplices_by_dim, default=-1)
-        self._cycle = self._forest = None
+        levels = []  # (dimension, simplices, vertex columns)
+        take = iter(vertices)
+        for size, group in groupby(ordered, len):
+            level = tuple(islice(zip(*[take] * size), len(list(group))))
+            if not all(map(lt, level, level[1:])):
+                level = tuple(sorted(set(level)))
+            columns = size > 1 and list(zip(*level))
+            if columns and not all(map(all, map(map, repeat(lt), columns,
+                                                columns[1:]))):
+                # a simplex out of vertex order: read the listing again,
+                # each simplex normalized on its own
+                return self.__init__(vertex_count, [
+                    sorted(set(map(int, s))) for s in ordered])
+            levels.append((size - 1, level, columns))
+        self.simplices_by_dim = by_dim = {}
         index = self._index = {}
-        self._facets = {}
-        for d, level in self.simplices_by_dim.items():
+        self._facets = table = {}
+        self._cycle = self._forest = None
+        self.top_dim = levels[-1][0] if levels else -1
+        for d, level, columns in levels:
+            by_dim[d] = level
             index.update(zip(level, range(len(level))))
-            if d > 0:
+            if d:
+                # the facet columns in `combinations` order, the last vertex
+                # omitted first; extend keeps the lookups made before a
+                # fault, so their count is its column and row
+                found = []
                 try:
-                    flat = list(map(index.__getitem__, chain.from_iterable(
-                        map(combinations, level, repeat(d)))))
+                    found.extend(map(index.__getitem__, chain.from_iterable(
+                        starmap(zip, combinations(columns, d)))))
                 except KeyError as missing:
-                    face = missing.args[0]
+                    face = _first_missing(columns, index, *divmod(
+                        len(found), len(level)), missing.args[0])
                     raise ValueError(f"malformed complex: face {face} is "
                                      "not listed") from None
-                # facet i omits vertex i, and combinations omits the last
-                # vertex first: cut the reversed indices into (d + 1)-tuples
-                flat.reverse()
-                self._facets[d] = tuple(zip(*[iter(flat)] * (d + 1)))[::-1]
+                # cut into columns, reversed so that facet i omits vertex i
+                found = list(zip(*[iter(found)] * len(level)))
+                found.reverse()
+                table[d] = tuple(zip(*found))
 
     @classmethod
     def from_simplices(cls, simplices, vertex_count=None):
@@ -129,6 +171,19 @@ class SimplicialComplexData:
     def __repr__(self):
         return (f"SimplicialComplexData(vertices={self.vertex_count}, "
                 f"simplices={list(self.all_simplices())})")
+
+
+def _first_missing(columns, index, column, row, missing):
+    """The face of a level that the listing's walk meets first, simplex by
+    simplex and omitting the last vertex first, when the lookups by facet
+    column, in `combinations` order, first miss a face, `missing`, at
+    `row` of `column`.  The columns before it are complete, and so is that
+    column above `row`; only the later columns of the simplices above `row`
+    may hold an earlier face, and only their faces are formed here."""
+    earlier = [vertices[:row] for vertices in columns]
+    later = islice(combinations(earlier, len(columns) - 1), column + 1, None)
+    faces = chain.from_iterable(zip(*starmap(zip, later)))
+    return next(filterfalse(index.__contains__, faces), missing)
 
 
 class SimplicialMap:
@@ -252,18 +307,17 @@ def _orient(k):
 
     # purity: every simplex is a face of some top simplex.  Going down
     # from the top, the first dimension with a simplex outside the faces of
-    # the dimension above holds a maximal one
+    # the dimension above holds a maximal one.  A dimension that passes is
+    # covered, so the next one down is the faces of all its simplices
     facets = k._facets
-    covered = range(len(tops))
     for dim in range(d, 0, -1):
-        below = {f for t in covered for f in facets[dim][t]}
+        below = set(chain.from_iterable(facets[dim]))
         simplices = k.simplices_of_dim(dim - 1)
         if len(below) < len(simplices):
             first = next(t for t in range(len(simplices)) if t not in below)
             raise NoFundamentalCycle(
                 f"not a pseudomanifold: {simplices[first]} is maximal below "
                 f"dimension {d}")
-        covered = below
 
     # ridge incidences: (top simplex index, sign of the omitted vertex)
     ridges = k.simplices_of_dim(d - 1)

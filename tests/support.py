@@ -245,17 +245,41 @@ def listed_by_dim(vertex_count, simplices):
     return by_dim
 
 
+def facet_table(by_dim):
+    """(index, facets) of the complex {dimension: simplices}, built simplex
+    by simplex with `combinations`: the position of each simplex in the
+    lexicographic order of its dimension, and per dimension d >= 1 the
+    positions of the facets of each simplex, facet i omitting vertex i."""
+    index, facets = {}, {}
+    for d in sorted(by_dim):
+        level = sorted(by_dim[d])
+        index.update((s, t) for t, s in enumerate(level))
+        if d > 0:
+            facets[d] = tuple(tuple(index[face] for face in
+                                    reversed(list(combinations(s, d))))
+                              for s in level)
+    return index, facets
+
+
 def formed_faces(monkeypatch):
     """The list of (simplex, face) pairs, one per face that the simplicial
-    module forms from here on through `combinations`, the one way its
-    constructor forms faces."""
+    module forms from here on, in the order it forms them.  Its constructor
+    forms faces one way: `combinations` picks d of the d + 1 vertex columns
+    of a level, and `zip` of those forms one facet of each simplex in turn,
+    as the lookups ask for it.  So each picked set of columns is handed on
+    with its first column counting the faces that `zip` draws from it."""
     formed = []
     real = simplicial.combinations
 
-    def recorded(s, r):
-        for face in real(s, r):
-            formed.append((s, face))
-            yield face
+    def counted(column, pairs):
+        for vertex, pair in zip(column, pairs):
+            formed.append(pair)
+            yield vertex
+
+    def recorded(columns, r):
+        simplices = list(zip(*columns))
+        for rest in real(columns, r):
+            yield (counted(rest[0], zip(simplices, zip(*rest))), *rest[1:])
 
     monkeypatch.setattr(simplicial, "combinations", recorded)
     return formed

@@ -886,6 +886,12 @@ MALFORMED = {
         "homology", "s2-z2",
         add_critical({"index": 2, "kind": "points", "names": ["x", "y"]}),
         ".critical[2]: two models for index 2"),
+    # the moduli images are read against the first model of an index, so
+    # a second one too small for them is named as the second model
+    "second-model-too-small-for-the-images": (
+        "homology", "s2-z2",
+        add_critical({"index": 2, "kind": "points", "names": ["x"]}),
+        ".critical[2]: two models for index 2"),
     "index-above-dim": (
         "validate", "s2-z2",
         add_critical({"index": 3, "kind": "points", "names": ["x"]}),

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations
 
@@ -22,6 +23,7 @@ from support import (
     covering_lifts,
     covering_pullback,
     cycle_chain,
+    facet_table,
     formed_faces,
     image_simplex,
     index_of,
@@ -578,6 +580,75 @@ class TestFacetTable:
             with pytest.raises(ValueError) as err:
                 SimplicialComplexData(n, listing)
             assert str(err.value) == message
+
+    @staticmethod
+    def assert_as_reference(n, listing):
+        """The constructor gives the complex of support.listed_by_dim, and
+        the index and facet table that support.facet_table builds from it
+        with `combinations`, or refuses with the reference's exception."""
+        try:
+            by_dim = listed_by_dim(n, listing)
+        except (TypeError, ValueError) as err:
+            with pytest.raises(type(err)) as got:
+                SimplicialComplexData(n, listing)
+            assert str(got.value) == str(err), listing
+            return str(err)
+        k = SimplicialComplexData(n, listing)
+        index, facets = facet_table(by_dim)
+        assert k.simplices_by_dim == {d: tuple(sorted(by_dim[d]))
+                                      for d in sorted(by_dim)}, listing
+        assert list(k.simplices_by_dim) == sorted(by_dim), listing
+        assert k._index == index and k._facets == facets, listing
+        assert k.top_dim == max(by_dim, default=-1), listing
+        return "accepted"
+
+    def test_each_level_path_matches_the_references(self):
+        # a level taken as listed, one sorted, one read again simplex by
+        # simplex, and a refusal whose witness is not the first face that
+        # the column-wise lookups miss
+        outcomes = set()
+        for seed in range(200):
+            rng = random.Random(seed)
+            listed = closed(random_listed(rng))
+            n = 1 + max(map(max, listed))
+            top = [s for s in listed if len(s) == len(listed[-1])]
+            unsorted = list(listed)
+            s = rng.choice(top)
+            unsorted[unsorted.index(s)] = s[::-1]
+            repeated = list(listed) + rng.choices(listed, k=3)
+            s = rng.choice(listed)
+            padded = list(listed) + [s + s[:1], s[::-1] + s]
+            for listing in (listed, rng.sample(listed, len(listed)),
+                            unsorted, repeated, padded,
+                            [list(s) for s in reversed(listed)],
+                            listed[:-1], rng.sample(listed, len(listed) - 1)):
+                outcomes.add(self.assert_as_reference(n, listing))
+        assert "accepted" in outcomes and len(outcomes) > 2
+        # the lookups of the column omitting the last vertex meet (0, 3),
+        # of (0, 1, 3), first; the walk meets (1, 2), of (0, 1, 2), first
+        listing = [[0], [1], [2], [3], [0, 1], [0, 2], [1, 3], [0, 1, 2],
+                   [0, 1, 3]]
+        assert self.assert_as_reference(4, listing) == (
+            "malformed complex: face (1, 2) is not listed")
+        assert self.assert_as_reference(4, listing[::-1]) == (
+            "malformed complex: face (1, 2) is not listed")
+
+    @pytest.mark.parametrize("workload, size", [
+        ("torus-grid", 5), ("torus-grid", 20), ("bott-twist", 3),
+        ("dim-padded", 55)])
+    def test_workload_listings_match_the_references(self, workload, size):
+        # every listing of a benchmark document as json.loads returns it,
+        # seeded as the benchmark seeds it
+        wl = load_file("perfbench/workloads.py")
+        for call in range(6 if workload == "dim-padded" else 2):
+            doc = json.loads(json.dumps(wl.make(workload, 1, call, size)[0]))
+            listings = [entry["complex"] for entry in doc["critical"]
+                        if "complex" in entry]
+            listings += [comp["domain"] for comp in doc.get("moduli", [])]
+            assert listings
+            for data in listings:
+                assert self.assert_as_reference(
+                    data["vertices"], data["simplices"]) == "accepted"
 
     def test_top_dim_is_stored_by_the_constructor(self):
         # -1 for an empty complex, otherwise the highest dimension listed,
